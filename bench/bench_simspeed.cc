@@ -99,9 +99,9 @@ std::string row_json(const SpeedRow& r) {
 /// engine::run_trace's scheduling exactly (arrivals pushed up front in
 /// trace order, run_until(last_arrival + drain)) but timing the event loop
 /// and counting executed events.  When `telem` is non-null the session is
-/// installed exactly as RunOptions::telemetry would be (sink before start,
-/// sampler attached after), so the timed window includes the full tracing
-/// tax: span capture, registry sampling events, the lot.
+/// attached exactly as RunOptions::telemetry would be (after Engine::start),
+/// so the timed window includes the full tracing tax: span capture,
+/// registry sampling events, the lot.
 SpeedRow timed_run(const std::string& engine_name, const std::string& scenario,
                    const hw::Cluster& cluster, const model::ModelSpec& model,
                    const engine::EngineOptions& opts,
@@ -111,7 +111,6 @@ SpeedRow timed_run(const std::string& engine_name, const std::string& scenario,
   sim::Simulation sim;
 
   const auto t0 = std::chrono::steady_clock::now();
-  eng->metrics().set_telemetry(telem);
   eng->start(sim);
   if (telem != nullptr) telem->attach(sim, *eng);
   for (const auto& r : trace) {

@@ -6,7 +6,7 @@
 #include "common/log.h"
 #include "parallel/objective.h"
 #include "planner/planner.h"
-#include "telemetry/telemetry.h"
+#include "telemetry/audit.h"
 
 namespace hetis::control {
 
@@ -85,14 +85,7 @@ void Controller::attach(sim::Simulation& sim, engine::Engine& engine) {
     reconfigurable_->set_planner(spec_.replan_planner);
   }
 
-  // Chain in front of whatever observer run_trace installed.
-  downstream_ = engine.metrics().observer();
-  engine.metrics().set_observer(this);
-
-  // Traced run: every decision from here on lands in the session's audit
-  // trail (run_trace installs the session before calling on_start, so the
-  // initial deployment below is already recorded).
-  if (telemetry::Telemetry* t = engine.metrics().telemetry()) audit_ = &t->audit();
+  engine.metrics().attach(this);
 
   // The construction deployment was planned over the whole cluster, so the
   // assigned set starts as every device; pick_active() shrinks it below.
@@ -112,7 +105,7 @@ void Controller::attach(sim::Simulation& sim, engine::Engine& engine) {
     sim.schedule_at(ev.time, [this, &sim, ev] { handle_event(sim, ev); });
   }
   if (spec_.tick > 0) {
-    sim.schedule_in(spec_.tick, [this, &sim] { tick(sim); });
+    ticking_ = sim.every(spec_.tick, spec_.tick, [this, &sim] { return tick(sim); });
   }
 }
 
@@ -150,16 +143,9 @@ bool Controller::apply_target(sim::Simulation& sim, bool forced) {
     if (last_elective_ >= 0 && sim.now() - last_elective_ < spec_.cooldown) return false;
     last_elective_ = sim.now();
   }
-  std::string plan_before;
-  std::vector<int> before;
-  if (audit_) {
-    plan_before = reconfigurable_->plan_digest();
-    before = active_;
-  }
+  std::string plan_before = reconfigurable_->plan_digest();
   reconfigurable_->reconfigure(sim, want);
-  if (audit_) {
-    audit_decision(sim, "redeploy", forced, std::move(before), want, std::move(plan_before));
-  }
+  audit_decision(sim, "redeploy", forced, active_, want, std::move(plan_before));
   active_ = std::move(want);
   active_history_.emplace_back(sim.now(), static_cast<int>(active_.size()));
   (forced ? stats_.forced_reconfigs : stats_.elective_reconfigs) += 1;
@@ -234,19 +220,13 @@ void Controller::handle_event(sim::Simulation& sim, const ClusterEvent& ev) {
                                          << (now ? " (degraded)" : " (recovered)"));
         pending_trigger_ = now ? "straggler_crossing" : "recovery_crossing";
         pending_device_ = ev.device;
-        std::string plan_before;
-        std::vector<int> devs_before;
-        if (audit_) {
-          plan_before = reconfigurable_->plan_digest();
-          devs_before = reconfigurable_->active_devices();
-        }
+        std::string plan_before = reconfigurable_->plan_digest();
+        std::vector<int> devs_before = reconfigurable_->active_devices();
         reconfigurable_->on_degradation(sim);
-        if (audit_) {
-          // Same device set, possibly a new layout (e.g. a straggling
-          // primary demoted to an Attention worker).
-          audit_decision(sim, "replan_in_place", /*forced=*/true, std::move(devs_before),
-                         reconfigurable_->active_devices(), std::move(plan_before));
-        }
+        // Same device set, possibly a new layout (e.g. a straggling primary
+        // demoted to an Attention worker).
+        audit_decision(sim, "replan_in_place", /*forced=*/true, std::move(devs_before),
+                       reconfigurable_->active_devices(), std::move(plan_before));
       }
       break;
     }
@@ -255,17 +235,11 @@ void Controller::handle_event(sim::Simulation& sim, const ClusterEvent& ev) {
       if (reconfigurable_) {
         pending_trigger_ = "preempt_notice";
         pending_device_ = ev.device;
-        std::string plan_before;
-        std::vector<int> devs_before;
-        if (audit_) {
-          plan_before = reconfigurable_->plan_digest();
-          devs_before = reconfigurable_->active_devices();
-        }
+        std::string plan_before = reconfigurable_->plan_digest();
+        std::vector<int> devs_before = reconfigurable_->active_devices();
         reconfigurable_->on_preempt_notice(sim, ev.device, ev.time + ev.factor);
-        if (audit_) {
-          audit_decision(sim, "evacuate", /*forced=*/true, std::move(devs_before),
-                         reconfigurable_->active_devices(), std::move(plan_before));
-        }
+        audit_decision(sim, "evacuate", /*forced=*/true, std::move(devs_before),
+                       reconfigurable_->active_devices(), std::move(plan_before));
       }
       break;
   }
@@ -282,7 +256,7 @@ int Controller::count_degraded() const {
   return n;
 }
 
-void Controller::tick(sim::Simulation& sim) {
+bool Controller::tick(sim::Simulation& sim) {
   ++stats_.ticks;
   signals_.now = sim.now();
   // Requests re-prefilling after a preemption/restart count as queued:
@@ -315,10 +289,7 @@ void Controller::tick(sim::Simulation& sim) {
   pending_trigger_ = "policy_tick";
   pending_device_ = -1;
   apply_target(sim, /*forced=*/false);
-
-  if (sim.now() + spec_.tick <= spec_.horizon) {
-    sim.schedule_in(spec_.tick, [this, &sim] { tick(sim); });
-  }
+  return sim.now() + spec_.tick <= spec_.horizon;
 }
 
 double Controller::device_seconds(Seconds until) const {
@@ -343,7 +314,6 @@ void Controller::ewma(double& slot, double sample) {
 void Controller::audit_decision(sim::Simulation& sim, const std::string& action, bool forced,
                                 std::vector<int> devices_before,
                                 std::vector<int> devices_after, std::string plan_before) {
-  if (!audit_) return;
   telemetry::AuditRecord rec;
   rec.time = sim.now();
   rec.trigger = pending_trigger_.empty() ? "policy_tick" : pending_trigger_;
@@ -375,13 +345,12 @@ void Controller::audit_decision(sim::Simulation& sim, const std::string& action,
       rec.diagnostics.wall_time = 0;
     }
   }
-  audit_->record(std::move(rec));
+  engine_->metrics().on_decision(rec);
 }
 
 void Controller::on_arrival(const workload::Request& r) {
   ++arrived_;
   arrival_time_[r.id] = r.arrival;
-  if (downstream_) downstream_->on_arrival(r);
 }
 
 void Controller::on_prefill_done(workload::RequestId id, Seconds t) {
@@ -399,7 +368,6 @@ void Controller::on_prefill_done(workload::RequestId id, Seconds t) {
       ewma(signals_.ttft_ewma, ttft);
     }
   }
-  if (downstream_) downstream_->on_prefill_done(id, t);
 }
 
 void Controller::on_token(workload::RequestId id, Seconds t, std::int64_t generated) {
@@ -416,7 +384,6 @@ void Controller::on_token(workload::RequestId id, Seconds t, std::int64_t genera
   last_token_time_[id] = t;
   generated_[id] = generated;
   reprefilling_.erase(id);  // decode resumed: the re-prefill completed
-  if (downstream_) downstream_->on_token(id, t, generated);
 }
 
 void Controller::on_finish(workload::RequestId id, Seconds t) {
@@ -449,25 +416,10 @@ void Controller::on_finish(workload::RequestId id, Seconds t) {
   last_token_time_.erase(id);
   generated_.erase(id);
   reprefilling_.erase(id);
-  if (downstream_) downstream_->on_finish(id, t);
 }
 
-void Controller::on_preempt(workload::RequestId id, Seconds t) {
+void Controller::on_preempt(workload::RequestId id, Seconds) {
   reprefilling_.insert(id);  // back in the admission queue until it decodes
-  if (downstream_) downstream_->on_preempt(id, t);
-}
-
-void Controller::on_prefill_start(workload::RequestId id, Seconds t) {
-  if (downstream_) downstream_->on_prefill_start(id, t);
-}
-
-void Controller::on_migrate(workload::RequestId id, Seconds start, Seconds ready,
-                            int src_device, int dst_device) {
-  if (downstream_) downstream_->on_migrate(id, start, ready, src_device, dst_device);
-}
-
-void Controller::on_usage(const engine::UsageSample& s) {
-  if (downstream_) downstream_->on_usage(s);
 }
 
 }  // namespace hetis::control

@@ -10,9 +10,10 @@
 //   run.on_start = ctl.starter();           // schedules events + ticks
 //   engine::run_trace(*eng, trace, run);
 //
-// At attach time the Controller chains itself in front of the currently
-// installed RunObserver (forwarding every event downstream), schedules the
-// ChurnSpec's ClusterEvents and a periodic policy tick, and from then on:
+// At attach time the Controller subscribes to the engine's run-event bus
+// (engine::MetricsCollector::attach), schedules the ChurnSpec's
+// ClusterEvents and a periodic policy tick (sim::Simulation::every), and
+// from then on:
 //
 //   * gpu_leave / gpu_join events update device availability and FORCE a
 //     re-deploy through engine::Reconfigurable when the active set must
@@ -21,7 +22,9 @@
 //     SLO-attainment EWMA, KV pressure) and asks the ScalePolicy for a
 //     target device count; ELECTIVE changes respect the cooldown;
 //   * the active set is always the `target` highest-power available
-//     devices, never below min_devices.
+//     devices, never below min_devices;
+//   * every applied decision is published on the bus as an on_decision
+//     AuditRecord (a telemetry session appends it to its audit trail).
 //
 // How the engine reacts is the engine's own Reconfigurable contract:
 // HetisEngine replans and live-migrates, the baselines checkpoint-and-
@@ -43,10 +46,6 @@
 #include "engine/reconfigurable.h"
 #include "hw/topology.h"
 #include "sim/simulation.h"
-
-namespace hetis::telemetry {
-class AuditTrail;
-}
 
 namespace hetis::control {
 
@@ -114,8 +113,8 @@ class Controller final : public engine::RunObserver {
   /// so the Controller must outlive the run_trace call.
   std::function<void(sim::Simulation&, engine::Engine&)> starter();
 
-  /// Schedules the churn script + tick chain on `sim`, chains this
-  /// controller in front of the engine's current observer, and applies
+  /// Schedules the churn script + policy tick on `sim`, subscribes this
+  /// controller to the engine's run-event bus, and applies
   /// `initial_devices` (re-deploying immediately when it shrinks the
   /// deployment).  Throws std::invalid_argument when the engine does not
   /// implement engine::Reconfigurable but the spec demands changes.
@@ -138,23 +137,20 @@ class Controller final : public engine::RunObserver {
   /// The generated churn script (for logging / tests).
   const std::vector<ClusterEvent>& events() const { return events_; }
 
-  // RunObserver stream: updates the signal EWMAs, then forwards downstream.
+  // Run-event bus sink: updates the signal EWMAs.
   void on_arrival(const workload::Request& r) override;
-  void on_prefill_start(workload::RequestId id, Seconds t) override;
   void on_prefill_done(workload::RequestId id, Seconds t) override;
   void on_token(workload::RequestId id, Seconds t, std::int64_t generated) override;
   void on_finish(workload::RequestId id, Seconds t) override;
   void on_preempt(workload::RequestId id, Seconds t) override;
-  void on_migrate(workload::RequestId id, Seconds start, Seconds ready, int src_device,
-                  int dst_device) override;
-  void on_usage(const engine::UsageSample& s) override;
 
  private:
   /// Shared constructor; `mutable_cluster` is null for the const overload.
   Controller(ControlSpec spec, const hw::Cluster& cluster, hw::Cluster* mutable_cluster);
 
   void handle_event(sim::Simulation& sim, const ClusterEvent& ev);
-  void tick(sim::Simulation& sim);
+  /// One policy tick; returns whether another tick fits before the horizon.
+  bool tick(sim::Simulation& sim);
   /// Re-deploys onto the target active set when it differs from the
   /// current one.  Returns true when a reconfiguration was applied.
   bool apply_target(sim::Simulation& sim, bool forced);
@@ -167,8 +163,8 @@ class Controller final : public engine::RunObserver {
   /// link), feeding ControlSignals::degraded_devices.
   int count_degraded() const;
 
-  /// Appends one AuditRecord for an applied action (no-op when no telemetry
-  /// session is attached).  The computed signals (queue depth, in-flight,
+  /// Publishes one AuditRecord for an applied action on the engine's
+  /// run-event bus.  The computed signals (queue depth, in-flight,
   /// kv pressure, device counts) are refreshed at DECISION time -- a forced
   /// churn re-deploy between ticks must not audit half-a-tick-old values --
   /// while the EWMAs carry their latest smoothed state as-is.
@@ -186,12 +182,9 @@ class Controller final : public engine::RunObserver {
 
   engine::Engine* engine_ = nullptr;
   engine::Reconfigurable* reconfigurable_ = nullptr;
-  engine::RunObserver* downstream_ = nullptr;
   std::string replan_objective_;
+  sim::PeriodicTask ticking_;
 
-  /// Decision audit trail, discovered at attach from the run's telemetry
-  /// session (nullptr when the run is untraced -- recording is then free).
-  telemetry::AuditTrail* audit_ = nullptr;
   /// What fired the decision currently being applied ("initial", "gpu_leave",
   /// "gpu_join", "policy_tick", ...); set by each entry point before it can
   /// reach audit_decision, with the triggering device id where scoped.

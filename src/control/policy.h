@@ -24,7 +24,7 @@
 
 namespace hetis::control {
 
-/// Live snapshot the Controller derives from the observer stream and the
+/// Live snapshot the Controller derives from the run-event bus and the
 /// engine's metric taps; everything a policy may condition on.
 struct ControlSignals {
   Seconds now = 0;

@@ -163,22 +163,18 @@ RunReport run_trace(Engine& engine, const std::vector<workload::Request>& trace,
                     const RunOptions& opts) {
   sim::Simulation sim;
   // Detach on every exit path: if the run throws, the engine must not keep
-  // a pointer to a caller-owned observer (or telemetry session) that may
-  // die first.
+  // a pointer to a caller-owned sink (observer, telemetry session,
+  // controller) that may die first.
   struct ObserverGuard {
     MetricsCollector& metrics;
-    ~ObserverGuard() {
-      metrics.set_observer(nullptr);
-      metrics.set_telemetry(nullptr);
-    }
+    ~ObserverGuard() { metrics.detach_all(); }
   } guard{engine.metrics()};
-  engine.metrics().set_observer(opts.observer);
-  engine.metrics().set_telemetry(opts.telemetry);
+  engine.metrics().detach_all();
+  if (opts.observer != nullptr) engine.metrics().attach(opts.observer);
   engine.metrics().reserve(trace.size());
   engine.start(sim);
-  // The sampler attaches before on_start so the control plane (which runs
-  // its initial deployment from on_start) can already see the session and
-  // its audit trail through engine.metrics().telemetry().
+  // Telemetry subscribes before on_start, so the control plane's initial
+  // deployment decision (made from on_start) already reaches its audit trail.
   if (opts.telemetry != nullptr) opts.telemetry->attach(sim, engine);
   if (opts.on_start) opts.on_start(sim, engine);
   for (const auto& r : trace) {

@@ -93,15 +93,15 @@ struct RunOptions {
   Seconds warmup = 0.0;
   /// When set, the report includes SLO attainment and goodput.
   std::optional<SloSpec> slo;
-  /// Optional per-request lifecycle stream (not owned; may be nullptr).
+  /// Optional per-request lifecycle stream (not owned; may be nullptr);
+  /// the first sink on the engine's event bus.
   RunObserver* observer = nullptr;
   /// Optional telemetry session (not owned; may be nullptr).  run_trace
-  /// installs it as a second lifecycle sink beside `observer` and attaches
-  /// its sampler to the run's simulation; export (write_artifacts) is the
-  /// caller's job after the run returns.  Composes freely with `observer`
-  /// and with a control plane installed through `on_start`.
+  /// calls Telemetry::attach, which subscribes it to the bus after
+  /// `observer` and starts its sampler on the run's simulation; export
+  /// (write_artifacts) is the caller's job after the run returns.
   telemetry::Telemetry* telemetry = nullptr;
-  /// Called once by run_trace after Engine::start and observer installation
+  /// Called once by run_trace after Engine::start and sink attachment
   /// but before the first arrival -- the hook the elastic control plane
   /// (control::Controller::starter) uses to schedule churn events and
   /// policy ticks on the run's private simulation.
@@ -155,8 +155,8 @@ struct RunReport {
 
 /// Feeds `trace` into the engine on a fresh simulation; runs until the
 /// engine drains or `opts.drain_timeout` seconds pass after the last
-/// arrival.  Installs `opts.observer` on the engine's metrics for the
-/// duration of the run.
+/// arrival.  Every sink attached to the engine's metrics during the run is
+/// detached when it returns or throws.
 RunReport run_trace(Engine& engine, const std::vector<workload::Request>& trace,
                     const RunOptions& opts = RunOptions());
 

@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "telemetry/telemetry.h"
-
 namespace hetis::engine {
 namespace {
 
@@ -19,13 +17,6 @@ constexpr workload::RequestId kDenseLimit = workload::RequestId{1} << 24;
 void MetricsCollector::reserve(std::size_t n) {
   records_.reserve(n);
   slots_.reserve(n);
-}
-
-void MetricsCollector::set_telemetry(telemetry::Telemetry* telemetry) {
-  telemetry_ = telemetry;
-  // The hot-path forwards go through the base-class view; upcasting here
-  // (not in the header) keeps metrics.h free of the telemetry headers.
-  telemetry_sink_ = telemetry;
 }
 
 void MetricsCollector::index_slot(workload::RequestId id, std::size_t slot) {
@@ -80,21 +71,24 @@ void MetricsCollector::on_arrival(const workload::Request& r) {
     records_.insert(it, rec);
     for (std::size_t i = pos; i < records_.size(); ++i) index_slot(records_[i].id, i);
   }
-  if (observer_) observer_->on_arrival(r);
-  if (telemetry_sink_) telemetry_sink_->on_arrival(r);
+  for (RunObserver* s : sinks_) s->on_arrival(r);
 }
 
 void MetricsCollector::on_first_token(workload::RequestId id, Seconds t) {
   RequestRecord* rec = find(id);
   if (rec == nullptr) throw std::out_of_range("MetricsCollector: unknown request");
-  // A preempted-and-recomputed request keeps its original first-token time,
-  // and the observer sees exactly one prefill_done per request.  Telemetry
-  // is told about EVERY completion -- a re-prefill closes a span too.
-  if (rec->first_token < 0) {
-    rec->first_token = t;
-    if (observer_) observer_->on_prefill_done(id, t);
+  // A preempted-and-recomputed request keeps its original first-token time:
+  // sinks see one prefill_done per request, then a reprefill_done for each
+  // later completion (a re-prefill closes a telemetry span too).
+  const bool first = rec->first_token < 0;
+  if (first) rec->first_token = t;
+  for (RunObserver* s : sinks_) {
+    if (first) {
+      s->on_prefill_done(id, t);
+    } else {
+      s->on_reprefill_done(id, t);
+    }
   }
-  if (telemetry_sink_) telemetry_sink_->on_prefill_done(id, t);
 }
 
 void MetricsCollector::on_finish(workload::RequestId id, Seconds t) {
@@ -102,8 +96,7 @@ void MetricsCollector::on_finish(workload::RequestId id, Seconds t) {
   if (rec == nullptr) throw std::out_of_range("MetricsCollector: unknown request");
   if (rec->finish < 0) ++finished_;
   rec->finish = t;
-  if (observer_) observer_->on_finish(id, t);
-  if (telemetry_sink_) telemetry_sink_->on_finish(id, t);
+  for (RunObserver* s : sinks_) s->on_finish(id, t);
 }
 
 void MetricsCollector::on_preemption(workload::RequestId id, Seconds t) {
@@ -111,8 +104,7 @@ void MetricsCollector::on_preemption(workload::RequestId id, Seconds t) {
   if (rec == nullptr) throw std::out_of_range("MetricsCollector: unknown request");
   ++rec->preemptions;
   ++total_preemptions_;
-  if (observer_) observer_->on_preempt(id, t);
-  if (telemetry_sink_) telemetry_sink_->on_preempt(id, t);
+  for (RunObserver* s : sinks_) s->on_preempt(id, t);
 }
 
 void MetricsCollector::add_decode_module_sample(Seconds mlp_time, Seconds attn_time) {

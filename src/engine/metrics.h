@@ -11,7 +11,7 @@
 #include "workload/request.h"
 
 namespace hetis::telemetry {
-class Telemetry;
+struct AuditRecord;
 }
 
 namespace hetis::engine {
@@ -25,17 +25,17 @@ struct UsageSample {
 };
 
 /// Streams per-request lifecycle events off the simulation clock while a
-/// run is in flight -- the hook point for live dashboards and online
-/// autoscaling.  Install one via RunOptions::observer; every engine routes
-/// its lifecycle through the MetricsCollector, which forwards here.
+/// run is in flight -- the hook point for live dashboards, telemetry and
+/// online autoscaling.  Every engine routes its lifecycle through the
+/// MetricsCollector, which fans each event out to its attached sinks (see
+/// MetricsCollector::attach); all sinks see the same event set.
 ///
 /// Per request the event order is:
 ///   on_arrival <= on_prefill_start <= on_prefill_done <= on_token* <= on_finish
 /// with on_preempt possible after prefill; a preempted request re-prefills,
 /// so on_prefill_start/on_token restart but on_prefill_done fires only once
-/// through this chain (the TTFT reference; a telemetry session installed
-/// via MetricsCollector::set_telemetry sees every completion).  The
-/// prefill-produced first token is signaled by on_prefill_done; on_token
+/// (the TTFT reference); each later prefill completion is on_reprefill_done.
+/// The prefill-produced first token is signaled by on_prefill_done; on_token
 /// covers decode-produced tokens only.
 /// on_arrival's Request carries the workload tenant index, so observers can
 /// attribute the whole lifecycle per tenant (see harness::tenant_summaries).
@@ -51,6 +51,12 @@ class RunObserver {
     (void)t;
   }
   virtual void on_prefill_done(workload::RequestId id, Seconds t) {
+    (void)id;
+    (void)t;
+  }
+  /// A prefill completion after the first (a re-prefill following a
+  /// preemption or restart).
+  virtual void on_reprefill_done(workload::RequestId id, Seconds t) {
     (void)id;
     (void)t;
   }
@@ -80,6 +86,8 @@ class RunObserver {
   /// A periodic per-device occupancy sample (engines that record the
   /// Fig. 14 series forward each point here as well).
   virtual void on_usage(const UsageSample& s) { (void)s; }
+  /// A control-plane decision (published by control::Controller).
+  virtual void on_decision(const telemetry::AuditRecord& rec) { (void)rec; }
 };
 
 struct RequestRecord {
@@ -118,49 +126,42 @@ struct RequestRecord {
 /// produced -- which keeps every floating-point aggregate byte-identical.
 class MetricsCollector {
  public:
-  /// Installs (or clears, with nullptr) the lifecycle-event observer.
-  /// run_trace manages this automatically from RunOptions::observer.
-  void set_observer(RunObserver* observer) { observer_ = observer; }
-  /// The currently installed observer (the control plane chains itself in
-  /// front of it and forwards every event downstream).
-  RunObserver* observer() const { return observer_; }
+  /// Appends `sink` (not owned) to the run-event bus; events fan out in
+  /// attach order.  run_trace attaches RunOptions::observer, then
+  /// Telemetry::attach and control::Controller::attach add themselves.
+  void attach(RunObserver* sink) { sinks_.push_back(sink); }
+  /// Detaches every sink (run_trace does this on every exit path).
+  void detach_all() { sinks_.clear(); }
+  const std::vector<RunObserver*>& sinks() const { return sinks_; }
 
-  /// Installs (or clears) the telemetry session -- a second lifecycle sink
-  /// NEXT TO the observer chain, so span tracing composes with an installed
-  /// Controller without either knowing about the other.  run_trace manages
-  /// this from RunOptions::telemetry.  Defined in metrics.cc: the typed
-  /// pointer (Controller discovers the audit trail through it) and the
-  /// RunObserver-shaped sink used on the hot path are set together.
-  void set_telemetry(telemetry::Telemetry* telemetry);
-  telemetry::Telemetry* telemetry() const { return telemetry_; }
+  /// Publishes a control-plane decision to every sink.
+  void on_decision(const telemetry::AuditRecord& rec) {
+    for (RunObserver* s : sinks_) s->on_decision(rec);
+  }
 
   /// Pre-sizes the record table (run_trace calls this with the trace
   /// length so million-request replays never re-grow it).
   void reserve(std::size_t n);
 
   void on_arrival(const workload::Request& r);
-  /// A prefill batch picked up `id`.  Feeds the observer/telemetry sinks
-  /// only -- the record table keys TTFT off prefill completion.
+  /// A prefill batch picked up `id`.  Feeds the sinks only -- the record
+  /// table keys TTFT off prefill completion.
   void on_prefill_start(workload::RequestId id, Seconds t) {
-    if (observer_) observer_->on_prefill_start(id, t);
-    if (telemetry_sink_) telemetry_sink_->on_prefill_start(id, t);
+    for (RunObserver* s : sinks_) s->on_prefill_start(id, t);
   }
   void on_first_token(workload::RequestId id, Seconds t);
   /// One decode-produced token appended for `id`; `generated` is the
-  /// request's output-token count afterwards.  Feeds the observer and
-  /// telemetry sinks only.
+  /// request's output-token count afterwards.  Feeds the sinks only.
   void on_token(workload::RequestId id, Seconds t, std::int64_t generated) {
-    if (observer_) observer_->on_token(id, t, generated);
-    if (telemetry_sink_) telemetry_sink_->on_token(id, t, generated);
+    for (RunObserver* s : sinks_) s->on_token(id, t, generated);
   }
   void on_finish(workload::RequestId id, Seconds t);
   void on_preemption(workload::RequestId id, Seconds t);
   /// KV migration for `id` from `src_device` to `dst_device`, ready at
-  /// `ready`.  Feeds the observer/telemetry sinks only.
+  /// `ready`.  Feeds the sinks only.
   void on_migrate(workload::RequestId id, Seconds start, Seconds ready, int src_device,
                   int dst_device) {
-    if (observer_) observer_->on_migrate(id, start, ready, src_device, dst_device);
-    if (telemetry_sink_) telemetry_sink_->on_migrate(id, start, ready, src_device, dst_device);
+    for (RunObserver* s : sinks_) s->on_migrate(id, start, ready, src_device, dst_device);
   }
 
   /// Module-latency accounting (§7.3): per decode iteration, the max
@@ -169,8 +170,7 @@ class MetricsCollector {
 
   void add_usage_sample(const UsageSample& s) {
     usage_.push_back(s);
-    if (observer_) observer_->on_usage(s);
-    if (telemetry_sink_) telemetry_sink_->on_usage(s);
+    for (RunObserver* sink : sinks_) sink->on_usage(s);
   }
 
   // --- Aggregation ---
@@ -209,22 +209,16 @@ class MetricsCollector {
   Summary mlp_module_;
   Summary attn_module_;
   std::vector<UsageSample> usage_;
-  RunObserver* observer_ = nullptr;
-  /// The telemetry session, twice: the typed pointer for discovery (the
-  /// Controller pulls the audit trail off it) and the base-class view the
-  /// inline hot-path forwards call through -- metrics.h never needs the
-  /// telemetry headers.  Both are set together by set_telemetry.
-  telemetry::Telemetry* telemetry_ = nullptr;
-  RunObserver* telemetry_sink_ = nullptr;
+  std::vector<RunObserver*> sinks_;
 };
 
 /// Per-instance lifecycle buffer -- the simulator hot path's front end to
 /// the MetricsCollector.
 ///
-/// With an observer installed, every event streams through the collector
-/// immediately: the control plane consumes lifecycle events on the
-/// simulation clock and must not see them late.  Observer-off (the default
-/// for sweeps and benches), record mutations buffer locally and flush once
+/// With any sink attached, every event streams through the collector
+/// immediately: sinks consume lifecycle events on the simulation clock and
+/// must see them in emission order.  With no sink (the default for sweeps
+/// and benches), record mutations buffer locally and flush once
 /// per iteration event, so a 64-request decode batch touches the record
 /// table once instead of 64 times.  Instances flush before returning to
 /// the event loop -- a buffer never outlives the sim-time instant that
@@ -238,30 +232,30 @@ class MetricsBatch {
   MetricsBatch& operator=(const MetricsBatch&) = delete;
   ~MetricsBatch() { flush(); }
 
-  /// Prefill pickups feed the observer/telemetry sinks only (no record
-  /// mutation), so like on_token there is nothing to buffer.
+  /// Prefill pickups feed the sinks only (no record mutation), so like
+  /// on_token there is nothing to buffer.
   void on_prefill_start(workload::RequestId id, Seconds t) { m_->on_prefill_start(id, t); }
   void on_first_token(workload::RequestId id, Seconds t) {
-    if (m_->observer() != nullptr) {
+    if (!m_->sinks().empty()) {
       m_->on_first_token(id, t);
       return;
     }
     buf_.push_back(Ev{Ev::kFirstToken, id, t});
   }
-  /// Tokens feed the observer only; with none installed this is a no-op,
-  /// so there is nothing to buffer.
+  /// Tokens feed the sinks only; with none attached this is a no-op, so
+  /// there is nothing to buffer.
   void on_token(workload::RequestId id, Seconds t, std::int64_t generated) {
     m_->on_token(id, t, generated);
   }
   void on_finish(workload::RequestId id, Seconds t) {
-    if (m_->observer() != nullptr) {
+    if (!m_->sinks().empty()) {
       m_->on_finish(id, t);
       return;
     }
     buf_.push_back(Ev{Ev::kFinish, id, t});
   }
   void on_preemption(workload::RequestId id, Seconds t) {
-    if (m_->observer() != nullptr) {
+    if (!m_->sinks().empty()) {
       m_->on_preemption(id, t);
       return;
     }

@@ -112,8 +112,8 @@ struct ExperimentSpec {
   /// Per-cell observer factory: called once per (engine, model, point)
   /// cell; the returned observer lives for exactly that cell's run.  This
   /// composes with `jobs != 1` (each cell owns a private stream), unlike
-  /// the shared RunOptions::observer.  With a control plane attached the
-  /// Controller chains in front and forwards every event here.
+  /// the shared RunOptions::observer.  With a control plane attached both
+  /// are sinks on the same run-event bus and see the same events.
   struct CellContext {
     std::string engine;  // registry name (spec spelling)
     std::string model;

@@ -98,19 +98,11 @@ void HetisEngine::set_tenant_priorities(std::vector<int> priorities) {
 
 void HetisEngine::start(sim::Simulation& sim) {
   if (opts_.sample_interval > 0) {
-    // Periodic Fig. 14 usage sampling via a self-chaining event.  The
-    // engine owns the chain; the lambda re-schedules through a weak_ptr so
-    // the closure does not keep itself alive (a shared_ptr capture here is
-    // a reference cycle that LeakSanitizer rightly reports).
-    usage_chain_ = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> weak = usage_chain_;
-    *usage_chain_ = [this, &sim, weak]() {
+    // Periodic Fig. 14 usage sampling, cancelled when the engine dies.
+    usage_sampling_ = sim.every(opts_.sample_interval, opts_.sample_interval, [this, &sim] {
       for (auto& inst : instances_) inst->sample_usage(sim);
-      if (opts_.sample_horizon <= 0 || sim.now() < opts_.sample_horizon) {
-        if (auto chain = weak.lock()) sim.schedule_in(opts_.sample_interval, *chain);
-      }
-    };
-    sim.schedule_in(opts_.sample_interval, *usage_chain_);
+      return opts_.sample_horizon <= 0 || sim.now() < opts_.sample_horizon;
+    });
   }
 }
 

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -127,10 +126,7 @@ class HetisEngine : public engine::Engine, public engine::Reconfigurable {
   // their still-scheduled simulation events remain safe no-ops.
   std::vector<std::unique_ptr<HetisInstance>> retired_;
   engine::ReconfigStats stats_;
-  // Owner of the self-chaining usage-sampling event (see start()); the
-  // scheduled copies hold only weak_ptrs, so no reference cycle survives
-  // the engine.
-  std::shared_ptr<std::function<void()>> usage_chain_;
+  sim::PeriodicTask usage_sampling_;  // Fig. 14 sampler (see start())
 };
 
 /// One Hetis serving instance (primary pipeline + attention-worker pool).

@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "sim/simulation.h"
-
 namespace hetis::telemetry {
 
 namespace {
@@ -36,28 +34,13 @@ Telemetry::Telemetry(TelemetryConfig cfg) : cfg_(cfg) {
 }
 
 void Telemetry::attach(sim::Simulation& sim, engine::Engine& engine) {
+  engine.metrics().attach(this);
   if (cfg_.sample_interval <= 0) return;
-  auto self = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak = self;
-  sim::Simulation* simp = &sim;
-  engine::Engine* eng = &engine;
-  // Self-chaining, weak-owned: each firing re-schedules itself while the
-  // run is live; once sampler_ is dropped the scheduled copies are no-ops,
-  // so a session can be destroyed with events still queued.
-  *self = [this, weak, simp, eng]() {
-    if (weak.expired()) return;
-    sample(*simp, *eng);
-    if (arrivals_ == 0 || in_flight_ > 0 || simp->now() < cfg_.horizon) {
-      simp->schedule_in(cfg_.sample_interval, [weak]() {
-        if (auto fn = weak.lock()) (*fn)();
-      });
-    }
-  };
-  sampler_ = self;
   // First row at t=0 captures the pre-arrival state (and the Controller's
   // initial deployment has already landed by the time events run).
-  sim.schedule_in(0, [weak]() {
-    if (auto fn = weak.lock()) (*fn)();
+  sample_task_ = sim.every(0, cfg_.sample_interval, [this, &sim, &engine] {
+    sample(sim, engine);
+    return arrivals_ == 0 || in_flight_ > 0 || sim.now() < cfg_.horizon;
   });
 }
 

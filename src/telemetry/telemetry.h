@@ -8,17 +8,16 @@
 //   * MetricsRegistry -- counters / gauges / histograms with per-tenant and
 //                        per-device labels, sampled on a sim-time interval
 //                        into a plottable time-series table;
-//   * AuditTrail      -- the Controller's decision records (it discovers
-//                        the trail through MetricsCollector::telemetry()).
+//   * AuditTrail      -- the Controller's decision records, received as
+//                        on_decision events on the run-event bus.
 //
 // Wiring: set RunOptions::telemetry (or ExperimentSpec::trace_dir for
 // sweeps, or `--trace` on elastic_serving / bench_elastic).  run_trace
-// installs the session on the engine's MetricsCollector -- a second sink
-// NEXT TO the observer chain, so the Controller still chains in front of
-// RunOptions::observer exactly as before -- and calls attach(), which
-// schedules a self-chaining sampler event.  The sampler only reads state,
-// so serving results (and sweep rows) are byte-identical with telemetry on
-// or off; with it off the hot path pays one null-check per event.
+// calls attach(), which subscribes the session to the engine's
+// MetricsCollector bus (after RunOptions::observer, before a Controller
+// attached from on_start) and starts the registry sampler through
+// Simulation::every.  The sampler only reads state, so serving results
+// (and sweep rows) are byte-identical with telemetry on or off.
 //
 // The per-request state machine turns the event stream into spans:
 //
@@ -31,10 +30,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -42,13 +39,10 @@
 #include "common/units.h"
 #include "engine/engine.h"
 #include "engine/metrics.h"
+#include "sim/simulation.h"
 #include "telemetry/audit.h"
 #include "telemetry/registry.h"
 #include "telemetry/trace.h"
-
-namespace hetis::sim {
-class Simulation;
-}
 
 namespace hetis::telemetry {
 
@@ -78,21 +72,24 @@ class Telemetry final : public engine::RunObserver {
   AuditTrail& audit() { return audit_; }
   const AuditTrail& audit() const { return audit_; }
 
-  /// Schedules the registry sampler on `sim` (self-chaining, weak-owned:
-  /// events outliving the session are no-ops).  run_trace calls this after
-  /// Engine::start; the session must outlive the run.
+  /// Subscribes the session to `engine`'s event bus and starts the
+  /// registry sampler on `sim` (first row at t=0; cancelled when the
+  /// session dies).  run_trace calls this after Engine::start; the session
+  /// must outlive the run.
   void attach(sim::Simulation& sim, engine::Engine& engine);
 
-  // Lifecycle stream, fed by MetricsCollector (not the observer chain).
+  // Run-event bus sink.  A re-prefill closes a span like the first prefill.
   void on_arrival(const workload::Request& r) override;
   void on_prefill_start(workload::RequestId id, Seconds t) override;
   void on_prefill_done(workload::RequestId id, Seconds t) override;
+  void on_reprefill_done(workload::RequestId id, Seconds t) override { on_prefill_done(id, t); }
   void on_token(workload::RequestId id, Seconds t, std::int64_t generated) override;
   void on_finish(workload::RequestId id, Seconds t) override;
   void on_preempt(workload::RequestId id, Seconds t) override;
   void on_migrate(workload::RequestId id, Seconds start, Seconds ready, int src_device,
                   int dst_device) override;
   void on_usage(const engine::UsageSample& s) override;
+  void on_decision(const AuditRecord& rec) override { audit_.record(rec); }
 
   // --- Post-run export ---
 
@@ -175,9 +172,7 @@ class Telemetry final : public engine::RunObserver {
   std::map<std::int32_t, int> tenant_counters_;
   std::map<int, std::pair<int, int>> device_tracks_;  // dev -> (kv, heads)
 
-  // Owner of the self-chaining sampler event (the scheduled copies hold
-  // weak_ptrs, so nothing keeps the session alive past its owner).
-  std::shared_ptr<std::function<void()>> sampler_;
+  sim::PeriodicTask sample_task_;
 };
 
 }  // namespace hetis::telemetry

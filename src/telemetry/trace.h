@@ -4,8 +4,8 @@
 // migrate intervals on one track per request) and per-device occupancy
 // counter curves as POD rows in chunked arenas: a push is a bump into a
 // fixed-size chunk, existing rows are never reallocated or copied, and the
-// recorder only exists while tracing is on -- the serving hot path pays a
-// single null-check when it is off (see MetricsCollector).  Export renders
+// recorder only exists while tracing is on -- with no sink attached the
+// serving hot path pays one empty-list check (see MetricsCollector).  Export renders
 // Chrome `trace_event` JSON that loads directly in Perfetto or
 // chrome://tracing; docs/OBSERVABILITY.md documents the track layout.
 //

@@ -81,18 +81,20 @@ TEST(Metrics, ModuleSamples) {
 
 struct CountingObserver : RunObserver {
   int prefill_done = 0;
+  int reprefill_done = 0;
   std::vector<workload::RequestId> finishes;
   void on_prefill_done(workload::RequestId, Seconds) override { ++prefill_done; }
+  void on_reprefill_done(workload::RequestId, Seconds) override { ++reprefill_done; }
   void on_finish(workload::RequestId id, Seconds) override { finishes.push_back(id); }
 };
 
 TEST(MetricsBatch, ObserverOnStreamsImmediately) {
-  // With an observer installed every event must reach the collector on the
-  // spot (the control plane consumes lifecycle events on the sim clock);
-  // nothing may sit in the batch buffer.
+  // With a sink attached every event must reach the collector on the spot
+  // (the control plane consumes lifecycle events on the sim clock); nothing
+  // may sit in the batch buffer.
   MetricsCollector m;
   CountingObserver obs;
-  m.set_observer(&obs);
+  m.attach(&obs);
   MetricsBatch batch(&m);
   m.on_arrival(make_req(1, 0.0, 10, 5));
   batch.on_first_token(1, 1.0);
@@ -101,10 +103,11 @@ TEST(MetricsBatch, ObserverOnStreamsImmediately) {
   batch.on_preemption(1, 2.0);
   batch.on_first_token(1, 3.0);  // re-prefill: must not re-signal
   EXPECT_EQ(obs.prefill_done, 1);
+  EXPECT_EQ(obs.reprefill_done, 1);
   batch.on_finish(1, 4.0);
   EXPECT_EQ(obs.finishes, (std::vector<workload::RequestId>{1}));
   EXPECT_DOUBLE_EQ(m.record(1).ttft(), 1.0);  // original prefill kept
-  m.set_observer(nullptr);
+  m.detach_all();
 }
 
 TEST(MetricsBatch, BatchedAccumulationMatchesPerEvent) {

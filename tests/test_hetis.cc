@@ -160,6 +160,22 @@ TEST(HetisEngine, UsageSamplingProducesSeries) {
   }
 }
 
+TEST(HetisEngine, UsageSamplingStopsWhenTheEngineDies) {
+  // A queued sampling firing must not run its body once the engine is gone
+  // (a use-after-free under ASan otherwise).
+  hw::Cluster cluster = hw::Cluster::ablation_cluster();
+  HetisOptions opts = default_opts();
+  opts.sample_interval = 0.5;
+  sim::Simulation sim;
+  auto eng = std::make_unique<HetisEngine>(cluster, model::llama_13b(), opts);
+  eng->start(sim);
+  sim.run_until(1.0);
+  EXPECT_FALSE(eng->metrics().usage_series().empty());
+  eng.reset();
+  EXPECT_EQ(sim.run_until(10.0), 1u);
+  EXPECT_TRUE(sim.idle());
+}
+
 TEST(HetisEngine, FixedPlanConstructor) {
   hw::Cluster cluster = hw::Cluster::ablation_cluster();
   // A100 primary, both 3090s as attention workers.

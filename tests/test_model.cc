@@ -5,6 +5,11 @@
 #include "model/modules.h"
 
 namespace hetis::model {
+
+// Parameterized suites print their `const ModelSpec*` param by model name,
+// not by address, so test names are the same in every build.
+void PrintTo(const ModelSpec* m, std::ostream* os) { *os << m->name; }
+
 namespace {
 
 TEST(ModelSpec, ParamCountsMatchPublishedSizes) {

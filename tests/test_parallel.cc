@@ -6,6 +6,14 @@
 #include "model/llm.h"
 #include "parallel/parallelizer.h"
 
+namespace hetis::model {
+
+// Parameterized suites print their `const ModelSpec*` param by model name,
+// not by address, so test names are the same in every build.
+void PrintTo(const ModelSpec* m, std::ostream* os) { *os << m->name; }
+
+}  // namespace hetis::model
+
 namespace hetis::parallel {
 namespace {
 

@@ -309,6 +309,7 @@ TEST(RunObserver, ObserverIsDetachedAfterTheRun) {
   late.arrival = 100.0;
   late.prompt_len = 8;
   late.output_len = 2;
+  EXPECT_TRUE(eng.metrics().sinks().empty());
   eng.metrics().on_arrival(late);
   EXPECT_EQ(obs.events().size(), seen);
   EXPECT_EQ(obs.events().count(99), 0u);
@@ -324,6 +325,7 @@ TEST(RunObserver, ObserverIsDetachedWhenTheRunThrows) {
   auto trace = synthetic_trace(2, 1.0, 2);
   trace[1].id = trace[0].id;
   EXPECT_THROW(engine::run_trace(eng, trace, opts), std::logic_error);
+  EXPECT_TRUE(eng.metrics().sinks().empty());
   workload::Request late;
   late.id = 98;
   late.arrival = 100.0;

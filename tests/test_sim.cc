@@ -5,6 +5,7 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -260,6 +261,107 @@ TEST(Simulation, CalendarSameInstantFifoSurvivesReschedules) {
 }
 
 // --- EventTask + EventArena ---
+
+// --- Simulation::every ---
+
+TEST(Every, FirstDelayZeroFiresAtOnceThenEveryPeriod) {
+  Simulation sim;
+  std::vector<Seconds> at;
+  PeriodicTask task = sim.every(0.0, 1.0, [&] {
+    at.push_back(sim.now());
+    return at.size() < 3;
+  });
+  sim.run_all();
+  EXPECT_EQ(at, (std::vector<Seconds>{0.0, 1.0, 2.0}));
+}
+
+TEST(Every, PositiveFirstDelayFiresAfterIt) {
+  Simulation sim;
+  std::vector<Seconds> at;
+  PeriodicTask task = sim.every(0.5, 2.0, [&] {
+    at.push_back(sim.now());
+    return true;
+  });
+  sim.run_until(7.0);
+  EXPECT_EQ(at, (std::vector<Seconds>{0.5, 2.5, 4.5, 6.5}));
+  EXPECT_EQ(sim.pending(), 1u);  // the 8.5 firing
+}
+
+TEST(Every, StopsWhenTheCallbackReturnsFalse) {
+  Simulation sim;
+  int fired = 0;
+  PeriodicTask task = sim.every(1.0, 1.0, [&] {
+    ++fired;
+    return false;
+  });
+  EXPECT_EQ(sim.run_until(100.0), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(Every, EventScheduledAtTheReArmInstantFiresFirst) {
+  // The task re-arms after its callback returns, so an event the callback
+  // schedules for the next tick's instant holds the earlier sequence number.
+  Simulation sim;
+  std::vector<std::string> order;
+  PeriodicTask task = sim.every(0.0, 1.0, [&] {
+    order.push_back("tick@" + std::to_string(static_cast<int>(sim.now())));
+    if (sim.now() == 0.0) sim.schedule_in(1.0, [&] { order.push_back("event@1"); });
+    return sim.now() < 1.0;
+  });
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<std::string>{"tick@0", "event@1", "tick@1"}));
+}
+
+TEST(Every, DestroyedHandleTurnsTheQueuedFiringIntoANoOp) {
+  Simulation sim;
+  auto owner = std::make_unique<int>(0);
+  {
+    PeriodicTask task = sim.every(1.0, 1.0, [p = owner.get()] {
+      ++*p;  // a use-after-free (caught under ASan) if it ever ran below
+      return true;
+    });
+    EXPECT_EQ(sim.pending(), 1u);
+  }
+  owner.reset();
+  EXPECT_EQ(sim.run_until(10.0), 1u);  // the cancelled firing, doing nothing
+  EXPECT_TRUE(sim.idle());             // and not re-arming
+}
+
+TEST(Every, ReassigningTheHandleCancelsTheOldTask) {
+  Simulation sim;
+  int old_fired = 0, new_fired = 0;
+  PeriodicTask task = sim.every(0.0, 1.0, [&] { return ++old_fired < 100; });
+  sim.run_until(1.5);
+  task = sim.every(0.0, 1.0, [&] { return ++new_fired < 100; });
+  sim.run_until(5.5);
+  EXPECT_EQ(old_fired, 2);
+  EXPECT_EQ(new_fired, 5);  // 1.5, 2.5, 3.5, 4.5, 5.5
+}
+
+TEST(Every, HandleMayOutliveTheSimulation) {
+  // The Simulation dies with a firing still queued; the handle then
+  // cancels a task no queue holds any more (clean under ASan).
+  PeriodicTask task;
+  int fired = 0;
+  {
+    Simulation sim;
+    task = sim.every(0.0, 1.0, [&] {
+      ++fired;
+      return true;
+    });
+    sim.run_until(2.5);
+    EXPECT_EQ(sim.pending(), 1u);
+  }
+  EXPECT_EQ(fired, 3);
+}
+
+TEST(Every, RejectsNonPositivePeriod) {
+  Simulation sim;
+  EXPECT_THROW((void)sim.every(0.0, 0.0, [] { return true; }), std::invalid_argument);
+  EXPECT_THROW((void)sim.every(0.0, -1.0, [] { return true; }), std::invalid_argument);
+  EXPECT_TRUE(sim.idle());
+}
 
 TEST(EventTask, LargeCaptureSpillsToArenaAndRecycles) {
   EventQueue q;

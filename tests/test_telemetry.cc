@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -348,6 +349,151 @@ TEST(Telemetry, ArtifactPaths) {
   EXPECT_EQ(paths[0], "out/run.trace.json");
   EXPECT_EQ(paths[1], "out/run.metrics.csv");
   EXPECT_EQ(paths[2], "out/run.audit.json");
+}
+
+// --- run-event bus ---
+
+/// Logs every bus event as one line, so two sinks compare event for event.
+class BusRecorder : public engine::RunObserver {
+ public:
+  void on_arrival(const workload::Request& r) override { log("arrival", r.id, r.arrival); }
+  void on_prefill_start(workload::RequestId id, Seconds t) override {
+    log("prefill_start", id, t);
+  }
+  void on_prefill_done(workload::RequestId id, Seconds t) override {
+    log("prefill_done", id, t);
+    ++prefill_done[id];
+  }
+  void on_reprefill_done(workload::RequestId id, Seconds t) override {
+    log("reprefill_done", id, t);
+    ++reprefill_done[id];
+  }
+  void on_token(workload::RequestId id, Seconds t, std::int64_t generated) override {
+    log("token" + std::to_string(generated), id, t);
+  }
+  void on_finish(workload::RequestId id, Seconds t) override { log("finish", id, t); }
+  void on_preempt(workload::RequestId id, Seconds t) override { log("preempt", id, t); }
+  void on_migrate(workload::RequestId id, Seconds start, Seconds /*ready*/, int src_device,
+                  int dst_device) override {
+    log("migrate" + std::to_string(src_device) + ">" + std::to_string(dst_device), id, start);
+  }
+  void on_usage(const engine::UsageSample& s) override { log("usage", s.device, s.time); }
+  void on_decision(const telemetry::AuditRecord& rec) override {
+    log("decision " + rec.trigger + "/" + rec.action, rec.device, rec.time);
+    decisions.push_back(rec.trigger + "/" + rec.action + "@" + engine::csv_double(rec.time));
+  }
+
+  std::vector<std::string> events;
+  std::map<workload::RequestId, int> prefill_done;
+  std::map<workload::RequestId, int> reprefill_done;
+  std::vector<std::string> decisions;
+
+ private:
+  void log(const std::string& what, std::int64_t id, Seconds t) {
+    events.push_back(what + " " + std::to_string(id) + " " + engine::csv_double(t));
+  }
+};
+
+/// A controlled, traced run with two more sinks on the bus: `first` through
+/// RunOptions::observer, `second` attached from on_start ahead of the
+/// Controller.  Spot churn restarts the baselines' in-flight requests, so
+/// preempted requests re-prefill.
+struct BusRun {
+  explicit BusRun(const std::string& engine_name) {
+    control::ControlSpec cs;
+    cs.churn = control::churn_preset(control::Churn::kSpot, kHorizon, 20251116);
+    cs.policy = "static";
+    cs.min_devices = 4;
+    cs.horizon = kHorizon + 30.0;
+    controller = std::make_unique<control::Controller>(cs, cluster);
+    engine::EngineOptions options;
+    if (engine_name == "hetis") {
+      engine::HetisConfig cfg;
+      cfg.sample_interval = 0.5;  // usage samples ride the bus too
+      cfg.sample_horizon = kHorizon;
+      options.system = std::move(cfg);
+    }
+    eng = engine::make(engine_name, cluster, model::model_by_name("Llama-13B"), options);
+  }
+
+  engine::RunReport run(const std::vector<workload::Request>& trace, telemetry::Telemetry& telem,
+                        BusRecorder& first, BusRecorder& second) {
+    engine::RunOptions opts(900.0);
+    opts.observer = &first;
+    opts.telemetry = &telem;
+    opts.on_start = [&](sim::Simulation& sim, engine::Engine& e) {
+      e.metrics().attach(&second);
+      controller->attach(sim, e);
+    };
+    return engine::run_trace(*eng, trace, opts);
+  }
+
+  hw::Cluster cluster = harness::cluster_by_name("paper");
+  std::unique_ptr<control::Controller> controller;
+  std::unique_ptr<engine::Engine> eng;
+};
+
+std::vector<workload::Request> bus_trace() {
+  return workload::generate_scenario(
+      workload::scenario_preset(workload::Scenario::kBursty, 4.0, kHorizon, 20251116));
+}
+
+TEST(RunEventBus, EverySinkSeesOneEventSetAndEveryDecision) {
+  int reprefilled = 0;
+  for (const std::string engine_name : {"splitwise", "hexgen", "hetis"}) {
+    SCOPED_TRACE(engine_name);
+    const std::vector<workload::Request> trace = bus_trace();
+    telemetry::Telemetry telem;
+    BusRecorder first, second;
+    BusRun bus(engine_name);
+    const engine::RunReport report = bus.run(trace, telem, first, second);
+    ASSERT_EQ(report.finished, trace.size());
+    EXPECT_TRUE(bus.eng->metrics().sinks().empty());
+
+    // Both observers saw the same events in the same order.
+    EXPECT_FALSE(first.events.empty());
+    EXPECT_EQ(first.events, second.events);
+
+    // on_prefill_done fires exactly once per request; later completions
+    // are on_reprefill_done, and telemetry opened a decode span for each.
+    ASSERT_EQ(first.prefill_done.size(), trace.size());
+    for (const auto& [id, n] : first.prefill_done) EXPECT_EQ(n, 1) << "request " << id;
+    std::map<std::int64_t, int> decode_spans;
+    telem.recorder().each_span([&](const telemetry::SpanEvent& ev) {
+      if (ev.phase == telemetry::SpanPhase::kDecode) ++decode_spans[ev.tid];
+    });
+    for (const auto& [id, n] : first.prefill_done) {
+      const auto re = first.reprefill_done.find(id);
+      const int completions = n + (re == first.reprefill_done.end() ? 0 : re->second);
+      EXPECT_EQ(decode_spans[id], completions) << "request " << id;
+    }
+    for (const auto& [id, n] : first.reprefill_done) reprefilled += n;
+    EXPECT_EQ(telem.preemptions(), static_cast<std::size_t>(report.preemptions));
+
+    // Every decision reached the audit trail through on_decision, and the
+    // other sinks saw the same decisions.
+    ASSERT_GE(telem.audit().size(), 1u);
+    ASSERT_EQ(first.decisions.size(), telem.audit().size());
+    for (std::size_t i = 0; i < first.decisions.size(); ++i) {
+      const telemetry::AuditRecord& rec = telem.audit().records()[i];
+      EXPECT_EQ(first.decisions[i],
+                rec.trigger + "/" + rec.action + "@" + engine::csv_double(rec.time));
+    }
+  }
+  // The spot script restarts in-flight requests, so re-prefills happen.
+  EXPECT_GT(reprefilled, 0);
+}
+
+TEST(RunEventBus, NothingStaysAttachedWhenTheRunThrows) {
+  std::vector<workload::Request> trace = bus_trace();
+  ASSERT_GE(trace.size(), 2u);
+  trace[1].id = trace[0].id;  // duplicate arrival: MetricsCollector throws
+  telemetry::Telemetry telem;
+  BusRecorder first, second;
+  BusRun bus("hetis");
+  EXPECT_THROW(bus.run(trace, telem, first, second), std::logic_error);
+  EXPECT_TRUE(bus.eng->metrics().sinks().empty());
+  EXPECT_EQ(first.events, second.events);
 }
 
 // --- harness integration ---
