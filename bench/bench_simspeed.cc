@@ -57,18 +57,18 @@ struct SpeedRow {
   double wall_seconds = 0;
   double requests_per_wall_second = 0;
   double events_per_wall_second = 0;
-  // Hot-path cache counters (engine::PerfCounters).  Observational only --
-  // the caches return bit-identical results -- but CI greps them: a Hetis
-  // row with lp_warm_hits == 0 means the warm path silently stopped firing.
+  // Hot-path counters (engine::PerfCounters).  Observational only -- the
+  // dense-stage memo returns bit-identical results -- but CI greps them: a
+  // Hetis row with costmodel_hits == 0 means the memo silently stopped
+  // firing.
   std::uint64_t lp_solves = 0;
-  std::uint64_t lp_warm_hits = 0;
   std::uint64_t costmodel_hits = 0;
 };
 
 constexpr const char* kCsvHeader =
     "engine,scenario,requests,finished,events,sim_span,wall_seconds,"
     "requests_per_wall_second,events_per_wall_second,"
-    "lp_solves,lp_warm_hits,costmodel_hits";
+    "lp_solves,costmodel_hits";
 
 std::string row_csv(const SpeedRow& r) {
   std::ostringstream oss;
@@ -77,7 +77,7 @@ std::string row_csv(const SpeedRow& r) {
       << engine::csv_double(r.sim_span) << ',' << engine::csv_double(r.wall_seconds) << ','
       << engine::csv_double(r.requests_per_wall_second) << ','
       << engine::csv_double(r.events_per_wall_second) << ','
-      << r.lp_solves << ',' << r.lp_warm_hits << ',' << r.costmodel_hits;
+      << r.lp_solves << ',' << r.costmodel_hits;
   return oss.str();
 }
 
@@ -90,8 +90,8 @@ std::string row_json(const SpeedRow& r) {
       << ",\"wall_seconds\":" << engine::csv_double(r.wall_seconds)
       << ",\"requests_per_wall_second\":" << engine::csv_double(r.requests_per_wall_second)
       << ",\"events_per_wall_second\":" << engine::csv_double(r.events_per_wall_second)
-      << ",\"lp_solves\":" << r.lp_solves << ",\"lp_warm_hits\":" << r.lp_warm_hits
-      << ",\"costmodel_hits\":" << r.costmodel_hits << "}";
+      << ",\"lp_solves\":" << r.lp_solves << ",\"costmodel_hits\":" << r.costmodel_hits
+      << "}";
   return oss.str();
 }
 
@@ -129,7 +129,6 @@ SpeedRow timed_run(const std::string& engine_name, const std::string& scenario,
   row.events = events;
   const engine::PerfCounters pcs = eng->perf_counters();
   row.lp_solves = pcs.lp_solves;
-  row.lp_warm_hits = pcs.lp_warm_hits;
   row.costmodel_hits = pcs.costmodel_hits;
   row.sim_span = sim.now();
   row.wall_seconds = wall;

@@ -2,20 +2,21 @@
 //
 // The simulator prices the same configurations millions of times: a decode
 // iteration re-evaluates the identical dense stack for every recurring
-// batch size, and batched attention re-derives the same per-sequence Work
-// for every (context, heads) pair in flight.  EvalCache memoizes those
-// pure functions exactly: the key is the full input tuple compared
-// byte-for-byte (memcmp), so a hit returns a stored copy of precisely what
-// recomputation would produce -- bit-identical by construction, which the
-// golden CSV byte-compares in CI depend on.
+// batch size.  EvalCache memoizes that pure function exactly: the key is
+// the full input tuple compared byte-for-byte (memcmp), so a hit returns a
+// stored copy of precisely what recomputation would produce --
+// bit-identical by construction, which the golden CSV byte-compares in CI
+// depend on.
 //
 // Keys must be trivially copyable and PADDING-FREE (memcmp compares every
 // byte); compose them from same-width integer fields and zero-initialize.
-// Capacity is fixed at construction (a power of two); when a probe window
-// is full the oldest entry in the window is replaced, so the table can
-// never grow on the hot path.  Entries are invalidated wholesale via
-// clear() -- ExecModel calls it when the cluster's condition-overlay epoch
-// moves, the only external state a cached evaluation can depend on.
+// Capacity is fixed at construction (a power of two), but the table is
+// allocated by the first insert, so a model that is built and never
+// queried costs no memory.  When a probe window is full the oldest entry
+// in the window is replaced, so the table can never grow on the hot path.
+// Entries are invalidated wholesale via clear() -- ExecModel calls it when
+// the cluster's condition-overlay epoch moves, the only external state a
+// cached evaluation can depend on.
 #pragma once
 
 #include <cstdint>
@@ -31,12 +32,15 @@ class EvalCache {
     std::size_t n = 2;
     while (n < slots) n <<= 1;
     mask_ = n - 1;
-    table_.resize(n);
   }
 
   /// Bitwise lookup; returns nullptr on miss.  The pointer is valid until
   /// the next insert() or clear().
   const Value* find(const Key& k) {
+    if (table_.empty()) {
+      ++misses_;
+      return nullptr;
+    }
     const std::uint64_t h = hash(k);
     for (std::size_t i = 0; i < kProbeWindow; ++i) {
       const Slot& s = table_[(h + i) & mask_];
@@ -51,6 +55,7 @@ class EvalCache {
   }
 
   void insert(const Key& k, const Value& v) {
+    if (table_.empty()) table_.resize(mask_ + 1);
     const std::uint64_t h = hash(k);
     std::size_t victim = h & mask_;
     std::uint64_t victim_stamp = table_[victim].stamp;

@@ -53,59 +53,41 @@ Seconds KernelModel::decode_attention_time(const hw::GpuSpec& gpu, const model::
   if (ctxs.size() != heads.size()) {
     throw std::invalid_argument("decode_attention_time: ctxs/heads size mismatch");
   }
-  model::Work total;
-  total.kernels = 0;
-  double head_sum = 0;
+  std::int64_t head_tokens = 0;
+  std::int64_t head_sum = 0;
   for (std::size_t i = 0; i < ctxs.size(); ++i) {
     if (heads[i] <= 0) continue;
-    total += model::decode_attention_work(m, ctxs[i], heads[i]);
+    head_tokens += ctxs[i] * heads[i];
     head_sum += heads[i];
   }
-  if (head_sum == 0) return 0.0;
-  total.kernels = 1;
-  return attention_time(gpu, total, head_sum);
+  return decode_attention_total(gpu, m, head_tokens, head_sum);
 }
 
 Seconds KernelModel::decode_attention_time(const hw::GpuSpec& gpu, const model::ModelSpec& m,
                                            const std::vector<std::int64_t>& ctxs,
                                            int heads) const {
-  // Same accumulation as the parallel-arrays overload with every head count
-  // equal -- identical floating-point order -- minus the temporary heads
-  // vector, which this engine-side path would otherwise allocate once per
-  // stage per decode iteration.
-  if (heads <= 0) return 0.0;
-  model::Work total;
-  total.kernels = 0;
-  double head_sum = 0;
-  for (std::int64_t ctx : ctxs) {
-    total += model::decode_attention_work(m, ctx, heads);
-    head_sum += heads;
-  }
-  if (head_sum == 0) return 0.0;
-  total.kernels = 1;
-  return attention_time(gpu, total, head_sum);
+  const std::int64_t h = std::max(heads, 0);
+  std::int64_t ctx_sum = 0;
+  for (std::int64_t ctx : ctxs) ctx_sum += ctx;
+  return decode_attention_total(gpu, m, ctx_sum * h, static_cast<std::int64_t>(ctxs.size()) * h);
 }
 
-Seconds KernelModel::decode_attention_time(const hw::GpuSpec& gpu, const model::ModelSpec& m,
-                                           const std::vector<std::int64_t>& ctxs, int heads,
-                                           DecodeWorkCache* memo) const {
-  if (heads <= 0) return 0.0;
-  model::Work total;
-  total.kernels = 0;
-  double head_sum = 0;
-  for (std::int64_t ctx : ctxs) {
-    if (const model::Work* cached = memo->find(ctx, heads)) {
-      total += *cached;
-    } else {
-      model::Work w = model::decode_attention_work(m, ctx, heads);
-      memo->insert(ctx, heads, w);
-      total += w;
-    }
-    head_sum += heads;
+Seconds KernelModel::decode_attention_total(const hw::GpuSpec& gpu, const model::ModelSpec& m,
+                                            std::int64_t head_tokens,
+                                            std::int64_t head_sum) const {
+  const std::int64_t d = m.head_dim();
+  const std::int64_t r = m.gqa_ratio();
+  if ((2 * d) % r != 0) {
+    throw std::invalid_argument("decode_attention_time: 2 * head_dim of " + m.name +
+                                " is not a multiple of its GQA ratio");
   }
   if (head_sum == 0) return 0.0;
+  model::Work total;
+  total.flops = static_cast<double>(4 * d * head_tokens);
+  total.kv_bytes = 2 * d / r * m.dtype_bytes * head_tokens;
+  total.act_bytes = 2 * d * m.dtype_bytes * head_sum;
   total.kernels = 1;
-  return attention_time(gpu, total, head_sum);
+  return attention_time(gpu, total, static_cast<double>(head_sum));
 }
 
 Seconds KernelModel::prefill_attention_time(const hw::GpuSpec& gpu, const model::ModelSpec& m,

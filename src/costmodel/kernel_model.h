@@ -15,75 +15,26 @@
 // effect of the paper's Fig. 7(c): with very few active heads the kernel
 // cannot saturate HBM.  The effect is deliberately small and smooth so the
 // Profiler's linear fit stays ~94% accurate, as reported in §7.4.
+//
+// Batched decode attention is priced in closed form, not per sequence.
+// model::decode_attention_work(m, ctx, h) is linear in ctx with integer
+// coefficients whenever (2 * head_dim) % gqa_ratio == 0 (true for every
+// shipped model: head_dim 80 or 128, ratio 1 or 8):
+//
+//   flops = 4*d*h*ctx,   kv = (2*d/r)*dtype*h*ctx,   act = 2*d*dtype*h
+//
+// Every per-sequence term is then an exact integer, so while the batch
+// totals stay below 2^53 the sum over sequences equals the same expression
+// evaluated once on sum(ctx_i * h_i) and sum(h_i), bit for bit.  Both
+// decode_attention_time overloads use that form and throw
+// std::invalid_argument for a model that breaks the precondition.
 #pragma once
 
-#include "costmodel/eval_cache.h"
 #include "hw/gpu.h"
 #include "model/llm.h"
 #include "model/modules.h"
 
 namespace hetis::costmodel {
-
-/// (ctx, heads) -> decode_attention_work(m, ctx, heads).  The cached Work is
-/// pure model geometry -- no GPU or condition-overlay dependency -- so the
-/// table never needs epoch invalidation, but it DOES depend on the
-/// ModelSpec: key one cache to exactly one model (ExecModel owns one).
-///
-/// Direct-indexed, not hashed: the key space is small and dense (heads is
-/// bounded by the model's head count, ctx by the max sequence length), and
-/// the memoized function is only a handful of multiplies -- a hash probe
-/// costs as much as the compute it saves.  rows_[heads][ctx] makes a hit
-/// two bounds checks and a load, and every decode context from 0..max gets
-/// touched anyway, so the table is dense once warm.  Values are the exact
-/// Work a real decode_attention_work call returned, so summing cached terms
-/// is bit-identical to summing fresh ones.
-class DecodeWorkCache {
- public:
-  const model::Work* find(std::int64_t ctx, int heads) {
-    if (static_cast<std::size_t>(heads) < rows_.size()) {
-      const std::vector<Slot>& row = rows_[static_cast<std::size_t>(heads)];
-      if (static_cast<std::size_t>(ctx) < row.size() && row[static_cast<std::size_t>(ctx)].known) {
-        ++hits_;
-        return &row[static_cast<std::size_t>(ctx)].work;
-      }
-    }
-    ++misses_;
-    return nullptr;
-  }
-
-  void insert(std::int64_t ctx, int heads, const model::Work& w) {
-    if (heads < 0 || heads > kMaxHeads || ctx < 0 || ctx > kMaxCtx) return;
-    if (static_cast<std::size_t>(heads) >= rows_.size()) {
-      rows_.resize(static_cast<std::size_t>(heads) + 1);
-    }
-    std::vector<Slot>& row = rows_[static_cast<std::size_t>(heads)];
-    if (static_cast<std::size_t>(ctx) >= row.size()) row.resize(static_cast<std::size_t>(ctx) + 1);
-    row[static_cast<std::size_t>(ctx)].known = true;
-    row[static_cast<std::size_t>(ctx)].work = w;
-  }
-
-  void clear() {
-    rows_.clear();
-    rows_.shrink_to_fit();
-  }
-
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-
- private:
-  struct Slot {
-    bool known = false;
-    model::Work work{};
-  };
-  // Out-of-range keys are simply not cached (find misses, insert ignores);
-  // the bounds only stop a wild key from growing the table without limit.
-  static constexpr int kMaxHeads = 4096;
-  static constexpr std::int64_t kMaxCtx = std::int64_t{1} << 22;
-
-  std::vector<std::vector<Slot>> rows_;  // [heads][ctx]
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
 
 class KernelModel {
  public:
@@ -104,7 +55,8 @@ class KernelModel {
 
   /// Batched decode attention: per-sequence context lengths and query-head
   /// counts (parallel arrays).  This is the ground truth the Profiler fits
-  /// its linear model (Eq. 3) against.
+  /// its linear model (Eq. 3) against.  Bit-identical to pricing the sum of
+  /// model::decode_attention_work over the batch (see the header note).
   Seconds decode_attention_time(const hw::GpuSpec& gpu, const model::ModelSpec& m,
                                 const std::vector<std::int64_t>& ctxs,
                                 const std::vector<int>& heads) const;
@@ -113,15 +65,6 @@ class KernelModel {
   Seconds decode_attention_time(const hw::GpuSpec& gpu, const model::ModelSpec& m,
                                 const std::vector<std::int64_t>& ctxs, int heads) const;
 
-  /// Uniform-heads variant with a per-sequence Work memo.  Bit-identical to
-  /// the uncached overload: every cached term is the stored result of a real
-  /// decode_attention_work call and the summation order is unchanged, so the
-  /// accumulated total matches byte for byte.  `memo` must be dedicated to a
-  /// single ModelSpec (the cached Work depends on `m`).
-  Seconds decode_attention_time(const hw::GpuSpec& gpu, const model::ModelSpec& m,
-                                const std::vector<std::int64_t>& ctxs, int heads,
-                                DecodeWorkCache* memo) const;
-
   /// Prefill attention for a batch of sequences (all `heads` query heads).
   Seconds prefill_attention_time(const hw::GpuSpec& gpu, const model::ModelSpec& m,
                                  const std::vector<std::int64_t>& lens, int heads) const;
@@ -129,6 +72,12 @@ class KernelModel {
   /// Occupancy multiplier in (0, 1]: fraction of eff_attn_bw achieved when
   /// the decode-attention kernel processes `active_heads` query heads.
   static double attention_occupancy(double active_heads);
+
+ private:
+  /// Decode attention over `head_tokens` = sum(ctx_i * h_i) and `head_sum`
+  /// = sum(h_i), in the closed form described at the top of this file.
+  Seconds decode_attention_total(const hw::GpuSpec& gpu, const model::ModelSpec& m,
+                                 std::int64_t head_tokens, std::int64_t head_sum) const;
 };
 
 }  // namespace hetis::costmodel

@@ -32,25 +32,16 @@ Dispatcher::Dispatcher(DispatcherConfig cfg) : cfg_(std::move(cfg)) {
   }
   bph_ = cfg_.bytes_per_head_token_layer;
   if (bph_ <= 0) throw std::invalid_argument("Dispatcher: bytes_per_head_token_layer <= 0");
+  agg_ = Aggregates(cfg_.workers.size());
 }
 
-const Dispatcher::Aggregates& Dispatcher::aggregate() const {
-  if (!agg_dirty_) return agg_cache_;
-  Aggregates& agg = agg_cache_;
-  agg.local_heads = 0.0;
-  agg.local_head_tokens = 0.0;
-  agg.worker_heads.assign(cfg_.workers.size(), 0.0);
-  agg.worker_head_tokens.assign(cfg_.workers.size(), 0.0);
-  for (const auto& [id, st] : requests_) {
-    agg.local_heads += st.counts.local;
-    agg.local_head_tokens += static_cast<double>(st.counts.local) * st.ctx;
-    for (std::size_t w = 0; w < cfg_.workers.size(); ++w) {
-      agg.worker_heads[w] += st.counts.worker_heads[w];
-      agg.worker_head_tokens[w] += static_cast<double>(st.counts.worker_heads[w]) * st.ctx;
-    }
+void Dispatcher::accumulate(Aggregates& agg, const ReqState& st, std::int64_t sign) const {
+  agg.local_heads += sign * st.counts.local;
+  agg.local_head_tokens += sign * st.counts.local * st.ctx;
+  for (std::size_t w = 0; w < cfg_.workers.size(); ++w) {
+    agg.worker_heads[w] += sign * st.counts.worker_heads[w];
+    agg.worker_head_tokens[w] += sign * st.counts.worker_heads[w] * st.ctx;
   }
-  agg_dirty_ = false;
-  return agg_cache_;
 }
 
 Seconds Dispatcher::stage_time(std::size_t k, double local_heads,
@@ -87,29 +78,30 @@ std::size_t Dispatcher::bottleneck_stage(double local_heads, double local_head_t
 }
 
 Seconds Dispatcher::device_time(std::size_t logical) const {
-  const Aggregates& agg = aggregate();
   if (logical == 0) {
     Seconds worst = 0;
     for (std::size_t k = 0; k < cfg_.stages.size(); ++k) {
-      worst = std::max(worst, stage_time(k, agg.local_heads, agg.local_head_tokens));
+      worst = std::max(worst, stage_time(k, static_cast<double>(agg_.local_heads),
+                                         static_cast<double>(agg_.local_head_tokens)));
     }
     return worst;
   }
   std::size_t w = logical - 1;
-  return worker_time(w, agg.worker_heads[w], agg.worker_head_tokens[w]);
+  return worker_time(w, static_cast<double>(agg_.worker_heads[w]),
+                     static_cast<double>(agg_.worker_head_tokens[w]));
 }
 
 Seconds Dispatcher::attention_iteration_time() const {
-  const Aggregates& agg = aggregate();
   Seconds worker_worst = 0;
   for (std::size_t w = 0; w < cfg_.workers.size(); ++w) {
-    worker_worst =
-        std::max(worker_worst, worker_time(w, agg.worker_heads[w], agg.worker_head_tokens[w]));
+    worker_worst = std::max(worker_worst, device_time(1 + w));
   }
   Seconds total = 0;
   for (std::size_t k = 0; k < cfg_.stages.size(); ++k) {
     Seconds per_layer =
-        std::max(stage_time(k, agg.local_heads, agg.local_head_tokens), worker_worst);
+        std::max(stage_time(k, static_cast<double>(agg_.local_heads),
+                            static_cast<double>(agg_.local_head_tokens)),
+                 worker_worst);
     total += per_layer * cfg_.stages[k].layers;
   }
   return total;
@@ -133,27 +125,26 @@ Bytes Dispatcher::device_capacity(std::size_t logical) const {
 }
 
 Bytes Dispatcher::device_used(std::size_t logical) const {
-  const Aggregates& agg = aggregate();
   if (logical == 0) {
     // Sum over stages: local head-tokens * bph * layers_k.
     double used = 0;
     for (const auto& s : cfg_.stages) {
-      used += agg.local_head_tokens * bph_ * s.layers;
+      used += static_cast<double>(agg_.local_head_tokens) * bph_ * s.layers;
     }
     return static_cast<Bytes>(used);
   }
   std::size_t w = logical - 1;
-  return static_cast<Bytes>(agg.worker_head_tokens[w] * bph_ * cfg_.total_layers);
+  return static_cast<Bytes>(static_cast<double>(agg_.worker_head_tokens[w]) * bph_ *
+                            cfg_.total_layers);
 }
 
 std::optional<std::size_t> Dispatcher::first_overflowed() const {
   // Primary overflow must be judged per stage (the tightest stage binds).
-  const Aggregates& agg = aggregate();
   double worst_ratio = 1.0;
   std::optional<std::size_t> out;
   for (const auto& s : cfg_.stages) {
     if (s.capacity <= 0) continue;
-    double used = agg.local_head_tokens * bph_ * s.layers;
+    double used = static_cast<double>(agg_.local_head_tokens) * bph_ * s.layers;
     double ratio = used / static_cast<double>(s.capacity);
     if (ratio > worst_ratio) {
       worst_ratio = ratio;
@@ -162,7 +153,7 @@ std::optional<std::size_t> Dispatcher::first_overflowed() const {
   }
   for (std::size_t w = 0; w < cfg_.workers.size(); ++w) {
     if (cfg_.workers[w].capacity <= 0) continue;
-    double used = agg.worker_head_tokens[w] * bph_ * cfg_.total_layers;
+    double used = static_cast<double>(agg_.worker_head_tokens[w]) * bph_ * cfg_.total_layers;
     double ratio = used / static_cast<double>(cfg_.workers[w].capacity);
     if (ratio > worst_ratio) {
       worst_ratio = ratio;
@@ -198,33 +189,31 @@ bool Dispatcher::has_global_spare() const {
 }
 
 double Dispatcher::physical_heads(int device) const {
-  const Aggregates& agg = aggregate();
   for (std::size_t k = 0; k < cfg_.stages.size(); ++k) {
     const auto& devs = cfg_.stages[k].devices;
     if (std::find(devs.begin(), devs.end(), device) != devs.end()) {
-      return agg.local_heads / static_cast<double>(devs.size());
+      return static_cast<double>(agg_.local_heads) / static_cast<double>(devs.size());
     }
   }
   for (std::size_t w = 0; w < cfg_.workers.size(); ++w) {
-    if (cfg_.workers[w].device == device) return agg.worker_heads[w];
+    if (cfg_.workers[w].device == device) return static_cast<double>(agg_.worker_heads[w]);
   }
   return 0.0;
 }
 
 double Dispatcher::physical_cache_fraction(int device) const {
-  const Aggregates& agg = aggregate();
   for (std::size_t k = 0; k < cfg_.stages.size(); ++k) {
     const auto& s = cfg_.stages[k];
     if (std::find(s.devices.begin(), s.devices.end(), device) != s.devices.end()) {
       if (s.capacity <= 0) return 0.0;
-      double used = agg.local_head_tokens * bph_ * s.layers;
+      double used = static_cast<double>(agg_.local_head_tokens) * bph_ * s.layers;
       return std::min(1.0, used / static_cast<double>(s.capacity));
     }
   }
   for (std::size_t w = 0; w < cfg_.workers.size(); ++w) {
     if (cfg_.workers[w].device == device) {
       if (cfg_.workers[w].capacity <= 0) return 0.0;
-      double used = agg.worker_head_tokens[w] * bph_ * cfg_.total_layers;
+      double used = static_cast<double>(agg_.worker_head_tokens[w]) * bph_ * cfg_.total_layers;
       return std::min(1.0, used / static_cast<double>(cfg_.workers[w].capacity));
     }
   }
@@ -241,16 +230,18 @@ void Dispatcher::fill_device_rows(const Aggregates& agg, lp::MinMaxProblem& p) c
 
   // Logical device 0: merged primary.  Time coefficients from the slowest
   // stage; per-layer free memory from the tightest stage.
-  std::size_t bk = bottleneck_stage(agg.local_heads, agg.local_head_tokens);
+  const double local_heads = static_cast<double>(agg.local_heads);
+  const double local_head_tokens = static_cast<double>(agg.local_head_tokens);
+  std::size_t bk = bottleneck_stage(local_heads, local_head_tokens);
   {
     const StageDesc& s = cfg_.stages[bk];
     const double tp = static_cast<double>(s.devices.size());
-    p.base_time[0] = stage_time(bk, agg.local_heads, agg.local_head_tokens);
+    p.base_time[0] = stage_time(bk, local_heads, local_head_tokens);
     p.head_cost[0] = s.attn.a / tp;
     p.cache_cost[0] = s.attn.b / tp;
     double free_pl = std::numeric_limits<double>::infinity();
     for (const auto& stg : cfg_.stages) {
-      double used = agg.local_head_tokens * bph_ * stg.layers;
+      double used = local_head_tokens * bph_ * stg.layers;
       double free_here = (static_cast<double>(stg.capacity) - used) / stg.layers;
       free_pl = std::min(free_pl, free_here);
     }
@@ -258,12 +249,13 @@ void Dispatcher::fill_device_rows(const Aggregates& agg, lp::MinMaxProblem& p) c
   }
   for (std::size_t w = 0; w < cfg_.workers.size(); ++w) {
     const WorkerDesc& wk = cfg_.workers[w];
-    double used = agg.worker_head_tokens[w] * bph_ * cfg_.total_layers;
+    const double head_tokens = static_cast<double>(agg.worker_head_tokens[w]);
+    double used = head_tokens * bph_ * cfg_.total_layers;
     // Base includes the transfer constants unconditionally (paper Eq. 7's
     // f_i for Attention workers); this biases against premature offload.
-    p.base_time[1 + w] = wk.attn.time(std::max(0.0, agg.worker_heads[w]),
-                                      agg.worker_head_tokens[w] * bph_) +
-                         wk.transfer.beta;
+    p.base_time[1 + w] =
+        wk.attn.time(std::max(0.0, static_cast<double>(agg.worker_heads[w])), head_tokens * bph_) +
+        wk.transfer.beta;
     p.head_cost[1 + w] = wk.attn.a + wk.transfer.gamma * per_head_layer_volume(cfg_);
     p.cache_cost[1 + w] = wk.attn.b;
     p.mem_free[1 + w] =
@@ -274,21 +266,14 @@ void Dispatcher::fill_device_rows(const Aggregates& agg, lp::MinMaxProblem& p) c
 const lp::MinMaxProblem& Dispatcher::build_problem(
     const std::vector<std::pair<workload::RequestId, std::int64_t>>& new_requests,
     workload::RequestId exclude) const {
-  const Aggregates* aggp = &aggregate();
+  const Aggregates* aggp = &agg_;
   if (exclude >= 0) {
     auto it = requests_.find(exclude);
     if (it != requests_.end()) {
-      // Copy-and-subtract into the scratch aggregates so the shared cache
-      // stays untouched.
-      agg_scratch_ = *aggp;
-      const ReqState& st = it->second;
-      agg_scratch_.local_heads -= st.counts.local;
-      agg_scratch_.local_head_tokens -= static_cast<double>(st.counts.local) * st.ctx;
-      for (std::size_t w = 0; w < cfg_.workers.size(); ++w) {
-        agg_scratch_.worker_heads[w] -= st.counts.worker_heads[w];
-        agg_scratch_.worker_head_tokens[w] -=
-            static_cast<double>(st.counts.worker_heads[w]) * st.ctx;
-      }
+      // Copy-and-subtract into the scratch aggregates so the running totals
+      // stay untouched.
+      agg_scratch_ = agg_;
+      accumulate(agg_scratch_, it->second, -1);
       aggp = &agg_scratch_;
     }
   }
@@ -313,42 +298,30 @@ std::optional<std::vector<PlacementCounts>> Dispatcher::dispatch(
     Seconds now) {
   if (new_requests.empty()) return std::vector<PlacementCounts>{};
   const lp::MinMaxProblem& p = build_problem(new_requests, /*exclude=*/-1);
-
-  // `heads` points at either the locally rounded LP solution or the
-  // workspace's cached greedy assignment; round_to_groups always returns a
-  // d-row matrix (d >= 1 here), so "LP path taken" == relaxed.ok(), exactly
-  // as the old empty()-check did.
   std::vector<std::vector<int>> rounded;
-  const std::vector<std::vector<int>>* heads = nullptr;
-  if (cfg_.use_lp) {
-    const lp::MinMaxSolution& relaxed = lp::solve_relaxed(p, lp_ws_);
-    if (relaxed.ok()) {
-      rounded = lp::round_to_groups(p, relaxed);
-      heads = &rounded;
-    }
-  }
-  if (heads == nullptr) heads = &lp::greedy_dispatch(p, lp_ws_);
+  const std::vector<std::vector<int>>& heads = place(p, rounded);
 
   // Verify every request received its full head count (greedy may fall
   // short when the cluster is memory-exhausted).
   for (std::size_t j = 0; j < new_requests.size(); ++j) {
     int total = 0;
-    for (std::size_t i = 0; i < heads->size(); ++i) total += (*heads)[i][j];
+    for (std::size_t i = 0; i < heads.size(); ++i) total += heads[i][j];
     if (total != cfg_.heads) return std::nullopt;
   }
 
-  agg_dirty_ = true;
   std::vector<PlacementCounts> out(new_requests.size());
   for (std::size_t j = 0; j < new_requests.size(); ++j) {
     PlacementCounts pc;
-    pc.local = (*heads)[0][j];
+    pc.local = heads[0][j];
     pc.worker_heads.assign(cfg_.workers.size(), 0);
-    for (std::size_t w = 0; w < cfg_.workers.size(); ++w) pc.worker_heads[w] = (*heads)[1 + w][j];
-    ReqState st;
+    for (std::size_t w = 0; w < cfg_.workers.size(); ++w) pc.worker_heads[w] = heads[1 + w][j];
+    auto [it, inserted] = requests_.try_emplace(new_requests[j].first);
+    ReqState& st = it->second;
+    if (!inserted) accumulate(agg_, st, -1);  // re-dispatch replaces the old entry
     st.ctx = new_requests[j].second;
     st.arrival = now;
     st.counts = pc;
-    requests_[new_requests[j].first] = st;
+    accumulate(agg_, st, +1);
     out[j] = std::move(pc);
   }
   return out;
@@ -357,8 +330,15 @@ std::optional<std::vector<PlacementCounts>> Dispatcher::dispatch(
 void Dispatcher::append_token(workload::RequestId id) {
   auto it = requests_.find(id);
   if (it == requests_.end()) throw std::out_of_range("Dispatcher::append_token: unknown id");
-  it->second.ctx += 1;
-  agg_dirty_ = true;
+  grow(it->second);
+}
+
+void Dispatcher::grow(ReqState& st) {
+  st.ctx += 1;
+  agg_.local_head_tokens += st.counts.local;
+  for (std::size_t w = 0; w < cfg_.workers.size(); ++w) {
+    agg_.worker_head_tokens[w] += st.counts.worker_heads[w];
+  }
 }
 
 void Dispatcher::append_tokens(const std::vector<workload::RequestId>& ids) {
@@ -370,15 +350,16 @@ void Dispatcher::append_tokens(const std::vector<workload::RequestId>& ids) {
     if (it == requests_.end() || it->first != id) {
       throw std::out_of_range("Dispatcher::append_tokens: unknown id");
     }
-    it->second.ctx += 1;
+    grow(it->second);
     ++it;
   }
-  agg_dirty_ = true;
 }
 
 void Dispatcher::remove(workload::RequestId id) {
-  requests_.erase(id);
-  agg_dirty_ = true;
+  auto it = requests_.find(id);
+  if (it == requests_.end()) return;
+  accumulate(agg_, it->second, -1);
+  requests_.erase(it);
 }
 
 const PlacementCounts& Dispatcher::placement(workload::RequestId id) const {
@@ -403,10 +384,7 @@ Seconds Dispatcher::ideal_per_layer() const {
     // (every aggregate is zero -- what a fresh Dispatcher(cfg_) would
     // report), so they are computed once; each call only refills the
     // request columns below.
-    Aggregates zero;
-    zero.worker_heads.assign(cfg_.workers.size(), 0.0);
-    zero.worker_head_tokens.assign(cfg_.workers.size(), 0.0);
-    fill_device_rows(zero, ideal_prob_);
+    fill_device_rows(Aggregates(cfg_.workers.size()), ideal_prob_);
     // Global memory (7b relaxed to the cluster-wide constraint).
     ideal_prob_.global_memory_only = true;
     ideal_base_ready_ = true;
@@ -423,7 +401,7 @@ Seconds Dispatcher::ideal_per_layer() const {
   // The waterfill is an upper bound on the true f*; the current placement
   // is itself feasible for the re-dispatch problem, so f* can also never
   // exceed the present bottleneck.
-  return std::min(lp::greedy_makespan(p, lp_ws_), worst_per_layer());
+  return std::min(lp::eval_makespan(p, greedy(p)), worst_per_layer());
 }
 
 bool Dispatcher::should_rebalance() const {
@@ -443,22 +421,14 @@ Rebalance Dispatcher::plan_single(workload::RequestId victim) const {
   std::vector<std::pair<workload::RequestId, std::int64_t>> one{{victim, it->second.ctx}};
   const lp::MinMaxProblem& p = build_problem(one, /*exclude=*/victim);
   std::vector<std::vector<int>> rounded;
-  const std::vector<std::vector<int>>* heads = nullptr;
-  if (cfg_.use_lp) {
-    const lp::MinMaxSolution& relaxed = lp::solve_relaxed(p, lp_ws_);
-    if (relaxed.ok()) {
-      rounded = lp::round_to_groups(p, relaxed);
-      heads = &rounded;
-    }
-  }
-  if (heads == nullptr) heads = &lp::greedy_dispatch(p, lp_ws_);
+  const std::vector<std::vector<int>>& heads = place(p, rounded);
   int total = 0;
-  for (std::size_t i = 0; i < heads->size(); ++i) total += (*heads)[i][0];
+  for (std::size_t i = 0; i < heads.size(); ++i) total += heads[i][0];
   if (total != cfg_.heads) return rb;  // infeasible
 
-  rb.to.local = (*heads)[0][0];
+  rb.to.local = heads[0][0];
   rb.to.worker_heads.assign(cfg_.workers.size(), 0);
-  for (std::size_t w = 0; w < cfg_.workers.size(); ++w) rb.to.worker_heads[w] = (*heads)[1 + w][0];
+  for (std::size_t w = 0; w < cfg_.workers.size(); ++w) rb.to.worker_heads[w] = heads[1 + w][0];
 
   // Moved heads: overlap-preserving reassignment means only net deltas move.
   double moved = std::max(0, rb.to.local - rb.from.local);
@@ -519,8 +489,31 @@ void Dispatcher::apply(const Rebalance& rb) {
   if (!rb.valid) throw std::logic_error("Dispatcher::apply: invalid rebalance");
   auto it = requests_.find(rb.victim);
   if (it == requests_.end()) throw std::out_of_range("Dispatcher::apply: unknown victim");
+  accumulate(agg_, it->second, -1);
   it->second.counts = rb.to;
-  agg_dirty_ = true;
+  accumulate(agg_, it->second, +1);
+}
+
+const std::vector<std::vector<int>>& Dispatcher::place(
+    const lp::MinMaxProblem& p, std::vector<std::vector<int>>& rounded) const {
+  // round_to_groups always returns a d-row matrix (d >= 1 here), so the LP
+  // path is taken exactly when the relaxed solve succeeds.
+  if (cfg_.use_lp) {
+    ++lp_solves_;
+    const lp::MinMaxSolution relaxed = lp::solve_relaxed(p, lp_buffer_, solver_);
+    if (relaxed.ok()) {
+      rounded = lp::round_to_groups(p, relaxed);
+      return rounded;
+    }
+  }
+  return greedy(p);
+}
+
+const std::vector<std::vector<int>>& Dispatcher::greedy(const lp::MinMaxProblem& p) const {
+  ++lp_solves_;
+  p.validate();
+  lp::greedy_dispatch_into(p, greedy_heads_, greedy_load_, greedy_mem_);
+  return greedy_heads_;
 }
 
 }  // namespace hetis::dispatch

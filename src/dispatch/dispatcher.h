@@ -29,7 +29,7 @@
 #include "common/units.h"
 #include "costmodel/attention_model.h"
 #include "lp/minmax.h"
-#include "lp/workspace.h"
+#include "lp/simplex.h"
 #include "workload/request.h"
 
 namespace hetis::dispatch {
@@ -158,9 +158,9 @@ class Dispatcher {
 
   const DispatcherConfig& config() const { return cfg_; }
 
-  /// Solver-workspace counters (lp_solves / lp_warm_hits) accumulated by
-  /// this dispatcher's memoized LP and greedy calls.
-  const lp::WorkspaceStats& lp_stats() const { return lp_ws_.stats(); }
+  /// Dispatch solves run so far: one per relaxed-LP solve and one per
+  /// greedy waterfill (admission, re-dispatch and f* probes alike).
+  std::uint64_t lp_solves() const { return lp_solves_; }
 
  private:
   struct ReqState {
@@ -169,19 +169,22 @@ class Dispatcher {
     PlacementCounts counts;
   };
 
+  /// Sums of integer head and head x token counts over requests.  Kept as
+  /// exact int64 running totals; readers convert to double, which gives
+  /// the same bits as summing the per-request products in doubles (every
+  /// partial sum is an integer far below 2^53).
   struct Aggregates {
-    double local_heads = 0;
-    double local_head_tokens = 0;  // sum over requests of local*ctx
-    std::vector<double> worker_heads;
-    std::vector<double> worker_head_tokens;
+    explicit Aggregates(std::size_t workers = 0)
+        : worker_heads(workers, 0), worker_head_tokens(workers, 0) {}
+    std::int64_t local_heads = 0;
+    std::int64_t local_head_tokens = 0;  // sum over requests of local*ctx
+    std::vector<std::int64_t> worker_heads;
+    std::vector<std::int64_t> worker_head_tokens;
   };
-  /// Current aggregates, cached behind a dirty flag: every mutation
-  /// (dispatch / append / remove / apply) marks the cache stale and the
-  /// next reader recomputes.  The recompute walks requests_ in the same
-  /// map order with the same summation order as always, so a cached read
-  /// is bit-identical to an eager one.  The reference is valid until the
-  /// next mutation.
-  const Aggregates& aggregate() const;
+  /// Adds (sign +1) or subtracts (sign -1) one request's share of `agg`.
+  void accumulate(Aggregates& agg, const ReqState& st, std::int64_t sign) const;
+  /// Grows one request's context by a token, keeping agg_ in step.
+  void grow(ReqState& st);
 
   /// Builds the min-max problem for `new_requests` given current state.
   /// Excludes `exclude` (for single-request re-dispatch).  Fills the
@@ -208,21 +211,34 @@ class Dispatcher {
 
   Rebalance plan_single(workload::RequestId victim) const;
 
+  /// Integral placement for `p`: the rounded LP optimum (into `rounded`)
+  /// when use_lp and the LP solves, else the greedy waterfill (into
+  /// greedy_heads_).  Returns whichever was filled.
+  const std::vector<std::vector<int>>& place(const lp::MinMaxProblem& p,
+                                             std::vector<std::vector<int>>& rounded) const;
+  /// Greedy waterfill of `p` into greedy_heads_.
+  const std::vector<std::vector<int>>& greedy(const lp::MinMaxProblem& p) const;
+
   DispatcherConfig cfg_;
   std::map<workload::RequestId, ReqState> requests_;
   double bph_ = 0;  // bytes per head-token per layer
 
-  // Hot-path scratch and memo state.  All mutable: the accessors above are
-  // logically const (every cached value is bit-identical to an eager
-  // recompute), and the Dispatcher is single-threaded like the rest of the
+  Aggregates agg_;  // running totals over requests_
+
+  // Hot-path scratch: recycled buffers that keep only their capacity
+  // across calls, never values.  Mutable because the planning accessors are
+  // logically const; the Dispatcher is single-threaded like the rest of the
   // simulator.
-  mutable Aggregates agg_cache_;
-  mutable bool agg_dirty_ = true;
   mutable Aggregates agg_scratch_;       // exclude-adjusted copy (plan_single)
   mutable lp::MinMaxProblem prob_;       // build_problem's reusable buffer
   mutable lp::MinMaxProblem ideal_prob_; // ideal_per_layer's reusable buffer
   mutable bool ideal_base_ready_ = false;
-  mutable lp::SolveWorkspace lp_ws_;
+  mutable lp::Problem lp_buffer_;
+  mutable lp::Simplex solver_;
+  mutable std::vector<std::vector<int>> greedy_heads_;
+  mutable std::vector<double> greedy_load_;
+  mutable std::vector<double> greedy_mem_;
+  mutable std::uint64_t lp_solves_ = 0;
 };
 
 }  // namespace hetis::dispatch

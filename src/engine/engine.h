@@ -26,14 +26,13 @@ class Telemetry;
 namespace hetis::engine {
 
 /// Hot-path accounting counters, cumulative over an engine's lifetime.
-/// `lp_solves` counts memoized dispatch-solver entry points taken (warm or
-/// cold), `lp_warm_hits` the subset served from the exact-match workspace
-/// cache, `costmodel_hits` the cost-model memo hits (dense-stage +
-/// decode-work tables).  Purely observational: the cached results are
-/// bit-identical to recomputation, so these never change a decision.
+/// `lp_solves` counts Hetis dispatch solves (relaxed LPs plus greedy
+/// waterfills, see dispatch::Dispatcher::lp_solves), `costmodel_hits` the
+/// dense-stage cost-model memo hits (ExecModel::cost_cache_hits).  Purely
+/// observational: the memo returns results bit-identical to recomputation,
+/// so neither counter ever changes a decision.
 struct PerfCounters {
   std::uint64_t lp_solves = 0;
-  std::uint64_t lp_warm_hits = 0;
   std::uint64_t costmodel_hits = 0;
 };
 

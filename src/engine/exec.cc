@@ -80,10 +80,7 @@ Seconds ExecModel::stage_attention_decode(const parallel::StageConfig& stage,
   if (stage.devices.empty() || stage.layers == 0 || ctxs.empty()) return 0.0;
   const hw::GpuSpec& gpu = cluster_->device(stage.devices.front()).spec();
   int heads_per_dev = std::max(1, heads / stage.tp());
-  Seconds per_layer =
-      cache_enabled_
-          ? kernel_.decode_attention_time(gpu, *model_, ctxs, heads_per_dev, &work_cache_)
-          : kernel_.decode_attention_time(gpu, *model_, ctxs, heads_per_dev);
+  Seconds per_layer = kernel_.decode_attention_time(gpu, *model_, ctxs, heads_per_dev);
   Seconds t = per_layer * stage.layers;
   const double speed = stage_speed(stage);
   if (speed != 1.0) t /= speed;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "costmodel/comm_model.h"
+#include "costmodel/eval_cache.h"
 #include "costmodel/kernel_model.h"
 #include "model/llm.h"
 #include "parallel/plan.h"
@@ -81,20 +82,17 @@ class ExecModel {
   const model::ModelSpec& model_spec() const { return *model_; }
   const hw::Cluster& cluster() const { return *cluster_; }
 
-  /// Total cost-model memo hits (dense-stage table + decode-work table);
-  /// feeds the `costmodel_hits` bench/telemetry counter.
-  std::uint64_t cost_cache_hits() const {
-    return dense_cache_.hits() + work_cache_.hits();
-  }
+  /// Dense-stage memo hits, the only cost-model memo (decode attention is
+  /// closed-form); feeds the `costmodel_hits` bench/telemetry counter.
+  std::uint64_t cost_cache_hits() const { return dense_cache_.hits(); }
 
   /// Differential-test hook: with caching off every query recomputes from
-  /// scratch.  Results must be byte-identical either way (the caches store
-  /// exact outputs of the same code paths); tests/test_hotpath_cache.cc
-  /// flips this to prove it.  Toggling clears both tables.
+  /// scratch.  Results must be byte-identical either way (the table stores
+  /// exact outputs of the same code path); tests/test_hotpath_cache.cc
+  /// flips this to prove it.  Toggling clears the table.
   void set_cost_cache_enabled(bool enabled) {
     cache_enabled_ = enabled;
     dense_cache_.clear();
-    work_cache_.clear();
   }
   bool cost_cache_enabled() const { return cache_enabled_; }
 
@@ -115,8 +113,7 @@ class ExecModel {
                                     std::int64_t tokens) const;
 
   /// Drops dense-stage entries when the cluster's condition overlay moved
-  /// (cached times embed device speeds and link scales).  The decode-work
-  /// table is exempt: Work is model geometry, independent of hardware state.
+  /// (cached times embed device speeds and link scales).
   void refresh_cache_epoch() const {
     const std::uint64_t e = cluster_->condition_epoch();
     if (e != cache_epoch_) {
@@ -134,7 +131,6 @@ class ExecModel {
   // 32k slots: the key space (distinct token counts x stage shapes) runs to
   // thousands of entries per run; the default 1024 thrashes.
   mutable costmodel::EvalCache<DenseStageKey, Seconds> dense_cache_{1 << 15};
-  mutable costmodel::DecodeWorkCache work_cache_;
 };
 
 /// KV-cache budget of a device after reserving parameters + activations.

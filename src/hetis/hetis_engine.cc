@@ -253,16 +253,8 @@ double HetisEngine::kv_fill_fraction() const {
 
 engine::PerfCounters HetisEngine::perf_counters() const {
   engine::PerfCounters pc;
-  for (const auto& inst : instances_) {
-    const lp::WorkspaceStats& s = inst->dispatcher().lp_stats();
-    pc.lp_solves += s.solves;
-    pc.lp_warm_hits += s.warm_hits;
-  }
-  for (const auto& inst : retired_) {
-    const lp::WorkspaceStats& s = inst->dispatcher().lp_stats();
-    pc.lp_solves += s.solves;
-    pc.lp_warm_hits += s.warm_hits;
-  }
+  for (const auto& inst : instances_) pc.lp_solves += inst->dispatcher().lp_solves();
+  for (const auto& inst : retired_) pc.lp_solves += inst->dispatcher().lp_solves();
   pc.costmodel_hits = exec_.cost_cache_hits();
   return pc;
 }

@@ -59,8 +59,7 @@ MinMaxSolution solve_relaxed(const MinMaxProblem& problem);
 /// Cold-path variant with recycled buffers: builds the epigraph LP into
 /// `lp_buffer` (reusing its row capacity) and solves through `solver`'s
 /// persistent tableau.  Bit-identical results to the plain overload -- the
-/// buffers only recycle allocations, never values.  SolveWorkspace
-/// (lp/workspace.h) adds the exact-match memo layer on top of this.
+/// buffers only recycle allocations, never values.
 MinMaxSolution solve_relaxed(const MinMaxProblem& problem, Problem& lp_buffer,
                              Simplex& solver);
 

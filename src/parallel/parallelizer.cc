@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -142,7 +143,8 @@ std::vector<int> Parallelizer::balance_layers(const std::vector<double>& per_lay
   return layers;
 }
 
-InstanceConfig Parallelizer::best_instance_config(const std::vector<TypeShare>& shares,
+InstanceConfig Parallelizer::best_instance_config(const PlanEvaluator& evaluator,
+                                                  const std::vector<TypeShare>& shares,
                                                   const std::vector<int>& pruned,
                                                   bool drop_pruned, bool require_hosts_model,
                                                   const WorkloadProfile& profile, int d,
@@ -209,8 +211,8 @@ InstanceConfig Parallelizer::best_instance_config(const std::vector<TypeShare>& 
       }
     }
     if (!drop_pruned) cfg.attention_workers = pruned;
-    if (!require_hosts_model || evaluator_.hosts_model(cfg)) {
-      PlanEstimate estimate = replicate_estimate(evaluator_.evaluate(cfg, profile), d);
+    if (!require_hosts_model || evaluator.hosts_model(cfg)) {
+      PlanEstimate estimate = replicate_estimate(evaluator.evaluate(cfg, profile), d);
       double score = objective.score(estimate);
       if (score < best_score) {
         best_score = score;
@@ -287,135 +289,143 @@ ParallelPlan Parallelizer::plan(const WorkloadProfile& profile, const PlanObject
   ThreadPool pool(opts_.search_threads == 0 ? 0 : opts_.search_threads);
   std::atomic<int> evaluated{0};
 
-  pool.parallel_for(0, candidates_d.size(), [&](std::size_t di) {
-    const int d = candidates_d[di];
-    // Per-instance workload share.
-    WorkloadProfile share = profile;
-    share.prefill_tokens = std::max<std::int64_t>(1, profile.prefill_tokens / d);
-    share.decode_batch = std::max<std::int64_t>(1, profile.decode_batch / d);
+  // ExecModel's dense-stage memo is unsynchronised, so chunks share no
+  // evaluator: the first reuses the Parallelizer's own, every other chunk
+  // prices through a private one.  A one-thread search builds nothing extra.
+  pool.parallel_for_chunked(0, candidates_d.size(), [&](std::size_t lo, std::size_t hi) {
+    std::optional<PlanEvaluator> private_evaluator;
+    const PlanEvaluator& evaluator =
+        lo == 0 ? evaluator_ : private_evaluator.emplace(*cluster_, *model_);
+    for (std::size_t di = lo; di < hi; ++di) {
+      const int d = candidates_d[di];
+      // Per-instance workload share.
+      WorkloadProfile share = profile;
+      share.prefill_tokens = std::max<std::int64_t>(1, profile.prefill_tokens / d);
+      share.decode_batch = std::max<std::int64_t>(1, profile.decode_batch / d);
 
-    // Instance 0's device share; other instances are symmetric.
-    std::vector<TypeShare> shares;
-    for (hw::GpuType t : types) {
-      const auto& devs = by_type.at(t);
-      int per = static_cast<int>(devs.size()) / d;
-      if (per == 0) continue;
-      TypeShare ts;
-      ts.type = t;
-      ts.device_ids.assign(devs.begin(), devs.begin() + per);
-      shares.push_back(std::move(ts));
-    }
-    if (shares.empty()) return;
-
-    // --- Pruning (lowest-end first, Delta criterion) ---
-    // The Delta walk defines the paper's pruning frontier; it is the ONLY
-    // candidate under the throughput objective (legacy behavior, byte
-    // identical) and one of the candidates under depth-exploring ones.
-    std::vector<int> delta_pruned;
-    auto counts_of = [&](const std::vector<int>& pr) {
-      std::vector<std::pair<hw::GpuType, int>> counts;
-      for (const auto& s : shares) {
-        int n = 0;
-        for (int id : s.device_ids) {
-          if (std::find(pr.begin(), pr.end(), id) == pr.end()) ++n;
-        }
-        counts.emplace_back(s.type, n);
+      // Instance 0's device share; other instances are symmetric.
+      std::vector<TypeShare> shares;
+      for (hw::GpuType t : types) {
+        const auto& devs = by_type.at(t);
+        int per = static_cast<int>(devs.size()) / d;
+        if (per == 0) continue;
+        TypeShare ts;
+        ts.type = t;
+        ts.device_ids.assign(devs.begin(), devs.begin() + per);
+        shares.push_back(std::move(ts));
       }
-      return counts;
-    };
-    if (opts_.enable_pruning) {
-      double current = perfect_scaling_cost(counts_of(delta_pruned), share);
-      // low-end -> high-end: iterate shares in reverse power order.
-      for (auto it = shares.rbegin(); it != shares.rend(); ++it) {
-        for (int id : it->device_ids) {
-          std::vector<int> attempt = delta_pruned;
-          attempt.push_back(id);
-          auto counts = counts_of(attempt);
-          int remaining = 0;
-          for (const auto& [t, n] : counts) remaining += n;
-          if (remaining == 0) break;  // keep at least one primary device
-          double without = perfect_scaling_cost(counts, share);
-          ++evaluated;
-          if (without / current <= 1.0 + opts_.delta) {
-            delta_pruned = std::move(attempt);
-            current = without;
-          } else {
-            break;  // removing more of this (or higher) type only hurts
+      if (shares.empty()) continue;
+
+      // --- Pruning (lowest-end first, Delta criterion) ---
+      // The Delta walk defines the paper's pruning frontier; it is the ONLY
+      // candidate under the throughput objective (legacy behavior, byte
+      // identical) and one of the candidates under depth-exploring ones.
+      std::vector<int> delta_pruned;
+      auto counts_of = [&](const std::vector<int>& pr) {
+        std::vector<std::pair<hw::GpuType, int>> counts;
+        for (const auto& s : shares) {
+          int n = 0;
+          for (int id : s.device_ids) {
+            if (std::find(pr.begin(), pr.end(), id) == pr.end()) ++n;
+          }
+          counts.emplace_back(s.type, n);
+        }
+        return counts;
+      };
+      if (opts_.enable_pruning) {
+        double current = perfect_scaling_cost(counts_of(delta_pruned), share);
+        // low-end -> high-end: iterate shares in reverse power order.
+        for (auto it = shares.rbegin(); it != shares.rend(); ++it) {
+          for (int id : it->device_ids) {
+            std::vector<int> attempt = delta_pruned;
+            attempt.push_back(id);
+            auto counts = counts_of(attempt);
+            int remaining = 0;
+            for (const auto& [t, n] : counts) remaining += n;
+            if (remaining == 0) break;  // keep at least one primary device
+            double without = perfect_scaling_cost(counts, share);
+            ++evaluated;
+            if (without / current <= 1.0 + opts_.delta) {
+              delta_pruned = std::move(attempt);
+              current = without;
+            } else {
+              break;  // removing more of this (or higher) type only hurts
+            }
           }
         }
       }
-    }
 
-    // --- Intra-stage TP/PP search over the candidate prunings ---
-    Candidate best;
-    auto consider = [&](const std::vector<int>& pruned, bool drop_pruned,
-                        bool require_hosts_model) {
-      double score = std::numeric_limits<double>::infinity();
-      PlanEstimate estimate;
-      InstanceConfig inst =
-          best_instance_config(shares, pruned, drop_pruned, require_hosts_model, share, d,
-                               objective, &score, &estimate);
-      ++evaluated;
-      if (!std::isfinite(score)) return;
-      // KV feasibility filter: the d instances together must host the
-      // workload's decode set.
-      if (estimate.kv_capacity < profile.min_kv_bytes) return;
-      if (score >= best.score) return;
-      best.score = score;
-      best.estimate = estimate;
-      best.pruned = static_cast<int>(pruned.size());
-      best.plan.instances.assign(1, std::move(inst));
-    };
+      // --- Intra-stage TP/PP search over the candidate prunings ---
+      Candidate best;
+      auto consider = [&](const std::vector<int>& pruned, bool drop_pruned,
+                          bool require_hosts_model) {
+        double score = std::numeric_limits<double>::infinity();
+        PlanEstimate estimate;
+        InstanceConfig inst =
+            best_instance_config(evaluator, shares, pruned, drop_pruned, require_hosts_model,
+                                 share, d, objective, &score, &estimate);
+        ++evaluated;
+        if (!std::isfinite(score)) return;
+        // KV feasibility filter: the d instances together must host the
+        // workload's decode set.
+        if (estimate.kv_capacity < profile.min_kv_bytes) return;
+        if (score >= best.score) return;
+        best.score = score;
+        best.estimate = estimate;
+        best.pruned = static_cast<int>(pruned.size());
+        best.plan.instances.assign(1, std::move(inst));
+      };
 
-    // The Delta candidate keeps the legacy semantics (no parameter-fit
-    // filter) so the default objective's plans stay byte-identical.
-    consider(delta_pruned, /*drop_pruned=*/false, /*require_hosts_model=*/false);
-    if (objective.explores_depth() && opts_.enable_pruning) {
-      // Enumerate every pruning depth along the same low-end -> high-end
-      // removal order, each in two placements: removed GPUs serve as
-      // Attention workers (the paper's role) or leave the deployment
-      // entirely (smaller device footprint -- what a cost-efficiency
-      // objective wants credit for).
-      std::vector<int> order;
-      for (auto it = shares.rbegin(); it != shares.rend(); ++it) {
-        order.insert(order.end(), it->device_ids.begin(), it->device_ids.end());
-      }
-      for (std::size_t depth = 0; depth < order.size(); ++depth) {  // >= 1 primary stays
-        const std::vector<int> pruned(order.begin(),
-                                      order.begin() + static_cast<std::ptrdiff_t>(depth));
-        if (pruned != delta_pruned) {
-          consider(pruned, /*drop_pruned=*/false, /*require_hosts_model=*/true);
+      // The Delta candidate keeps the legacy semantics (no parameter-fit
+      // filter) so the default objective's plans stay byte-identical.
+      consider(delta_pruned, /*drop_pruned=*/false, /*require_hosts_model=*/false);
+      if (objective.explores_depth() && opts_.enable_pruning) {
+        // Enumerate every pruning depth along the same low-end -> high-end
+        // removal order, each in two placements: removed GPUs serve as
+        // Attention workers (the paper's role) or leave the deployment
+        // entirely (smaller device footprint -- what a cost-efficiency
+        // objective wants credit for).
+        std::vector<int> order;
+        for (auto it = shares.rbegin(); it != shares.rend(); ++it) {
+          order.insert(order.end(), it->device_ids.begin(), it->device_ids.end());
         }
-        if (!pruned.empty()) consider(pruned, /*drop_pruned=*/true, /*require_hosts_model=*/true);
+        for (std::size_t depth = 0; depth < order.size(); ++depth) {  // >= 1 primary stays
+          const std::vector<int> pruned(order.begin(),
+                                        order.begin() + static_cast<std::ptrdiff_t>(depth));
+          if (pruned != delta_pruned) {
+            consider(pruned, /*drop_pruned=*/false, /*require_hosts_model=*/true);
+          }
+          if (!pruned.empty()) consider(pruned, /*drop_pruned=*/true, /*require_hosts_model=*/true);
+        }
       }
-    }
-    if (best.plan.instances.empty()) return;
+      if (best.plan.instances.empty()) continue;
 
-    // Replicate across the d instances with each instance's own devices.
-    const InstanceConfig inst = best.plan.instances.front();
-    best.plan.instances.clear();
-    for (int rep = 0; rep < d; ++rep) {
-      InstanceConfig copy = inst;
-      // Map instance-0 device ids onto replica `rep` (per-type offset).
-      for (auto& stage : copy.stages) {
-        for (int& dev : stage.devices) {
+      // Replicate across the d instances with each instance's own devices.
+      const InstanceConfig inst = best.plan.instances.front();
+      best.plan.instances.clear();
+      for (int rep = 0; rep < d; ++rep) {
+        InstanceConfig copy = inst;
+        // Map instance-0 device ids onto replica `rep` (per-type offset).
+        for (auto& stage : copy.stages) {
+          for (int& dev : stage.devices) {
+            hw::GpuType t = cluster_->device(dev).type;
+            const auto& all = by_type.at(t);
+            int per = static_cast<int>(all.size()) / d;
+            auto pos = std::find(all.begin(), all.end(), dev) - all.begin();
+            dev = all[static_cast<std::size_t>(pos + rep * per)];
+          }
+        }
+        for (int& dev : copy.attention_workers) {
           hw::GpuType t = cluster_->device(dev).type;
           const auto& all = by_type.at(t);
           int per = static_cast<int>(all.size()) / d;
           auto pos = std::find(all.begin(), all.end(), dev) - all.begin();
           dev = all[static_cast<std::size_t>(pos + rep * per)];
         }
+        best.plan.instances.push_back(std::move(copy));
       }
-      for (int& dev : copy.attention_workers) {
-        hw::GpuType t = cluster_->device(dev).type;
-        const auto& all = by_type.at(t);
-        int per = static_cast<int>(all.size()) / d;
-        auto pos = std::find(all.begin(), all.end(), dev) - all.begin();
-        dev = all[static_cast<std::size_t>(pos + rep * per)];
-      }
-      best.plan.instances.push_back(std::move(copy));
+      results[di] = std::move(best);
     }
-    results[di] = std::move(best);
   });
 
   // Pick the best-scoring candidate (scores compare per-instance estimates

@@ -111,13 +111,15 @@ class Parallelizer {
   std::vector<int> balance_layers(const std::vector<double>& per_layer_cost) const;
 
   /// Builds the best intra-stage TP/PP layout for one instance under
-  /// `objective` (scored on the d-wide estimate); writes the winning score
-  /// and plan-level estimate through the out parameters.  With
+  /// `objective` (scored on the d-wide estimate, priced by `evaluator`);
+  /// writes the winning score and plan-level estimate through the out
+  /// parameters.  With
   /// `require_hosts_model`, layouts whose devices cannot hold their
   /// parameter shard are discarded (the depth-explored candidate space
   /// contains such configs; the legacy Delta frontier keeps its historical
   /// semantics).
-  InstanceConfig best_instance_config(const std::vector<TypeShare>& shares,
+  InstanceConfig best_instance_config(const PlanEvaluator& evaluator,
+                                      const std::vector<TypeShare>& shares,
                                       const std::vector<int>& pruned, bool drop_pruned,
                                       bool require_hosts_model, const WorkloadProfile& profile,
                                       int d, const PlanObjective& objective, double* score_out,

@@ -25,7 +25,6 @@ Telemetry::Telemetry(TelemetryConfig cfg) : cfg_(cfg) {
   g_kv_fill_ = registry_.gauge("kv_fill_fraction");
   g_arrival_rate_ = registry_.gauge("arrival_rate");
   g_lp_solves_ = registry_.gauge("lp_solves");
-  g_lp_warm_hits_ = registry_.gauge("lp_warm_hits");
   g_costmodel_hits_ = registry_.gauge("costmodel_hits");
   if (cfg_.slo.has_value()) g_slo_ = registry_.gauge("slo_attainment");
   h_ttft_ = registry_.histogram("ttft_seconds", {0.05, 0.1, 0.25, 0.5, 1, 2, 5, 10, 30});
@@ -197,7 +196,6 @@ void Telemetry::sample(sim::Simulation& sim, engine::Engine& engine) {
                                      cfg_.sample_interval);
   const engine::PerfCounters pcs = engine.perf_counters();
   registry_.set(g_lp_solves_, static_cast<double>(pcs.lp_solves));
-  registry_.set(g_lp_warm_hits_, static_cast<double>(pcs.lp_warm_hits));
   registry_.set(g_costmodel_hits_, static_cast<double>(pcs.costmodel_hits));
   arrivals_at_last_sample_ = arrivals_;
   if (g_slo_ >= 0) {

@@ -163,7 +163,6 @@ class Telemetry final : public engine::RunObserver {
   int g_kv_fill_ = -1;
   int g_arrival_rate_ = -1;
   int g_lp_solves_ = -1;
-  int g_lp_warm_hits_ = -1;
   int g_costmodel_hits_ = -1;
   int g_slo_ = -1;
   int h_ttft_ = -1;

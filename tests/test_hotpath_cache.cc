@@ -1,7 +1,8 @@
-// Differential tests for the hot-path caches (PR: warm-started dispatch LP
-// + cost-model memoization).  The contract under test is strict: every
-// cached path must return results BIT-identical to the cold path it
-// shadows -- not approximately equal, byte-for-byte equal -- because the
+// Differential tests for the hot path's shortcuts: recycled solver buffers,
+// the closed-form decode-attention cost, the dense-stage memo and the
+// Dispatcher's running totals.  The contract under test is strict: every
+// shortcut must return results BIT-identical to the plain computation it
+// replaces -- not approximately equal, byte-for-byte equal -- because the
 // repo's golden CSVs are byte-compared in CI and a single ULP of drift in
 // a dispatch decision cascades into a different event trace.
 #include <gtest/gtest.h>
@@ -9,7 +10,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -19,7 +22,7 @@
 #include "engine/exec.h"
 #include "hw/topology.h"
 #include "lp/minmax.h"
-#include "lp/workspace.h"
+#include "lp/simplex.h"
 #include "model/llm.h"
 #include "parallel/plan.h"
 
@@ -65,60 +68,61 @@ lp::MinMaxProblem random_problem(Rng& rng, std::size_t d, std::size_t j, int gro
   return p;
 }
 
-// --- SolveWorkspace: warm path vs cold path -------------------------------
+/// The Dispatcher's solve path: one lp::Problem row buffer, one persistent
+/// lp::Simplex and the greedy scratch vectors, recycled across every call.
+struct RecycledSolver {
+  lp::Problem lp_buffer;
+  lp::Simplex solver;
+  std::vector<std::vector<int>> heads;
+  std::vector<double> load;
+  std::vector<double> mem;
+
+  lp::MinMaxSolution relaxed(const lp::MinMaxProblem& p) {
+    return lp::solve_relaxed(p, lp_buffer, solver);
+  }
+  const std::vector<std::vector<int>>& greedy(const lp::MinMaxProblem& p) {
+    p.validate();
+    lp::greedy_dispatch_into(p, heads, load, mem);
+    return heads;
+  }
+};
+
+void expect_solutions_identical(const lp::MinMaxSolution& a, const lp::MinMaxSolution& b) {
+  EXPECT_EQ(a.status, b.status);
+  expect_bits_eq(a.objective, b.objective);
+  expect_heads_identical(a.heads, b.heads);
+}
+
+// --- SolveWorkspace: the recycled solve buffers vs fresh solves -----------
 
 TEST(SolveWorkspace, RelaxedMatchesColdOnRandomizedProblems) {
+  // Shapes change from trial to trial, and every seventh trial first throws
+  // on a malformed problem: the recycled buffers must carry no value from
+  // one solve into the next.
   Rng rng(20251116);
-  lp::SolveWorkspace ws;
+  RecycledSolver ws;
   for (int trial = 0; trial < 60; ++trial) {
     lp::MinMaxProblem p =
         random_problem(rng, 2 + trial % 5, 1 + trial % 9, 1 + (trial % 2) * 7);
-    lp::MinMaxSolution cold = lp::solve_relaxed(p);
-    const lp::MinMaxSolution& warm = lp::solve_relaxed(p, ws);
-    EXPECT_EQ(cold.status, warm.status);
-    expect_bits_eq(cold.objective, warm.objective);
-    expect_heads_identical(cold.heads, warm.heads);
+    if (trial % 7 == 0) {
+      lp::MinMaxProblem bad = p;
+      bad.head_cost.pop_back();  // shape mismatch -> validate() throws
+      EXPECT_THROW(ws.relaxed(bad), std::invalid_argument);
+      EXPECT_THROW(ws.greedy(bad), std::invalid_argument);
+    }
+    expect_solutions_identical(lp::solve_relaxed(p), ws.relaxed(p));
   }
-}
-
-TEST(SolveWorkspace, RepeatedProblemHitsWarmPathBitIdentically) {
-  Rng rng(7);
-  lp::SolveWorkspace ws;
-  lp::MinMaxProblem p = random_problem(rng, 4, 6, 8);
-  lp::MinMaxSolution first = lp::solve_relaxed(p, ws);  // copy the cold result
-  ASSERT_EQ(ws.stats().warm_hits, 0u);
-  const lp::MinMaxSolution& again = lp::solve_relaxed(p, ws);
-  EXPECT_EQ(ws.stats().solves, 2u);
-  EXPECT_EQ(ws.stats().warm_hits, 1u);
-  EXPECT_EQ(first.status, again.status);
-  expect_bits_eq(first.objective, again.objective);
-  expect_heads_identical(first.heads, again.heads);
-}
-
-TEST(SolveWorkspace, SignedZeroKeysDifferently) {
-  // The memo keys on bit patterns, not double values: a problem with -0.0
-  // base time is NOT the same key as one with +0.0 (operator== would say
-  // so), so the warm path can never alias them.
-  Rng rng(11);
-  lp::SolveWorkspace ws;
-  lp::MinMaxProblem p = random_problem(rng, 3, 4, 1);
-  p.base_time[0] = 0.0;
-  lp::solve_relaxed(p, ws);
-  p.base_time[0] = -0.0;
-  lp::solve_relaxed(p, ws);
-  EXPECT_EQ(ws.stats().warm_hits, 0u);
 }
 
 TEST(SolveWorkspace, GreedyMatchesColdOnRandomizedProblems) {
   Rng rng(20251116);
-  lp::SolveWorkspace ws;
+  RecycledSolver ws;
   for (int trial = 0; trial < 60; ++trial) {
     lp::MinMaxProblem p =
         random_problem(rng, 2 + trial % 4, 1 + trial % 7, 1 + (trial % 3) * 3);
     std::vector<std::vector<int>> cold = lp::greedy_dispatch(p);
-    const std::vector<std::vector<int>>& warm = lp::greedy_dispatch(p, ws);
-    EXPECT_EQ(cold, warm);
-    expect_bits_eq(lp::eval_makespan(p, cold), lp::greedy_makespan(p, ws));
+    EXPECT_EQ(cold, ws.greedy(p));
+    expect_bits_eq(lp::eval_makespan(p, cold), lp::eval_makespan(p, ws.greedy(p)));
   }
 }
 
@@ -137,55 +141,9 @@ TEST(SolveWorkspace, DegenerateTiesResolveIdentically) {
     p.demand.push_back(8);
     p.cache_per_head.push_back(4096);
   }
-  lp::SolveWorkspace ws;
-  EXPECT_EQ(lp::greedy_dispatch(p), lp::greedy_dispatch(p, ws));
-  lp::MinMaxSolution cold = lp::solve_relaxed(p);
-  const lp::MinMaxSolution& warm = lp::solve_relaxed(p, ws);
-  EXPECT_EQ(cold.status, warm.status);
-  expect_bits_eq(cold.objective, warm.objective);
-  expect_heads_identical(cold.heads, warm.heads);
-}
-
-TEST(SolveWorkspace, DeviceSetAlternationSurvivesEvictionChurn) {
-  // Adversarial replacement pattern: a tiny 2-slot table cycling through
-  // more problems than it can hold (d alternating 4 <-> 2, like a device
-  // leave/join flap).  Every answer must still match a cold solve -- the
-  // memo may evict whatever it likes, it may never corrupt.
-  Rng rng(42);
-  lp::SolveWorkspace ws(2);
-  std::vector<lp::MinMaxProblem> probs;
-  for (int k = 0; k < 8; ++k) probs.push_back(random_problem(rng, k % 2 ? 4 : 2, 3, 1));
-  for (int round = 0; round < 5; ++round) {
-    for (const lp::MinMaxProblem& p : probs) {
-      lp::MinMaxSolution cold = lp::solve_relaxed(p);
-      const lp::MinMaxSolution& warm = lp::solve_relaxed(p, ws);
-      EXPECT_EQ(cold.status, warm.status);
-      expect_bits_eq(cold.objective, warm.objective);
-      expect_heads_identical(cold.heads, warm.heads);
-      EXPECT_EQ(lp::greedy_dispatch(p), lp::greedy_dispatch(p, ws));
-    }
-  }
-}
-
-TEST(SolveWorkspace, MalformedProblemThrowsAndNeverOccupiesASlot) {
-  Rng rng(3);
-  lp::SolveWorkspace ws(2);
-  lp::MinMaxProblem good = random_problem(rng, 3, 4, 1);
-  lp::MinMaxSolution cold = lp::solve_relaxed(good, ws);  // copy
-  const std::vector<std::vector<int>> greedy_cold = lp::greedy_dispatch(good, ws);
-
-  lp::MinMaxProblem bad = good;
-  bad.head_cost.pop_back();  // shape mismatch -> validate() throws
-  EXPECT_THROW(lp::solve_relaxed(bad, ws), std::invalid_argument);
-  EXPECT_THROW(lp::greedy_dispatch(bad, ws), std::invalid_argument);
-
-  // The earlier entry must still be served correctly: the throwing problem
-  // may not have clobbered a victim entry's value.
-  const lp::MinMaxSolution& after = lp::solve_relaxed(good, ws);
-  EXPECT_EQ(cold.status, after.status);
-  expect_bits_eq(cold.objective, after.objective);
-  expect_heads_identical(cold.heads, after.heads);
-  EXPECT_EQ(greedy_cold, lp::greedy_dispatch(good, ws));
+  RecycledSolver ws;
+  EXPECT_EQ(lp::greedy_dispatch(p), ws.greedy(p));
+  expect_solutions_identical(lp::solve_relaxed(p), ws.relaxed(p));
 }
 
 TEST(SolveWorkspace, ZeroRequestProblem) {
@@ -194,12 +152,9 @@ TEST(SolveWorkspace, ZeroRequestProblem) {
   p.head_cost = {1e-6, 2e-6};
   p.cache_cost = {1e-13, 1e-13};
   p.mem_free = {1e9, 1e9};
-  lp::SolveWorkspace ws;
-  lp::MinMaxSolution cold = lp::solve_relaxed(p);
-  const lp::MinMaxSolution& warm = lp::solve_relaxed(p, ws);
-  EXPECT_EQ(cold.status, warm.status);
-  expect_bits_eq(cold.objective, warm.objective);
-  EXPECT_EQ(lp::greedy_dispatch(p), lp::greedy_dispatch(p, ws));
+  RecycledSolver ws;
+  expect_solutions_identical(lp::solve_relaxed(p), ws.relaxed(p));
+  EXPECT_EQ(lp::greedy_dispatch(p), ws.greedy(p));
 }
 
 TEST(GreedyDispatchInto, ReusedBuffersMatchFreshOnes) {
@@ -216,56 +171,72 @@ TEST(GreedyDispatchInto, ReusedBuffersMatchFreshOnes) {
   }
 }
 
-// --- DecodeWorkCache ------------------------------------------------------
+// --- Closed-form decode attention ------------------------------------------
 
-TEST(DecodeWorkCache, RoundTripAndCounters) {
-  costmodel::DecodeWorkCache cache;
-  const model::ModelSpec& m = model::llama_13b();
-  EXPECT_EQ(cache.find(128, 4), nullptr);
-  EXPECT_EQ(cache.misses(), 1u);
-  model::Work w = model::decode_attention_work(m, 128, 4);
-  cache.insert(128, 4, w);
-  const model::Work* hit = cache.find(128, 4);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(cache.hits(), 1u);
-  expect_bits_eq(hit->flops, w.flops);
-  EXPECT_EQ(hit->kv_bytes, w.kv_bytes);
-  EXPECT_EQ(hit->act_bytes, w.act_bytes);
-  // Neighbouring keys don't alias.
-  EXPECT_EQ(cache.find(128, 5), nullptr);
-  EXPECT_EQ(cache.find(127, 4), nullptr);
-  cache.clear();
-  EXPECT_EQ(cache.find(128, 4), nullptr);
+/// The reference the closed form replaces: the per-sequence sum of
+/// model::decode_attention_work, priced once as one batched kernel.
+Seconds reference_decode_time(const costmodel::KernelModel& k, const hw::GpuSpec& gpu,
+                              const model::ModelSpec& m, const std::vector<std::int64_t>& ctxs,
+                              const std::vector<int>& heads) {
+  model::Work total;
+  total.kernels = 0;
+  double head_sum = 0;
+  for (std::size_t i = 0; i < ctxs.size(); ++i) {
+    if (heads[i] <= 0) continue;
+    total += model::decode_attention_work(m, ctxs[i], heads[i]);
+    head_sum += heads[i];
+  }
+  if (head_sum == 0) return 0.0;
+  total.kernels = 1;
+  return k.attention_time(gpu, total, head_sum);
 }
 
-TEST(DecodeWorkCache, OutOfRangeKeysAreIgnoredNotStored) {
-  costmodel::DecodeWorkCache cache;
-  model::Work w;
-  cache.insert(-1, 4, w);
-  cache.insert(1, -4, w);
-  cache.insert(std::int64_t{1} << 40, 4, w);  // absurd ctx: must not allocate
-  EXPECT_EQ(cache.find(-1, 4), nullptr);
-  EXPECT_EQ(cache.find(1, -4), nullptr);
-  EXPECT_EQ(cache.find(std::int64_t{1} << 40, 4), nullptr);
-}
-
-TEST(KernelModel, MemoizedDecodeAttentionBitIdentical) {
-  // The memoized overload vs the plain one, across repeated and permuted
-  // context vectors (summation order is part of the contract).
-  const model::ModelSpec& m = model::llama_13b();
+TEST(KernelModel, ClosedFormDecodeAttentionBitIdentical) {
+  // Every preset model, both overloads, empty and single-sequence batches
+  // included, at the per-device head counts of TP 1..8.
   const hw::GpuSpec& gpu = hw::gpu_spec(hw::GpuType::kA100_80G);
   costmodel::KernelModel k;
-  costmodel::DecodeWorkCache memo;
   Rng rng(5);
-  for (int trial = 0; trial < 40; ++trial) {
-    std::vector<std::int64_t> ctxs;
-    const int n = 1 + static_cast<int>(rng.uniform_int(0, 30));
-    for (int i = 0; i < n; ++i) ctxs.push_back(rng.uniform_int(1, 400));
-    const int heads = 1 + static_cast<int>(rng.uniform_int(0, 39));
-    expect_bits_eq(k.decode_attention_time(gpu, m, ctxs, heads),
-                   k.decode_attention_time(gpu, m, ctxs, heads, &memo));
+  for (const model::ModelSpec* m :
+       {&model::opt_2_7b(), &model::opt_13b(), &model::opt_30b(), &model::llama_13b(),
+        &model::llama2_7b(), &model::llama_70b()}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<std::int64_t> ctxs;
+      const int n = trial == 0 ? 0 : trial == 1 ? 1 : static_cast<int>(rng.uniform_int(0, 64));
+      for (int i = 0; i < n; ++i) ctxs.push_back(rng.uniform_int(1, 32768));
+      for (int tp : {1, 2, 3, 4, 8}) {
+        const int heads = std::max(1, m->heads / tp);
+        const std::vector<int> uniform(ctxs.size(), heads);
+        const Seconds want = reference_decode_time(k, gpu, *m, ctxs, uniform);
+        expect_bits_eq(want, k.decode_attention_time(gpu, *m, ctxs, heads));
+        expect_bits_eq(want, k.decode_attention_time(gpu, *m, ctxs, uniform));
+        const model::Work batch = model::decode_attention_batch(*m, ctxs, heads);
+        if (!ctxs.empty()) {
+          expect_bits_eq(want, k.attention_time(gpu, batch, static_cast<double>(n * heads)));
+        }
+      }
+      std::vector<int> mixed;
+      for (std::size_t i = 0; i < ctxs.size(); ++i) {
+        mixed.push_back(static_cast<int>(rng.uniform_int(-2, m->heads)));
+      }
+      expect_bits_eq(reference_decode_time(k, gpu, *m, ctxs, mixed),
+                     k.decode_attention_time(gpu, *m, ctxs, mixed));
+    }
   }
-  EXPECT_GT(memo.hits(), 0u);  // repeated (ctx, heads) pairs actually hit
+}
+
+TEST(KernelModel, DecodeAttentionRejectsFractionalKvStride) {
+  // 2 * head_dim must be a multiple of the GQA ratio for the per-token KV
+  // bytes to be an integer; a model that breaks this has no closed form.
+  model::ModelSpec m = model::llama_70b();
+  m.name = "odd-gqa";
+  m.hidden = 3 * 64;  // head_dim 3
+  m.kv_heads = 16;    // ratio 4, and 2 * 3 % 4 != 0
+  costmodel::KernelModel k;
+  const hw::GpuSpec& gpu = hw::gpu_spec(hw::GpuType::kA100_80G);
+  EXPECT_THROW(k.decode_attention_time(gpu, m, {100, 200}, 4), std::invalid_argument);
+  EXPECT_THROW(k.decode_attention_time(gpu, m, {100, 200}, std::vector<int>{4, 4}),
+               std::invalid_argument);
 }
 
 // --- ExecModel cost-cache differential ------------------------------------
@@ -349,7 +320,7 @@ TEST_F(ExecCacheDifferential, WideStagesBypassTheCacheCorrectly) {
   }
 }
 
-// --- Dispatcher: batched appends + cached aggregates ----------------------
+// --- Dispatcher: batched appends + running-total aggregates ---------------
 
 // Mirrors test_dispatch.cc's two-stage + two-worker shape.
 dispatch::DispatcherConfig dispatcher_config() {
@@ -409,8 +380,8 @@ TEST(DispatcherHotPath, BatchedAppendUnknownIdThrows) {
 }
 
 TEST(DispatcherHotPath, InterleavedReadsSeeFreshAggregates) {
-  // The aggregates cache is dirty-flagged; reads interleaved with mutations
-  // must always match a freshly-built twin performing the same mutations.
+  // Reads interleaved with mutations must always match a freshly-built twin
+  // performing the same mutations.
   dispatch::Dispatcher d(dispatcher_config());
   dispatch::Dispatcher twin(dispatcher_config());
   ASSERT_TRUE(d.dispatch({{1, 500}, {2, 2500}}, 0.0).has_value());
@@ -431,20 +402,192 @@ TEST(DispatcherHotPath, InterleavedReadsSeeFreshAggregates) {
   }
   expect_bits_eq(d.worst_per_layer(), twin.worst_per_layer());
   expect_bits_eq(d.ideal_per_layer(), twin.ideal_per_layer());
-  EXPECT_GT(d.lp_stats().solves, 0u);
+  EXPECT_GT(d.lp_solves(), 0u);
 }
 
 TEST(DispatcherHotPath, RepeatedIdealProbeIsStableAndCounted) {
   dispatch::Dispatcher d(dispatcher_config());
   ASSERT_TRUE(d.dispatch({{1, 900}, {2, 900}}, 0.0).has_value());
-  const std::uint64_t solves_before = d.lp_stats().solves;
+  const std::uint64_t solves_before = d.lp_solves();
   Seconds first = d.ideal_per_layer();
   Seconds second = d.ideal_per_layer();
   expect_bits_eq(first, second);
-  // Both probes went through the workspace (memoized entry points), and the
-  // second, state-unchanged probe was served warm.
-  EXPECT_GE(d.lp_stats().solves, solves_before + 2);
-  EXPECT_GT(d.lp_stats().warm_hits, 0u);
+  // Each probe runs (and counts) its own waterfill.
+  EXPECT_GE(d.lp_solves(), solves_before + 2);
+}
+
+/// Test-local reference for the Dispatcher's time model: sums every
+/// aggregate afresh from placement() and context() over the live ids (in
+/// id order, in doubles), then prices it with the public Eq. 3 / Eq. 4 fits.
+class DispatcherReference {
+ public:
+  DispatcherReference(const dispatch::DispatcherConfig& cfg, const dispatch::Dispatcher& d,
+                      const std::set<workload::RequestId>& live)
+      : cfg_(cfg), worker_heads_(cfg.workers.size(), 0.0),
+        worker_head_tokens_(cfg.workers.size(), 0.0) {
+    for (workload::RequestId id : live) {
+      const dispatch::PlacementCounts& pc = d.placement(id);
+      const std::int64_t ctx = d.context(id);
+      ctxs_.push_back(ctx);
+      local_heads_ += pc.local;
+      local_head_tokens_ += static_cast<double>(pc.local) * ctx;
+      for (std::size_t w = 0; w < cfg.workers.size(); ++w) {
+        worker_heads_[w] += pc.worker_heads[w];
+        worker_head_tokens_[w] += static_cast<double>(pc.worker_heads[w]) * ctx;
+      }
+    }
+  }
+
+  Seconds device_time(std::size_t logical) const {
+    if (logical > 0) return worker_time(logical - 1, worker_heads_[logical - 1]);
+    Seconds worst = 0;
+    for (std::size_t k = 0; k < cfg_.stages.size(); ++k) {
+      worst = std::max(worst, stage_time(k, local_heads_, local_head_tokens_));
+    }
+    return worst;
+  }
+
+  Seconds worst_per_layer() const {
+    Seconds worst = 0;
+    for (std::size_t i = 0; i <= cfg_.workers.size(); ++i) worst = std::max(worst, device_time(i));
+    return worst;
+  }
+
+  Seconds attention_iteration_time() const {
+    Seconds worker_worst = 0;
+    for (std::size_t i = 1; i <= cfg_.workers.size(); ++i) {
+      worker_worst = std::max(worker_worst, device_time(i));
+    }
+    Seconds total = 0;
+    for (std::size_t k = 0; k < cfg_.stages.size(); ++k) {
+      total += std::max(stage_time(k, local_heads_, local_head_tokens_), worker_worst) *
+               cfg_.stages[k].layers;
+    }
+    return total;
+  }
+
+  /// §5.3.1's f*: waterfill every live request onto the empty cluster under
+  /// one global memory row, capped by the present bottleneck.
+  Seconds ideal_per_layer() const {
+    if (ctxs_.empty()) return 0.0;
+    const double bph = cfg_.bytes_per_head_token_layer;
+    lp::MinMaxProblem p;
+    p.group_size = cfg_.group_size;
+    p.global_memory_only = true;
+    std::size_t bk = 0;
+    Seconds slowest = -1;
+    for (std::size_t k = 0; k < cfg_.stages.size(); ++k) {
+      const Seconds t = stage_time(k, 1.0, 1.0);
+      if (t > slowest) {
+        slowest = t;
+        bk = k;
+      }
+    }
+    const double tp = static_cast<double>(cfg_.stages[bk].devices.size());
+    double free_pl = std::numeric_limits<double>::infinity();
+    for (const auto& s : cfg_.stages) {
+      free_pl = std::min(free_pl, static_cast<double>(s.capacity) / s.layers);
+    }
+    p.base_time.push_back(0.0);
+    p.head_cost.push_back(cfg_.stages[bk].attn.a / tp);
+    p.cache_cost.push_back(cfg_.stages[bk].attn.b / tp);
+    p.mem_free.push_back(std::max(0.0, free_pl));
+    for (const auto& wk : cfg_.workers) {
+      p.base_time.push_back(wk.transfer.beta);
+      p.head_cost.push_back(wk.attn.a + wk.transfer.gamma * volume_per_head());
+      p.cache_cost.push_back(wk.attn.b);
+      p.mem_free.push_back(
+          std::max(0.0, static_cast<double>(wk.capacity) / cfg_.total_layers));
+    }
+    for (std::int64_t ctx : ctxs_) {
+      p.demand.push_back(static_cast<double>(cfg_.heads));
+      p.cache_per_head.push_back(static_cast<double>(ctx) * bph);
+    }
+    return std::min(lp::eval_makespan(p, lp::greedy_dispatch(p)), worst_per_layer());
+  }
+
+ private:
+  double volume_per_head() const {
+    return (static_cast<double>(cfg_.group_size) + 1.0) * cfg_.bytes_per_head_token_layer;
+  }
+
+  Seconds stage_time(std::size_t k, double heads, double head_tokens) const {
+    const dispatch::StageDesc& s = cfg_.stages[k];
+    const double tp = static_cast<double>(s.devices.size());
+    const double h = heads / tp;
+    if (h <= 0.0) return 0.0;
+    return s.attn.time(h, head_tokens * cfg_.bytes_per_head_token_layer / tp);
+  }
+
+  Seconds worker_time(std::size_t w, double heads) const {
+    if (heads <= 0.0) return 0.0;
+    const dispatch::WorkerDesc& wk = cfg_.workers[w];
+    const Bytes volume = static_cast<Bytes>(volume_per_head() * heads);
+    return wk.attn.time(heads, worker_head_tokens_[w] * cfg_.bytes_per_head_token_layer) +
+           wk.transfer.time(volume);
+  }
+
+  const dispatch::DispatcherConfig& cfg_;
+  std::vector<std::int64_t> ctxs_;
+  double local_heads_ = 0;
+  double local_head_tokens_ = 0;
+  std::vector<double> worker_heads_;
+  std::vector<double> worker_head_tokens_;
+};
+
+TEST(DispatcherHotPath, RunningTotalsMatchRecompute) {
+  // Random lifecycles -- admissions (a few re-dispatching a live id),
+  // batched appends, removals, rebalances and rescues -- checked after
+  // every step against the reference recomputed from scratch.
+  for (int group : {1, 8}) {
+    dispatch::DispatcherConfig cfg = dispatcher_config();
+    cfg.group_size = group;
+    cfg.workers[1].capacity = 2ll * GiB;  // tight enough to force rescues
+    dispatch::Dispatcher d(cfg);
+    std::set<workload::RequestId> live;
+    Rng rng(static_cast<std::uint64_t>(31 + group));
+    workload::RequestId next_id = 1;
+    auto random_live = [&]() {
+      auto it = live.begin();
+      std::advance(it, rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      return *it;
+    };
+    for (int step = 0; step < 400; ++step) {
+      const std::int64_t op = live.empty() ? 0 : rng.uniform_int(0, 5);
+      if (op == 0) {
+        std::vector<std::pair<workload::RequestId, std::int64_t>> reqs;
+        const std::int64_t n = rng.uniform_int(1, 3);
+        for (std::int64_t i = 0; i < n; ++i) reqs.emplace_back(next_id++, rng.uniform_int(1, 4000));
+        if (!live.empty() && rng.uniform_int(0, 4) == 0) {
+          reqs.emplace_back(random_live(), rng.uniform_int(1, 4000));
+        }
+        if (d.dispatch(reqs, static_cast<Seconds>(step))) {
+          for (const auto& r : reqs) live.insert(r.first);
+        }
+      } else if (op == 1 || op == 2) {
+        std::vector<workload::RequestId> ids;
+        for (workload::RequestId id : live) {
+          if (op == 1 || rng.uniform_int(0, 1) == 0) ids.push_back(id);
+        }
+        d.append_tokens(ids);
+      } else if (op == 3) {
+        const workload::RequestId id = random_live();
+        d.remove(id);
+        live.erase(id);
+      } else {
+        const dispatch::Rebalance rb = op == 4 ? d.plan_rebalance() : d.plan_rescue(random_live());
+        if (rb.valid) d.apply(rb);
+      }
+      ASSERT_EQ(d.size(), live.size());
+      const DispatcherReference ref(cfg, d, live);
+      for (std::size_t dev = 0; dev < d.num_logical(); ++dev) {
+        expect_bits_eq(ref.device_time(dev), d.device_time(dev));
+      }
+      expect_bits_eq(ref.worst_per_layer(), d.worst_per_layer());
+      expect_bits_eq(ref.ideal_per_layer(), d.ideal_per_layer());
+      expect_bits_eq(ref.attention_iteration_time(), d.attention_iteration_time());
+    }
+  }
 }
 
 }  // namespace
