@@ -96,12 +96,12 @@ std::string row_json(const SpeedRow& r) {
 }
 
 /// Replays `trace` through a freshly built engine, mirroring
-/// engine::run_trace's scheduling exactly (arrivals pushed up front in
-/// trace order, run_until(last_arrival + drain)) but timing the event loop
-/// and counting executed events.  When `telem` is non-null the session is
-/// attached exactly as RunOptions::telemetry would be (after Engine::start),
-/// so the timed window includes the full tracing tax: span capture,
-/// registry sampling events, the lot.
+/// engine::run_trace's scheduling exactly (arrivals streamed in trace order
+/// by Simulation::schedule_sorted, run_until(last_arrival + drain)) but
+/// timing the event loop and counting executed events.  When `telem` is
+/// non-null the session is attached exactly as RunOptions::telemetry would
+/// be (after Engine::start), so the timed window includes the full tracing
+/// tax: span capture, registry sampling events, the lot.
 SpeedRow timed_run(const std::string& engine_name, const std::string& scenario,
                    const hw::Cluster& cluster, const model::ModelSpec& model,
                    const engine::EngineOptions& opts,
@@ -113,9 +113,9 @@ SpeedRow timed_run(const std::string& engine_name, const std::string& scenario,
   const auto t0 = std::chrono::steady_clock::now();
   eng->start(sim);
   if (telem != nullptr) telem->attach(sim, *eng);
-  for (const auto& r : trace) {
-    sim.schedule_at(r.arrival, [&eng, &sim, &r] { eng->submit(sim, r); });
-  }
+  sim.schedule_sorted(
+      trace.size(), [&trace](std::size_t i) { return trace[i].arrival; },
+      [&eng, &sim, &trace](std::size_t i) { eng->submit(sim, trace[i]); });
   const Seconds last_arrival = trace.empty() ? 0.0 : trace.back().arrival;
   const std::size_t events = sim.run_until(last_arrival + drain);
   const double wall =

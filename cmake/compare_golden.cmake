@@ -2,10 +2,9 @@
 #
 # The determinism contract: a sweep's CSV must be bit-for-bit reproducible
 # under a fixed seed, regardless of --jobs (each run owns a private
-# Simulation) and regardless of the event queue's internal storage tier.
-# The fixtures were captured before the calendar-queue/arena refactor, so
-# any byte of drift means the (time, seq) pop order or the floating-point
-# accumulation order changed.
+# Simulation) and across refactors of the event loop, so any byte of drift
+# means the (time, seq) pop order or the floating-point accumulation order
+# changed.
 #
 # Usage:
 #   cmake -DBENCH=<binary> -DARGS="--csv --jobs 1 --out -"

@@ -7,6 +7,7 @@
 //
 //   build/examples/cluster_planner [--objective NAME] [--planner NAME]
 //                                  [model] [gpu=count ...]
+//   build/examples/cluster_planner --help
 //   e.g. build/examples/cluster_planner Llama-70B A100=4 3090=4 P100=4
 //        build/examples/cluster_planner OPT-30B  H100=2 V100=8 T4=8
 //        build/examples/cluster_planner --objective latency Llama-13B
@@ -18,9 +19,11 @@
 // search.  --planner selects the placement tier (exhaustive | flow | auto,
 // see planner/planner.h); the default "auto" searches exhaustively on
 // small clusters and switches to the LP/flow tier at datacenter scale.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -32,22 +35,40 @@
 #include "harness/presets.h"
 #include "hw/topology.h"
 #include "model/llm.h"
+#include "parallel/objective.h"
 #include "parallel/parallelizer.h"
 #include "planner/planner.h"
 #include "workload/trace.h"
 
 namespace {
 
-hetis::hw::GpuType gpu_by_name(const std::string& name) {
+void usage(std::FILE* out) {
+  std::fprintf(out,
+               "usage: cluster_planner [--objective NAME] [--planner NAME] [model] "
+               "[gpu=count ...]\n"
+               "  --objective NAME  throughput | latency | goodput_per_device "
+               "(default throughput)\n"
+               "  --planner NAME    exhaustive | flow | auto (default auto)\n"
+               "  model             e.g. Llama-70B (default), Llama-13B, OPT-30B\n"
+               "  gpu=count         A100, 3090, P100, V100, T4, L4, A6000, H100 "
+               "(default: the paper cluster)\n"
+               "  --help            print this message\n");
+}
+
+/// Reports a command-line error with the usage text; exit code 2.
+int bad_usage(const std::string& msg) {
+  std::fprintf(stderr, "cluster_planner: %s\n", msg.c_str());
+  usage(stderr);
+  return 2;
+}
+
+std::optional<hetis::hw::GpuType> gpu_by_name(const std::string& name) {
   using hetis::hw::GpuType;
   for (GpuType t : {GpuType::kA100_80G, GpuType::kRTX3090, GpuType::kP100, GpuType::kV100_32G,
                     GpuType::kT4, GpuType::kL4, GpuType::kA6000, GpuType::kH100_80G}) {
     if (name == hetis::hw::to_string(t)) return t;
   }
-  std::fprintf(stderr, "unknown GPU type '%s' (try A100, 3090, P100, V100, T4, L4, A6000, "
-                       "H100)\n",
-               name.c_str());
-  std::exit(1);
+  return std::nullopt;
 }
 
 }  // namespace
@@ -55,56 +76,63 @@ hetis::hw::GpuType gpu_by_name(const std::string& name) {
 int main(int argc, char** argv) {
   using namespace hetis;
 
-  // Pull --objective/--planner out of argv; the rest stays positional.
+  // Pull the flags out of argv; the rest stays positional.
   std::string objective_name = "throughput";
   std::string planner_name = "auto";
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--objective") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--objective expects a name (throughput | latency | "
-                             "goodput_per_device)\n");
-        return 1;
-      }
-      objective_name = argv[++i];
+    const std::string arg = argv[i];
+    if (arg == "--help") {
+      usage(stdout);
+      return 0;
+    }
+    if (arg == "--objective" || arg == "--planner") {
+      if (i + 1 >= argc) return bad_usage(arg + " expects a name");
+      (arg == "--objective" ? objective_name : planner_name) = argv[++i];
       continue;
     }
-    if (std::string(argv[i]) == "--planner") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--planner expects a name (exhaustive | flow | auto)\n");
-        return 1;
-      }
-      planner_name = argv[++i];
-      continue;
-    }
-    args.emplace_back(argv[i]);
+    if (arg.rfind("-", 0) == 0) return bad_usage("unknown flag '" + arg + "'");
+    args.push_back(arg);
   }
 
-  // A leading gpu=count means the model name was omitted; catch it before
-  // model_by_name throws an uncaught out_of_range on "A100=4".
-  if (!args.empty() && args[0].find('=') != std::string::npos) {
-    std::fprintf(stderr, "usage: cluster_planner [--objective NAME] [model] [gpu=count ...]\n");
-    return 1;
+  auto known = [](const std::vector<std::string>& names, const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  if (!known(parallel::objective_names(), objective_name)) {
+    return bad_usage("unknown objective '" + objective_name + "'");
   }
-  std::string model_name = !args.empty() ? args[0] : "Llama-70B";
-  const model::ModelSpec& model = model::model_by_name(model_name);
+  if (!known(planner::planner_names(), planner_name)) {
+    return bad_usage("unknown planner '" + planner_name + "'");
+  }
+
+  // A leading gpu=count means the model name was omitted.
+  if (!args.empty() && args[0].find('=') != std::string::npos) {
+    return bad_usage("expected a model name before '" + args[0] + "'");
+  }
+  const std::string model_name = !args.empty() ? args[0] : "Llama-70B";
+  const model::ModelSpec* model_ptr = nullptr;
+  try {
+    model_ptr = &model::model_by_name(model_name);
+  } catch (const std::out_of_range&) {
+    return bad_usage("unknown model '" + model_name + "'");
+  }
+  const model::ModelSpec& model = *model_ptr;
 
   hw::Cluster cluster;
   if (args.size() > 1) {
     for (std::size_t i = 1; i < args.size(); ++i) {
       const std::string& arg = args[i];
       auto eq = arg.find('=');
-      if (eq == std::string::npos) {
-        std::fprintf(stderr, "expected gpu=count, got '%s'\n", arg.c_str());
-        return 1;
-      }
-      hw::GpuType type = gpu_by_name(arg.substr(0, eq));
+      if (eq == std::string::npos) return bad_usage("expected gpu=count, got '" + arg + "'");
+      const std::optional<hw::GpuType> type = gpu_by_name(arg.substr(0, eq));
+      if (!type) return bad_usage("unknown GPU type '" + arg.substr(0, eq) + "'");
       int count = std::atoi(arg.c_str() + eq + 1);
+      if (count <= 0) return bad_usage("expected a positive count in '" + arg + "'");
       // 4 GPUs per host, like typical PCIe boxes.
       int host_idx = 0;
       while (count > 0) {
         int n = std::min(4, count);
-        cluster.add_host(arg.substr(0, eq) + "-" + std::to_string(host_idx++), type, n);
+        cluster.add_host(arg.substr(0, eq) + "-" + std::to_string(host_idx++), *type, n);
         count -= n;
       }
     }
@@ -123,7 +151,7 @@ int main(int argc, char** argv) {
   profile.decode_weight = 256;
 
   parallel::ParallelizerOptions popts;
-  popts.objective.name = objective_name;  // make_objective validates below
+  popts.objective.name = objective_name;
   popts.planner = planner_name;
   auto planner = planner::make(planner_name, cluster, model, popts);
   parallel::ParallelPlan plan = planner->plan(profile);

@@ -259,16 +259,20 @@ void SplitwiseEngine::pump_migrations(sim::Simulation& sim) {
     metrics_.on_migrate(lr.req.id, sim.now(), done, src,
                         plan_.decode[best].stages.front().devices.front());
     const int epoch = restart_.epoch();
-    sim.schedule_at(done, [this, &sim, lr, best, epoch] {
+    // Captures only the id: migrating_ holds the request until completion
+    // (nothing rewrites it within an epoch), and the slim capture keeps the
+    // event in EventTask's inline storage.
+    sim.schedule_at(done, [this, &sim, id = lr.req.id, best, epoch] {
       // A reconfigure retired this migration's endpoints; the request was
       // already carried into the restarted deployment via migrating_.
       if (restart_.stale(epoch)) return;
-      migrating_.erase(lr.req.id);
-      prefill_->release_prefilled(lr);
+      const auto node = migrating_.extract(id);
+      const engine::LiveRequest& migrated = node.mapped();
+      prefill_->release_prefilled(migrated);
       // The migrated first token is what the user sees (phase-split TTFT
       // includes the KV transfer).
-      metrics_.on_first_token(lr.req.id, sim.now());
-      decode_[best]->submit_reserved(sim, lr);
+      metrics_.on_first_token(id, sim.now());
+      decode_[best]->submit_reserved(sim, migrated);
       pump_migrations(sim);
     });
   }

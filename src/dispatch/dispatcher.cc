@@ -279,7 +279,6 @@ const lp::MinMaxProblem& Dispatcher::build_problem(
   }
 
   lp::MinMaxProblem& p = prob_;
-  p.global_memory_only = false;  // reset: the buffer is recycled
   fill_device_rows(*aggp, p);
 
   p.demand.clear();
@@ -377,16 +376,15 @@ std::int64_t Dispatcher::context(workload::RequestId id) const {
 Seconds Dispatcher::ideal_per_layer() const {
   if (requests_.empty()) return 0.0;
   // Re-dispatch everything from scratch: empty base state, all requests as
-  // "new", single global memory constraint; solved by waterfilling (fast
-  // approximation of §5.3.1's LP).
+  // "new", per-device memory; solved by waterfilling (fast approximation of
+  // §5.3.1's LP, whose cluster-wide memory row the waterfill does not
+  // model).
   if (!ideal_base_ready_) {
     // The empty-state device rows depend only on the immutable config
     // (every aggregate is zero -- what a fresh Dispatcher(cfg_) would
     // report), so they are computed once; each call only refills the
     // request columns below.
     fill_device_rows(Aggregates(cfg_.workers.size()), ideal_prob_);
-    // Global memory (7b relaxed to the cluster-wide constraint).
-    ideal_prob_.global_memory_only = true;
     ideal_base_ready_ = true;
   }
   lp::MinMaxProblem& p = ideal_prob_;

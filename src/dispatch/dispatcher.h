@@ -118,9 +118,10 @@ class Dispatcher {
   Seconds attention_iteration_time() const;
   /// max_i f_i (the per-layer bottleneck; re-dispatch trigger input).
   Seconds worst_per_layer() const;
-  /// f*: ideal per-layer time if ALL requests were re-dispatched, under the
-  /// cluster-wide memory constraint (§5.3.1).  Computed by waterfilling
-  /// (documented approximation of the paper's LP).
+  /// f*: ideal per-layer time if ALL requests were re-dispatched, under
+  /// per-device memory.  Computed by waterfilling (documented
+  /// approximation of §5.3.1's LP, which relaxes memory to one
+  /// cluster-wide constraint).
   Seconds ideal_per_layer() const;
 
   // --- Re-dispatching (§5.3) ---
@@ -188,9 +189,8 @@ class Dispatcher {
 
   /// Builds the min-max problem for `new_requests` given current state.
   /// Excludes `exclude` (for single-request re-dispatch).  Fills the
-  /// reusable prob_ buffer in place (every field assigned, including a
-  /// global_memory_only reset); the reference is valid until the next
-  /// build_problem call.
+  /// reusable prob_ buffer in place (every field assigned); the reference
+  /// is valid until the next build_problem call.
   const lp::MinMaxProblem& build_problem(
       const std::vector<std::pair<workload::RequestId, std::int64_t>>& new_requests,
       workload::RequestId exclude) const;

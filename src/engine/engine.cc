@@ -177,12 +177,11 @@ RunReport run_trace(Engine& engine, const std::vector<workload::Request>& trace,
   // deployment decision (made from on_start) already reaches its audit trail.
   if (opts.telemetry != nullptr) opts.telemetry->attach(sim, engine);
   if (opts.on_start) opts.on_start(sim, engine);
-  for (const auto& r : trace) {
-    // Captures the request by reference -- the caller-owned trace outlives
-    // the run, and the small capture keeps the event in EventTask's inline
-    // buffer (no allocation for the million pre-scheduled arrivals).
-    sim.schedule_at(r.arrival, [&engine, &sim, &r] { engine.submit(sim, r); });
-  }
+  // Arrivals stream through one pending event, ordered exactly as if all of
+  // them were queued here; unsorted arrivals throw before any is served.
+  sim.schedule_sorted(
+      trace.size(), [&trace](std::size_t i) { return trace[i].arrival; },
+      [&engine, &sim, &trace](std::size_t i) { engine.submit(sim, trace[i]); });
   Seconds last_arrival = trace.empty() ? 0.0 : trace.back().arrival;
   sim.run_until(last_arrival + opts.drain_timeout);
 

@@ -306,7 +306,7 @@ void PipelineInstance::finish_decode_iteration(sim::Simulation& sim) {
     batch_.on_token(lr.req.id, sim.now(), lr.generated);
   }
   // Retire finished requests, compacting the batch in place (order
-  // preserved; no per-iteration rebuild allocation).
+  // preserved; no per-iteration reallocation).
   std::size_t keep = 0;
   for (std::size_t i = 0; i < running_.size(); ++i) {
     LiveRequest& lr = running_[i];

@@ -1,19 +1,13 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 namespace hetis::sim {
 namespace {
 
-// Strict (time, seq) orderings.  seq is unique, so both are total orders.
-struct Earlier {
-  bool operator()(const EventQueue::Event& a, const EventQueue::Event& b) const {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
-};
+// Strict (time, seq) ordering, reversed for a min-heap.  seq is unique, so
+// it is a total order.
 struct Later {
   bool operator()(const EventQueue::Event& a, const EventQueue::Event& b) const {
     if (a.time != b.time) return a.time > b.time;
@@ -21,177 +15,24 @@ struct Later {
   }
 };
 
-constexpr std::size_t kMinBuckets = 1024;
-constexpr std::size_t kMaxBuckets = std::size_t{1} << 18;
-
-std::size_t pow2_at_least(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 }  // namespace
 
 void EventQueue::insert(Event ev) {
-  ++count_;
-  if (mode_ == Mode::kHeap) {
-    heap_.push_back(std::move(ev));
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    if (count_ >= kCalendarOn) {
-      // All pending events become the seed overflow; rebuild() windows them.
-      overflow_ = std::move(heap_);
-      heap_.clear();
-      mode_ = Mode::kCalendar;
-      rebuild();
-    }
-    return;
-  }
-  place(std::move(ev));
-}
-
-void EventQueue::place(Event ev) {
-  if (ev.time >= window_end_) {
-    overflow_.push_back(std::move(ev));
-    return;
-  }
-  std::size_t b;
-  const double rel = ev.time - window_start_;
-  if (rel <= 0) {
-    // At or before the window start (e.g. a zero-delay event scheduled while
-    // draining the first bucket): it belongs to the current bucket.
-    b = cur_;
-  } else {
-    b = static_cast<std::size_t>(rel / width_);
-    if (b >= nbuckets_) b = nbuckets_ - 1;  // fp edge at the window boundary
-    if (b < cur_) b = cur_;                 // earlier slices are already drained
-  }
-  std::vector<Event>& bucket = buckets_[b];
-  if (b == cur_ && cur_sorted_) {
-    // The clock is inside this bucket: keep its unconsumed suffix sorted so
-    // the event pops in strict (time, seq) order.
-    auto it = std::lower_bound(bucket.begin() + static_cast<std::ptrdiff_t>(pos_),
-                               bucket.end(), ev, Earlier{});
-    bucket.insert(it, std::move(ev));
-  } else {
-    bucket.push_back(std::move(ev));  // sorted lazily when the clock arrives
-  }
-}
-
-void EventQueue::settle() {
-  if (mode_ == Mode::kHeap || count_ == 0) return;
-  for (;;) {
-    std::vector<Event>& bucket = buckets_[cur_];
-    if (!cur_sorted_) {
-      std::sort(bucket.begin(), bucket.end(), Earlier{});
-      pos_ = 0;
-      cur_sorted_ = true;
-    }
-    if (pos_ < bucket.size()) return;
-    bucket.clear();
-    pos_ = 0;
-    cur_sorted_ = false;
-    if (++cur_ == nbuckets_) {
-      rebuild();
-      if (mode_ == Mode::kHeap) return;
-    }
-  }
-}
-
-void EventQueue::rebuild() {
-  // The window is exhausted (or the tier just switched): every pending event
-  // sits in overflow_.  Pick the new window so the events spread roughly one
-  // per bucket, then redistribute.
-  if (overflow_.size() < kCalendarOff) {
-    to_heap();
-    return;
-  }
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (const Event& ev : overflow_) {
-    lo = std::min(lo, ev.time);
-    hi = std::max(hi, ev.time);
-  }
-  const std::size_t n = overflow_.size();
-  nbuckets_ = pow2_at_least(std::min(std::max(n, kMinBuckets), kMaxBuckets));
-  const double span = hi - lo;
-  width_ = span > 0 ? span / static_cast<double>(n) : 1.0;
-  if (!(width_ > 0)) width_ = 1.0;  // degenerate span (all-equal times)
-  window_start_ = lo;
-  window_end_ = window_start_ + width_ * static_cast<double>(nbuckets_);
-  if (buckets_.size() < nbuckets_) buckets_.resize(nbuckets_);
-  cur_ = 0;
-  pos_ = 0;
-  cur_sorted_ = false;
-
-  std::vector<Event> still;
-  for (Event& ev : overflow_) {
-    if (ev.time >= window_end_) {
-      still.push_back(std::move(ev));
-      continue;
-    }
-    const double rel = ev.time - window_start_;
-    std::size_t b = rel <= 0 ? 0 : static_cast<std::size_t>(rel / width_);
-    if (b >= nbuckets_) b = nbuckets_ - 1;
-    buckets_[b].push_back(std::move(ev));
-  }
-  overflow_ = std::move(still);
-}
-
-void EventQueue::to_heap() {
-  mode_ = Mode::kHeap;
-  heap_ = std::move(overflow_);
-  overflow_.clear();
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
-  buckets_.clear();
-  width_ = 0;
-  window_start_ = 0;
-  window_end_ = 0;
-  nbuckets_ = 0;
-  cur_ = 0;
-  pos_ = 0;
-  cur_sorted_ = false;
-}
-
-EventQueue::Event EventQueue::pop_from_heap() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Event ev = std::move(heap_.back());
-  heap_.pop_back();
-  --count_;
-  return ev;
-}
-
-Seconds EventQueue::next_time() {
-  if (mode_ == Mode::kCalendar) settle();
-  if (mode_ == Mode::kHeap) return heap_.front().time;
-  return buckets_[cur_][pos_].time;
+  heap_.push_back(std::move(ev));
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 EventQueue::Event EventQueue::pop() {
-  if (count_ == 0) throw std::logic_error("EventQueue::pop: empty queue");
-  if (mode_ == Mode::kCalendar) settle();
-  if (mode_ == Mode::kHeap) return pop_from_heap();
-  Event ev = std::move(buckets_[cur_][pos_]);
-  ++pos_;
-  --count_;
+  if (heap_.empty()) throw std::logic_error("EventQueue::pop: empty queue");
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
   return ev;
 }
 
 void EventQueue::clear() {
   heap_.clear();
-  buckets_.clear();
-  overflow_.clear();
   next_seq_ = 0;
-  count_ = 0;
-  mode_ = Mode::kHeap;
-  width_ = 0;
-  window_start_ = 0;
-  window_end_ = 0;
-  nbuckets_ = 0;
-  cur_ = 0;
-  pos_ = 0;
-  cur_sorted_ = false;
-  // The arena intentionally keeps its slabs: a cleared queue that refills
-  // (warmup, repeated runs in one process) reuses them via the free lists.
 }
 
 }  // namespace hetis::sim

@@ -2,37 +2,25 @@
 //
 // Events at equal timestamps fire in insertion order (stable tie-break via
 // a monotone sequence number), which keeps every experiment bit-for-bit
-// reproducible under a fixed seed.  That contract holds regardless of the
-// internal tier: pop order is strictly (time, seq) ascending.
+// reproducible under a fixed seed: pop order is strictly (time, seq)
+// ascending.
 //
-// Two storage tiers sit behind the contract:
-//  * a binary heap for small/sparse pending sets, run on
-//    std::push_heap/pop_heap so pop() extracts by move instead of the old
-//    const_cast-from-top() idiom (which is UB-adjacent and forbids
-//    move-only callables);
-//  * a calendar (bucketed) tier that engages once the pending set grows
-//    past a threshold -- e.g. a million pre-scheduled trace arrivals --
-//    where heap push/pop would each pay O(log n) cache-missing sifts.
-//    Events hash into fixed-width time buckets (O(1) push); a bucket is
-//    sorted lazily by (time, seq) when the clock reaches it, and same-time
-//    or zero-delay pushes binary-insert into the current bucket's
-//    unconsumed suffix so they still pop in seq order.  Events beyond the
-//    bucket window pool in an unsorted overflow that is redistributed when
-//    the window is exhausted; if the pending set has shrunk below the
-//    threshold by then the queue drops back to the heap, so sparse
-//    horizons never pay for empty buckets.
+// Storage is one binary min-heap run on std::push_heap/pop_heap, so pop()
+// extracts by move (callables are move-only and never copied).  The pending
+// set stays small: trace arrivals are streamed one at a time through
+// reserved sequence numbers (Simulation::schedule_sorted) instead of being
+// queued up front.
 //
-// Event callables are EventTask (sim/task.h): small-buffer inline storage
-// with arena spill, so steady-state scheduling performs no
-// global-allocator calls.
+// Event callables are EventTask (sim/task.h): small-buffer inline storage,
+// so the engines' steady-state events perform no allocation.
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
-#include "sim/arena.h"
 #include "sim/task.h"
 
 namespace hetis::sim {
@@ -45,25 +33,33 @@ class EventQueue {
     EventTask fn;
   };
 
-  /// Pending-set size at which the queue switches heap -> calendar, and the
-  /// rebuild-time size below which it switches back.  The gap is hysteresis:
-  /// a queue hovering near one threshold does not thrash between tiers.
-  static constexpr std::size_t kCalendarOn = 8192;
-  static constexpr std::size_t kCalendarOff = 1024;
-
   /// Schedules fn at absolute time `at` (must be >= 0).
   template <class F>
   void push(Seconds at, F&& fn) {
-    if (at < 0.0) throw std::invalid_argument("EventQueue::push: negative time");
-    insert(Event{at, next_seq_++, EventTask(std::forward<F>(fn), &arena_)});
+    push(at, next_seq_++, std::forward<F>(fn));
   }
 
-  bool empty() const { return count_ == 0; }
-  std::size_t size() const { return count_; }
+  /// Schedules fn at `at` under a sequence number obtained from
+  /// reserve_seq(): it orders exactly as a push() made at reservation time
+  /// would have.
+  template <class F>
+  void push(Seconds at, std::uint64_t seq, F&& fn) {
+    if (at < 0.0) throw std::invalid_argument("EventQueue::push: negative time");
+    insert(Event{at, seq, EventTask(std::forward<F>(fn))});
+  }
 
-  /// Time of the earliest pending event; undefined when empty.  Non-const:
-  /// the calendar tier may need to advance to the next ready bucket.
-  Seconds next_time();
+  /// Reserves `n` consecutive sequence numbers and returns the first.
+  std::uint64_t reserve_seq(std::uint64_t n) {
+    const std::uint64_t base = next_seq_;
+    next_seq_ += n;
+    return base;
+  }
+
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
+
+  /// Time of the earliest pending event; undefined when empty.
+  Seconds next_time() const { return heap_.front().time; }
 
   /// Pops and returns the earliest event (extracted by move; the callable
   /// is move-only and never copied).
@@ -71,46 +67,12 @@ class EventQueue {
 
   void clear();
 
-  /// True while the calendar tier is active (introspection for tests).
-  bool calendar_active() const { return mode_ == Mode::kCalendar; }
-  /// The arena backing spilled event callables (introspection for tests).
-  const EventArena& arena() const { return arena_; }
-
  private:
-  enum class Mode { kHeap, kCalendar };
-
   void insert(Event ev);
-  void place(Event ev);  // calendar-mode insert
-  void settle();         // advance cur_/pos_ to the earliest pending event
-  void rebuild();        // re-window the calendar from overflow_
-  void to_heap();        // calendar -> heap fallback
-  Event pop_from_heap();
-
-  // Declared first so it is destroyed last: every Event held by the
-  // containers below may own an arena block and must die before the arena.
-  EventArena arena_;
 
   std::uint64_t next_seq_ = 0;
-  std::size_t count_ = 0;
-  Mode mode_ = Mode::kHeap;
-
-  // Heap tier: min-heap by (time, seq) maintained with std::*_heap.
+  // Min-heap by (time, seq) maintained with std::*_heap.
   std::vector<Event> heap_;
-
-  // Calendar tier.  buckets_[0..nbuckets_) cover [window_start_,
-  // window_end_) in width_-second slices; cur_ walks them in time order and
-  // pos_ is the consumed prefix of the current bucket (sorted iff
-  // cur_sorted_).  Events at or past window_end_ pool unsorted in
-  // overflow_ until rebuild() opens the next window.
-  std::vector<std::vector<Event>> buckets_;
-  std::vector<Event> overflow_;
-  double width_ = 0;
-  double window_start_ = 0;
-  double window_end_ = 0;
-  std::size_t nbuckets_ = 0;
-  std::size_t cur_ = 0;
-  std::size_t pos_ = 0;
-  bool cur_sorted_ = false;
 };
 
 }  // namespace hetis::sim

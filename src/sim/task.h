@@ -5,21 +5,16 @@
 //  * small-buffer optimized -- callables up to kInlineSize bytes (which
 //    covers every steady-state event the engines schedule) are stored
 //    inline in the task, so scheduling them performs zero allocations;
-//  * larger callables are placed in the owning queue's EventArena, whose
-//    size-class free lists recycle blocks so the steady state never calls
-//    the global allocator either;
+//  * larger callables are heap-allocated and freed when the task dies;
 //  * move-only -- a scheduled event fires exactly once, so there is
 //    nothing a copy could mean.  This also lets events capture move-only
 //    state, which std::function (copyable by contract) forbids.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
-
-#include "sim/arena.h"
 
 namespace hetis::sim {
 
@@ -32,11 +27,10 @@ class EventTask {
 
   EventTask() = default;
 
-  /// Wraps `f`, spilling to `arena` when it does not fit inline.  The
-  /// arena must outlive the task (EventQueue owns both).
+  /// Wraps `f`, spilling to the heap when it does not fit inline.
   template <class F, class = std::enable_if_t<
                          !std::is_same_v<std::decay_t<F>, EventTask>>>
-  EventTask(F&& f, EventArena* arena) : arena_(arena) {
+  explicit EventTask(F&& f) {
     using Fn = std::decay_t<F>;
     static_assert(alignof(Fn) <= alignof(std::max_align_t),
                   "EventTask: over-aligned callables are not supported");
@@ -44,9 +38,7 @@ class EventTask {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       ops_ = inline_ops<Fn>();
     } else {
-      void* p = arena_->allocate(sizeof(Fn));
-      ::new (p) Fn(std::forward<F>(f));
-      ptr_slot() = p;
+      ptr_slot() = new Fn(std::forward<F>(f));
       ops_ = heap_ops<Fn>();
     }
   }
@@ -72,8 +64,8 @@ class EventTask {
 
   explicit operator bool() const { return ops_ != nullptr; }
 
-  /// True when the callable spilled to the arena (tests + diagnostics).
-  bool heap_allocated() const { return ops_ != nullptr && ops_->heap_size > 0; }
+  /// True when the callable spilled to the heap (tests + diagnostics).
+  bool heap_allocated() const { return ops_ != nullptr && ops_->on_heap; }
 
  private:
   struct Ops {
@@ -81,8 +73,9 @@ class EventTask {
     /// Moves the object from src storage into dst storage and destroys the
     /// source (inline case only; heap objects move by pointer).
     void (*relocate)(void* dst, void* src) noexcept;
+    /// Destroys the object (and frees it, for heap objects).
     void (*destroy)(void* obj) noexcept;
-    std::uint32_t heap_size;  // 0 => stored inline
+    bool on_heap;  // false => stored inline
   };
 
   template <class Fn>
@@ -95,7 +88,7 @@ class EventTask {
           s->~Fn();
         },
         [](void* obj) noexcept { static_cast<Fn*>(obj)->~Fn(); },
-        0,
+        false,
     };
     return &ops;
   }
@@ -105,32 +98,25 @@ class EventTask {
     static const Ops ops = {
         [](void* obj) { (*static_cast<Fn*>(obj))(); },
         nullptr,  // heap objects relocate by pointer
-        [](void* obj) noexcept { static_cast<Fn*>(obj)->~Fn(); },
-        static_cast<std::uint32_t>(sizeof(Fn)),
+        [](void* obj) noexcept { delete static_cast<Fn*>(obj); },
+        true,
     };
     return &ops;
   }
 
   void*& ptr_slot() { return *reinterpret_cast<void**>(storage_); }
-  void* object() { return ops_->heap_size > 0 ? ptr_slot() : storage_; }
+  void* object() { return ops_->on_heap ? ptr_slot() : storage_; }
 
   void reset() noexcept {
     if (ops_ == nullptr) return;
-    if (ops_->heap_size > 0) {
-      void* p = ptr_slot();
-      ops_->destroy(p);
-      arena_->deallocate(p, ops_->heap_size);
-    } else {
-      ops_->destroy(storage_);
-    }
+    ops_->destroy(object());
     ops_ = nullptr;
   }
 
   void move_from(EventTask& other) noexcept {
     ops_ = other.ops_;
-    arena_ = other.arena_;
     if (ops_ != nullptr) {
-      if (ops_->heap_size > 0) {
+      if (ops_->on_heap) {
         ptr_slot() = other.ptr_slot();
       } else {
         ops_->relocate(storage_, other.storage_);
@@ -140,7 +126,6 @@ class EventTask {
   }
 
   const Ops* ops_ = nullptr;
-  EventArena* arena_ = nullptr;
   alignas(std::max_align_t) unsigned char storage_[kInlineSize];
 };
 

@@ -56,7 +56,7 @@ struct CounterEvent {
 /// million-span trace grows without reallocation copies and iteration
 /// stays in emission order.
 template <typename T>
-class EventArena {
+class ChunkedLog {
  public:
   static constexpr std::size_t kChunk = 4096;
 
@@ -138,8 +138,8 @@ class TraceRecorder {
   static constexpr int kControlPid = 3;   // registry curves + audit instants
 
  private:
-  EventArena<SpanEvent> spans_;
-  EventArena<CounterEvent> counters_;
+  ChunkedLog<SpanEvent> spans_;
+  ChunkedLog<CounterEvent> counters_;
   std::vector<std::string> tracks_;
   std::map<std::string, int> track_index_;
 };

@@ -1,5 +1,6 @@
 #include "workload/trace.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -95,9 +96,9 @@ std::vector<Request> load_trace(std::istream& is) {
       return std::invalid_argument("load_trace: line " + std::to_string(line_no) +
                                    " is not numeric: '" + line + "'");
     };
+    Request r;
     try {
       std::size_t pos = 0;
-      Request r;
       r.id = static_cast<RequestId>(std::stoll(fields[0], &pos));
       if (pos != fields[0].size()) throw bad();
       r.arrival = std::stod(fields[1], &pos);
@@ -108,12 +109,25 @@ std::vector<Request> load_trace(std::istream& is) {
       if (pos != fields[3].size()) throw bad();
       r.tenant = std::stoi(fields[4], &pos);
       if (pos != fields[4].size()) throw bad();
-      trace.push_back(r);
     } catch (const std::invalid_argument&) {
       throw bad();
     } catch (const std::out_of_range&) {
       throw bad();
     }
+    // stod parses "nan" and "inf" as whole cells.  Replay needs finite,
+    // non-negative, sorted arrivals: run_trace streams them in order and
+    // takes its drain horizon from the last one.
+    if (!std::isfinite(r.arrival) || r.arrival < 0.0) {
+      throw std::invalid_argument("load_trace: line " + std::to_string(line_no) +
+                                  " has arrival '" + fields[1] +
+                                  "', expected a finite time >= 0");
+    }
+    if (!trace.empty() && r.arrival < trace.back().arrival) {
+      throw std::invalid_argument("load_trace: line " + std::to_string(line_no) +
+                                  " arrives before the previous row (arrivals must be "
+                                  "non-decreasing)");
+    }
+    trace.push_back(r);
   }
   return trace;
 }

@@ -467,13 +467,12 @@ class DispatcherReference {
   }
 
   /// §5.3.1's f*: waterfill every live request onto the empty cluster under
-  /// one global memory row, capped by the present bottleneck.
+  /// per-device memory, capped by the present bottleneck.
   Seconds ideal_per_layer() const {
     if (ctxs_.empty()) return 0.0;
     const double bph = cfg_.bytes_per_head_token_layer;
     lp::MinMaxProblem p;
     p.group_size = cfg_.group_size;
-    p.global_memory_only = true;
     std::size_t bk = 0;
     Seconds slowest = -1;
     for (std::size_t k = 0; k < cfg_.stages.size(); ++k) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <map>
@@ -16,6 +18,7 @@
 #include "harness/experiment.h"
 #include "harness/presets.h"
 #include "model/llm.h"
+#include "sim/simulation.h"
 #include "workload/scenarios.h"
 #include "workload/trace.h"
 
@@ -246,6 +249,56 @@ std::vector<workload::Request> observer_trace() {
   opts.horizon = 8.0;
   opts.seed = 31;
   return workload::build_trace(opts);
+}
+
+// run_trace streams arrivals through Simulation::schedule_sorted.  Every
+// engine must serve exactly what queuing all arrivals up front served --
+// the same records, bit for bit -- including arrivals that tie in time.
+TEST(StreamedArrivals, RunTraceMatchesAPreScheduledReplay) {
+  hw::Cluster cluster = harness::cluster_by_name("paper");
+  const model::ModelSpec& m = model::model_by_name("Llama-13B");
+  std::vector<workload::Request> trace = observer_trace();
+  ASSERT_GE(trace.size(), 8u);
+  // Pairs of requests arrive together, and the first four in one burst.
+  for (std::size_t i = 1; i < trace.size(); i += 2) trace[i].arrival = trace[i - 1].arrival;
+  for (std::size_t i = 1; i < 4; ++i) trace[i].arrival = trace[0].arrival;
+  const Seconds drain = 900.0;
+  auto bits = [](double x) {
+    std::uint64_t u;
+    std::memcpy(&u, &x, sizeof u);
+    return u;
+  };
+  for (const char* name : {"hetis", "splitwise", "hexgen"}) {
+    SCOPED_TRACE(name);
+    auto streamed = engine::make(name, cluster, m);
+    const engine::RunReport rep = engine::run_trace(*streamed, trace, engine::RunOptions(drain));
+    ASSERT_EQ(rep.finished, trace.size());
+
+    // run_trace's set-up, with every arrival queued before the run.
+    auto queued = engine::make(name, cluster, m);
+    sim::Simulation sim;
+    queued->metrics().reserve(trace.size());
+    queued->start(sim);
+    for (const workload::Request& r : trace) {
+      sim.schedule_at(r.arrival, [&queued, &sim, &r] { queued->submit(sim, r); });
+    }
+    sim.run_until(trace.back().arrival + drain);
+
+    const auto& got = streamed->metrics().records();
+    const auto& want = queued->metrics().records();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE("record " + std::to_string(i));
+      EXPECT_EQ(got[i].id, want[i].id);
+      EXPECT_EQ(bits(got[i].arrival), bits(want[i].arrival));
+      EXPECT_EQ(bits(got[i].first_token), bits(want[i].first_token));
+      EXPECT_EQ(bits(got[i].finish), bits(want[i].finish));
+      EXPECT_EQ(got[i].prompt_len, want[i].prompt_len);
+      EXPECT_EQ(got[i].output_len, want[i].output_len);
+      EXPECT_EQ(got[i].tenant, want[i].tenant);
+      EXPECT_EQ(got[i].preemptions, want[i].preemptions);
+    }
+  }
 }
 
 void check_event_ordering(const std::string& engine_name) {

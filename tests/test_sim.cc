@@ -1,7 +1,9 @@
 // Unit tests: discrete-event engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <random>
 #include <set>
@@ -9,7 +11,6 @@
 #include <tuple>
 #include <vector>
 
-#include "sim/arena.h"
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
@@ -156,7 +157,7 @@ TEST(Simulation, MoveOnlyEventCallable) {
   EXPECT_EQ(seen, 42);
 }
 
-// --- Differential and property tests: calendar tier vs the (time, seq)
+// --- Differential and property tests: the heap vs the (time, seq)
 // --- contract.
 
 // Reference model: a std::set ordered by (time, seq) pops its begin() --
@@ -164,10 +165,9 @@ TEST(Simulation, MoveOnlyEventCallable) {
 using RefEvent = std::tuple<Seconds, std::uint64_t, int>;
 
 TEST(EventQueueDifferential, RandomizedInterleavingsMatchReference) {
-  // 10k seeded events per round -- enough to cross kCalendarOn -- with
-  // half the timestamps on a coarse grid to force duplicates, then a drain
-  // loop that keeps pushing (including zero-delay re-pushes at the
-  // just-popped instant, the binary-insert path of the current bucket).
+  // 10k seeded events per round with half the timestamps on a coarse grid
+  // to force duplicates, then a drain loop that keeps pushing (including
+  // zero-delay re-pushes at the just-popped instant).
   for (std::uint64_t seed : {1ull, 42ull, 20251116ull}) {
     EventQueue q;
     std::set<RefEvent> ref;
@@ -188,7 +188,6 @@ TEST(EventQueueDifferential, RandomizedInterleavingsMatchReference) {
     for (int i = 0; i < 10000; ++i) {
       push_both(action(rng) < 50 ? static_cast<Seconds>(grid(rng)) * 8.0 : wide(rng));
     }
-    EXPECT_TRUE(q.calendar_active());
 
     while (!q.empty()) {
       ASSERT_EQ(q.size(), ref.size());
@@ -211,36 +210,9 @@ TEST(EventQueueDifferential, RandomizedInterleavingsMatchReference) {
   }
 }
 
-TEST(EventQueue, CalendarTierEngagesAndFallsBackWhenSparse) {
-  EventQueue q;
-  std::vector<Seconds> popped;
-  auto record = [&q, &popped](Seconds t) {
-    q.push(t, [&popped, t] { popped.push_back(t); });
-  };
-  // A dense burst activates the calendar tier.
-  for (int i = 0; i < 10000; ++i) record(static_cast<Seconds>(i) * 1e-4);
-  EXPECT_TRUE(q.calendar_active());
-  // Drain past the first window (rebuild #1 re-windows over the dense
-  // remainder, which is still above kCalendarOff) into the second window.
-  for (int i = 0; i < 9000; ++i) q.pop().fn();
-  EXPECT_TRUE(q.calendar_active());
-  // A sparse far tail pushed now lands past the second window's end, so it
-  // pools in overflow; when the window exhausts, rebuild #2 finds only
-  // 500 pending events -- below kCalendarOff -- and drops back to the heap.
-  for (int i = 0; i < 500; ++i) record(1e6 + static_cast<Seconds>(i));
-  for (int i = 0; i < 1000; ++i) q.pop().fn();
-  ASSERT_EQ(q.size(), 500u);
-  EXPECT_DOUBLE_EQ(q.next_time(), 1e6);
-  EXPECT_FALSE(q.calendar_active());
-  while (!q.empty()) q.pop().fn();
-  ASSERT_EQ(popped.size(), 10500u);
-  for (std::size_t i = 1; i < popped.size(); ++i) EXPECT_LE(popped[i - 1], popped[i]);
-}
-
-TEST(Simulation, CalendarSameInstantFifoSurvivesReschedules) {
-  // 10k events at one instant land in a single calendar bucket; the first
-  // 100 self-reschedule at the same instant mid-drain.  FIFO (seq) order
-  // must hold across both generations.
+TEST(Simulation, SameInstantFifoSurvivesReschedules) {
+  // 10k events at one instant; the first 100 self-reschedule at the same
+  // instant mid-drain.  FIFO (seq) order must hold across both generations.
   Simulation sim;
   constexpr int kN = 10000;
   std::vector<int> order;
@@ -260,7 +232,138 @@ TEST(Simulation, CalendarSameInstantFifoSurvivesReschedules) {
   EXPECT_DOUBLE_EQ(sim.now(), 1.0);
 }
 
-// --- EventTask + EventArena ---
+// --- Simulation::schedule_sorted ---
+
+// One differential scenario: plain events queued before and after a sorted
+// stream, a clock that may already have advanced when the stream is
+// scheduled, and stream items that schedule zero-delay and grid-aligned
+// follow-ups while the run is cut by several horizons.
+struct StreamScenario {
+  std::vector<Seconds> stream;  // sorted; may hold negatives and duplicates
+  std::vector<Seconds> before;  // plain events queued at time 0
+  Seconds start = 0;            // run_until(start) before scheduling the stream
+  std::vector<Seconds> after;   // plain events queued after the stream
+  std::vector<Seconds> horizons;
+};
+
+// (kind, id, time) of every fired event.  Kinds: 0 before, 1 stream item,
+// 2 zero-delay follow-up, 3 grid follow-up, 4 after.
+using Fired = std::tuple<int, std::size_t, Seconds>;
+
+struct StreamRun {
+  std::vector<Fired> log;
+  std::vector<std::size_t> cuts;  // log size after each horizon
+  std::size_t pending_after_stream = 0;
+};
+
+StreamRun run_scenario(const StreamScenario& sc, bool streamed) {
+  Simulation sim;
+  StreamRun out;
+  auto plain = [&sim, &out](int kind, std::size_t id, Seconds at) {
+    sim.schedule_at(at, [&sim, &out, kind, id] { out.log.emplace_back(kind, id, sim.now()); });
+  };
+  for (std::size_t k = 0; k < sc.before.size(); ++k) plain(0, k, sc.before[k]);
+  sim.run_until(sc.start);
+  auto fire = [&sim, &out](std::size_t i) {
+    out.log.emplace_back(1, i, sim.now());
+    if (i % 3 == 0) {
+      sim.schedule_in(0.0, [&sim, &out, i] { out.log.emplace_back(2, i, sim.now()); });
+    }
+    if (i % 5 == 0) {
+      sim.schedule_in(0.5 * static_cast<double>(i % 4),
+                      [&sim, &out, i] { out.log.emplace_back(3, i, sim.now()); });
+    }
+  };
+  const std::size_t pending_before = sim.pending();
+  if (streamed) {
+    sim.schedule_sorted(
+        sc.stream.size(), [&sc](std::size_t i) { return sc.stream[i]; }, fire);
+  } else {
+    for (std::size_t i = 0; i < sc.stream.size(); ++i) {
+      sim.schedule_at(sc.stream[i], [fire, i] { fire(i); });
+    }
+  }
+  out.pending_after_stream = sim.pending() - pending_before;
+  for (std::size_t k = 0; k < sc.after.size(); ++k) plain(4, k, sc.after[k]);
+  for (Seconds h : sc.horizons) {
+    sim.run_until(h);
+    out.cuts.push_back(out.log.size());
+  }
+  sim.run_all();
+  out.cuts.push_back(out.log.size());
+  return out;
+}
+
+TEST(ScheduleSorted, MatchesAScheduleAtLoopUnderRandomizedInterleavings) {
+  for (std::uint64_t seed : {1ull, 7ull, 42ull, 20251116ull}) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> wide(-2.0, 40.0);
+    std::uniform_int_distribution<int> grid(-4, 80);  // half-second grid
+    std::uniform_int_distribution<int> coin(0, 1);
+    auto draw = [&] {
+      return coin(rng) ? 0.5 * static_cast<double>(grid(rng)) : wide(rng);
+    };
+    StreamScenario sc;
+    for (int i = 0; i < 3000; ++i) sc.stream.push_back(draw());
+    std::sort(sc.stream.begin(), sc.stream.end());
+    // Plain events sit on the same grid (and at zero), so they tie with
+    // stream items at shared instants.
+    for (int i = 0; i < 200; ++i) sc.before.push_back(std::max(0.0, draw()));
+    for (int i = 0; i < 200; ++i) sc.after.push_back(std::max(0.0, draw()));
+    sc.start = seed % 2 == 0 ? 0.0 : 5.0;  // odd seeds clamp a prefix to 5.0
+    sc.horizons = {3.0, 10.25, 10.25, 20.0, 39.5};
+
+    const StreamRun got = run_scenario(sc, /*streamed=*/true);
+    const StreamRun want = run_scenario(sc, /*streamed=*/false);
+    EXPECT_EQ(got.pending_after_stream, 1u);
+    EXPECT_EQ(want.pending_after_stream, sc.stream.size());
+    EXPECT_EQ(got.cuts, want.cuts);
+    ASSERT_EQ(got.log.size(), want.log.size());
+    for (std::size_t i = 0; i < got.log.size(); ++i) {
+      ASSERT_EQ(got.log[i], want.log[i]) << "event " << i;
+    }
+  }
+}
+
+TEST(ScheduleSorted, KeepsOneEventPendingForALongStream) {
+  Simulation sim;
+  std::vector<Seconds> times(10000);
+  for (std::size_t i = 0; i < times.size(); ++i) times[i] = 0.001 * static_cast<double>(i);
+  std::size_t fired = 0;
+  sim.schedule_sorted(
+      times.size(), [&times](std::size_t i) { return times[i]; },
+      [&sim, &times, &fired](std::size_t i) {
+        EXPECT_EQ(sim.now(), times[i]);
+        EXPECT_EQ(fired++, i);
+      });
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run_until(5.0);
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.run_all(), times.size() - fired);
+  EXPECT_EQ(fired, times.size());
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(ScheduleSorted, RejectsUnsortedOrNanTimesBeforeQueuingAnything) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::vector<Seconds>& times :
+       {std::vector<Seconds>{0.0, 2.0, 1.0}, std::vector<Seconds>{nan},
+        std::vector<Seconds>{0.0, nan, 1.0}, std::vector<Seconds>{1.0, 1.0, nan}}) {
+    Simulation sim;
+    int fired = 0;
+    EXPECT_THROW(sim.schedule_sorted(
+                     times.size(), [&times](std::size_t i) { return times[i]; },
+                     [&fired](std::size_t) { ++fired; }),
+                 std::invalid_argument);
+    EXPECT_TRUE(sim.idle());
+    sim.run_all();
+    EXPECT_EQ(fired, 0);
+  }
+  Simulation sim;
+  sim.schedule_sorted(0, [](std::size_t) { return 0.0; }, [](std::size_t) {});
+  EXPECT_TRUE(sim.idle());
+}
 
 // --- Simulation::every ---
 
@@ -363,64 +466,49 @@ TEST(Every, RejectsNonPositivePeriod) {
   EXPECT_TRUE(sim.idle());
 }
 
-TEST(EventTask, LargeCaptureSpillsToArenaAndRecycles) {
-  EventQueue q;
+// --- EventTask storage ---
+
+TEST(EventTask, LargeCaptureUsesTheHeapAndIsFreed) {
   struct Big {
     double pad[16];  // 128 bytes > EventTask::kInlineSize
   };
+  static_assert(sizeof(Big) > EventTask::kInlineSize);
   Big big{};
   big.pad[0] = 7.0;
+  auto token = std::make_shared<int>(0);  // counts the captured copies
   double seen = 0;
-  q.push(1.0, [big, &seen] { seen = big.pad[0]; });
-  EXPECT_EQ(q.arena().live_blocks(), 1);
   {
-    EventQueue::Event ev = q.pop();
-    ev.fn();
+    EventTask task([big, token, &seen] { seen = big.pad[0]; });
+    EXPECT_TRUE(task.heap_allocated());
+    EXPECT_EQ(token.use_count(), 2);
+    EventTask moved(std::move(task));  // moves by pointer: no second copy
+    EXPECT_TRUE(moved.heap_allocated());
+    EXPECT_FALSE(task);  // the moved-from task is empty
+    EXPECT_EQ(token.use_count(), 2);
+    moved();
   }
   EXPECT_DOUBLE_EQ(seen, 7.0);
-  EXPECT_EQ(q.arena().live_blocks(), 0);
-  // The freed block recycles through the size-class free list: the second
-  // spill performs no slab carve and no global allocation.
-  q.push(2.0, [big, &seen] { seen = big.pad[0] * 2; });
-  EXPECT_GE(q.arena().freelist_hits(), 1u);
-  EXPECT_EQ(q.arena().oversize_allocations(), 0u);
-  q.clear();
-  EXPECT_EQ(q.arena().live_blocks(), 0);
+  EXPECT_EQ(token.use_count(), 1);  // destroyed with the task
+
+  // A spilled event that never fires is freed with its queue.
+  {
+    EventQueue q;
+    q.push(1.0, [big, token] { (void)big; });
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(EventTask, SmallCaptureStaysInline) {
-  EventQueue q;
   int hits = 0;
-  q.push(1.0, [&hits] { ++hits; });
-  EXPECT_EQ(q.arena().live_blocks(), 0);  // inline storage, no arena block
-  q.pop().fn();
+  EventTask task([&hits] { ++hits; });
+  EXPECT_FALSE(task.heap_allocated());
+  EventQueue q;
+  q.push(1.0, std::move(task));
+  EventQueue::Event ev = q.pop();
+  EXPECT_FALSE(ev.fn.heap_allocated());
+  ev.fn();
   EXPECT_EQ(hits, 1);
-}
-
-TEST(EventArena, RecyclesBlocksThroughFreeLists) {
-  EventArena a;
-  void* p = a.allocate(100);
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(a.live_blocks(), 1);
-  a.deallocate(p, 100);
-  EXPECT_EQ(a.live_blocks(), 0);
-  // 80 bytes maps to the same 64-byte-granule class as 100: the freed
-  // block comes straight back off the free list.
-  void* p2 = a.allocate(80);
-  EXPECT_EQ(p2, p);
-  EXPECT_EQ(a.freelist_hits(), 1u);
-  a.deallocate(p2, 80);
-}
-
-TEST(EventArena, OversizeFallsThroughToGlobalAllocator) {
-  EventArena a;
-  ASSERT_GT(4096u, EventArena::max_pooled_size());
-  void* p = a.allocate(4096);
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(a.oversize_allocations(), 1u);
-  EXPECT_EQ(a.live_blocks(), 1);
-  a.deallocate(p, 4096);
-  EXPECT_EQ(a.live_blocks(), 0);
 }
 
 }  // namespace

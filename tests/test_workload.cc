@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/rng.h"
 #include "workload/arrivals.h"
@@ -207,6 +208,23 @@ TEST(TraceRecordReplay, LoadRejectsMalformedInput) {
   // 12 would corrupt a replay instead of failing it.
   std::stringstream trailing("id,arrival,prompt_len,output_len,tenant\n1,0.5x,12abc,20,0\n");
   EXPECT_THROW(load_trace(trailing), std::invalid_argument);
+  // Arrivals must be finite, non-negative and non-decreasing (stod parses
+  // "nan" and "inf" as whole cells); the error names the offending line.
+  const std::string header = "id,arrival,prompt_len,output_len,tenant\n";
+  auto expect_rejected_at_line_3 = [](const std::string& text) {
+    std::stringstream is(text);
+    try {
+      load_trace(is);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3 "), std::string::npos) << e.what();
+    }
+  };
+  for (const char* arrival : {"nan", "inf", "-inf", "-0.5"}) {
+    expect_rejected_at_line_3(header + "0,0.5,10,20,0\n1," + arrival + ",10,20,0\n");
+  }
+  const std::string decreasing = header + "0,2.0,10,20,0\n1,1.0,10,20,0\n";
+  expect_rejected_at_line_3(decreasing);
   EXPECT_THROW(load_trace(std::string("/nonexistent/dir/trace.csv")), std::runtime_error);
   std::stringstream empty_trace("id,arrival,prompt_len,output_len,tenant\n");
   EXPECT_TRUE(load_trace(empty_trace).empty());
