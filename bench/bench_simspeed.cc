@@ -26,15 +26,17 @@
 //                   BENCH_simspeed.json and exit 2 if any (engine,
 //                   scenario) row regresses more than --tolerance in
 //                   requests-per-wall-second.  When the reference row ran
-//                   the same --requests, the event count must also match
-//                   EXACTLY (the determinism guard behind the hot-path
-//                   caches)
+//                   the same --requests, its finished, events and lp_solves
+//                   counts must also match EXACTLY (the determinism guard
+//                   behind every hot-path shortcut)
 //   --tolerance F   allowed relative regression for --check (default 0.2)
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <algorithm>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -139,13 +141,16 @@ SpeedRow timed_run(const std::string& engine_name, const std::string& scenario,
 
 /// Minimal scanner for the rows of a BENCH_simspeed.json written by this
 /// bench: extracts (engine, scenario, requests_per_wall_second) plus the
-/// (requests, events) pair behind the determinism guard.
+/// request count and the exact counters behind the determinism guard (each
+/// unset when the row does not record it).
 struct RefRow {
   std::string engine;
   std::string scenario;
   double rps = 0;
   std::size_t requests = 0;
-  std::size_t events = 0;
+  std::optional<std::uint64_t> finished;
+  std::optional<std::uint64_t> events;
+  std::optional<std::uint64_t> lp_solves;
 };
 
 std::vector<RefRow> load_reference(const std::string& path) {
@@ -158,10 +163,11 @@ std::vector<RefRow> load_reference(const std::string& path) {
   buf << in.rdbuf();
   const std::string text = buf.str();
   std::vector<RefRow> rows;
-  auto grab = [&text](std::size_t from, const std::string& key) -> std::string {
+  std::size_t row_end = 0;  // a key is read from its own row only
+  auto grab = [&text, &row_end](std::size_t from, const std::string& key) -> std::string {
     const std::string needle = "\"" + key + "\":";
     std::size_t k = text.find(needle, from);
-    if (k == std::string::npos) return "";
+    if (k == std::string::npos || k >= row_end) return "";
     k += needle.size();
     bool quoted = k < text.size() && text[k] == '"';
     if (quoted) ++k;
@@ -170,7 +176,13 @@ std::vector<RefRow> load_reference(const std::string& path) {
     return text.substr(k, end - k);
   };
   std::size_t pos = 0;
+  auto count = [&grab](std::size_t from, const std::string& key) {
+    const std::string v = grab(from, key);
+    return v.empty() ? std::nullopt
+                     : std::optional<std::uint64_t>(std::strtoull(v.c_str(), nullptr, 10));
+  };
   while ((pos = text.find("{\"engine\":", pos)) != std::string::npos) {
+    row_end = std::min(text.find("{\"engine\":", pos + 1), text.size());
     RefRow r;
     r.engine = grab(pos, "engine");
     r.scenario = grab(pos, "scenario");
@@ -178,8 +190,9 @@ std::vector<RefRow> load_reference(const std::string& path) {
     r.rps = rps.empty() ? 0.0 : std::atof(rps.c_str());
     const std::string reqs = grab(pos, "requests");
     r.requests = reqs.empty() ? 0 : static_cast<std::size_t>(std::atoll(reqs.c_str()));
-    const std::string evs = grab(pos, "events");
-    r.events = evs.empty() ? 0 : static_cast<std::size_t>(std::atoll(evs.c_str()));
+    r.finished = count(pos, "finished");
+    r.events = count(pos, "events");
+    r.lp_solves = count(pos, "lp_solves");
     if (!r.engine.empty() && !r.scenario.empty() && r.rps > 0) rows.push_back(r);
     ++pos;
   }
@@ -314,16 +327,27 @@ int main(int argc, char** argv) {
                        floor, r.rps, tolerance * 100.0);
           ++failures;
         }
-        // Determinism guard: same trace length must execute the exact same
-        // event sequence -- the hot-path caches are only legal because they
+        // Determinism guard: same trace length must finish the same
+        // requests through the exact same event sequence and dispatch
+        // solves -- the hot-path shortcuts are only legal because they
         // change no decision.  Skipped when the reference ran a different
         // trace length (CI's short runs vs the committed 1M baseline).
-        if (r.requests == cur.requests && r.events != 0 && cur.events != r.events) {
+        if (r.requests != cur.requests) continue;
+        const struct {
+          const char* name;
+          std::optional<std::uint64_t> ref;
+          std::uint64_t cur;
+        } exact[] = {{"finished", r.finished, cur.finished},
+                     {"events", r.events, cur.events},
+                     {"lp_solves", r.lp_solves, cur.lp_solves}};
+        for (const auto& c : exact) {
+          if (!c.ref || *c.ref == c.cur) continue;
           std::fprintf(stderr,
-                       "FAIL: %s/%s event count diverged: %zu != baseline %zu at "
-                       "%zu requests (simulation is no longer bit-identical)\n",
-                       r.engine.c_str(), r.scenario.c_str(), cur.events, r.events,
-                       cur.requests);
+                       "FAIL: %s/%s %s diverged: %llu != baseline %llu at %zu requests "
+                       "(simulation is no longer bit-identical)\n",
+                       r.engine.c_str(), r.scenario.c_str(), c.name,
+                       static_cast<unsigned long long>(c.cur),
+                       static_cast<unsigned long long>(*c.ref), cur.requests);
           ++failures;
         }
       }

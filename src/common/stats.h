@@ -14,6 +14,18 @@ namespace hetis {
 /// Exact-percentile sample collector.
 class Summary {
  public:
+  Summary() = default;
+  Summary(const Summary&) = default;
+  Summary(Summary&&) noexcept = default;
+  Summary& operator=(Summary&&) noexcept = default;
+  /// Takes a right-sized copy of `other`'s samples and releases the old
+  /// buffer instead of keeping it as capacity, so resetting a kept summary
+  /// by assigning an empty one frees its memory.
+  Summary& operator=(const Summary& other) {
+    std::vector<double>(other.values_).swap(values_);
+    return *this;
+  }
+
   void add(double v) { values_.push_back(v); }
   void add_n(double v, std::size_t n) { values_.insert(values_.end(), n, v); }
 

@@ -17,6 +17,9 @@ namespace {
 double per_head_layer_volume(const DispatcherConfig& cfg) {
   return (static_cast<double>(cfg.group_size) + 1.0) * cfg.bytes_per_head_token_layer;
 }
+
+/// Orders request-table entries against a bare id (std::lower_bound).
+constexpr auto kIdLess = [](const auto& st, workload::RequestId id) { return st.id < id; };
 }  // namespace
 
 int PlacementCounts::total() const {
@@ -166,14 +169,14 @@ std::optional<std::size_t> Dispatcher::first_overflowed() const {
 workload::RequestId Dispatcher::evict_candidate_on(std::size_t logical) const {
   workload::RequestId victim = -1;
   Seconds latest = -std::numeric_limits<double>::infinity();
-  for (const auto& [id, st] : requests_) {
+  for (const ReqState& st : requests_) {
     int heads_here = logical == 0 ? st.counts.local : st.counts.worker_heads[logical - 1];
     if (heads_here <= 0) continue;
     // Modified LIFO (§5.3.2): latest arrival on the exhausted device; ties
     // break toward the newest id so older requests keep their progress.
-    if (st.arrival > latest || (st.arrival == latest && id > victim)) {
+    if (st.arrival > latest || (st.arrival == latest && st.id > victim)) {
       latest = st.arrival;
-      victim = id;
+      victim = st.id;
     }
   }
   return victim;
@@ -268,12 +271,11 @@ const lp::MinMaxProblem& Dispatcher::build_problem(
     workload::RequestId exclude) const {
   const Aggregates* aggp = &agg_;
   if (exclude >= 0) {
-    auto it = requests_.find(exclude);
-    if (it != requests_.end()) {
+    if (const ReqState* st = find(exclude)) {
       // Copy-and-subtract into the scratch aggregates so the running totals
       // stay untouched.
       agg_scratch_ = agg_;
-      accumulate(agg_scratch_, it->second, -1);
+      accumulate(agg_scratch_, *st, -1);
       aggp = &agg_scratch_;
     }
   }
@@ -314,9 +316,15 @@ std::optional<std::vector<PlacementCounts>> Dispatcher::dispatch(
     pc.local = heads[0][j];
     pc.worker_heads.assign(cfg_.workers.size(), 0);
     for (std::size_t w = 0; w < cfg_.workers.size(); ++w) pc.worker_heads[w] = heads[1 + w][j];
-    auto [it, inserted] = requests_.try_emplace(new_requests[j].first);
-    ReqState& st = it->second;
-    if (!inserted) accumulate(agg_, st, -1);  // re-dispatch replaces the old entry
+    const workload::RequestId id = new_requests[j].first;
+    auto it = lower_bound(id);
+    if (it != requests_.end() && it->id == id) {
+      accumulate(agg_, *it, -1);  // re-dispatch replaces the old entry
+    } else {
+      it = requests_.insert(it, ReqState{});
+      it->id = id;
+    }
+    ReqState& st = *it;
     st.ctx = new_requests[j].second;
     st.arrival = now;
     st.counts = pc;
@@ -324,12 +332,6 @@ std::optional<std::vector<PlacementCounts>> Dispatcher::dispatch(
     out[j] = std::move(pc);
   }
   return out;
-}
-
-void Dispatcher::append_token(workload::RequestId id) {
-  auto it = requests_.find(id);
-  if (it == requests_.end()) throw std::out_of_range("Dispatcher::append_token: unknown id");
-  grow(it->second);
 }
 
 void Dispatcher::grow(ReqState& st) {
@@ -341,36 +343,53 @@ void Dispatcher::grow(ReqState& st) {
 }
 
 void Dispatcher::append_tokens(const std::vector<workload::RequestId>& ids) {
-  if (ids.empty()) return;
   auto it = requests_.begin();
   for (workload::RequestId id : ids) {
-    // `ids` ascends, so the map walk only ever advances.
-    while (it != requests_.end() && it->first < id) ++it;
-    if (it == requests_.end() || it->first != id) {
+    // `ids` ascends, so the table walk only ever advances.
+    while (it != requests_.end() && it->id < id) ++it;
+    if (it == requests_.end() || it->id != id) {
       throw std::out_of_range("Dispatcher::append_tokens: unknown id");
     }
-    grow(it->second);
+    grow(*it);
     ++it;
   }
 }
 
+Dispatcher::Table::iterator Dispatcher::lower_bound(workload::RequestId id) {
+  return std::lower_bound(requests_.begin(), requests_.end(), id, kIdLess);
+}
+
+const Dispatcher::ReqState* Dispatcher::find(workload::RequestId id) const {
+  auto it = std::lower_bound(requests_.begin(), requests_.end(), id, kIdLess);
+  return it != requests_.end() && it->id == id ? &*it : nullptr;
+}
+
 void Dispatcher::remove(workload::RequestId id) {
-  auto it = requests_.find(id);
-  if (it == requests_.end()) return;
-  accumulate(agg_, it->second, -1);
+  auto it = lower_bound(id);
+  if (it == requests_.end() || it->id != id) return;
+  accumulate(agg_, *it, -1);
   requests_.erase(it);
 }
 
 const PlacementCounts& Dispatcher::placement(workload::RequestId id) const {
-  auto it = requests_.find(id);
-  if (it == requests_.end()) throw std::out_of_range("Dispatcher::placement: unknown id");
-  return it->second.counts;
+  const ReqState* st = find(id);
+  if (st == nullptr) throw std::out_of_range("Dispatcher::placement: unknown id");
+  return st->counts;
 }
 
 std::int64_t Dispatcher::context(workload::RequestId id) const {
-  auto it = requests_.find(id);
-  if (it == requests_.end()) throw std::out_of_range("Dispatcher::context: unknown id");
-  return it->second.ctx;
+  const ReqState* st = find(id);
+  if (st == nullptr) throw std::out_of_range("Dispatcher::context: unknown id");
+  return st->ctx;
+}
+
+lp::MinMaxProblem& Dispatcher::ideal_problem() const {
+  if (!ideal_base_ready_) {
+    // Every aggregate zero: what a fresh Dispatcher(cfg_) would report.
+    fill_device_rows(Aggregates(cfg_.workers.size()), ideal_prob_);
+    ideal_base_ready_ = true;
+  }
+  return ideal_prob_;
 }
 
 Seconds Dispatcher::ideal_per_layer() const {
@@ -379,20 +398,12 @@ Seconds Dispatcher::ideal_per_layer() const {
   // "new", per-device memory; solved by waterfilling (fast approximation of
   // §5.3.1's LP, whose cluster-wide memory row the waterfill does not
   // model).
-  if (!ideal_base_ready_) {
-    // The empty-state device rows depend only on the immutable config
-    // (every aggregate is zero -- what a fresh Dispatcher(cfg_) would
-    // report), so they are computed once; each call only refills the
-    // request columns below.
-    fill_device_rows(Aggregates(cfg_.workers.size()), ideal_prob_);
-    ideal_base_ready_ = true;
-  }
-  lp::MinMaxProblem& p = ideal_prob_;
+  lp::MinMaxProblem& p = ideal_problem();
   p.demand.clear();
   p.cache_per_head.clear();
   p.demand.reserve(requests_.size());
   p.cache_per_head.reserve(requests_.size());
-  for (const auto& [id, st] : requests_) {
+  for (const ReqState& st : requests_) {
     p.demand.push_back(static_cast<double>(cfg_.heads));
     p.cache_per_head.push_back(static_cast<double>(st.ctx) * bph_);
   }
@@ -402,21 +413,105 @@ Seconds Dispatcher::ideal_per_layer() const {
   return std::min(lp::eval_makespan(p, greedy(p)), worst_per_layer());
 }
 
+bool Dispatcher::waterfill_cannot_fire(Seconds worst) const {
+  // With ideal = min(M, worst) for the waterfill makespan M, the trigger
+  // worst > (1 + theta) * ideal cannot fire once worst <= (1 + theta) * M;
+  // the case ideal == worst needs theta >= 0.
+  if (!(cfg_.theta >= 0.0)) return false;
+  const lp::MinMaxProblem& p = ideal_problem();
+  const std::size_t d = p.num_devices();
+  const double heads = static_cast<double>(cfg_.heads);
+
+  // Weak duality: for any lambda >= 0 with sum 1, every complete assignment
+  // (sum_i x_ir = H) has makespan >= sum_i lambda_i f_i
+  //   >= sum_i lambda_i base_i + H sum_r min_i lambda_i (head_i + cache_i c_r).
+  // Two duals: lambda ~ 1/cache_cost (tight for long contexts) and lambda ~
+  // 1/(head_cost + cache_cost * mean c).  A non-positive weight puts the
+  // dual on those devices alone (the limit of the normalisation).
+  std::int64_t head_tokens = agg_.local_head_tokens;
+  for (std::int64_t t : agg_.worker_head_tokens) head_tokens += t;
+  const double mean_c =
+      static_cast<double>(head_tokens) * bph_ / (heads * static_cast<double>(requests_.size()));
+  // Per dual k and device i: lambda_i * head_cost_i and lambda_i * cache_cost_i.
+  bound_coef_.assign(4 * d, 0.0);
+  const auto head = [this, d](int k, std::size_t i) -> double& {
+    return bound_coef_[(2 * k) * d + i];
+  };
+  const auto cache = [this, d](int k, std::size_t i) -> double& {
+    return bound_coef_[(2 * k + 1) * d + i];
+  };
+  double base_term[2] = {0.0, 0.0};
+  for (int k = 0; k < 2; ++k) {
+    const auto weight = [&](std::size_t i) {
+      return k == 0 ? p.cache_cost[i] : p.head_cost[i] + p.cache_cost[i] * mean_c;
+    };
+    std::size_t zeros = 0;
+    double inv_sum = 0.0;
+    for (std::size_t i = 0; i < d; ++i) {
+      if (weight(i) <= 0.0) {
+        ++zeros;
+      } else {
+        inv_sum += 1.0 / weight(i);
+      }
+    }
+    for (std::size_t i = 0; i < d; ++i) {
+      const double lambda = zeros > 0 ? (weight(i) <= 0.0 ? 1.0 / static_cast<double>(zeros) : 0.0)
+                                      : 1.0 / (weight(i) * inv_sum);
+      head(k, i) = lambda * p.head_cost[i];
+      cache(k, i) = lambda * p.cache_cost[i];
+      base_term[k] += lambda * p.base_time[i];
+    }
+  }
+
+  double per_request[2] = {0.0, 0.0};
+  std::int64_t ctx_sum = 0;
+  std::int64_t ctx_max = 0;
+  for (const ReqState& st : requests_) {
+    const double c = static_cast<double>(st.ctx) * bph_;
+    for (int k = 0; k < 2; ++k) {
+      double best = head(k, 0) + cache(k, 0) * c;
+      for (std::size_t i = 1; i < d; ++i) best = std::min(best, head(k, i) + cache(k, i) * c);
+      per_request[k] += best;
+    }
+    ctx_sum += st.ctx;
+    ctx_max = std::max(ctx_max, st.ctx);
+  }
+  const double bound = std::max(base_term[0] + heads * per_request[0],
+                                base_term[1] + heads * per_request[1]);
+  // The 1e-9 slack absorbs the rounding between this sum and the
+  // waterfill's own evaluation of its makespan.
+  if (!(worst <= (1.0 + cfg_.theta) * bound * (1.0 - 1e-9))) return false;
+
+  // Memory certificate: the waterfill can only stop short on a group that
+  // fits nowhere, i.e. when used_i + need > free_i on every device.  Summed,
+  // that needs sum(demand) - need + D * need > sum(free), and need is at
+  // most r * max c; so this inequality (with slack for rounding) proves
+  // every head gets placed.
+  double mem_free = 0.0;
+  for (double f : p.mem_free) mem_free += f;
+  const double need = heads * static_cast<double>(ctx_sum) * bph_ +
+                      static_cast<double>(d - 1) * cfg_.group_size *
+                          static_cast<double>(ctx_max) * bph_;
+  return need * (1.0 + 1e-9) <= mem_free;
+}
+
 bool Dispatcher::should_rebalance() const {
   if (requests_.empty()) return false;
+  const Seconds worst = worst_per_layer();
+  if (waterfill_cannot_fire(worst)) return false;
   Seconds ideal = ideal_per_layer();
   if (ideal <= 0) return false;
-  return worst_per_layer() > (1.0 + cfg_.theta) * ideal;
+  return worst > (1.0 + cfg_.theta) * ideal;
 }
 
 Rebalance Dispatcher::plan_single(workload::RequestId victim) const {
   Rebalance rb;
   rb.victim = victim;
-  auto it = requests_.find(victim);
-  if (it == requests_.end()) return rb;
-  rb.from = it->second.counts;
+  const ReqState* st = find(victim);
+  if (st == nullptr) return rb;
+  rb.from = st->counts;
 
-  std::vector<std::pair<workload::RequestId, std::int64_t>> one{{victim, it->second.ctx}};
+  std::vector<std::pair<workload::RequestId, std::int64_t>> one{{victim, st->ctx}};
   const lp::MinMaxProblem& p = build_problem(one, /*exclude=*/victim);
   std::vector<std::vector<int>> rounded;
   const std::vector<std::vector<int>>& heads = place(p, rounded);
@@ -447,7 +542,7 @@ Rebalance Dispatcher::plan_single(workload::RequestId victim) const {
   }
   rb.moved_heads = moved;
   rb.moved_bytes =
-      static_cast<Bytes>(moved * static_cast<double>(it->second.ctx) * bph_ * cfg_.total_layers);
+      static_cast<Bytes>(moved * static_cast<double>(st->ctx) * bph_ * cfg_.total_layers);
   rb.src_device = src;
   rb.dst_device = dst;
   rb.valid = moved > 0;
@@ -468,13 +563,13 @@ Rebalance Dispatcher::plan_rebalance() const {
   // Dominant request on it: largest per-layer load contribution.
   workload::RequestId victim = -1;
   double biggest = -1;
-  for (const auto& [id, st] : requests_) {
+  for (const ReqState& st : requests_) {
     int h = bottleneck == 0 ? st.counts.local : st.counts.worker_heads[bottleneck - 1];
     if (h <= 0) continue;
     double load = static_cast<double>(h) * st.ctx;
     if (load > biggest) {
       biggest = load;
-      victim = id;
+      victim = st.id;
     }
   }
   if (victim < 0) return Rebalance{};
@@ -485,11 +580,13 @@ Rebalance Dispatcher::plan_rescue(workload::RequestId victim) const { return pla
 
 void Dispatcher::apply(const Rebalance& rb) {
   if (!rb.valid) throw std::logic_error("Dispatcher::apply: invalid rebalance");
-  auto it = requests_.find(rb.victim);
-  if (it == requests_.end()) throw std::out_of_range("Dispatcher::apply: unknown victim");
-  accumulate(agg_, it->second, -1);
-  it->second.counts = rb.to;
-  accumulate(agg_, it->second, +1);
+  auto it = lower_bound(rb.victim);
+  if (it == requests_.end() || it->id != rb.victim) {
+    throw std::out_of_range("Dispatcher::apply: unknown victim");
+  }
+  accumulate(agg_, *it, -1);
+  it->counts = rb.to;
+  accumulate(agg_, *it, +1);
 }
 
 const std::vector<std::vector<int>>& Dispatcher::place(

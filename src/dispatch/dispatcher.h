@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -92,20 +91,17 @@ class Dispatcher {
       const std::vector<std::pair<workload::RequestId, std::int64_t>>& new_requests,
       Seconds now);
 
-  /// Grows a request's context by one token (Eq. 8 state update).
-  void append_token(workload::RequestId id);
-
-  /// Batched append_token for one decode iteration's survivors.  `ids` must
-  /// be strictly ascending (the engine's decode batches are built in id
-  /// order); the whole batch is applied with one walk of the request map
-  /// instead of one lookup per id.  Throws std::out_of_range on any unknown
-  /// id, like append_token.
+  /// Grows each listed request's context by one token (Eq. 8 state update)
+  /// for one decode iteration's survivors.  `ids` must be strictly
+  /// ascending (the engine's decode batches are built in id order); the
+  /// whole batch is applied with one forward walk of the id-sorted request
+  /// table.  Throws std::out_of_range on any unknown id.
   void append_tokens(const std::vector<workload::RequestId>& ids);
 
   /// Removes a finished/preempted request and frees its accounting.
   void remove(workload::RequestId id);
 
-  bool contains(workload::RequestId id) const { return requests_.count(id) > 0; }
+  bool contains(workload::RequestId id) const { return find(id) != nullptr; }
   std::size_t size() const { return requests_.size(); }
   const PlacementCounts& placement(workload::RequestId id) const;
   std::int64_t context(workload::RequestId id) const;
@@ -118,15 +114,18 @@ class Dispatcher {
   Seconds attention_iteration_time() const;
   /// max_i f_i (the per-layer bottleneck; re-dispatch trigger input).
   Seconds worst_per_layer() const;
-  /// f*: ideal per-layer time if ALL requests were re-dispatched, under
-  /// per-device memory.  Computed by waterfilling (documented
-  /// approximation of §5.3.1's LP, which relaxes memory to one
-  /// cluster-wide constraint).
+  /// f*: ideal per-layer time if ALL requests were re-dispatched onto the
+  /// empty cluster under per-device memory, capped by the present
+  /// bottleneck.  Computed by the greedy waterfill, not the relaxed LP:
+  /// an approximation of §5.3.1, whose LP relaxes memory to one
+  /// cluster-wide row that the waterfill does not model.
   Seconds ideal_per_layer() const;
 
   // --- Re-dispatching (§5.3) ---
 
-  /// True when worst exceeds (1 + theta) * ideal.
+  /// True when worst exceeds (1 + theta) * ideal.  Returns false without
+  /// running the waterfill when a lower bound on its makespan already
+  /// proves the trigger cannot fire (see waterfill_cannot_fire).
   bool should_rebalance() const;
   /// Plans moving the dominant request off the bottleneck device (§5.3.1).
   Rebalance plan_rebalance() const;
@@ -160,15 +159,23 @@ class Dispatcher {
   const DispatcherConfig& config() const { return cfg_; }
 
   /// Dispatch solves run so far: one per relaxed-LP solve and one per
-  /// greedy waterfill (admission, re-dispatch and f* probes alike).
+  /// greedy waterfill actually run (admission, re-dispatch and f* probes
+  /// alike; a trigger check settled by the bound runs none).
   std::uint64_t lp_solves() const { return lp_solves_; }
 
  private:
   struct ReqState {
+    workload::RequestId id = -1;
     std::int64_t ctx = 0;
     Seconds arrival = 0;
     PlacementCounts counts;
   };
+  using Table = std::vector<ReqState>;
+
+  /// First entry of requests_ with id >= `id`.
+  Table::iterator lower_bound(workload::RequestId id);
+  /// The entry for `id`, or nullptr.
+  const ReqState* find(workload::RequestId id) const;
 
   /// Sums of integer head and head x token counts over requests.  Kept as
   /// exact int64 running totals; readers convert to double, which gives
@@ -211,6 +218,19 @@ class Dispatcher {
 
   Rebalance plan_single(workload::RequestId victim) const;
 
+  /// ideal_per_layer's problem with its device rows filled: the rows of the
+  /// empty cluster, which depend only on the immutable config and are
+  /// therefore computed once.  The request columns are the caller's.
+  lp::MinMaxProblem& ideal_problem() const;
+
+  /// Certified skip for should_rebalance: true only when the trigger
+  /// provably cannot fire at bottleneck `worst`.  One pass over the request
+  /// table yields (a) a weak-duality lower bound L on the waterfill's
+  /// makespan and (b) a memory certificate that the waterfill places every
+  /// head (a waterfill that stops short reports a LOWER makespan, so (a)
+  /// alone would be unsound).  Conservative: false whenever in doubt.
+  bool waterfill_cannot_fire(Seconds worst) const;
+
   /// Integral placement for `p`: the rounded LP optimum (into `rounded`)
   /// when use_lp and the LP solves, else the greedy waterfill (into
   /// greedy_heads_).  Returns whichever was filled.
@@ -220,7 +240,10 @@ class Dispatcher {
   const std::vector<std::vector<int>>& greedy(const lp::MinMaxProblem& p) const;
 
   DispatcherConfig cfg_;
-  std::map<workload::RequestId, ReqState> requests_;
+  // Sorted by id, like HetisInstance::running_: the decode batch appends
+  // walk it front to back over contiguous memory, and id order is the
+  // order every planning pass (and hence every waterfill) consumes.
+  Table requests_;
   double bph_ = 0;  // bytes per head-token per layer
 
   Aggregates agg_;  // running totals over requests_
@@ -233,6 +256,7 @@ class Dispatcher {
   mutable lp::MinMaxProblem prob_;       // build_problem's reusable buffer
   mutable lp::MinMaxProblem ideal_prob_; // ideal_per_layer's reusable buffer
   mutable bool ideal_base_ready_ = false;
+  mutable std::vector<double> bound_coef_;  // waterfill_cannot_fire's duals
   mutable lp::Problem lp_buffer_;
   mutable lp::Simplex solver_;
   mutable std::vector<std::vector<int>> greedy_heads_;

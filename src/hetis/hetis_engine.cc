@@ -642,26 +642,36 @@ void HetisInstance::finish_decode(sim::Simulation& sim,
     return;
   }
   ++decode_iterations_;
-  // Survivors are compacted back into `decoded` (already id-ascending, and
-  // only positions at or behind the read cursor are overwritten) so their
-  // context growth lands in one append_tokens map walk instead of a
-  // per-request lookup.  Nothing in this loop reads dispatcher state, so
-  // deferring the appends to the end changes no observable value.
+  // One merge walk of the id-ascending `decoded` against the id-sorted
+  // running_: finished requests are compacted out of running_ in place,
+  // and survivors are compacted back into `decoded` (only positions at or
+  // behind the read cursor are overwritten) so their context growth lands
+  // in one append_tokens walk.  Nothing in this loop reads dispatcher
+  // state, so deferring the appends to the end changes no observable value.
   std::size_t survivors = 0;
-  for (workload::RequestId id : decoded) {
-    auto it = running_lower_bound(id);
-    if (it == running_.end() || it->req.id != id) continue;  // preempted mid-flight
-    it->generated += 1;
-    batch_.on_token(id, sim.now(), it->generated);
-    if (it->done()) {
-      dispatcher_.remove(id);
-      suspended_until_.erase(id);
-      batch_.on_finish(id, sim.now());
-      running_.erase(it);
-    } else {
+  std::size_t kept = 0;
+  std::size_t next = 0;  // read cursor into `decoded`
+  for (std::size_t i = 0; i < running_.size(); ++i) {
+    engine::LiveRequest& lr = running_[i];
+    const workload::RequestId id = lr.req.id;
+    // Ids decoded but no longer running were preempted mid-flight.
+    while (next < decoded.size() && decoded[next] < id) ++next;
+    if (next < decoded.size() && decoded[next] == id) {
+      ++next;
+      lr.generated += 1;
+      batch_.on_token(id, sim.now(), lr.generated);
+      if (lr.done()) {
+        dispatcher_.remove(id);
+        suspended_until_.erase(id);
+        batch_.on_finish(id, sim.now());
+        continue;
+      }
       decoded[survivors++] = id;
     }
+    if (kept != i) running_[kept] = std::move(lr);
+    ++kept;
   }
+  running_.resize(kept);
   decoded.resize(survivors);
   dispatcher_.append_tokens(decoded);
   decoded.clear();

@@ -149,6 +149,11 @@ class HetisInstance {
   /// Returns false when the dispatcher cannot host the request.
   bool adopt(sim::Simulation& sim, const engine::LiveRequest& lr, Seconds resume_at);
 
+  /// Recompute-preempts running request `id` (§5.3.2's last resort): frees
+  /// its heads and re-queues it at the front, unprefilled.  No-op when `id`
+  /// is not running.  A decode iteration already in flight skips it.
+  void preempt(sim::Simulation& sim, workload::RequestId id);
+
   /// Per-tenant admission priorities (empty = FCFS).
   void set_tenant_priorities(std::vector<int> priorities) {
     priorities_ = std::move(priorities);
@@ -176,7 +181,6 @@ class HetisInstance {
   void finish_decode(sim::Simulation& sim, std::vector<workload::RequestId> decoded);
   void resolve_memory_pressure(sim::Simulation& sim);
   void maybe_rebalance(sim::Simulation& sim);
-  void preempt(sim::Simulation& sim, workload::RequestId id);
   /// Iterator to the first running request with id >= `id`.
   std::vector<engine::LiveRequest>::iterator running_lower_bound(workload::RequestId id);
   /// Inserts (or replaces) `lr` in running_, keeping the id order.
@@ -201,8 +205,10 @@ class HetisInstance {
   dispatch::Dispatcher dispatcher_;
   std::deque<engine::LiveRequest> waiting_;
   // Sorted by request id: the decode loop walks it in id order (the same
-  // order the historical std::map storage iterated), and the batch is
-  // bounded by max_batch so binary-search + shifting beats node churn.
+  // order the historical std::map storage iterated), finish_decode
+  // merge-walks it against the id-ascending batch, and the batch is
+  // bounded by max_batch so binary-search + shifting beats node churn for
+  // single inserts and preemptions.
   std::vector<engine::LiveRequest> running_;
   // Requests inside an in-flight prefill iteration (see
   // PipelineInstance::prefilling_ for why retire() needs this).  Unordered;

@@ -82,7 +82,7 @@ MinMaxSolution solve_relaxed(const MinMaxProblem& p, Problem& lp, Simplex& solve
     }
   }
 
-  lp.constraints.resize(d + j + (p.global_memory_only ? 1 : d));
+  lp.constraints.resize(d + j + d);
   std::size_t cr = 0;
   auto next_row = [&lp, &cr, n](Relation relation, double rhs) -> std::vector<double>& {
     Constraint& c = lp.constraints[cr++];
@@ -106,17 +106,9 @@ MinMaxSolution solve_relaxed(const MinMaxProblem& p, Problem& lp, Simplex& solve
     for (std::size_t i = 0; i < d; ++i) row[xvar(i, r)] = 1.0;
   }
   // Memory.
-  if (p.global_memory_only) {
-    double total = std::accumulate(p.mem_free.begin(), p.mem_free.end(), 0.0);
-    std::vector<double>& row = next_row(Relation::kLe, total);
-    for (std::size_t i = 0; i < d; ++i) {
-      for (std::size_t r = 0; r < j; ++r) row[xvar(i, r)] = p.cache_per_head[r];
-    }
-  } else {
-    for (std::size_t i = 0; i < d; ++i) {
-      std::vector<double>& row = next_row(Relation::kLe, std::max(0.0, p.mem_free[i]));
-      for (std::size_t r = 0; r < j; ++r) row[xvar(i, r)] = p.cache_per_head[r];
-    }
+  for (std::size_t i = 0; i < d; ++i) {
+    std::vector<double>& row = next_row(Relation::kLe, std::max(0.0, p.mem_free[i]));
+    for (std::size_t r = 0; r < j; ++r) row[xvar(i, r)] = p.cache_per_head[r];
   }
 
   Solution sol = solver.solve(lp);

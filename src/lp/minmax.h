@@ -11,10 +11,10 @@
 //
 // The continuous optimum is then rounded to the head-group lattice
 // (x/r integral, §5.2.1) by largest-remainder with a memory-feasibility
-// repair pass.  `solve_relaxed` alone is also used to compute the ideal
-// attention time f* that drives the re-dispatching trigger (§5.3.1); that
-// variant replaces the per-device memory constraints with the paper's
-// single cluster-wide constraint.
+// repair pass.  The ideal attention time f* behind the re-dispatching
+// trigger (§5.3.1) does not use the LP: the Dispatcher computes it with
+// `greedy_dispatch_into` and `eval_makespan` under per-device memory, where
+// the paper's LP has one cluster-wide memory row.
 #pragma once
 
 #include <vector>
@@ -34,10 +34,6 @@ struct MinMaxProblem {
   std::vector<double> cache_per_head;  // cache bytes one head drags along
 
   int group_size = 1;                  // GQA ratio r: x must be multiple of r
-
-  // When true, the per-device memory rows are replaced by one global row
-  // sum_ij cache_per_head[j] x[i][j] <= sum_i mem_free[i]  (§5.3.1's f*).
-  bool global_memory_only = false;
 
   std::size_t num_devices() const { return base_time.size(); }
   std::size_t num_requests() const { return demand.size(); }

@@ -205,6 +205,22 @@ TEST(Summary, MergeCombines) {
   EXPECT_DOUBLE_EQ(a.mean(), 2.0);
 }
 
+TEST(Summary, CopyAssignmentReleasesTheOldSamples) {
+  Summary kept, other;
+  for (int i = 0; i < 10000; ++i) kept.add(i);
+  other.add(1.0);
+  other.add(2.0);
+  kept = other;
+  EXPECT_EQ(kept.values(), other.values());
+  EXPECT_EQ(kept.values().capacity(), 2u);
+  // The reset idiom `a = b = Summary()`: the copy into `a` frees its buffer.
+  Summary a, b;
+  for (int i = 0; i < 10000; ++i) a.add(i);
+  a = b = Summary();
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.values().capacity(), 0u);
+}
+
 TEST(Summary, StddevMatchesFormula) {
   Summary s;
   for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);

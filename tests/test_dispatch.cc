@@ -119,11 +119,11 @@ TEST(Dispatcher, InfeasibleWhenOutOfMemory) {
 TEST(Dispatcher, AppendAndRemoveLifecycle) {
   Dispatcher d(basic_config());
   ASSERT_TRUE(d.dispatch({{1, 100}}, 0.0).has_value());
-  d.append_token(1);
+  d.append_tokens({1});
   EXPECT_EQ(d.context(1), 101);
   d.remove(1);
   EXPECT_FALSE(d.contains(1));
-  EXPECT_THROW(d.append_token(1), std::out_of_range);
+  EXPECT_THROW(d.append_tokens({1}), std::out_of_range);
   EXPECT_THROW(d.placement(1), std::out_of_range);
 }
 
@@ -161,7 +161,7 @@ TEST(Dispatcher, RebalanceTriggerAfterSkew) {
   // Dispatch a batch, then grow one request's context enormously to skew
   // the load (the §5.3.1 long-context scenario).
   ASSERT_TRUE(d.dispatch({{1, 100}, {2, 100}}, 0.0).has_value());
-  for (int i = 0; i < 30000; ++i) d.append_token(1);
+  for (int i = 0; i < 30000; ++i) d.append_tokens({1});
   if (d.should_rebalance()) {
     Rebalance rb = d.plan_rebalance();
     if (rb.valid) {
@@ -186,8 +186,8 @@ TEST(Dispatcher, RescuePlanMovesVictimOffDevice) {
   // Grow until something overflows.
   int guard = 0;
   while (!d.first_overflowed() && guard++ < 200000) {
-    d.append_token(1);
-    d.append_token(2);
+    d.append_tokens({1});
+    d.append_tokens({2});
   }
   ASSERT_TRUE(d.first_overflowed().has_value());
   workload::RequestId victim = d.evict_candidate_on(*d.first_overflowed());

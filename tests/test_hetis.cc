@@ -2,8 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <map>
+#include <utility>
 
 #include "engine/engine.h"
+#include "engine/metrics.h"
+#include "hauler/hauler.h"
 #include "hetis/hetis_engine.h"
 #include "model/llm.h"
 #include "workload/scenarios.h"
@@ -222,6 +227,89 @@ TEST(HetisEngine, ProfilerAccuraciesSurface) {
   for (const auto& [dev, prof] : eng.profile().devices) {
     EXPECT_GT(prof.attn_accuracy, 0.8) << "device " << dev;
   }
+}
+
+/// Per-request finish counts and the last decode token count each request
+/// reported; `on_decoded` fires once, on `watch`'s first decode token.
+struct LifecycleLog : engine::RunObserver {
+  std::map<workload::RequestId, int> finishes;
+  std::map<workload::RequestId, std::int64_t> last_generated;
+  workload::RequestId watch = -1;
+  std::function<void()> on_decoded;
+
+  void on_token(workload::RequestId id, Seconds, std::int64_t generated) override {
+    last_generated[id] = generated;
+    if (id == watch && on_decoded) std::exchange(on_decoded, nullptr)();
+  }
+  void on_finish(workload::RequestId id, Seconds) override { ++finishes[id]; }
+};
+
+// The decode-iteration bookkeeping is one merge walk of the in-flight batch
+// against the running set.  While an iteration is in flight, one of its
+// requests is preempted and a request with a lower id than every running
+// one is adopted: the walk must skip the first and carry the second past
+// the iteration untouched, and every request still finishes exactly once
+// with its full output.
+TEST(HetisInstance, BatchChangesWhileADecodeIsInFlight) {
+  hw::Cluster cluster = hw::Cluster::paper_cluster();
+  const model::ModelSpec m = model::llama_13b();
+  const HetisOptions opts = default_opts();
+  HetisEngine planned(cluster, m, opts);  // supplies the plan and profile
+  engine::ExecModel exec(cluster, m);
+  engine::MetricsCollector metrics;
+  hauler::Hauler hauler(cluster);
+  HetisInstance inst(exec, planned.plan().instances.front(), planned.profile(), metrics, hauler,
+                     opts, 0);
+  LifecycleLog log;
+  metrics.attach(&log);
+  sim::Simulation sim;
+
+  std::vector<workload::Request> reqs;
+  for (workload::RequestId id = 10; id < 18; ++id) {
+    workload::Request r;
+    r.id = id;
+    r.prompt_len = 200 + 10 * id;
+    r.output_len = 30 + id;
+    reqs.push_back(r);
+  }
+  workload::Request adoptee;
+  adoptee.id = 3;
+  adoptee.prompt_len = 150;
+  adoptee.output_len = 25;
+  const workload::RequestId victim = 13;
+
+  bool changed = false;
+  log.watch = victim;
+  log.on_decoded = [&] {
+    // Still inside finish_decode: the next iteration is issued when it
+    // returns, so act from a zero-delay event, with that iteration in flight.
+    sim.schedule_at(sim.now(), [&] {
+      ASSERT_TRUE(inst.dispatcher().contains(victim));
+      inst.preempt(sim, victim);
+      EXPECT_FALSE(inst.dispatcher().contains(victim));
+      engine::LiveRequest lr;
+      lr.req = adoptee;
+      lr.prefilled = true;
+      lr.generated = 5;
+      metrics.on_arrival(adoptee);
+      ASSERT_TRUE(inst.adopt(sim, lr, sim.now()));
+      changed = true;
+    });
+  };
+  for (const auto& r : reqs) {
+    metrics.on_arrival(r);
+    inst.submit(sim, r);
+  }
+  sim.run_until(1e6);
+
+  ASSERT_TRUE(changed);
+  reqs.push_back(adoptee);
+  EXPECT_EQ(metrics.finished(), reqs.size());
+  for (const auto& r : reqs) {
+    EXPECT_EQ(log.finishes[r.id], 1) << "request " << r.id;
+    EXPECT_EQ(log.last_generated[r.id], r.output_len) << "request " << r.id;
+  }
+  EXPECT_EQ(inst.dispatcher().size(), 0u);
 }
 
 }  // namespace

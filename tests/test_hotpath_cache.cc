@@ -1,6 +1,7 @@
 // Differential tests for the hot path's shortcuts: recycled solver buffers,
-// the closed-form decode-attention cost, the dense-stage memo and the
-// Dispatcher's running totals.  The contract under test is strict: every
+// the closed-form decode-attention cost, the dense-stage memo, the
+// Dispatcher's running totals and its certified skip of the re-dispatch
+// waterfill.  The contract under test is strict: every
 // shortcut must return results BIT-identical to the plain computation it
 // replaces -- not approximately equal, byte-for-byte equal -- because the
 // repo's golden CSVs are byte-compared in CI and a single ULP of drift in
@@ -362,7 +363,7 @@ TEST(DispatcherHotPath, BatchedAppendEquivalentToLoop) {
   const std::vector<workload::RequestId> ids{1, 2, 3, 4};
   for (int iter = 0; iter < 50; ++iter) {
     batched.append_tokens(ids);
-    for (workload::RequestId id : ids) looped.append_token(id);
+    for (workload::RequestId id : ids) looped.append_tokens({id});
   }
   for (std::size_t dev = 0; dev < batched.num_logical(); ++dev) {
     expect_bits_eq(batched.device_time(dev), looped.device_time(dev));
@@ -387,15 +388,15 @@ TEST(DispatcherHotPath, InterleavedReadsSeeFreshAggregates) {
   ASSERT_TRUE(d.dispatch({{1, 500}, {2, 2500}}, 0.0).has_value());
   // Read between every mutation on `d`; the twin mutates first, reads once.
   (void)d.worst_per_layer();
-  d.append_token(1);
+  d.append_tokens({1});
   (void)d.ideal_per_layer();
   (void)d.device_time(0);
-  d.append_token(2);
+  d.append_tokens({2});
   (void)d.attention_iteration_time();
   d.remove(1);
   ASSERT_TRUE(twin.dispatch({{1, 500}, {2, 2500}}, 0.0).has_value());
-  twin.append_token(1);
-  twin.append_token(2);
+  twin.append_tokens({1});
+  twin.append_tokens({2});
   twin.remove(1);
   for (std::size_t dev = 0; dev < d.num_logical(); ++dev) {
     expect_bits_eq(d.device_time(dev), twin.device_time(dev));
@@ -544,8 +545,10 @@ TEST(DispatcherHotPath, RunningTotalsMatchRecompute) {
     cfg.workers[1].capacity = 2ll * GiB;  // tight enough to force rescues
     dispatch::Dispatcher d(cfg);
     std::set<workload::RequestId> live;
+    std::vector<workload::RequestId> removed;  // candidates for re-adoption
     Rng rng(static_cast<std::uint64_t>(31 + group));
-    workload::RequestId next_id = 1;
+    workload::RequestId next_id = 1000;
+    workload::RequestId low_id = 999;  // counts down: below every live id
     auto random_live = [&]() {
       auto it = live.begin();
       std::advance(it, rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
@@ -560,6 +563,17 @@ TEST(DispatcherHotPath, RunningTotalsMatchRecompute) {
         if (!live.empty() && rng.uniform_int(0, 4) == 0) {
           reqs.emplace_back(random_live(), rng.uniform_int(1, 4000));
         }
+        // Out-of-order admissions, as adopt and re-dispatch produce: an id
+        // below every live one, and a removed id coming back mid-table.
+        if (rng.uniform_int(0, 3) == 0) reqs.emplace_back(low_id--, rng.uniform_int(1, 4000));
+        if (!removed.empty() && rng.uniform_int(0, 3) == 0) {
+          const auto k = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(removed.size()) - 1));
+          if (live.count(removed[k]) == 0) {
+            reqs.emplace_back(removed[k], rng.uniform_int(1, 4000));
+          }
+          removed.erase(removed.begin() + static_cast<std::ptrdiff_t>(k));
+        }
         if (d.dispatch(reqs, static_cast<Seconds>(step))) {
           for (const auto& r : reqs) live.insert(r.first);
         }
@@ -573,6 +587,7 @@ TEST(DispatcherHotPath, RunningTotalsMatchRecompute) {
         const workload::RequestId id = random_live();
         d.remove(id);
         live.erase(id);
+        removed.push_back(id);
       } else {
         const dispatch::Rebalance rb = op == 4 ? d.plan_rebalance() : d.plan_rescue(random_live());
         if (rb.valid) d.apply(rb);
@@ -585,8 +600,150 @@ TEST(DispatcherHotPath, RunningTotalsMatchRecompute) {
       expect_bits_eq(ref.worst_per_layer(), d.worst_per_layer());
       expect_bits_eq(ref.ideal_per_layer(), d.ideal_per_layer());
       expect_bits_eq(ref.attention_iteration_time(), d.attention_iteration_time());
+      for (workload::RequestId id : live) ASSERT_TRUE(d.contains(id));
+      if (!live.empty()) {
+        ASSERT_FALSE(d.contains(*live.begin() - 1));
+        EXPECT_THROW(d.append_tokens({*live.rbegin() + 1}), std::out_of_range);
+      }
     }
   }
+}
+
+/// The trigger as it was before the certified skip: always run the
+/// waterfill and compare.
+bool waterfill_trigger(const dispatch::Dispatcher& d) {
+  if (d.size() == 0) return false;
+  const Seconds ideal = d.ideal_per_layer();
+  return ideal > 0 && d.worst_per_layer() > (1.0 + d.config().theta) * ideal;
+}
+
+/// A random cluster: 1-3 stages and 0-3 workers with random Eq. 3 / Eq. 4
+/// fits, some with a zero `a` or zero `b` (the profiler clamps negative
+/// fits to zero), and capacities from roomy down to a few requests' worth.
+dispatch::DispatcherConfig random_config(Rng& rng, int group, double theta) {
+  dispatch::DispatcherConfig cfg;
+  cfg.heads = 64;
+  cfg.group_size = group;
+  cfg.bytes_per_head_token_layer = 512.0;
+  cfg.total_layers = 40;
+  cfg.theta = theta;
+  auto fit = [&rng]() {
+    costmodel::AttnParams a{rng.uniform(1e-8, 2e-7), 1.0 / rng.uniform(0.2e12, 2e12),
+                            rng.uniform(0.0, 1e-5)};
+    const std::int64_t clamp = rng.uniform_int(0, 5);
+    if (clamp == 0) a.a = 0.0;
+    if (clamp == 1) a.b = 0.0;
+    return a;
+  };
+  const Bytes scale = rng.uniform_int(0, 2) == 0 ? 64ll * MiB : 4ll * GiB;
+  const std::int64_t stages = rng.uniform_int(1, 3);
+  int layers_left = cfg.total_layers;
+  for (std::int64_t k = 0; k < stages; ++k) {
+    dispatch::StageDesc s;
+    s.devices = {static_cast<int>(2 * k), static_cast<int>(2 * k + 1)};
+    s.layers = k + 1 == stages ? layers_left : layers_left / 2;
+    layers_left -= s.layers;
+    s.attn = fit();
+    s.capacity = rng.uniform_int(1, 8) * scale;
+    cfg.stages.push_back(s);
+  }
+  const std::int64_t workers = rng.uniform_int(0, 3);
+  for (std::int64_t w = 0; w < workers; ++w) {
+    dispatch::WorkerDesc wd;
+    wd.device = 8 + static_cast<int>(w);
+    wd.attn = fit();
+    wd.transfer = costmodel::TransferParams{1.0 / rng.uniform(5e9, 50e9), rng.uniform(0.0, 5e-5)};
+    wd.capacity = rng.uniform_int(1, 8) * scale;
+    cfg.workers.push_back(wd);
+  }
+  return cfg;
+}
+
+TEST(DispatcherHotPath, RebalanceSkipAgreesWithTheWaterfill) {
+  // should_rebalance may skip the waterfill only when a bound proves the
+  // trigger cannot fire; in every state it must answer exactly what the
+  // waterfill answers.  States: random clusters and lifecycles (skewed
+  // appends that overflow memory, so the waterfill stops short), empty
+  // and single-request tables, theta = 0.
+  int skipped = 0;
+  int solved = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const int group = seed % 2 == 0 ? 8 : 1;
+    const double theta = seed % 4 == 0 ? 0.0 : rng.uniform(0.0, 1.0);
+    const dispatch::DispatcherConfig cfg = random_config(rng, group, theta);
+    dispatch::Dispatcher d(cfg);
+    EXPECT_FALSE(d.should_rebalance());  // empty table
+    workload::RequestId next_id = 0;
+    for (int step = 0; step < 60; ++step) {
+      const std::int64_t op = d.size() == 0 ? 0 : rng.uniform_int(0, 4);
+      if (op == 0) {
+        (void)d.dispatch({{next_id++, rng.uniform_int(1, 3000)}}, static_cast<Seconds>(step));
+      } else if (op == 1) {
+        // Skew: grow the newest requests only.
+        std::vector<workload::RequestId> ids;
+        for (workload::RequestId id = std::max<workload::RequestId>(0, next_id - 2); id < next_id;
+             ++id) {
+          if (d.contains(id)) ids.push_back(id);
+        }
+        for (int t = 0; t < 200; ++t) d.append_tokens(ids);
+      } else if (op == 2) {
+        d.remove(rng.uniform_int(0, next_id - 1));
+      } else {
+        const dispatch::Rebalance rb = d.plan_rebalance();
+        if (rb.valid) d.apply(rb);
+      }
+      const std::uint64_t before = d.lp_solves();
+      const bool fast = d.should_rebalance();
+      if (d.lp_solves() == before) {
+        ++skipped;
+      } else {
+        ++solved;
+      }
+      EXPECT_EQ(fast, waterfill_trigger(d)) << "seed " << seed << " step " << step;
+    }
+  }
+  // Both branches ran.
+  EXPECT_GT(skipped, 0);
+  EXPECT_GT(solved, 0);
+}
+
+TEST(DispatcherHotPath, RebalanceSkipHoldsWhenTheWaterfillStopsShort) {
+  // Memory so tight that the waterfill over the grown contexts stops short
+  // and reports a makespan far below every bound: the trigger fires, and
+  // the memory certificate is what keeps the skip from hiding it.
+  for (double theta : {0.0, 0.5}) {
+    dispatch::DispatcherConfig cfg = dispatcher_config();
+    cfg.theta = theta;
+    dispatch::Dispatcher d(cfg);
+    ASSERT_TRUE(d.dispatch({{1, 2000}, {2, 2000}}, 0.0).has_value());
+    // Both contexts grow past what the whole cluster can hold (about 2 GiB
+    // per layer against 2 x 32 heads x 512 B per token).
+    for (int t = 0; t < 98000; ++t) d.append_tokens({1, 2});
+    ASSERT_TRUE(d.first_overflowed().has_value());
+    EXPECT_TRUE(waterfill_trigger(d));
+    EXPECT_EQ(d.should_rebalance(), waterfill_trigger(d));
+  }
+}
+
+TEST(DispatcherHotPath, BalancedStateRunsNoWaterfill) {
+  for (double theta : {0.0, 0.5}) {
+    dispatch::DispatcherConfig cfg = dispatcher_config();
+    cfg.theta = theta;
+    dispatch::Dispatcher single(cfg);
+    ASSERT_TRUE(single.dispatch({{7, 900}}, 0.0).has_value());
+    EXPECT_EQ(single.should_rebalance(), waterfill_trigger(single));
+  }
+  // Identical requests placed by the LP: the bottleneck is within theta of
+  // the bound, so the check settles without a waterfill.
+  dispatch::Dispatcher d(dispatcher_config());
+  std::vector<std::pair<workload::RequestId, std::int64_t>> reqs;
+  for (workload::RequestId id = 0; id < 16; ++id) reqs.emplace_back(id, 1500);
+  ASSERT_TRUE(d.dispatch(reqs, 0.0).has_value());
+  const std::uint64_t before = d.lp_solves();
+  EXPECT_FALSE(d.should_rebalance());
+  EXPECT_EQ(d.lp_solves(), before);
+  EXPECT_FALSE(waterfill_trigger(d));
 }
 
 }  // namespace

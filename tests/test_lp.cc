@@ -330,14 +330,6 @@ TEST(MinMax, MultiRequestIntegrity) {
   }
 }
 
-TEST(MinMax, GlobalMemoryVariant) {
-  MinMaxProblem p = two_device_problem();
-  p.global_memory_only = true;
-  p.mem_free = {0.0, 32 * 1e5};  // per-device would be infeasible on dev 0
-  MinMaxSolution s = solve_relaxed(p);
-  ASSERT_TRUE(s.ok());  // the global sum has room
-}
-
 TEST(MinMax, ValidationErrors) {
   MinMaxProblem p = two_device_problem();
   p.demand = {33};  // not a multiple of group_size=8
