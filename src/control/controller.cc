@@ -263,7 +263,7 @@ bool Controller::tick(sim::Simulation& sim) {
   // on_prefill_done is deduped per request at the metrics layer, so the
   // arrived-minus-prefilled difference alone would go blind to restart
   // backlogs -- exactly when a reactive policy must see pressure.
-  signals_.queue_depth = arrived_ - prefilled_ + reprefilling_.size();
+  signals_.queue_depth = arrived_ - prefilled_ + reprefilling_;
   signals_.in_flight = arrived_ - finished_;
   signals_.kv_pressure = engine_ ? engine_->kv_fill_fraction() : 0.0;
   signals_.active_devices = static_cast<int>(active_.size());
@@ -325,7 +325,7 @@ void Controller::audit_decision(sim::Simulation& sim, const std::string& action,
   // queue it actually saw.
   rec.signals = signals_;
   rec.signals.now = sim.now();
-  rec.signals.queue_depth = arrived_ - prefilled_ + reprefilling_.size();
+  rec.signals.queue_depth = arrived_ - prefilled_ + reprefilling_;
   rec.signals.in_flight = arrived_ - finished_;
   rec.signals.kv_pressure = engine_ ? engine_->kv_fill_fraction() : 0.0;
   rec.signals.active_devices = static_cast<int>(devices_before.size());
@@ -348,19 +348,28 @@ void Controller::audit_decision(sim::Simulation& sim, const std::string& action,
   engine_->metrics().on_decision(rec);
 }
 
+void Controller::end_reprefill(Live& rec) {
+  if (rec.reprefilling) {
+    rec.reprefilling = false;
+    --reprefilling_;
+  }
+}
+
 void Controller::on_arrival(const workload::Request& r) {
   ++arrived_;
-  arrival_time_[r.id] = r.arrival;
+  Live& rec = live_[r.id];
+  rec.arrival = r.arrival;
+  rec.has_arrival = true;
 }
 
 void Controller::on_prefill_done(workload::RequestId id, Seconds t) {
   ++prefilled_;
-  reprefilling_.erase(id);
-  first_token_time_[id] = t;
-  last_token_time_[id] = t;
-  auto it = arrival_time_.find(id);
-  if (it != arrival_time_.end()) {
-    const double ttft = t - it->second;
+  Live& rec = live_[id];
+  end_reprefill(rec);
+  rec.first_token = rec.last_token = t;
+  rec.has_first_token = rec.has_last_token = true;
+  if (rec.has_arrival) {
+    const double ttft = t - rec.arrival;
     if (!ttft_seeded_) {
       signals_.ttft_ewma = ttft;
       ttft_seeded_ = true;
@@ -371,9 +380,9 @@ void Controller::on_prefill_done(workload::RequestId id, Seconds t) {
 }
 
 void Controller::on_token(workload::RequestId id, Seconds t, std::int64_t generated) {
-  auto it = last_token_time_.find(id);
-  if (it != last_token_time_.end() && t > it->second) {
-    const double gap = t - it->second;
+  Live& rec = live_[id];
+  if (rec.has_last_token && t > rec.last_token) {
+    const double gap = t - rec.last_token;
     if (!tpot_seeded_) {
       signals_.tpot_ewma = gap;
       tpot_seeded_ = true;
@@ -381,28 +390,26 @@ void Controller::on_token(workload::RequestId id, Seconds t, std::int64_t genera
       ewma(signals_.tpot_ewma, gap);
     }
   }
-  last_token_time_[id] = t;
-  generated_[id] = generated;
-  reprefilling_.erase(id);  // decode resumed: the re-prefill completed
+  rec.last_token = t;
+  rec.has_last_token = true;
+  rec.generated = generated;
+  end_reprefill(rec);  // decode resumed: the re-prefill completed
 }
 
 void Controller::on_finish(workload::RequestId id, Seconds t) {
   ++finished_;
+  const auto it = live_.find(id);
+  const Live rec = it != live_.end() ? it->second : Live{};
   // Grade the finish against the spec's SLO with run_trace's conventions:
   // targets <= 0 are vacuous, single-token outputs meet TPOT trivially.
   bool ok = true;
-  const auto arr = arrival_time_.find(id);
-  const auto ft = first_token_time_.find(id);
   if (spec_.slo.ttft > 0) {
-    ok = arr != arrival_time_.end() && ft != first_token_time_.end() &&
-         (ft->second - arr->second) <= spec_.slo.ttft;
+    ok = rec.has_arrival && rec.has_first_token &&
+         (rec.first_token - rec.arrival) <= spec_.slo.ttft;
   }
-  if (ok && spec_.slo.tpot > 0) {
-    const auto gen = generated_.find(id);
-    if (gen != generated_.end() && gen->second > 1 && ft != first_token_time_.end()) {
-      const double tpot = (t - ft->second) / static_cast<double>(gen->second - 1);
-      ok = tpot <= spec_.slo.tpot;
-    }
+  if (ok && spec_.slo.tpot > 0 && rec.generated > 1 && rec.has_first_token) {
+    const double tpot = (t - rec.first_token) / static_cast<double>(rec.generated - 1);
+    ok = tpot <= spec_.slo.tpot;
   }
   const double sample = ok ? 1.0 : 0.0;
   if (!slo_seeded_) {
@@ -411,15 +418,18 @@ void Controller::on_finish(workload::RequestId id, Seconds t) {
   } else {
     ewma(signals_.slo_attainment, sample);
   }
-  arrival_time_.erase(id);
-  first_token_time_.erase(id);
-  last_token_time_.erase(id);
-  generated_.erase(id);
-  reprefilling_.erase(id);
+  if (it != live_.end()) {
+    end_reprefill(it->second);
+    live_.erase(it);
+  }
 }
 
 void Controller::on_preempt(workload::RequestId id, Seconds) {
-  reprefilling_.insert(id);  // back in the admission queue until it decodes
+  Live& rec = live_[id];
+  if (!rec.reprefilling) {  // back in the admission queue until it decodes
+    rec.reprefilling = true;
+    ++reprefilling_;
+  }
 }
 
 }  // namespace hetis::control

@@ -33,10 +33,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "control/events.h"
@@ -202,13 +202,24 @@ class Controller final : public engine::RunObserver {
   ControlSignals signals_;
   ControllerStats stats_;
   std::size_t arrived_ = 0, prefilled_ = 0, finished_ = 0;
-  std::set<workload::RequestId> reprefilling_;  // preempted, not yet decoding again
+  std::size_t reprefilling_ = 0;  // live records with `reprefilling` set
   std::size_t arrived_at_last_tick_ = 0;
   bool rate_seeded_ = false, ttft_seeded_ = false, tpot_seeded_ = false, slo_seeded_ = false;
-  std::map<workload::RequestId, Seconds> arrival_time_;
-  std::map<workload::RequestId, Seconds> first_token_time_;
-  std::map<workload::RequestId, Seconds> last_token_time_;
-  std::map<workload::RequestId, std::int64_t> generated_;
+
+  /// What the signal handlers know about one request, from its first event
+  /// until on_finish erases it.  A record may first appear through any
+  /// handler (on_token and on_preempt included), so each time carries its
+  /// own presence flag; `generated` needs none, since only counts above 1
+  /// are graded.
+  struct Live {
+    Seconds arrival = 0, first_token = 0, last_token = 0;
+    std::int64_t generated = 0;
+    bool has_arrival = false, has_first_token = false, has_last_token = false;
+    bool reprefilling = false;  // preempted, not yet decoding again
+  };
+  /// Clears `rec.reprefilling`, keeping the reprefilling_ count in step.
+  void end_reprefill(Live& rec);
+  std::unordered_map<workload::RequestId, Live> live_;
 };
 
 }  // namespace hetis::control

@@ -128,9 +128,11 @@ class ExecModel {
   costmodel::CommModel comm_;
   bool cache_enabled_ = true;
   mutable std::uint64_t cache_epoch_ = 0;
-  // 32k slots: the key space (distinct token counts x stage shapes) runs to
-  // thousands of entries per run; the default 1024 thrashes.
-  mutable costmodel::EvalCache<DenseStageKey, Seconds> dense_cache_{1 << 15};
+  // 4k slots (0.33 MB once filled): the key space (distinct token counts x
+  // stage shapes) runs to thousands of entries per run.  On perfbench
+  // rate_sweep, 1024 slots lost 8% of HexGen's hits and 4096 lost 0.01%;
+  // a larger table only costs zero-fill in every engine and plan evaluator.
+  mutable costmodel::EvalCache<DenseStageKey, Seconds> dense_cache_{1 << 12};
 };
 
 /// KV-cache budget of a device after reserving parameters + activations.

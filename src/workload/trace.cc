@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_set>
 
 namespace hetis::workload {
 
@@ -77,6 +78,7 @@ std::vector<Request> load_trace(std::istream& is) {
                                 std::string(kTraceHeader) + "')");
   }
   std::vector<Request> trace;
+  std::unordered_set<RequestId> ids;
   std::size_t line_no = 1;
   while (std::getline(is, line)) {
     ++line_no;
@@ -126,6 +128,19 @@ std::vector<Request> load_trace(std::istream& is) {
       throw std::invalid_argument("load_trace: line " + std::to_string(line_no) +
                                   " arrives before the previous row (arrivals must be "
                                   "non-decreasing)");
+    }
+    // Every engine keys its bookkeeping by id and serves at least one
+    // prompt and one output token, so a repeated id or an empty length
+    // would fail mid-run or be "served" with nonsense metrics.
+    if (r.id < 0 || !ids.insert(r.id).second) {
+      throw std::invalid_argument("load_trace: line " + std::to_string(line_no) +
+                                  " has id '" + fields[0] +
+                                  "', expected a non-negative id not used before");
+    }
+    if (r.prompt_len < 1 || r.output_len < 1) {
+      throw std::invalid_argument("load_trace: line " + std::to_string(line_no) +
+                                  " has prompt_len '" + fields[2] + "' and output_len '" +
+                                  fields[3] + "', expected both >= 1");
     }
     trace.push_back(r);
   }

@@ -41,9 +41,10 @@ void save_trace(std::ostream& os, const std::vector<Request>& trace);
 /// File overload; throws std::runtime_error when `path` cannot be written.
 void save_trace(const std::string& path, const std::vector<Request>& trace);
 
-/// Inverse of save_trace.  Validates the header, every row arity and the
-/// arrivals (finite, >= 0, non-decreasing); throws std::invalid_argument
-/// naming the line on malformed input.  load_trace(save_trace
+/// Inverse of save_trace.  Validates the header, every row arity, the
+/// arrivals (finite, >= 0, non-decreasing), the ids (>= 0, unique) and the
+/// lengths (>= 1); throws std::invalid_argument naming the line on
+/// malformed input.  load_trace(save_trace
 /// (t)) == t field-for-field, so replayed experiments are byte-identical
 /// to the generating run.
 std::vector<Request> load_trace(std::istream& is);

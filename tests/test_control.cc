@@ -9,6 +9,8 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -297,6 +299,230 @@ TEST(Controller, ValidatesSpecBounds) {
   cs.min_devices = 2;
   cs.initial_devices = 99;
   EXPECT_THROW(control::Controller(cs, cluster), std::invalid_argument);
+}
+
+// The Controller's signal state, kept the plain way: one ordered container
+// per field, exactly as the handlers read before they shared one record
+// per request.  Same EWMA arithmetic in the same order.
+struct ReferenceSignals {
+  double alpha;
+  engine::SloSpec slo;
+  std::size_t arrived = 0, prefilled = 0, finished = 0;
+  std::set<workload::RequestId> reprefilling;
+  std::map<workload::RequestId, Seconds> arrival, first_token, last_token;
+  std::map<workload::RequestId, std::int64_t> generated;
+  bool ttft_seeded = false, tpot_seeded = false, slo_seeded = false;
+  double ttft_ewma = control::ControlSignals{}.ttft_ewma;
+  double tpot_ewma = control::ControlSignals{}.tpot_ewma;
+  double slo_attainment = control::ControlSignals{}.slo_attainment;
+
+  ReferenceSignals(double a, engine::SloSpec s) : alpha(a), slo(s) {}
+
+  void ewma(double& slot, double sample) const {
+    slot = alpha * sample + (1.0 - alpha) * slot;
+  }
+  void seed_or_ewma(bool& seeded, double& slot, double sample) const {
+    if (!seeded) {
+      slot = sample;
+      seeded = true;
+    } else {
+      ewma(slot, sample);
+    }
+  }
+  std::size_t queue_depth() const { return arrived - prefilled + reprefilling.size(); }
+  std::size_t in_flight() const { return arrived - finished; }
+
+  void on_arrival(workload::RequestId id, Seconds t) {
+    ++arrived;
+    arrival[id] = t;
+  }
+  void on_prefill_done(workload::RequestId id, Seconds t) {
+    ++prefilled;
+    reprefilling.erase(id);
+    first_token[id] = t;
+    last_token[id] = t;
+    auto it = arrival.find(id);
+    if (it != arrival.end()) seed_or_ewma(ttft_seeded, ttft_ewma, t - it->second);
+  }
+  void on_token(workload::RequestId id, Seconds t, std::int64_t gen) {
+    auto it = last_token.find(id);
+    if (it != last_token.end() && t > it->second) {
+      seed_or_ewma(tpot_seeded, tpot_ewma, t - it->second);
+    }
+    last_token[id] = t;
+    generated[id] = gen;
+    reprefilling.erase(id);
+  }
+  void on_finish(workload::RequestId id, Seconds t) {
+    ++finished;
+    bool ok = true;
+    const auto arr = arrival.find(id);
+    const auto ft = first_token.find(id);
+    if (slo.ttft > 0) {
+      ok = arr != arrival.end() && ft != first_token.end() &&
+           (ft->second - arr->second) <= slo.ttft;
+    }
+    if (ok && slo.tpot > 0) {
+      const auto gen = generated.find(id);
+      if (gen != generated.end() && gen->second > 1 && ft != first_token.end()) {
+        ok = (t - ft->second) / static_cast<double>(gen->second - 1) <= slo.tpot;
+      }
+    }
+    seed_or_ewma(slo_seeded, slo_attainment, ok ? 1.0 : 0.0);
+    arrival.erase(id);
+    first_token.erase(id);
+    last_token.erase(id);
+    generated.erase(id);
+    reprefilling.erase(id);
+  }
+  void on_preempt(workload::RequestId id) { reprefilling.insert(id); }
+};
+
+TEST(Controller, SignalsMatchThePerFieldReferenceOnASeededLifecycleStream) {
+  // A request-free engine: the Controller only sees the events fed below.
+  class IdleEngine : public engine::Engine {
+   public:
+    std::string name() const override { return "Idle"; }
+    void submit(sim::Simulation&, const workload::Request&) override {}
+    Bytes usable_kv_capacity() const override { return 0; }
+  };
+
+  // Seeded lifecycles, interleaved at random: arrival, prefill, tokens
+  // (some at equal or earlier timestamps), preemptions followed by resumed
+  // tokens, an occasional repeated prefill, and a finish -- or none, so
+  // some records stay live to the end.
+  enum Kind { kArrival, kPrefill, kToken, kPreempt, kFinish };
+  struct Ev {
+    Kind kind;
+    workload::RequestId id;
+    Seconds t;
+    std::int64_t generated;
+  };
+  std::mt19937_64 rng(20251116);
+  std::vector<workload::RequestId> ids = {-5, 1'000'000'000'000, 3, 0, 41, 2, 17};
+  for (int i = 0; i < 40; ++i) {
+    ids.push_back(static_cast<workload::RequestId>(rng() % 200) - 20);
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::shuffle(ids.begin(), ids.end(), rng);  // out-of-order ids
+  std::vector<std::vector<Ev>> lifecycles;
+  for (workload::RequestId id : ids) {
+    std::vector<Ev> life;
+    Seconds t = std::uniform_real_distribution<double>(0.0, 5.0)(rng);
+    life.push_back({kArrival, id, t, 0});
+    t += std::uniform_real_distribution<double>(0.0, 6.0)(rng);
+    life.push_back({kPrefill, id, t, 0});
+    const int tokens = static_cast<int>(rng() % 12);
+    for (int k = 1; k <= tokens; ++k) {
+      const unsigned step = rng() % 8;
+      if (step == 0) {
+        // Equal timestamp: no TPOT sample.
+      } else if (step == 1) {
+        t -= 0.01;  // out of order: the `t > last` guard skips it
+      } else {
+        t += 0.05 * step;
+      }
+      life.push_back({kToken, id, t, k});
+      if (rng() % 6 == 0) life.push_back({kPreempt, id, t, 0});
+      if (rng() % 15 == 0) life.push_back({kPrefill, id, t + 0.5, 0});
+    }
+    if (rng() % 8 != 0) life.push_back({kFinish, id, t + 0.1, 0});
+    lifecycles.push_back(std::move(life));
+  }
+  std::vector<Ev> stream;
+  std::vector<std::size_t> next(lifecycles.size(), 0);
+  for (;;) {
+    std::vector<std::size_t> open;
+    for (std::size_t r = 0; r < lifecycles.size(); ++r) {
+      if (next[r] < lifecycles[r].size()) open.push_back(r);
+    }
+    if (open.empty()) break;
+    const std::size_t r = open[rng() % open.size()];
+    stream.push_back(lifecycles[r][next[r]++]);
+  }
+  // Events for ids the Controller never saw arrive: a preempt and a finish
+  // that come first, a token or a prefill that opens a record, and a
+  // preempt after a finish that re-opens one.
+  const auto at = [&](std::size_t frac) { return stream.begin() + stream.size() * frac / 8; };
+  stream.insert(at(1), Ev{kPreempt, 7'000'000, 3.0, 0});
+  stream.insert(at(2), Ev{kFinish, 7'000'001, 4.0, 0});
+  stream.insert(at(3), Ev{kToken, 7'000'002, 4.5, 3});
+  stream.insert(at(4), Ev{kFinish, 7'000'002, 5.5, 0});
+  stream.insert(at(5), Ev{kFinish, 7'000'003, 6.0, 0});
+  stream.insert(at(6), Ev{kPreempt, 7'000'003, 6.5, 0});
+  stream.insert(at(7), Ev{kPreempt, 7'000'000, 7.0, 0});
+  // Inserted back to front: prefill, token, finish, never an arrival.
+  stream.insert(at(3), Ev{kFinish, 7'000'004, 2.2, 0});
+  stream.insert(at(3), Ev{kToken, 7'000'004, 2.1, 3});
+  stream.insert(at(3), Ev{kPrefill, 7'000'004, 2.0, 0});
+
+  // Both targets, then TPOT alone: without a TTFT target, a finish is
+  // graded on TPOT even when the request never arrived.
+  for (const engine::SloSpec slo : {engine::SloSpec{3.0, 0.2}, engine::SloSpec{0.0, 0.2}}) {
+    SCOPED_TRACE("slo.ttft " + std::to_string(slo.ttft));
+    control::ControlSpec spec;
+    spec.policy = "static";
+    spec.tick = 1.0;
+    spec.horizon = static_cast<Seconds>(stream.size() + 1);
+    spec.slo = slo;
+    hw::Cluster cluster = harness::cluster_by_name("paper");
+    IdleEngine eng;
+    sim::Simulation sim;
+    control::Controller ctl(spec, cluster);
+    ctl.attach(sim, eng);
+    ReferenceSignals ref(spec.signal_alpha, spec.slo);
+
+    std::size_t finishes = 0, preempts = 0;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      const Ev& ev = stream[i];
+      switch (ev.kind) {
+        case kArrival: {
+          workload::Request r;
+          r.id = ev.id;
+          r.arrival = ev.t;
+          ctl.on_arrival(r);
+          ref.on_arrival(ev.id, ev.t);
+          break;
+        }
+        case kPrefill:
+          ctl.on_prefill_done(ev.id, ev.t);
+          ref.on_prefill_done(ev.id, ev.t);
+          break;
+        case kToken:
+          ctl.on_token(ev.id, ev.t, ev.generated);
+          ref.on_token(ev.id, ev.t, ev.generated);
+          break;
+        case kPreempt:
+          ctl.on_preempt(ev.id, ev.t);
+          ref.on_preempt(ev.id);
+          ++preempts;
+          break;
+        case kFinish:
+          ctl.on_finish(ev.id, ev.t);
+          ref.on_finish(ev.id, ev.t);
+          ++finishes;
+          break;
+      }
+      const control::ControlSignals& s = ctl.signals();
+      ASSERT_EQ(s.ttft_ewma, ref.ttft_ewma) << "event " << i;
+      ASSERT_EQ(s.tpot_ewma, ref.tpot_ewma) << "event " << i;
+      ASSERT_EQ(s.slo_attainment, ref.slo_attainment) << "event " << i;
+      // One tick per event: queue depth and in-flight are sampled there.
+      const int ticks = ctl.stats().ticks;
+      sim.run_until(static_cast<Seconds>(i + 1));
+      ASSERT_EQ(ctl.stats().ticks, ticks + 1) << "event " << i;
+      ASSERT_EQ(s.queue_depth, ref.queue_depth()) << "event " << i;
+      ASSERT_EQ(s.in_flight, ref.in_flight()) << "event " << i;
+    }
+    // The stream exercised what it claims to.
+    EXPECT_GT(preempts, 5u);
+    EXPECT_GT(finishes, ids.size() / 2);
+    EXPECT_TRUE(ref.tpot_seeded);
+    EXPECT_GT(ref.slo_attainment, 0.0);
+    EXPECT_LT(ref.slo_attainment, 1.0);
+    EXPECT_FALSE(ref.reprefilling.empty());
+  }
 }
 
 // ---------------------------------------------------------------------------

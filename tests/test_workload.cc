@@ -225,6 +225,17 @@ TEST(TraceRecordReplay, LoadRejectsMalformedInput) {
   }
   const std::string decreasing = header + "0,2.0,10,20,0\n1,1.0,10,20,0\n";
   expect_rejected_at_line_3(decreasing);
+  // Ids must be non-negative and unique, and both lengths at least 1: no
+  // engine can serve anything else.
+  expect_rejected_at_line_3(header + "0,0.5,10,20,0\n0,1.0,10,20,0\n");
+  expect_rejected_at_line_3(header + "7,0.5,10,20,0\n-1,1.0,10,20,0\n");
+  expect_rejected_at_line_3(header + "0,0.5,10,20,0\n1,1.0,-10,20,0\n");
+  expect_rejected_at_line_3(header + "0,0.5,10,20,0\n1,1.0,10,-3,0\n");
+  expect_rejected_at_line_3(header + "0,0.5,10,20,0\n1,1.0,0,20,0\n");
+  expect_rejected_at_line_3(header + "0,0.5,10,20,0\n1,1.0,10,0,0\n");
+  // Ids need not be dense or ordered.
+  std::stringstream sparse(header + "9,0.5,1,1,0\n1000000000000,0.5,1,1,0\n3,0.7,1,1,0\n");
+  EXPECT_EQ(load_trace(sparse).size(), 3u);
   EXPECT_THROW(load_trace(std::string("/nonexistent/dir/trace.csv")), std::runtime_error);
   std::stringstream empty_trace("id,arrival,prompt_len,output_len,tenant\n");
   EXPECT_TRUE(load_trace(empty_trace).empty());
