@@ -72,10 +72,9 @@ HetisEngine::~HetisEngine() = default;
 void HetisEngine::build_instances(const hw::Cluster& cluster, const model::ModelSpec& model) {
   (void)cluster;
   (void)model;
-  int id = static_cast<int>(retired_.size()) * 8;  // distinct ids per epoch
   for (const auto& inst : plan_.instances) {
-    instances_.push_back(std::make_unique<HetisInstance>(exec_, inst, profile_, metrics_,
-                                                         hauler_, opts_, id++));
+    instances_.push_back(
+        std::make_unique<HetisInstance>(exec_, inst, profile_, metrics_, hauler_, opts_));
     instances_.back()->set_tenant_priorities(tenant_priorities_);
   }
 }
@@ -84,11 +83,13 @@ void HetisEngine::set_plan_objective(const parallel::ObjectiveSpec& objective) {
   parallel::make_objective(objective);  // validate eagerly: a typo must fail
                                         // here, not mid-churn on a replan
   opts_.search.objective = objective;
+  plan_table_.clear();
 }
 
 void HetisEngine::set_planner(const std::string& planner) {
   planner::validate(planner);  // same eager-failure contract as objectives
   opts_.search.planner = planner;
+  plan_table_.clear();
 }
 
 void HetisEngine::set_tenant_priorities(std::vector<int> priorities) {
@@ -143,15 +144,28 @@ std::vector<int> HetisEngine::active_devices() const {
 
 parallel::ParallelPlan HetisEngine::compute_plan(const std::vector<int>& devices) {
   // §5.3 applied to churn: re-plan over the device set through the
-  // configured planner tier (the search itself is sub-second and off the
-  // serving critical path).  subcluster() carries the degradation overlay,
-  // so the search prices measured -- not nameplate -- hardware.
+  // configured planner tier.  subcluster() carries the degradation overlay,
+  // so the search prices measured -- not nameplate -- hardware.  Churn
+  // revisits the same few device sets as spot devices leave and rejoin, so
+  // most replans repeat a search this engine already ran under the same
+  // overlay, objective and tier (83% on perfbench spot_churn): plan_table_
+  // replays those, diagnostics included.
+  const std::uint64_t epoch = exec_.cluster().condition_epoch();
+  if (epoch != plan_table_epoch_) {
+    plan_table_.clear();
+    plan_table_epoch_ = epoch;
+  }
+  if (auto it = plan_table_.find(devices); it != plan_table_.end()) {
+    search_diag_ = it->second.diag;
+    return it->second.plan;
+  }
   std::vector<int> original_ids;
   hw::Cluster sub = exec_.cluster().subcluster(devices, &original_ids);
   auto planner = planner::make(opts_.search.planner, sub, exec_.model_spec(), opts_.search);
   parallel::ParallelPlan plan = planner->plan(opts_.workload);
   search_diag_ = planner->diagnostics();
   parallel::remap_device_ids(plan, original_ids);
+  plan_table_.emplace(devices, PlannedSet{plan, search_diag_});
   return plan;
 }
 
@@ -262,12 +276,14 @@ engine::PerfCounters HetisEngine::perf_counters() const {
 int HetisEngine::rescue_redispatches() const {
   int n = 0;
   for (const auto& inst : instances_) n += inst->rescue_redispatches();
+  for (const auto& inst : retired_) n += inst->rescue_redispatches();
   return n;
 }
 
 int HetisEngine::balance_redispatches() const {
   int n = 0;
   for (const auto& inst : instances_) n += inst->balance_redispatches();
+  for (const auto& inst : retired_) n += inst->balance_redispatches();
   return n;
 }
 
@@ -338,13 +354,12 @@ dispatch::DispatcherConfig HetisInstance::make_dispatcher_config(
 HetisInstance::HetisInstance(const engine::ExecModel& exec, const parallel::InstanceConfig& cfg,
                              const costmodel::ProfileResult& profile,
                              engine::MetricsCollector& metrics, hauler::Hauler& hauler,
-                             const HetisOptions& opts, int id)
+                             const HetisOptions& opts)
     : exec_(&exec),
       cfg_(cfg),
       metrics_(&metrics),
       hauler_(&hauler),
       opts_(opts),
-      id_(id),
       dispatcher_(make_dispatcher_config(cfg, profile, opts)),
       batch_(&metrics) {
   // Prefill (dense + attention) runs entirely on the primary pipeline

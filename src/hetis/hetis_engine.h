@@ -98,6 +98,8 @@ class HetisEngine : public engine::Engine, public engine::Reconfigurable {
   const costmodel::ProfileResult& profile() const { return profile_; }
   Bytes migrated_bytes() const { return hauler_.total_bytes(); }
   std::int64_t migrations() const { return hauler_.total_migrations(); }
+  /// §5.3 re-dispatch counts summed over live AND retired instances, so
+  /// they stay cumulative across reconfigurations like perf_counters().
   int rescue_redispatches() const;
   int balance_redispatches() const;
 
@@ -106,7 +108,8 @@ class HetisEngine : public engine::Engine, public engine::Reconfigurable {
   /// Least-filled-instance routing shared by submit and re-admission.
   HetisInstance* least_filled();
   /// Runs the configured planner tier over the subcluster of `devices` and
-  /// remaps the result back onto construction-cluster ids.  Pure planning:
+  /// remaps the result back onto construction-cluster ids, or returns the
+  /// plan_table_ entry of an earlier identical search.  Pure planning:
   /// does not touch the running deployment (so on_degradation can compare
   /// before committing).
   parallel::ParallelPlan compute_plan(const std::vector<int>& devices);
@@ -118,6 +121,15 @@ class HetisEngine : public engine::Engine, public engine::Reconfigurable {
   engine::ExecModel exec_;
   parallel::ParallelPlan plan_;
   parallel::SearchDiagnostics search_diag_;
+  // compute_plan's results by device list.  The search is a pure function
+  // of (devices, condition epoch, objective, planner tier), so the table is
+  // cleared whenever the epoch, the objective or the tier changes.
+  struct PlannedSet {
+    parallel::ParallelPlan plan;
+    parallel::SearchDiagnostics diag;
+  };
+  std::map<std::vector<int>, PlannedSet> plan_table_;
+  std::uint64_t plan_table_epoch_ = 0;
   costmodel::ProfileResult profile_;
   hauler::Hauler hauler_;
   std::vector<int> tenant_priorities_;
@@ -134,7 +146,7 @@ class HetisInstance {
  public:
   HetisInstance(const engine::ExecModel& exec, const parallel::InstanceConfig& cfg,
                 const costmodel::ProfileResult& profile, engine::MetricsCollector& metrics,
-                hauler::Hauler& hauler, const HetisOptions& opts, int id);
+                hauler::Hauler& hauler, const HetisOptions& opts);
 
   void submit(sim::Simulation& sim, const workload::Request& r);
   void sample_usage(sim::Simulation& sim);
@@ -200,7 +212,6 @@ class HetisInstance {
   engine::MetricsCollector* metrics_;
   hauler::Hauler* hauler_;
   HetisOptions opts_;
-  int id_;
 
   dispatch::Dispatcher dispatcher_;
   std::deque<engine::LiveRequest> waiting_;

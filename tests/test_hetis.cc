@@ -1,16 +1,24 @@
 // Unit + behavioural tests: the full Hetis engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <map>
+#include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "control/controller.h"
+#include "control/events.h"
 #include "engine/engine.h"
 #include "engine/metrics.h"
 #include "hauler/hauler.h"
 #include "hetis/hetis_engine.h"
 #include "model/llm.h"
+#include "planner/planner.h"
+#include "telemetry/audit.h"
 #include "workload/scenarios.h"
 #include "workload/trace.h"
 
@@ -210,6 +218,40 @@ TEST(HetisEngine, MemoryPressureTriggersRescueOrPreemption) {
   EXPECT_EQ(rep.finished, trace.size());
 }
 
+/// A replan target: every active device but the highest-numbered, so the
+/// engine searches a subcluster instead of reusing its construction plan.
+std::vector<int> all_but_last(const HetisEngine& eng) {
+  std::vector<int> devices = eng.active_devices();
+  devices.pop_back();
+  return devices;
+}
+
+// The §5.3 re-dispatch counters are cumulative: a reconfigure retires the
+// instances that counted the run so far, and their counts must still show.
+TEST(HetisEngine, RedispatchCountsSurviveReconfigure) {
+  hw::Cluster cluster = hw::Cluster::paper_cluster();
+  HetisOptions opts = default_opts();
+  opts.theta = 0.05;  // a low trigger makes §5.3 rebalances frequent
+  HetisEngine eng(cluster, model::llama_13b(), opts);
+  sim::Simulation sim;
+  eng.start(sim);
+  const auto trace = small_trace(3.0, 20.0);
+  for (const auto& r : trace) {
+    sim.schedule_at(r.arrival, [&eng, &sim, r] { eng.submit(sim, r); });
+  }
+  sim.run_until(10.0);
+  const int rescues = eng.rescue_redispatches();
+  const int rebalances = eng.balance_redispatches();
+  ASSERT_GT(rebalances, 0);
+
+  eng.reconfigure(sim, all_but_last(eng));
+  EXPECT_GE(eng.rescue_redispatches(), rescues);
+  EXPECT_GE(eng.balance_redispatches(), rebalances);
+  sim.run_until(1e6);
+  EXPECT_GE(eng.rescue_redispatches(), rescues);
+  EXPECT_GE(eng.balance_redispatches(), rebalances);
+}
+
 TEST(HetisEngine, DeterministicAcrossRuns) {
   hw::Cluster cluster = hw::Cluster::paper_cluster();
   auto trace = small_trace(3.0, 10.0);
@@ -259,7 +301,7 @@ TEST(HetisInstance, BatchChangesWhileADecodeIsInFlight) {
   engine::MetricsCollector metrics;
   hauler::Hauler hauler(cluster);
   HetisInstance inst(exec, planned.plan().instances.front(), planned.profile(), metrics, hauler,
-                     opts, 0);
+                     opts);
   LifecycleLog log;
   metrics.attach(&log);
   sim::Simulation sim;
@@ -310,6 +352,171 @@ TEST(HetisInstance, BatchChangesWhileADecodeIsInFlight) {
     EXPECT_EQ(log.last_generated[r.id], r.output_len) << "request " << r.id;
   }
   EXPECT_EQ(inst.dispatcher().size(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Plan table: a replan that repeats an earlier search must return exactly
+// what a fresh search returns, diagnostics included.
+// ---------------------------------------------------------------------------
+
+struct Search {
+  parallel::ParallelPlan plan;
+  parallel::SearchDiagnostics diag;
+};
+
+/// A fresh search over `devices` of `cluster` under `search`, remapped onto
+/// `cluster`'s ids -- what HetisEngine::compute_plan runs on a table miss.
+Search fresh_search(const hw::Cluster& cluster, const model::ModelSpec& m,
+                    const HetisOptions& opts, const parallel::ParallelizerOptions& search,
+                    const std::vector<int>& devices) {
+  std::vector<int> original_ids;
+  hw::Cluster sub = cluster.subcluster(devices, &original_ids);
+  auto planner = planner::make(search.planner, sub, m, search);
+  Search out{planner->plan(opts.workload), planner->diagnostics()};
+  parallel::remap_device_ids(out.plan, original_ids);
+  return out;
+}
+
+/// The engine's current plan and diagnostics equal `want` (host wall time
+/// aside).
+void expect_serves(const HetisEngine& eng, const Search& want) {
+  EXPECT_TRUE(eng.plan() == want.plan);
+  const parallel::SearchDiagnostics& got = *eng.last_search_diagnostics();
+  EXPECT_EQ(got.planner, want.diag.planner);
+  EXPECT_EQ(got.objective, want.diag.objective);
+  EXPECT_EQ(got.configurations_evaluated, want.diag.configurations_evaluated);
+  EXPECT_EQ(got.instances_considered, want.diag.instances_considered);
+  EXPECT_EQ(got.pruned_devices, want.diag.pruned_devices);
+  EXPECT_EQ(got.best_cost, want.diag.best_cost);
+  EXPECT_EQ(got.lp_solves, want.diag.lp_solves);
+  EXPECT_EQ(got.solver_iterations, want.diag.solver_iterations);
+  EXPECT_EQ(got.relaxation_gap, want.diag.relaxation_gap);
+  EXPECT_EQ(got.fallback_reason, want.diag.fallback_reason);
+}
+
+/// Replays every controlled replan against a fresh search over the device
+/// list the engine searched, reconstructed from the audit record.
+class FreshSearchCheck : public engine::RunObserver {
+ public:
+  FreshSearchCheck(const hw::Cluster& cluster, const model::ModelSpec& m, const HetisOptions& opts,
+                   const HetisEngine& eng)
+      : cluster_(cluster), model_(m), opts_(opts), eng_(eng) {}
+
+  void on_decision(const telemetry::AuditRecord& rec) override {
+    std::vector<int> searched;
+    if (rec.action == "redeploy") {
+      searched = rec.devices_after;
+    } else if (rec.action == "replan_in_place") {
+      searched = rec.devices_before;
+    } else {  // "evacuate": on_preempt_notice replans only off a serving device
+      searched = rec.devices_before;
+      auto it = std::find(searched.begin(), searched.end(), rec.device);
+      if (it == searched.end() || searched.size() <= 1) return;
+      searched.erase(it);
+    }
+    parallel::ParallelizerOptions search = opts_.search;
+    search.objective = eng_.plan_objective();
+    SCOPED_TRACE(rec.trigger + " at t=" + std::to_string(rec.time));
+    expect_serves(eng_, fresh_search(cluster_, model_, opts_, search, searched));
+    repeats += !searched_.insert(searched).second;
+    ++checked;
+  }
+
+  int checked = 0;
+  int repeats = 0;  // replans whose device list an earlier one searched
+
+ private:
+  const hw::Cluster& cluster_;
+  const model::ModelSpec& model_;
+  const HetisOptions& opts_;
+  const HetisEngine& eng_;
+  std::set<std::vector<int>> searched_;
+};
+
+TEST(HetisPlanTable, ChurnReplansMatchFreshSearches) {
+  hw::Cluster cluster = hw::Cluster::paper_cluster();
+  const model::ModelSpec m = model::llama_13b();
+  const HetisOptions opts = default_opts();
+  HetisEngine eng(cluster, m, opts);
+
+  control::ControlSpec cs;
+  cs.policy = "static";
+  cs.min_devices = 4;
+  cs.churn = control::churn_preset(control::Churn::kSpotNotice, 60.0, 11);
+  cs.replan_objective = "latency";
+  cs.horizon = 90.0;
+  control::Controller ctl(cs, cluster);
+  FreshSearchCheck check(cluster, m, opts, eng);
+  engine::RunOptions run(900.0);
+  run.on_start = ctl.starter();
+  run.observer = &check;
+  const auto trace = small_trace(3.0, 60.0);
+  engine::RunReport rep = engine::run_trace(eng, trace, run);
+
+  EXPECT_EQ(rep.finished, trace.size());
+  EXPECT_GE(eng.reconfig_stats().reconfigurations, 4);
+  EXPECT_GE(check.checked, eng.reconfig_stats().reconfigurations);
+  // Churn revisits device sets: some replans must have been table hits.
+  EXPECT_GT(check.repeats, 0);
+}
+
+TEST(HetisPlanTable, ConditionChangeOnTheSameDevicesSearchesAfresh) {
+  hw::Cluster cluster = hw::Cluster::paper_cluster();
+  const model::ModelSpec m = model::llama_13b();
+  const HetisOptions opts = default_opts();
+  HetisEngine eng(cluster, m, opts);
+  sim::Simulation sim;
+  const std::vector<int> devices = all_but_last(eng);
+
+  eng.reconfigure(sim, devices);
+  expect_serves(eng, fresh_search(cluster, m, opts, opts.search, devices));
+  const parallel::ParallelPlan healthy = eng.plan();
+
+  cluster.set_device_speed(devices.front(), 0.2);  // a straggling primary
+  eng.reconfigure(sim, devices);
+  EXPECT_FALSE(eng.plan() == healthy);
+  expect_serves(eng, fresh_search(cluster, m, opts, opts.search, devices));
+
+  cluster.set_device_speed(devices.front(), 1.0);  // recovered: a new epoch again
+  eng.reconfigure(sim, devices);
+  EXPECT_TRUE(eng.plan() == healthy);
+  expect_serves(eng, fresh_search(cluster, m, opts, opts.search, devices));
+}
+
+TEST(HetisPlanTable, ObjectiveSwitchOnTheSameDevicesSearchesAfresh) {
+  hw::Cluster cluster = hw::Cluster::paper_cluster();
+  const model::ModelSpec m = model::llama_13b();
+  const HetisOptions opts = default_opts();
+  HetisEngine eng(cluster, m, opts);
+  sim::Simulation sim;
+  const std::vector<int> devices = all_but_last(eng);
+  parallel::ParallelizerOptions search = opts.search;
+
+  for (const char* objective : {"throughput", "latency", "throughput"}) {
+    SCOPED_TRACE(objective);
+    search.objective.name = objective;
+    eng.set_plan_objective(search.objective);
+    eng.reconfigure(sim, devices);
+    expect_serves(eng, fresh_search(cluster, m, opts, search, devices));
+  }
+}
+
+TEST(HetisPlanTable, PlannerSwitchOnTheSameDevicesSearchesAfresh) {
+  hw::Cluster cluster = hw::Cluster::paper_cluster();
+  const model::ModelSpec m = model::llama_13b();
+  const HetisOptions opts = default_opts();
+  HetisEngine eng(cluster, m, opts);
+  sim::Simulation sim;
+  const std::vector<int> devices = all_but_last(eng);
+  parallel::ParallelizerOptions search = opts.search;
+
+  for (const char* tier : {"exhaustive", "flow", "exhaustive"}) {
+    SCOPED_TRACE(tier);
+    search.planner = tier;
+    eng.set_planner(tier);
+    eng.reconfigure(sim, devices);
+    expect_serves(eng, fresh_search(cluster, m, opts, search, devices));
+  }
 }
 
 }  // namespace
