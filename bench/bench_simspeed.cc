@@ -22,14 +22,15 @@
 //                   as requests/rate so the cluster stays unsaturated)
 //   --out PATH      JSON artifact path (default BENCH_simspeed.json;
 //                   "-" disables)
-//   --check PATH    threshold guard: compare this run against a committed
-//                   BENCH_simspeed.json and exit 2 if any (engine,
-//                   scenario) row regresses more than --tolerance in
-//                   requests-per-wall-second.  When the reference row ran
-//                   the same --requests, its finished, events and lp_solves
-//                   counts must also match EXACTLY (the determinism guard
-//                   behind every hot-path shortcut)
-//   --tolerance F   allowed relative regression for --check (default 0.2)
+//   --check PATH    determinism guard: compare this run against a reference
+//                   written by this bench at the same --requests (e.g. the
+//                   committed BENCH_simspeed_100k.json) and exit 2 unless
+//                   every (engine, scenario) row has a reference row with
+//                   the same request count whose finished, events and
+//                   lp_solves match EXACTLY -- the contract behind every
+//                   hot-path shortcut.  Wall-clock speed is not gated here:
+//                   one host's noisy wall time is no evidence either way
+//                   (perfbench measures it over interleaved runs)
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -140,13 +141,12 @@ SpeedRow timed_run(const std::string& engine_name, const std::string& scenario,
 }
 
 /// Minimal scanner for the rows of a BENCH_simspeed.json written by this
-/// bench: extracts (engine, scenario, requests_per_wall_second) plus the
-/// request count and the exact counters behind the determinism guard (each
-/// unset when the row does not record it).
+/// bench: extracts (engine, scenario, requests) plus the exact counters
+/// behind the determinism guard (each unset when the row does not record
+/// it).
 struct RefRow {
   std::string engine;
   std::string scenario;
-  double rps = 0;
   std::size_t requests = 0;
   std::optional<std::uint64_t> finished;
   std::optional<std::uint64_t> events;
@@ -186,14 +186,12 @@ std::vector<RefRow> load_reference(const std::string& path) {
     RefRow r;
     r.engine = grab(pos, "engine");
     r.scenario = grab(pos, "scenario");
-    const std::string rps = grab(pos, "requests_per_wall_second");
-    r.rps = rps.empty() ? 0.0 : std::atof(rps.c_str());
     const std::string reqs = grab(pos, "requests");
     r.requests = reqs.empty() ? 0 : static_cast<std::size_t>(std::atoll(reqs.c_str()));
     r.finished = count(pos, "finished");
     r.events = count(pos, "events");
     r.lp_solves = count(pos, "lp_solves");
-    if (!r.engine.empty() && !r.scenario.empty() && r.rps > 0) rows.push_back(r);
+    if (!r.engine.empty() && !r.scenario.empty() && r.requests > 0) rows.push_back(r);
     ++pos;
   }
   return rows;
@@ -212,8 +210,6 @@ int main(int argc, char** argv) {
   const double rate = std::atof(bench::arg_value(argc, argv, "--rate", "2").c_str());
   const std::string out_path = bench::arg_value(argc, argv, "--out", "BENCH_simspeed.json");
   const std::string check_path = bench::arg_value(argc, argv, "--check", "");
-  const double tolerance =
-      std::atof(bench::arg_value(argc, argv, "--tolerance", "0.2").c_str());
   const bool csv = bench::csv_requested(argc, argv);
   if (requests == 0 || rate <= 0) {
     std::fprintf(stderr, "--requests and --rate must be positive\n");
@@ -306,55 +302,45 @@ int main(int argc, char** argv) {
     if (out_path != "-") std::printf("wrote %s\n", out_path.c_str());
   }
 
-  // Threshold guard: a PR that makes the simulator >tolerance slower on any
-  // row fails CI (the committed JSON is the trajectory's baseline).
+  // Determinism guard: the same trace must finish the same requests through
+  // the exact same event sequence and dispatch solves -- the hot-path
+  // shortcuts are only legal because they change no decision.  A run row
+  // without a reference row at its request count fails: a guard that
+  // compares nothing must not pass.
   if (!check_path.empty()) {
     const std::vector<RefRow> ref = load_reference(check_path);
-    if (ref.empty()) {
-      std::fprintf(stderr, "ERROR: --check found no rows in %s\n", check_path.c_str());
-      return 2;
-    }
     int failures = 0;
-    for (const RefRow& r : ref) {
-      for (const SpeedRow& cur : rows) {
-        if (cur.engine != r.engine || cur.scenario != r.scenario) continue;
-        const double floor = r.rps * (1.0 - tolerance);
-        if (cur.requests_per_wall_second < floor) {
-          std::fprintf(stderr,
-                       "FAIL: %s/%s regressed: %.0f req/s-wall < %.0f (baseline %.0f, "
-                       "tolerance %.0f%%)\n",
-                       r.engine.c_str(), r.scenario.c_str(), cur.requests_per_wall_second,
-                       floor, r.rps, tolerance * 100.0);
-          ++failures;
-        }
-        // Determinism guard: same trace length must finish the same
-        // requests through the exact same event sequence and dispatch
-        // solves -- the hot-path shortcuts are only legal because they
-        // change no decision.  Skipped when the reference ran a different
-        // trace length (CI's short runs vs the committed 1M baseline).
-        if (r.requests != cur.requests) continue;
-        const struct {
-          const char* name;
-          std::optional<std::uint64_t> ref;
-          std::uint64_t cur;
-        } exact[] = {{"finished", r.finished, cur.finished},
-                     {"events", r.events, cur.events},
-                     {"lp_solves", r.lp_solves, cur.lp_solves}};
-        for (const auto& c : exact) {
-          if (!c.ref || *c.ref == c.cur) continue;
-          std::fprintf(stderr,
-                       "FAIL: %s/%s %s diverged: %llu != baseline %llu at %zu requests "
-                       "(simulation is no longer bit-identical)\n",
-                       r.engine.c_str(), r.scenario.c_str(), c.name,
-                       static_cast<unsigned long long>(c.cur),
-                       static_cast<unsigned long long>(*c.ref), cur.requests);
-          ++failures;
-        }
+    for (const SpeedRow& cur : rows) {
+      const auto r = std::find_if(ref.begin(), ref.end(), [&cur](const RefRow& x) {
+        return x.engine == cur.engine && x.scenario == cur.scenario &&
+               x.requests == cur.requests;
+      });
+      if (r == ref.end()) {
+        std::fprintf(stderr, "FAIL: %s/%s has no reference row at %zu requests in %s\n",
+                     cur.engine.c_str(), cur.scenario.c_str(), cur.requests,
+                     check_path.c_str());
+        ++failures;
+        continue;
+      }
+      const struct {
+        const char* name;
+        std::optional<std::uint64_t> ref;
+        std::uint64_t cur;
+      } exact[] = {{"finished", r->finished, cur.finished},
+                   {"events", r->events, cur.events},
+                   {"lp_solves", r->lp_solves, cur.lp_solves}};
+      for (const auto& c : exact) {
+        if (c.ref && *c.ref == c.cur) continue;
+        std::fprintf(stderr, "FAIL: %s/%s %s diverged: %llu != reference %s at %zu requests\n",
+                     cur.engine.c_str(), cur.scenario.c_str(), c.name,
+                     static_cast<unsigned long long>(c.cur),
+                     c.ref ? std::to_string(*c.ref).c_str() : "(missing)", cur.requests);
+        ++failures;
       }
     }
     if (failures > 0) return 2;
-    std::fprintf(stderr, "simspeed threshold guard passed (%zu reference rows, tolerance "
-                 "%.0f%%)\n", ref.size(), tolerance * 100.0);
+    std::fprintf(stderr, "simspeed determinism guard passed (%zu rows at %zu requests)\n",
+                 rows.size(), requests);
   }
   return 0;
 }

@@ -16,7 +16,9 @@
 //   elastic_serving --churn spot_notice  # preemption warnings: KV leaves
 //                                        # the doomed device BEFORE it dies
 //
-// Unknown engine / churn / policy names exit 2 with the valid names listed.
+// --help prints the usage and exits 0.  Unknown flags, a --rate or
+// --horizon that is not a positive number, and unknown engine / churn /
+// policy names exit 2 (the names with the valid ones listed).
 //
 // --trace PATH records the whole run as a Perfetto-loadable Chrome trace
 // (plus <base>.metrics.csv and <base>.audit.json next to it) and prints a
@@ -24,6 +26,7 @@
 //
 // Usage: elastic_serving [engine] [churn] [policy] [--engine E] [--churn C]
 //                        [--policy P] [--rate R] [--horizon S] [--trace PATH]
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -38,6 +41,36 @@
 #include "telemetry/telemetry.h"
 #include "workload/scenarios.h"
 
+namespace {
+
+void usage(std::FILE* out) {
+  std::fprintf(out,
+               "usage: elastic_serving [engine] [churn] [policy] [--engine E] [--churn C] "
+               "[--policy P] [--rate R] [--horizon S] [--trace PATH]\n"
+               "  --rate R     arrival rate in req/s, > 0 (default 12)\n"
+               "  --horizon S  trace length in seconds, > 0 (default 20)\n"
+               "  --help       print this message\n");
+}
+
+/// Reports a command-line error with the usage text; exit code 2.
+int bad_usage(const std::string& msg) {
+  std::fprintf(stderr, "elastic_serving: %s\n", msg.c_str());
+  usage(stderr);
+  return 2;
+}
+
+/// Parses `text` as a finite number > 0; false on anything else
+/// (trailing characters included).
+bool parse_positive(const char* text, double& out) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0) return false;
+  out = v;
+  return true;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace hetis;
   std::string engine_name = "hetis";
@@ -49,10 +82,13 @@ int main(int argc, char** argv) {
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--rate" && i + 1 < argc) {
-      rate = std::atof(argv[++i]);
-    } else if (arg == "--horizon" && i + 1 < argc) {
-      horizon = std::atof(argv[++i]);
+    if (arg == "--help") {
+      usage(stdout);
+      return 0;
+    } else if (arg == "--rate" || arg == "--horizon") {
+      if (i + 1 >= argc || !parse_positive(argv[++i], arg == "--rate" ? rate : horizon)) {
+        return bad_usage(arg + " expects a positive number");
+      }
     } else if (arg == "--engine" && i + 1 < argc) {
       engine_name = argv[++i];
     } else if (arg == "--churn" && i + 1 < argc) {
@@ -62,10 +98,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace" && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr,
-                   "usage: elastic_serving [engine] [churn] [policy] [--engine E] [--churn C] "
-                   "[--policy P] [--rate R] [--horizon S] [--trace PATH]\n");
-      return 2;
+      return bad_usage("unknown flag '" + arg + "'");
     } else {
       (positional == 0 ? engine_name : positional == 1 ? churn_name : policy) = arg;
       ++positional;

@@ -1,8 +1,6 @@
 #include "common/rng.h"
 
 #include <algorithm>
-#include <numeric>
-#include <stdexcept>
 
 namespace hetis {
 
@@ -12,19 +10,6 @@ double Rng::lognormal_trunc(double mu, double sigma, double lo, double hi) {
     if (v >= lo && v <= hi) return v;
   }
   return std::clamp(lognormal(mu, sigma), lo, hi);
-}
-
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  if (weights.empty()) throw std::invalid_argument("weighted_index: empty weights");
-  double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-  if (total <= 0.0) throw std::invalid_argument("weighted_index: non-positive total weight");
-  double r = uniform(0.0, total);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (r < acc) return i;
-  }
-  return weights.size() - 1;
 }
 
 }  // namespace hetis

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <random>
-#include <vector>
 
 namespace hetis {
 
@@ -59,9 +58,6 @@ class Rng {
 
   /// Bernoulli trial with probability p of returning true.
   bool bernoulli(double p) { return std::bernoulli_distribution(p)(gen_); }
-
-  /// Picks an index in [0, weights.size()) proportionally to weights.
-  std::size_t weighted_index(const std::vector<double>& weights);
 
   std::mt19937_64& engine() { return gen_; }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <sstream>
-#include <stdexcept>
 
 namespace hetis {
 
@@ -48,48 +46,6 @@ double Summary::percentile(double p) const {
 
 void Summary::merge(const Summary& other) {
   values_.insert(values_.end(), other.values_.begin(), other.values_.end());
-}
-
-void Welford::add(double v) {
-  ++n_;
-  double delta = v - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (v - mean_);
-}
-
-double Welford::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double Welford::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets + 1, 0) {
-  if (buckets == 0 || hi <= lo) throw std::invalid_argument("Histogram: bad range");
-}
-
-void Histogram::add(double v) {
-  ++total_;
-  if (v >= hi_) {
-    ++counts_.back();
-    return;
-  }
-  double off = (v - lo_) / width_;
-  auto idx = off <= 0.0 ? 0 : static_cast<std::size_t>(off);
-  if (idx >= buckets()) idx = buckets() - 1;
-  ++counts_[idx];
-}
-
-double Histogram::bucket_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-
-std::string Histogram::to_string() const {
-  std::ostringstream oss;
-  for (std::size_t i = 0; i < buckets(); ++i) {
-    oss << "[" << bucket_lo(i) << "," << bucket_lo(i + 1) << "): " << counts_[i] << "\n";
-  }
-  oss << "overflow: " << counts_.back() << "\n";
-  return oss.str();
 }
 
 }  // namespace hetis

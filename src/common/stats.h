@@ -1,12 +1,10 @@
 // Online statistics used by the metrics subsystem.
 //
 // `Summary` keeps every sample (experiments collect at most a few hundred
-// thousand values) and computes exact percentiles on demand; `Welford`
-// provides O(1)-memory mean/variance for hot paths.
+// thousand values) and computes exact percentiles on demand.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace hetis {
@@ -53,41 +51,6 @@ class Summary {
 
  private:
   std::vector<double> values_;
-};
-
-/// Numerically stable online mean / variance (Welford's algorithm).
-class Welford {
- public:
-  void add(double v);
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  double variance() const;
-  double stddev() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
-
-/// Fixed-width histogram over [lo, hi) with overflow/underflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double v);
-  std::size_t count() const { return total_; }
-  /// Count in bucket i (0-based); i == buckets() is the overflow bucket,
-  /// underflow values are clamped into bucket 0.
-  std::size_t bucket_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t buckets() const { return counts_.size() - 1; }
-  double bucket_lo(std::size_t i) const;
-  std::string to_string() const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> counts_;  // buckets + 1 overflow
-  std::size_t total_ = 0;
 };
 
 }  // namespace hetis

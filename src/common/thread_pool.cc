@@ -52,13 +52,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& fn) {
-  parallel_for_chunked(begin, end, [&fn](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) fn(i);
-  });
-}
-
 void ThreadPool::parallel_for_chunked(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t)>& fn) {
@@ -112,11 +105,6 @@ void ThreadPool::run_tasks(std::size_t n, const std::function<void(std::size_t)>
     }
   }
   if (first_error) std::rethrow_exception(first_error);
-}
-
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
-  return pool;
 }
 
 }  // namespace hetis

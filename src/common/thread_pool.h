@@ -1,4 +1,4 @@
-// Fixed-size thread pool with a blocking parallel_for.
+// Fixed-size thread pool with a blocking, statically chunked parallel loop.
 //
 // The paper (§6) accelerates head-wise KV-block indexing with multi-core CPU
 // parallelization; this pool is the substrate for that (see
@@ -32,27 +32,19 @@ class ThreadPool {
   /// Enqueues a task; returns a future for its completion.
   std::future<void> submit(std::function<void()> fn);
 
-  /// Runs fn(i) for i in [begin, end) across the pool and blocks until all
-  /// iterations finish.  Iterations are statically chunked.  Exceptions from
-  /// the body propagate (first one wins).
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& fn);
-
-  /// Chunked variant: fn(chunk_begin, chunk_end) per worker-sized chunk.
-  /// Preferred for short loop bodies (amortizes dispatch).
+  /// Runs fn(chunk_begin, chunk_end) over [begin, end) split into one
+  /// static chunk per worker, and blocks until all chunks finish.
+  /// Exceptions from the body propagate (first chunk's wins).
   void parallel_for_chunked(std::size_t begin, std::size_t end,
                             const std::function<void(std::size_t, std::size_t)>& fn);
 
   /// Runs fn(i) for i in [0, n) as n independently-scheduled tasks and
-  /// blocks until all complete.  Unlike parallel_for's static chunking,
+  /// blocks until all complete.  Unlike parallel_for_chunked's static chunks,
   /// tasks are pulled dynamically, so wildly uneven task costs (the
   /// experiment harness: later rate points take far longer) still balance.
   /// When bodies throw, the exception of the LOWEST index is rethrown --
   /// deterministic regardless of completion order.
   void run_tasks(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Process-wide default pool (lazily constructed, hardware concurrency).
-  static ThreadPool& global();
 
  private:
   void worker_loop();

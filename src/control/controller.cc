@@ -144,8 +144,10 @@ bool Controller::apply_target(sim::Simulation& sim, bool forced) {
     last_elective_ = sim.now();
   }
   std::string plan_before = reconfigurable_->plan_digest();
+  const int searches_before = reconfigurable_->reconfig_stats().plan_searches;
   reconfigurable_->reconfigure(sim, want);
-  audit_decision(sim, "redeploy", forced, active_, want, std::move(plan_before));
+  audit_decision(sim, "redeploy", forced, active_, want, std::move(plan_before),
+                 searches_before);
   active_ = std::move(want);
   active_history_.emplace_back(sim.now(), static_cast<int>(active_.size()));
   (forced ? stats_.forced_reconfigs : stats_.elective_reconfigs) += 1;
@@ -222,11 +224,13 @@ void Controller::handle_event(sim::Simulation& sim, const ClusterEvent& ev) {
         pending_device_ = ev.device;
         std::string plan_before = reconfigurable_->plan_digest();
         std::vector<int> devs_before = reconfigurable_->active_devices();
+        const int searches_before = reconfigurable_->reconfig_stats().plan_searches;
         reconfigurable_->on_degradation(sim);
         // Same device set, possibly a new layout (e.g. a straggling primary
         // demoted to an Attention worker).
         audit_decision(sim, "replan_in_place", /*forced=*/true, std::move(devs_before),
-                       reconfigurable_->active_devices(), std::move(plan_before));
+                       reconfigurable_->active_devices(), std::move(plan_before),
+                       searches_before);
       }
       break;
     }
@@ -237,9 +241,11 @@ void Controller::handle_event(sim::Simulation& sim, const ClusterEvent& ev) {
         pending_device_ = ev.device;
         std::string plan_before = reconfigurable_->plan_digest();
         std::vector<int> devs_before = reconfigurable_->active_devices();
+        const int searches_before = reconfigurable_->reconfig_stats().plan_searches;
         reconfigurable_->on_preempt_notice(sim, ev.device, ev.time + ev.factor);
         audit_decision(sim, "evacuate", /*forced=*/true, std::move(devs_before),
-                       reconfigurable_->active_devices(), std::move(plan_before));
+                       reconfigurable_->active_devices(), std::move(plan_before),
+                       searches_before);
       }
       break;
   }
@@ -313,7 +319,8 @@ void Controller::ewma(double& slot, double sample) {
 
 void Controller::audit_decision(sim::Simulation& sim, const std::string& action, bool forced,
                                 std::vector<int> devices_before,
-                                std::vector<int> devices_after, std::string plan_before) {
+                                std::vector<int> devices_after, std::string plan_before,
+                                int searches_before) {
   telemetry::AuditRecord rec;
   rec.time = sim.now();
   rec.trigger = pending_trigger_.empty() ? "policy_tick" : pending_trigger_;
@@ -336,7 +343,10 @@ void Controller::audit_decision(sim::Simulation& sim, const std::string& action,
   rec.plan_before = std::move(plan_before);
   if (reconfigurable_) {
     rec.plan_after = reconfigurable_->plan_digest();
-    if (const parallel::SearchDiagnostics* d = reconfigurable_->last_search_diagnostics()) {
+    const parallel::SearchDiagnostics* d = reconfigurable_->last_search_diagnostics();
+    // Only a decision that searched (or replayed a search) gets a search
+    // block; otherwise `d` still describes an earlier decision's search.
+    if (d != nullptr && reconfigurable_->reconfig_stats().plan_searches != searches_before) {
       rec.has_diagnostics = true;
       rec.diagnostics = *d;
       // Host wall-clock, the one non-sim field: zeroed so every audit

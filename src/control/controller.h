@@ -168,10 +168,12 @@ class Controller final : public engine::RunObserver {
   /// kv pressure, device counts) are refreshed at DECISION time -- a forced
   /// churn re-deploy between ticks must not audit half-a-tick-old values --
   /// while the EWMAs carry their latest smoothed state as-is.
-  /// `plan_before` is the engine's digest captured before the action.
+  /// `plan_before` and `searches_before` (ReconfigStats::plan_searches) are
+  /// the engine's digest and search count captured before the action; the
+  /// record carries search diagnostics only when the count moved.
   void audit_decision(sim::Simulation& sim, const std::string& action, bool forced,
                       std::vector<int> devices_before, std::vector<int> devices_after,
-                      std::string plan_before);
+                      std::string plan_before, int searches_before);
 
   ControlSpec spec_;
   const hw::Cluster* cluster_;

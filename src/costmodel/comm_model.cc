@@ -31,31 +31,12 @@ Seconds CommModel::allreduce(const std::vector<int>& group, Bytes bytes) const {
          2.0 * (n - 1.0) / n * static_cast<double>(bytes) / l.bandwidth;
 }
 
-Seconds CommModel::allgather(const std::vector<int>& group, Bytes bytes) const {
-  const auto n = static_cast<double>(group.size());
-  if (group.size() <= 1 || bytes <= 0) return 0.0;
-  hw::Link l = bottleneck_link(group);
-  return (n - 1.0) * l.latency + (n - 1.0) / n * static_cast<double>(bytes) / l.bandwidth;
-}
-
 Bytes CommModel::headwise_bytes_per_token(const model::ModelSpec& m, double offloaded_heads) {
   if (offloaded_heads <= 0) return 0;
   const double r = m.gqa_ratio();
   const double per_head = static_cast<double>(m.head_dim()) * m.dtype_bytes;
   // (2 + 2/r) * h_i * head_dim * dtype  -- q out + result back + K,V shares.
   return static_cast<Bytes>((2.0 + 2.0 / r) * offloaded_heads * per_head);
-}
-
-Bytes CommModel::seqwise_bytes_per_token(const model::ModelSpec& m, int num_workers) {
-  if (num_workers <= 0) return 0;
-  const double r = m.gqa_ratio();
-  const double full_q = static_cast<double>(m.heads) * m.head_dim() * m.dtype_bytes;
-  // Each of the num_workers cache slices receives the FULL q and sends a
-  // full-width partial result + softmax stats (~same width), so the
-  // replication factor is num_workers; the fresh token's K/V lands on one
-  // worker only.
-  double kv_new = 2.0 / r * full_q;
-  return static_cast<Bytes>(num_workers * 2.0 * full_q + kv_new);
 }
 
 Seconds CommModel::headwise_offload_time(const model::ModelSpec& m, int primary, int worker,

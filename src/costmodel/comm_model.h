@@ -21,9 +21,6 @@ class CommModel {
   /// 2(n-1)/n * bytes over the slowest link + 2(n-1) latencies.
   Seconds allreduce(const std::vector<int>& group, Bytes bytes) const;
 
-  /// Ring all-gather: each rank contributes bytes/n, result is bytes.
-  Seconds allgather(const std::vector<int>& group, Bytes bytes) const;
-
   /// Slowest (min-bandwidth / max-latency) link among all pairs in group.
   hw::Link bottleneck_link(const std::vector<int>& group) const;
 
@@ -35,19 +32,16 @@ class CommModel {
   /// (factor 2/r).
   static Bytes headwise_bytes_per_token(const model::ModelSpec& m, double offloaded_heads);
 
-  /// SEQUENCE-wise split: every worker holding a slice of the sequence
-  /// needs the FULL q vector (all H heads) and returns a full-width partial
-  /// result plus softmax stats; the new token's K/V goes to one worker.
-  static Bytes seqwise_bytes_per_token(const model::ModelSpec& m, int num_workers);
-
   /// Transfer time for offloading `offloaded_heads` query heads of one
   /// request from `primary` to `worker` for one decode step, all layers.
   Seconds headwise_offload_time(const model::ModelSpec& m, int primary, int worker,
                                 double offloaded_heads) const;
 
-  /// Same for a sequence-wise split across `workers`; returns the max
-  /// per-worker time (transfers fan out in parallel but contend on the
-  /// primary's NIC, modeled by serializing the sends).
+  /// Same for a SEQUENCE-wise split across `workers`: every worker holding
+  /// a slice of the sequence needs the FULL q vector (all H heads) and
+  /// returns a full-width partial result plus softmax stats; the new
+  /// token's K/V goes to one worker.  The sends contend on the primary's
+  /// NIC, modeled by serializing them.
   Seconds seqwise_offload_time(const model::ModelSpec& m, int primary,
                                const std::vector<int>& workers) const;
 

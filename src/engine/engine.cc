@@ -5,7 +5,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/stats.h"
 #include "telemetry/telemetry.h"
@@ -21,11 +20,6 @@ constexpr const char* kCsvColumns =
     "drain_timeout_hit,slo_set,slo_ttft,slo_tpot,ttft_attainment,tpot_attainment,"
     "slo_attainment,goodput";
 
-std::size_t csv_column_count() {
-  const std::string header = kCsvColumns;
-  return static_cast<std::size_t>(std::count(header.begin(), header.end(), ',')) + 1;
-}
-
 }  // namespace
 
 std::string csv_double(double v) {
@@ -39,15 +33,6 @@ std::string csv_field(std::string s) {
     if (c == ',' || c == '\n') c = ' ';
   }
   return s;
-}
-
-std::vector<std::string> split_csv_row(const std::string& row) {
-  std::vector<std::string> out;
-  std::string cell;
-  std::istringstream iss(row);
-  while (std::getline(iss, cell, ',')) out.push_back(cell);
-  if (!row.empty() && row.back() == ',') out.emplace_back();
-  return out;
 }
 
 bool meets_ttft_slo(const RequestRecord& rec, const SloSpec& slo) {
@@ -103,42 +88,6 @@ std::string RunReport::to_csv_row() const {
       << csv_double(slo_tpot) << ',' << csv_double(ttft_attainment) << ',' << csv_double(tpot_attainment) << ','
       << csv_double(slo_attainment) << ',' << csv_double(goodput);
   return oss.str();
-}
-
-RunReport RunReport::from_csv_row(const std::string& row) {
-  std::vector<std::string> cells = split_csv_row(row);
-  // Accept extra trailing cells so today's reader still loads rows written
-  // after columns are appended (the column order is append-only).
-  if (cells.size() < csv_column_count()) {
-    throw std::invalid_argument("RunReport::from_csv_row: expected at least " +
-                                std::to_string(csv_column_count()) + " cells, got " +
-                                std::to_string(cells.size()));
-  }
-  RunReport r;
-  std::size_t i = 0;
-  r.engine = cells[i++];
-  r.arrived = static_cast<std::size_t>(std::stoull(cells[i++]));
-  r.finished = static_cast<std::size_t>(std::stoull(cells[i++]));
-  r.measured = static_cast<std::size_t>(std::stoull(cells[i++]));
-  r.norm_latency_mean = std::stod(cells[i++]);
-  r.norm_latency_p95 = std::stod(cells[i++]);
-  r.ttft_p95 = std::stod(cells[i++]);
-  r.tpot_p95 = std::stod(cells[i++]);
-  r.mlp_module_p95 = std::stod(cells[i++]);
-  r.attn_module_p95 = std::stod(cells[i++]);
-  r.throughput = std::stod(cells[i++]);
-  r.preemptions = std::stoi(cells[i++]);
-  r.usable_kv = static_cast<Bytes>(std::stoll(cells[i++]));
-  r.makespan = std::stod(cells[i++]);
-  r.drain_timeout_hit = cells[i++] == "1";
-  r.slo_set = cells[i++] == "1";
-  r.slo_ttft = std::stod(cells[i++]);
-  r.slo_tpot = std::stod(cells[i++]);
-  r.ttft_attainment = std::stod(cells[i++]);
-  r.tpot_attainment = std::stod(cells[i++]);
-  r.slo_attainment = std::stod(cells[i++]);
-  r.goodput = std::stod(cells[i++]);
-  return r;
 }
 
 std::string RunReport::to_json() const {

@@ -147,9 +147,6 @@ struct RunReport {
   static std::string csv_header();
   std::string to_csv_row() const;
   std::string to_json() const;
-  /// Inverse of to_csv_row (exact for doubles; used by the round-trip test
-  /// and by scripts that re-load sweep CSVs).
-  static RunReport from_csv_row(const std::string& row);
 };
 
 /// Feeds `trace` into the engine on a fresh simulation; runs until the
@@ -172,9 +169,6 @@ std::string csv_double(double v);
 /// Neutralizes the two characters that would break row framing (',' and
 /// '\n' become spaces; rows are written unquoted).
 std::string csv_field(std::string s);
-/// Splits one row on bare commas (fields were csv_field-sanitized at write
-/// time, so no quoting rules apply); a trailing comma yields an empty cell.
-std::vector<std::string> split_csv_row(const std::string& row);
 
 // run_trace's per-request SLO grading predicates, exported so every other
 // grader (harness cost columns, per-tenant summaries) shares the exact

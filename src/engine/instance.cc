@@ -48,8 +48,7 @@ Bytes stage_param_bytes_per_device(const model::ModelSpec& m, const parallel::St
 
 PipelineInstance::PipelineInstance(const ExecModel& exec, parallel::InstanceConfig cfg,
                                    MetricsCollector& metrics, InstanceOptions opts, int id)
-    : exec_(&exec), cfg_(std::move(cfg)), metrics_(&metrics), opts_(opts), id_(id),
-      batch_(&metrics) {
+    : exec_(&exec), cfg_(std::move(cfg)), metrics_(&metrics), opts_(opts), id_(id) {
   const model::ModelSpec& m = exec_->model_spec();
   stage_cap_.resize(cfg_.stages.size(), 0);
   stage_used_.resize(cfg_.stages.size(), 0);
@@ -215,7 +214,7 @@ void PipelineInstance::pump(sim::Simulation& sim) {
       for (const auto& lr : prefill_batch) {
         scratch_lens_.push_back(lr.req.prompt_len);
         prefilling_.push_back(lr);
-        batch_.on_prefill_start(lr.req.id, sim.now());
+        metrics_->on_prefill_start(lr.req.id, sim.now());
       }
       exec_->iteration_time(cfg_, scratch_lens_, /*prefill=*/true, scratch_it_);
       const IterationTime& it = scratch_it_;
@@ -268,7 +267,7 @@ void PipelineInstance::finish_prefill_iteration(sim::Simulation& sim,
       }
     }
     lr.prefilled = true;
-    if (!opts_.defer_first_token) batch_.on_first_token(lr.req.id, sim.now());
+    if (!opts_.defer_first_token) metrics_->on_first_token(lr.req.id, sim.now());
     // The first output token is produced by prefill itself.
     lr.generated = 1;
     if (opts_.prefill_only && handoff_) {
@@ -277,14 +276,13 @@ void PipelineInstance::finish_prefill_iteration(sim::Simulation& sim,
       handoff_(sim, lr);
     } else if (lr.done()) {
       release_tokens(lr.context());
-      batch_.on_finish(lr.req.id, sim.now());
+      metrics_->on_finish(lr.req.id, sim.now());
     } else {
       running_.push_back(lr);
     }
   }
   batch.clear();
   batch_pool_.push_back(std::move(batch));
-  batch_.flush();
   --inflight_;
   pump(sim);
 }
@@ -303,7 +301,7 @@ void PipelineInstance::finish_decode_iteration(sim::Simulation& sim) {
   for (auto& lr : running_) {
     lr.generated += 1;
     reserve_tokens(1);
-    batch_.on_token(lr.req.id, sim.now(), lr.generated);
+    metrics_->on_token(lr.req.id, sim.now(), lr.generated);
   }
   // Retire finished requests, compacting the batch in place (order
   // preserved; no per-iteration reallocation).
@@ -312,14 +310,13 @@ void PipelineInstance::finish_decode_iteration(sim::Simulation& sim) {
     LiveRequest& lr = running_[i];
     if (lr.done()) {
       release_tokens(lr.context());
-      batch_.on_finish(lr.req.id, sim.now());
+      metrics_->on_finish(lr.req.id, sim.now());
     } else {
       if (keep != i) running_[keep] = lr;
       ++keep;
     }
   }
   running_.resize(keep);
-  batch_.flush();
   --inflight_;
   decode_inflight_ = false;
   pump(sim);
@@ -342,7 +339,7 @@ void PipelineInstance::preempt_lifo(sim::Simulation& sim) {
   LiveRequest lr = running_[victim];
   running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(victim));
   release_tokens(lr.context());
-  batch_.on_preemption(lr.req.id, sim.now());
+  metrics_->on_preemption(lr.req.id, sim.now());
   lr.prefilled = false;
   lr.generated = 0;  // recompute from scratch
   priority_enqueue(waiting_, std::move(lr), priorities_, /*requeue_front=*/true);

@@ -172,10 +172,8 @@ class PipelineInstance {
   std::vector<Bytes> stage_used_;
   std::vector<Bytes> per_token_;  // kv bytes per cached token, per stage
 
-  // Hot-path scratch: lifecycle events buffer in batch_ and flush before
-  // each event handler returns; the vectors below recycle their capacity
-  // across iterations so the steady state allocates nothing.
-  MetricsBatch batch_;
+  // Hot-path scratch: the vectors below recycle their capacity across
+  // iterations so the steady state allocates nothing.
   std::vector<std::int64_t> scratch_lens_;
   IterationTime scratch_it_;
   std::vector<std::vector<LiveRequest>> batch_pool_;

@@ -212,88 +212,4 @@ class MetricsCollector {
   std::vector<RunObserver*> sinks_;
 };
 
-/// Per-instance lifecycle buffer -- the simulator hot path's front end to
-/// the MetricsCollector.
-///
-/// With any sink attached, every event streams through the collector
-/// immediately: sinks consume lifecycle events on the simulation clock and
-/// must see them in emission order.  With no sink (the default for sweeps
-/// and benches), record mutations buffer locally and flush once
-/// per iteration event, so a 64-request decode batch touches the record
-/// table once instead of 64 times.  Instances flush before returning to
-/// the event loop -- a buffer never outlives the sim-time instant that
-/// filled it -- so the collector is applied the exact event sequence the
-/// streaming path would have produced and every aggregate is identical
-/// (asserted by MetricsBatch tests in tests/test_engine.cc).
-class MetricsBatch {
- public:
-  explicit MetricsBatch(MetricsCollector* m) : m_(m) {}
-  MetricsBatch(const MetricsBatch&) = delete;
-  MetricsBatch& operator=(const MetricsBatch&) = delete;
-  ~MetricsBatch() { flush(); }
-
-  /// Prefill pickups feed the sinks only (no record mutation), so like
-  /// on_token there is nothing to buffer.
-  void on_prefill_start(workload::RequestId id, Seconds t) { m_->on_prefill_start(id, t); }
-  void on_first_token(workload::RequestId id, Seconds t) {
-    if (!m_->sinks().empty()) {
-      m_->on_first_token(id, t);
-      return;
-    }
-    buf_.push_back(Ev{Ev::kFirstToken, id, t});
-  }
-  /// Tokens feed the sinks only; with none attached this is a no-op, so
-  /// there is nothing to buffer.
-  void on_token(workload::RequestId id, Seconds t, std::int64_t generated) {
-    m_->on_token(id, t, generated);
-  }
-  void on_finish(workload::RequestId id, Seconds t) {
-    if (!m_->sinks().empty()) {
-      m_->on_finish(id, t);
-      return;
-    }
-    buf_.push_back(Ev{Ev::kFinish, id, t});
-  }
-  void on_preemption(workload::RequestId id, Seconds t) {
-    if (!m_->sinks().empty()) {
-      m_->on_preemption(id, t);
-      return;
-    }
-    buf_.push_back(Ev{Ev::kPreempt, id, t});
-  }
-
-  /// Applies buffered events to the collector in emission order.  Owning
-  /// instances call this before returning to the event loop.
-  void flush() {
-    for (const Ev& e : buf_) {
-      switch (e.kind) {
-        case Ev::kFirstToken:
-          m_->on_first_token(e.id, e.t);
-          break;
-        case Ev::kFinish:
-          m_->on_finish(e.id, e.t);
-          break;
-        case Ev::kPreempt:
-          m_->on_preemption(e.id, e.t);
-          break;
-      }
-    }
-    buf_.clear();
-  }
-
-  std::size_t buffered() const { return buf_.size(); }
-  MetricsCollector* collector() const { return m_; }
-
- private:
-  struct Ev {
-    enum Kind : std::uint8_t { kFirstToken, kFinish, kPreempt };
-    Kind kind;
-    workload::RequestId id;
-    Seconds t;
-  };
-
-  MetricsCollector* m_;
-  std::vector<Ev> buf_;
-};
-
 }  // namespace hetis::engine

@@ -45,6 +45,9 @@ struct ReconfigStats {
                                // no room in the new deployment)
   Bytes migrated_kv_bytes = 0; // KV moved by live migrations
   Seconds restart_dead_time = 0;  // total serving gap paid for re-deploys
+  int plan_searches = 0;       // replans that ran a plan search or replayed
+                               // one (last_search_diagnostics describes the
+                               // latest); construction's search excluded
 };
 
 class Reconfigurable {
@@ -103,8 +106,10 @@ class Reconfigurable {
 
   /// Diagnostics of the most recent plan search (tier, configurations
   /// evaluated, LP solves, wall time), or nullptr for engines that never
-  /// replan.  The control plane copies these into its audit trail so every
-  /// replan record names the planner tier that produced it.
+  /// replan.  The control plane copies these into an audit record when the
+  /// decision's action advanced ReconfigStats::plan_searches, so every
+  /// replan record names the planner tier that produced it and a decision
+  /// that searched nothing carries no stale diagnostics.
   virtual const parallel::SearchDiagnostics* last_search_diagnostics() const { return nullptr; }
 
   /// One-line fingerprint of the current deployment plan ("" when the

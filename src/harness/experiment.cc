@@ -403,44 +403,6 @@ std::string to_csv_row(const SweepRow& row) {
   return oss.str();
 }
 
-SweepRow sweep_row_from_csv(const std::string& row) {
-  const std::vector<std::string> cells = engine::split_csv_row(row);
-  const std::string report_header = engine::RunReport::csv_header();
-  const std::size_t report_cols =
-      static_cast<std::size_t>(std::count(report_header.begin(), report_header.end(), ',')) + 1;
-  const std::size_t lead = 7, control_cols = 5, objective_cols = 3;
-  const std::size_t expected = lead + report_cols + control_cols + objective_cols;
-  if (cells.size() < expected) {
-    throw std::invalid_argument("sweep_row_from_csv: expected at least " +
-                                std::to_string(expected) + " cells, got " +
-                                std::to_string(cells.size()));
-  }
-  SweepRow out;
-  std::size_t i = 0;
-  out.experiment = cells[i++];
-  out.cluster = cells[i++];
-  out.model = cells[i++];
-  out.dataset = workload::dataset_by_name(cells[i++]);
-  out.scenario = cells[i++];
-  out.rate = std::stod(cells[i++]);
-  out.trace_requests = static_cast<std::size_t>(std::stoull(cells[i++]));
-  std::string report_row;
-  for (std::size_t k = 0; k < report_cols; ++k) {
-    if (k) report_row += ',';
-    report_row += cells[i++];
-  }
-  out.report = engine::RunReport::from_csv_row(report_row);
-  out.control = cells[i++];
-  out.policy = cells[i++];
-  out.reconfigurations = std::stoi(cells[i++]);
-  out.migrated_requests = std::stoi(cells[i++]);
-  out.restarted_requests = std::stoi(cells[i++]);
-  out.objective = cells[i++];
-  out.device_seconds = std::stod(cells[i++]);
-  out.device_seconds_per_slo_request = std::stod(cells[i++]);
-  return out;
-}
-
 void write_csv(std::ostream& os, const std::vector<SweepRow>& rows) {
   os << sweep_csv_header() << '\n';
   for (const auto& row : rows) os << to_csv_row(row) << '\n';

@@ -231,14 +231,6 @@ std::vector<SweepRow> run_sweep(const ExperimentSpec& spec, const RowCallback& o
 /// Aligned serialization, sharing RunReport's stable column order.
 std::string sweep_csv_header();
 std::string to_csv_row(const SweepRow& row);
-/// Inverse of to_csv_row for every scalar column (the per-tenant breakdown
-/// only exists in the JSON form).  Doubles written via %.17g -- the whole
-/// RunReport block and the objective/cost columns -- round-trip exactly;
-/// `rate` keeps its historical short form (an input echo, typically a
-/// round number), so a pathological rate like 1.23456789 re-serializes at
-/// 6 significant digits.  Throws std::invalid_argument on a malformed row.
-/// Used by the round-trip tests and by scripts re-loading sweep CSVs.
-SweepRow sweep_row_from_csv(const std::string& row);
 void write_csv(std::ostream& os, const std::vector<SweepRow>& rows);
 void write_json(std::ostream& os, const std::vector<SweepRow>& rows);
 

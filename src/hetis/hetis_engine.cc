@@ -150,6 +150,7 @@ parallel::ParallelPlan HetisEngine::compute_plan(const std::vector<int>& devices
   // most replans repeat a search this engine already ran under the same
   // overlay, objective and tier (83% on perfbench spot_churn): plan_table_
   // replays those, diagnostics included.
+  ++stats_.plan_searches;
   const std::uint64_t epoch = exec_.cluster().condition_epoch();
   if (epoch != plan_table_epoch_) {
     plan_table_.clear();
@@ -360,8 +361,7 @@ HetisInstance::HetisInstance(const engine::ExecModel& exec, const parallel::Inst
       metrics_(&metrics),
       hauler_(&hauler),
       opts_(opts),
-      dispatcher_(make_dispatcher_config(cfg, profile, opts)),
-      batch_(&metrics) {
+      dispatcher_(make_dispatcher_config(cfg, profile, opts)) {
   // Prefill (dense + attention) runs entirely on the primary pipeline
   // (design idea I1: compute-intensive phases stay on capable devices).
   primary_only_.stages = cfg_.stages;
@@ -496,7 +496,7 @@ void HetisInstance::pump(sim::Simulation& sim) {
       for (const auto& lr : prefill_batch) {
         scratch_lens_.push_back(lr.req.prompt_len);
         prefilling_.push_back(lr);
-        batch_.on_prefill_start(lr.req.id, sim.now());
+        metrics_->on_prefill_start(lr.req.id, sim.now());
       }
       exec_->iteration_time(primary_only_, scratch_lens_, /*prefill=*/true, scratch_it_);
       const engine::IterationTime& it = scratch_it_;
@@ -627,13 +627,13 @@ void HetisInstance::finish_prefill(sim::Simulation& sim, std::vector<engine::Liv
     }
     lr.prefilled = true;
     lr.generated = 1;
-    batch_.on_first_token(lr.req.id, sim.now());
+    metrics_->on_first_token(lr.req.id, sim.now());
     if (lr.done()) {
       dispatcher_.remove(lr.req.id);
       // A rebalance may have suspended this request mid-prefill; it never
       // reaches running_, so drop the entry or it outlives the request.
       suspended_until_.erase(lr.req.id);
-      batch_.on_finish(lr.req.id, sim.now());
+      metrics_->on_finish(lr.req.id, sim.now());
       continue;
     }
     // Ship offloaded heads' prompt KV in the background; the request only
@@ -644,7 +644,6 @@ void HetisInstance::finish_prefill(sim::Simulation& sim, std::vector<engine::Liv
   }
   batch.clear();
   batch_pool_.push_back(std::move(batch));
-  batch_.flush();
   --inflight_;
   pump(sim);
 }
@@ -674,11 +673,11 @@ void HetisInstance::finish_decode(sim::Simulation& sim,
     if (next < decoded.size() && decoded[next] == id) {
       ++next;
       lr.generated += 1;
-      batch_.on_token(id, sim.now(), lr.generated);
+      metrics_->on_token(id, sim.now(), lr.generated);
       if (lr.done()) {
         dispatcher_.remove(id);
         suspended_until_.erase(id);
-        batch_.on_finish(id, sim.now());
+        metrics_->on_finish(id, sim.now());
         continue;
       }
       decoded[survivors++] = id;
@@ -695,7 +694,6 @@ void HetisInstance::finish_decode(sim::Simulation& sim,
   if (opts_.enable_redispatch && decode_iterations_ % opts_.redispatch_period == 0) {
     maybe_rebalance(sim);
   }
-  batch_.flush();
   --inflight_;
   decode_inflight_ = false;
   pump(sim);
@@ -757,7 +755,7 @@ void HetisInstance::preempt(sim::Simulation& sim, workload::RequestId id) {
   running_.erase(it);
   suspended_until_.erase(id);
   dispatcher_.remove(id);
-  batch_.on_preemption(id, sim.now());
+  metrics_->on_preemption(id, sim.now());
   lr.prefilled = false;
   lr.generated = 0;
   engine::priority_enqueue(waiting_, std::move(lr), priorities_, /*requeue_front=*/true);

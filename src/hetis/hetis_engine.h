@@ -237,10 +237,8 @@ class HetisInstance {
   int rescue_count_ = 0;
   int balance_count_ = 0;
 
-  // Hot-path scratch (see PipelineInstance): lifecycle events buffer in
-  // batch_ and flush before each event handler returns; the containers
-  // below recycle capacity so steady-state iterations allocate nothing.
-  engine::MetricsBatch batch_;
+  // Hot-path scratch (see PipelineInstance): the containers below recycle
+  // capacity so steady-state iterations allocate nothing.
   parallel::InstanceConfig primary_only_;  // prefill runs on primary stages
   engine::IterationTime scratch_it_;
   std::vector<std::int64_t> scratch_lens_;

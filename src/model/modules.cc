@@ -103,12 +103,4 @@ Work prefill_attention_batch(const ModelSpec& m, const std::vector<std::int64_t>
   return total;
 }
 
-Work decode_attention_batch(const ModelSpec& m, const std::vector<std::int64_t>& ctxs, int heads) {
-  Work total;
-  total.kernels = 0;
-  for (std::int64_t ctx : ctxs) total += decode_attention_work(m, ctx, heads);
-  total.kernels = 1;  // PagedAttention runs as one batched kernel
-  return total;
-}
-
 }  // namespace hetis::model

@@ -65,8 +65,4 @@ Work dense_layer_work(const ModelSpec& m, std::int64_t tokens, int shard = 1);
 Work prefill_attention_batch(const ModelSpec& m, const std::vector<std::int64_t>& lens,
                              int heads);
 
-/// Context lengths -> total decode attention work for a batch (all on one
-/// device, `heads` query heads per sequence).
-Work decode_attention_batch(const ModelSpec& m, const std::vector<std::int64_t>& ctxs, int heads);
-
 }  // namespace hetis::model

@@ -1,12 +1,11 @@
 #include "telemetry/registry.h"
 
 #include <algorithm>
-#include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
-#include "engine/engine.h"  // csv_double / csv_field / split_csv_row / json_escape
+#include "engine/engine.h"  // csv_double / csv_field / json_escape
 
 namespace hetis::telemetry {
 
@@ -152,45 +151,6 @@ void MetricsRegistry::write_histograms_csv(std::ostream& os) const {
 std::string MetricsRegistry::labeled(const std::string& name, const std::string& key,
                                      const std::string& value) {
   return name + "{" + key + "=" + value + "}";
-}
-
-std::vector<HistogramSnapshot> parse_histograms_csv(std::istream& is) {
-  std::string line;
-  if (!std::getline(is, line) || line != "histogram,le,count") {
-    throw std::invalid_argument("parse_histograms_csv: missing 'histogram,le,count' header");
-  }
-  std::vector<HistogramSnapshot> out;
-  while (std::getline(is, line)) {
-    if (line.empty()) break;  // blank line ends the histogram block
-    const std::vector<std::string> cells = engine::split_csv_row(line);
-    if (cells.size() != 3) {
-      throw std::invalid_argument("parse_histograms_csv: expected 3 cells, got row '" + line +
-                                  "'");
-    }
-    // A snapshot is closed once its +inf row landed (cumulative outgrows the
-    // finite bounds by one); the next row then starts a new histogram.
-    if (out.empty() || out.back().name != cells[0] ||
-        out.back().cumulative.size() > out.back().upper_bounds.size()) {
-      out.emplace_back();
-      out.back().name = cells[0];
-    }
-    HistogramSnapshot& snap = out.back();
-    const std::uint64_t count = std::stoull(cells[2]);
-    if (cells[1] == "+inf") {
-      snap.count = count;
-      snap.cumulative.push_back(count);
-    } else {
-      snap.upper_bounds.push_back(std::stod(cells[1]));
-      snap.cumulative.push_back(count);
-    }
-  }
-  for (const HistogramSnapshot& snap : out) {
-    if (snap.cumulative.size() != snap.upper_bounds.size() + 1) {
-      throw std::invalid_argument("parse_histograms_csv: histogram '" + snap.name +
-                                  "' has no +inf bucket");
-    }
-  }
-  return out;
 }
 
 }  // namespace hetis::telemetry

@@ -12,8 +12,7 @@
 // plottable curves instead of one end-of-run number.  A series created
 // after sampling started is back-filled with zeros, keeping the table
 // rectangular.  Histograms accumulate over the whole run (fixed upper
-// bounds + overflow bucket) and serialize to their own cumulative-count CSV
-// that parse_histograms_csv round-trips exactly.
+// bounds + overflow bucket) and serialize to their own cumulative-count CSV.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +24,9 @@
 
 namespace hetis::telemetry {
 
-/// End-of-run snapshot of one histogram; also the parse result of
-/// parse_histograms_csv.  `cumulative[i]` counts observations <=
-/// `upper_bounds[i]`; the final entry (the +inf bucket) equals `count`.
+/// End-of-run snapshot of one histogram.  `cumulative[i]` counts
+/// observations <= `upper_bounds[i]`; the final entry (the +inf bucket)
+/// equals `count`.
 struct HistogramSnapshot {
   std::string name;
   std::vector<double> upper_bounds;        // ascending, finite
@@ -87,8 +86,7 @@ class MetricsRegistry {
   /// Same table as JSON: {"columns":[...],"rows":[[t,v...],...]}.
   void write_series_json(std::ostream& os) const;
   /// Histograms as cumulative-count CSV ("histogram,le,count"; le "+inf"
-  /// closes each histogram).  parse_histograms_csv inverts this exactly --
-  /// the bucket-math round-trip the telemetry tests assert.
+  /// closes each histogram).
   void write_histograms_csv(std::ostream& os) const;
 
   /// Label-encoding helper: `name{key=value}`.
@@ -113,11 +111,5 @@ class MetricsRegistry {
   std::vector<Series> series_;
   std::vector<Seconds> times_;
 };
-
-/// Parses write_histograms_csv output (header required): names, bucket
-/// bounds, cumulative counts and totals round-trip exactly (`sum` is not
-/// serialized and parses as 0).  Throws std::invalid_argument on malformed
-/// rows.
-std::vector<HistogramSnapshot> parse_histograms_csv(std::istream& is);
 
 }  // namespace hetis::telemetry

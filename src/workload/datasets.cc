@@ -14,13 +14,6 @@ const char* to_string(Dataset d) {
   return "?";
 }
 
-Dataset dataset_by_name(const std::string& name) {
-  if (name == "SG" || name == "ShareGPT" || name == "sharegpt") return Dataset::kShareGPT;
-  if (name == "HE" || name == "HumanEval" || name == "humaneval") return Dataset::kHumanEval;
-  if (name == "LB" || name == "LongBench" || name == "longbench") return Dataset::kLongBench;
-  throw std::out_of_range("dataset_by_name: unknown dataset '" + name + "'");
-}
-
 namespace {
 
 struct LogNormalSpec {
@@ -66,23 +59,11 @@ std::int64_t draw(const LogNormalSpec& s, Rng& rng) {
   return static_cast<std::int64_t>(std::llround(rng.lognormal_trunc(s.mu, s.sigma, s.lo, s.hi)));
 }
 
-double truncated_mean(const LogNormalSpec& s) {
-  // Monte-Carlo-free approximation: use the untruncated log-normal mean,
-  // clamped into the bounds; accurate enough for capacity planning.
-  double mean = std::exp(s.mu + s.sigma * s.sigma / 2.0);
-  return std::min(std::max(mean, s.lo), s.hi);
-}
-
 }  // namespace
 
 LengthSample sample_lengths(Dataset d, Rng& rng) {
   const DatasetSpec& spec = spec_of(d);
   return LengthSample{draw(spec.prompt, rng), draw(spec.output, rng)};
-}
-
-DatasetStats dataset_stats(Dataset d) {
-  const DatasetSpec& spec = spec_of(d);
-  return DatasetStats{truncated_mean(spec.prompt), truncated_mean(spec.output)};
 }
 
 }  // namespace hetis::workload

@@ -15,8 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "common/rng.h"
 #include "workload/request.h"
@@ -26,7 +24,6 @@ namespace hetis::workload {
 enum class Dataset : std::uint8_t { kShareGPT, kHumanEval, kLongBench };
 
 const char* to_string(Dataset d);
-Dataset dataset_by_name(const std::string& name);  // "SG" | "HE" | "LB" (or full names)
 
 struct LengthSample {
   std::int64_t prompt_len;
@@ -35,13 +32,5 @@ struct LengthSample {
 
 /// Draws one (prompt, output) length pair for the dataset.
 LengthSample sample_lengths(Dataset d, Rng& rng);
-
-/// Mean prompt/output lengths of the sampler (analytic targets, used by
-/// capacity planning and the tests).
-struct DatasetStats {
-  double mean_prompt;
-  double mean_output;
-};
-DatasetStats dataset_stats(Dataset d);
 
 }  // namespace hetis::workload

@@ -138,21 +138,6 @@ TEST(Rng, LognormalTruncBounds) {
   }
 }
 
-TEST(Rng, WeightedIndexDistribution) {
-  Rng rng(17);
-  std::vector<double> w{1.0, 0.0, 3.0};
-  int counts[3] = {0, 0, 0};
-  for (int i = 0; i < 8000; ++i) counts[rng.weighted_index(w)]++;
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.4);
-}
-
-TEST(Rng, WeightedIndexErrors) {
-  Rng rng(1);
-  EXPECT_THROW(rng.weighted_index({}), std::invalid_argument);
-  EXPECT_THROW(rng.weighted_index({0.0, 0.0}), std::invalid_argument);
-}
-
 TEST(Rng, BernoulliExtremes) {
   Rng rng(3);
   for (int i = 0; i < 50; ++i) {
@@ -227,55 +212,21 @@ TEST(Summary, StddevMatchesFormula) {
   EXPECT_NEAR(s.stddev(), 2.138, 0.001);  // sample stddev
 }
 
-TEST(Welford, MatchesSummary) {
-  Summary s;
-  Welford w;
-  Rng rng(31);
-  for (int i = 0; i < 500; ++i) {
-    double v = rng.normal(10.0, 2.0);
-    s.add(v);
-    w.add(v);
-  }
-  EXPECT_NEAR(w.mean(), s.mean(), 1e-9);
-  EXPECT_NEAR(w.stddev(), s.stddev(), 1e-9);
-}
-
-TEST(Welford, EmptySafe) {
-  Welford w;
-  EXPECT_DOUBLE_EQ(w.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(w.variance(), 0.0);
-}
-
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);  // clamped into bucket 0
-  h.add(0.5);
-  h.add(9.9);
-  h.add(15.0);  // overflow
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_EQ(h.bucket_count(0), 2u);
-  EXPECT_EQ(h.bucket_count(4), 1u);
-  EXPECT_EQ(h.bucket_count(5), 1u);  // overflow bucket
-}
-
-TEST(Histogram, BadRangeThrows) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 // --- thread pool ---
 
 TEST(ThreadPool, ParallelForCoversRange) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, 1000, [&](std::size_t i) { hits[i]++; });
+  pool.parallel_for_chunked(0, 1000, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) hits[i]++;
+  });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, EmptyRangeIsNoop) {
   ThreadPool pool(2);
   int calls = 0;
-  pool.parallel_for(5, 5, [&](std::size_t) { ++calls; });
+  pool.parallel_for_chunked(5, 5, [&](std::size_t, std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
@@ -300,24 +251,19 @@ TEST(ThreadPool, SubmitReturnsFuture) {
 TEST(ThreadPool, ExceptionPropagates) {
   ThreadPool pool(2);
   EXPECT_THROW(
-      pool.parallel_for(0, 10,
-                        [](std::size_t i) {
-                          if (i == 3) throw std::runtime_error("boom");
-                        }),
+      pool.parallel_for_chunked(0, 10,
+                                [](std::size_t lo, std::size_t hi) {
+                                  if (lo <= 3 && 3 < hi) throw std::runtime_error("boom");
+                                }),
       std::runtime_error);
-}
-
-TEST(ThreadPool, GlobalSingleton) {
-  ThreadPool& a = ThreadPool::global();
-  ThreadPool& b = ThreadPool::global();
-  EXPECT_EQ(&a, &b);
-  EXPECT_GE(a.size(), 1u);
 }
 
 TEST(ThreadPool, SingleThreadStillWorks) {
   ThreadPool pool(1);
   std::vector<int> hits(64, 0);
-  pool.parallel_for(0, 64, [&](std::size_t i) { hits[i]++; });
+  pool.parallel_for_chunked(0, 64, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) hits[i]++;
+  });
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 

@@ -24,6 +24,7 @@
 #include "harness/presets.h"
 #include "hetis/hetis_engine.h"
 #include "model/llm.h"
+#include "telemetry/audit.h"
 #include "workload/scenarios.h"
 #include "workload/trace.h"
 
@@ -971,6 +972,54 @@ TEST(Degradation, PreemptNoticeLetsHetisEvacuateWithoutRestarts) {
   EXPECT_GT(rc->reconfig_stats().reconfigurations, 0);
   EXPECT_EQ(rc->reconfig_stats().restarted_requests, 0);
   EXPECT_EQ(rc->reconfig_stats().restart_dead_time, 0.0);
+}
+
+TEST(Degradation, NoticeForIdleDeviceAuditsNoSearch) {
+  // Serving on the four strongest devices leaves the low-power spot
+  // devices idle, so their preemption notices reach
+  // HetisEngine::on_preempt_notice, which has nothing to evacuate and runs
+  // no search.  Those "evacuate" records must carry no search block -- the
+  // engine's last diagnostics belong to the initial re-deploy.
+  hw::Cluster cluster = harness::cluster_by_name("paper");
+  const model::ModelSpec& model = model::model_by_name("Llama-13B");
+  workload::TraceOptions topts;
+  topts.rate = 2.0;
+  topts.horizon = 8.0;
+  topts.seed = 31;
+  auto trace = workload::build_trace(topts);
+
+  control::ControlSpec cs;
+  cs.churn = control::churn_preset(control::Churn::kSpotNotice, 8.0, 13);
+  cs.churn.spot_count = 2;
+  cs.policy = "static";
+  cs.horizon = 38.0;
+  cs.initial_devices = 4;
+
+  struct DecisionLog : engine::RunObserver {
+    std::vector<telemetry::AuditRecord> records;
+    void on_decision(const telemetry::AuditRecord& rec) override { records.push_back(rec); }
+  } log;
+  auto eng = engine::make("hetis", cluster, model);
+  control::Controller ctl(cs, cluster);
+  engine::RunOptions run(900.0);
+  run.on_start = ctl.starter();
+  run.observer = &log;
+  engine::run_trace(*eng, trace, run);
+
+  int idle_notices = 0;
+  for (const telemetry::AuditRecord& rec : log.records) {
+    const bool serving = std::find(rec.devices_before.begin(), rec.devices_before.end(),
+                                   rec.device) != rec.devices_before.end();
+    if (rec.action == "evacuate" && !serving) {
+      ++idle_notices;
+      EXPECT_FALSE(rec.has_diagnostics) << "notice for idle device " << rec.device;
+      EXPECT_EQ(rec.devices_after, rec.devices_before);
+    } else {
+      EXPECT_TRUE(rec.has_diagnostics) << rec.action << " at t=" << rec.time;
+    }
+  }
+  EXPECT_GT(idle_notices, 0);
+  EXPECT_GT(log.records.size(), static_cast<std::size_t>(idle_notices));
 }
 
 TEST(Degradation, ControlledSweepWithDegradationIsByteIdenticalAcrossJobs) {

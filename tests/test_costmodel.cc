@@ -184,14 +184,6 @@ TEST(CommModel, CrossHostAllreduceSlower) {
   EXPECT_LT(comm.allreduce(intra, bytes), comm.allreduce(cross, bytes));
 }
 
-TEST(CommModel, AllgatherCheaperThanAllreduce) {
-  hw::Cluster c = hw::Cluster::paper_cluster();
-  CommModel comm(c);
-  std::vector<int> group{0, 1, 2, 3};
-  Bytes bytes = 32 * MiB;
-  EXPECT_LT(comm.allgather(group, bytes), comm.allreduce(group, bytes));
-}
-
 TEST(CommModel, HeadwiseVolumeMatchesPaperFormula) {
   // d = (2 + 2/r) * h * head_dim * dtype.
   const auto& m = model::llama_70b();  // r=8, d_head=128
@@ -201,18 +193,24 @@ TEST(CommModel, HeadwiseVolumeMatchesPaperFormula) {
 
 TEST(CommModel, HeadwiseBeatsSeqwise) {
   // Fig. 5: head-wise communication is strictly cheaper at partial offload.
+  hw::Cluster c = hw::Cluster::paper_cluster();
+  CommModel comm(c);
   const auto& m = model::llama_70b();
+  const Seconds seq = comm.seqwise_offload_time(m, 0, {8});
   for (double ratio : {0.2, 0.4, 0.6, 0.8}) {
-    Bytes head = CommModel::headwise_bytes_per_token(m, ratio * m.heads);
-    Bytes seq = CommModel::seqwise_bytes_per_token(m, 1);
-    EXPECT_LT(head, seq) << "offload ratio " << ratio;
+    EXPECT_LT(comm.headwise_offload_time(m, 0, 8, ratio * m.heads), seq)
+        << "offload ratio " << ratio;
   }
 }
 
 TEST(CommModel, SeqwiseGrowsWithWorkers) {
+  // Every sequence-wise worker receives the full q width, so four workers
+  // cost more than three times one.
+  hw::Cluster c = hw::Cluster::paper_cluster();
+  CommModel comm(c);
   const auto& m = model::llama_70b();
-  Bytes w1 = CommModel::seqwise_bytes_per_token(m, 1);
-  Bytes w4 = CommModel::seqwise_bytes_per_token(m, 4);
+  const Seconds w1 = comm.seqwise_offload_time(m, 0, {8});
+  const Seconds w4 = comm.seqwise_offload_time(m, 0, {8, 9, 10, 11});
   EXPECT_GT(w4, 3 * w1);
 }
 

@@ -77,94 +77,46 @@ TEST(Metrics, ModuleSamples) {
   EXPECT_DOUBLE_EQ(m.attn_module_time().max(), 4e-3);
 }
 
-// --- MetricsBatch ---
+// --- Run-event sinks ---
 
-struct CountingObserver : RunObserver {
-  int prefill_done = 0;
-  int reprefill_done = 0;
-  std::vector<workload::RequestId> finishes;
-  void on_prefill_done(workload::RequestId, Seconds) override { ++prefill_done; }
-  void on_reprefill_done(workload::RequestId, Seconds) override { ++reprefill_done; }
-  void on_finish(workload::RequestId id, Seconds) override { finishes.push_back(id); }
+// Appends one tag per event to a log shared by every sink, so the test can
+// read both the per-sink event order and the fan-out order across sinks.
+struct LoggingSink : RunObserver {
+  LoggingSink(std::string tag, std::vector<std::string>* log) : tag(std::move(tag)), log(log) {}
+  std::string tag;
+  std::vector<std::string>* log;
+  void note(const char* ev, workload::RequestId id) {
+    log->push_back(tag + ":" + ev + ":" + std::to_string(id));
+  }
+  void on_arrival(const workload::Request& r) override { note("arrive", r.id); }
+  void on_prefill_done(workload::RequestId id, Seconds) override { note("prefill", id); }
+  void on_reprefill_done(workload::RequestId id, Seconds) override { note("reprefill", id); }
+  void on_preempt(workload::RequestId id, Seconds) override { note("preempt", id); }
+  void on_finish(workload::RequestId id, Seconds) override { note("finish", id); }
 };
 
-TEST(MetricsBatch, ObserverOnStreamsImmediately) {
-  // With a sink attached every event must reach the collector on the spot
-  // (the control plane consumes lifecycle events on the sim clock); nothing
-  // may sit in the batch buffer.
+TEST(Metrics, SinksSeeEventsInEmissionAndAttachOrder) {
+  // Every lifecycle event reaches every sink before the collector call
+  // returns, in emission order, fanned out in attach order; a re-prefill
+  // after a preemption signals on_reprefill_done, never a second
+  // on_prefill_done.
   MetricsCollector m;
-  CountingObserver obs;
-  m.attach(&obs);
-  MetricsBatch batch(&m);
+  std::vector<std::string> log;
+  LoggingSink a("a", &log), b("b", &log);
+  m.attach(&a);
+  m.attach(&b);
   m.on_arrival(make_req(1, 0.0, 10, 5));
-  batch.on_first_token(1, 1.0);
-  EXPECT_EQ(batch.buffered(), 0u);
-  EXPECT_EQ(obs.prefill_done, 1);
-  batch.on_preemption(1, 2.0);
-  batch.on_first_token(1, 3.0);  // re-prefill: must not re-signal
-  EXPECT_EQ(obs.prefill_done, 1);
-  EXPECT_EQ(obs.reprefill_done, 1);
-  batch.on_finish(1, 4.0);
-  EXPECT_EQ(obs.finishes, (std::vector<workload::RequestId>{1}));
+  m.on_first_token(1, 1.0);
+  EXPECT_EQ(log.size(), 4u);  // streamed on the spot, nothing deferred
+  m.on_preemption(1, 2.0);
+  m.on_first_token(1, 3.0);
+  m.on_finish(1, 4.0);
+  EXPECT_EQ(log, (std::vector<std::string>{"a:arrive:1", "b:arrive:1", "a:prefill:1",
+                                           "b:prefill:1", "a:preempt:1", "b:preempt:1",
+                                           "a:reprefill:1", "b:reprefill:1", "a:finish:1",
+                                           "b:finish:1"}));
   EXPECT_DOUBLE_EQ(m.record(1).ttft(), 1.0);  // original prefill kept
   m.detach_all();
-}
-
-TEST(MetricsBatch, BatchedAccumulationMatchesPerEvent) {
-  // The same lifecycle sequence -- including preempt -> re-prefill and
-  // requests whose events split across two instances (migration) -- applied
-  // per-event to one collector and through iteration-boundary-flushed
-  // batches to another.  Every record and every aggregate must match.
-  MetricsCollector direct;
-  MetricsCollector buffered;
-  MetricsBatch inst_a(&buffered);
-  MetricsBatch inst_b(&buffered);
-  const int n = 64;
-  for (int id = 0; id < n; ++id) {
-    const auto t0 = static_cast<Seconds>(id);
-    const workload::Request r = make_req(id, t0, 100 + id, 4 + id % 7);
-    direct.on_arrival(r);
-    buffered.on_arrival(r);  // arrivals are engine-level, never batched
-    MetricsBatch& inst = (id % 3 == 0) ? inst_b : inst_a;
-    direct.on_first_token(id, t0 + 0.5);
-    inst.on_first_token(id, t0 + 0.5);
-    if (id % 5 == 0) {
-      direct.on_preemption(id, t0 + 1.0);
-      inst.on_preemption(id, t0 + 1.0);
-      direct.on_first_token(id, t0 + 2.0);  // re-prefill: TTFT unchanged
-      inst.on_first_token(id, t0 + 2.0);
-      // Migration: the request finishes on the other instance.
-      MetricsBatch& other = (id % 3 == 0) ? inst_a : inst_b;
-      direct.on_finish(id, t0 + 3.0);
-      other.on_finish(id, t0 + 3.0);
-    } else if (id % 2 == 0) {
-      direct.on_finish(id, t0 + 2.5);
-      inst.on_finish(id, t0 + 2.5);
-    }
-    if (id % 8 == 7) {  // iteration boundary
-      inst_a.flush();
-      inst_b.flush();
-    }
-  }
-  inst_a.flush();
-  inst_b.flush();
-  EXPECT_EQ(inst_a.buffered(), 0u);
-
-  ASSERT_EQ(buffered.records().size(), direct.records().size());
-  for (std::size_t i = 0; i < direct.records().size(); ++i) {
-    const RequestRecord& d = direct.records()[i];
-    const RequestRecord& b = buffered.records()[i];
-    EXPECT_EQ(b.id, d.id);
-    EXPECT_EQ(b.first_token, d.first_token);
-    EXPECT_EQ(b.finish, d.finish);
-    EXPECT_EQ(b.preemptions, d.preemptions);
-  }
-  EXPECT_EQ(buffered.finished(), direct.finished());
-  EXPECT_EQ(buffered.total_preemptions(), direct.total_preemptions());
-  EXPECT_EQ(buffered.norm_latency().mean(), direct.norm_latency().mean());
-  EXPECT_EQ(buffered.norm_latency().p95(), direct.norm_latency().p95());
-  EXPECT_EQ(buffered.ttft().p95(), direct.ttft().p95());
-  EXPECT_EQ(buffered.tpot().p95(), direct.tpot().p95());
 }
 
 // --- ExecModel ---
@@ -368,37 +320,6 @@ class EchoEngine : public Engine {
   }
   Bytes usable_kv_capacity() const override { return 42; }
 };
-
-// EchoEngine routed through a MetricsBatch instead of direct collector
-// calls -- the two must produce byte-identical reports.
-class BatchedEchoEngine : public Engine {
- public:
-  std::string name() const override { return "echo"; }
-  void submit(sim::Simulation& sim, const workload::Request& r) override {
-    metrics_.on_arrival(r);
-    batch_.on_first_token(r.id, sim.now() + 0.1);
-    batch_.on_finish(r.id, sim.now() + 0.1 + 0.01 * static_cast<double>(r.output_len));
-    batch_.flush();
-  }
-  Bytes usable_kv_capacity() const override { return 42; }
-
- private:
-  MetricsBatch batch_{&metrics_};
-};
-
-TEST(RunTrace, BatchedReportByteIdenticalToStreaming) {
-  std::vector<workload::Request> trace;
-  for (int i = 0; i < 50; ++i) trace.push_back(make_req(i, 0.5 * i, 10, 20 + i % 40));
-  RunOptions opts(60.0);
-  opts.warmup = 3.0;
-  opts.slo = SloSpec{/*ttft=*/0.15, /*tpot=*/0.0105};  // some requests miss TPOT
-  EchoEngine direct;
-  BatchedEchoEngine buffered;
-  RunReport a = run_trace(direct, trace, opts);
-  RunReport b = run_trace(buffered, trace, opts);
-  EXPECT_GT(a.slo_attainment, 0.0);
-  EXPECT_EQ(a.to_csv_row(), b.to_csv_row());
-}
 
 TEST(RunTrace, ReportAggregation) {
   EchoEngine eng;

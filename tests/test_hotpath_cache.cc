@@ -211,10 +211,6 @@ TEST(KernelModel, ClosedFormDecodeAttentionBitIdentical) {
         const Seconds want = reference_decode_time(k, gpu, *m, ctxs, uniform);
         expect_bits_eq(want, k.decode_attention_time(gpu, *m, ctxs, heads));
         expect_bits_eq(want, k.decode_attention_time(gpu, *m, ctxs, uniform));
-        const model::Work batch = model::decode_attention_batch(*m, ctxs, heads);
-        if (!ctxs.empty()) {
-          expect_bits_eq(want, k.attention_time(gpu, batch, static_cast<double>(n * heads)));
-        }
       }
       std::vector<int> mixed;
       for (std::size_t i = 0; i < ctxs.size(); ++i) {

@@ -1,5 +1,4 @@
-// Unit + property tests: paged allocator, block tables, index builders,
-// migration planning.
+// Unit + property tests: paged allocator, block tables, index builders.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -8,8 +7,6 @@
 #include "kvcache/allocator.h"
 #include "kvcache/block_table.h"
 #include "kvcache/index_builder.h"
-#include "kvcache/migration.h"
-#include "model/llm.h"
 
 namespace hetis::kvcache {
 namespace {
@@ -251,70 +248,6 @@ TEST(IndexBuilder, EmptyItems) {
   GatherPlan plan = build_head_index_serial(t, {});
   EXPECT_EQ(plan.num_items(), 0u);
   EXPECT_TRUE(plan.slots.empty());
-}
-
-// --- Migration planning ---
-
-TEST(Migration, GroupCacheBytesFormula) {
-  const auto& m = model::llama_70b();
-  // 2 (K+V) * head_dim * dtype * len * layers.
-  EXPECT_EQ(group_cache_bytes(m, 100), static_cast<Bytes>(2) * 128 * 2 * 100 * 80);
-}
-
-TEST(Migration, OnlyChangedGroupsMove) {
-  const auto& m = model::llama_13b();
-  Placement from{{0, {0, 1, 2, 3}}, {1, {4, 5}}};
-  Placement to{{0, {0, 1}}, {1, {4, 5, 2, 3}}};
-  MigrationPlan plan = plan_migration(m, 9, 50, from, to);
-  EXPECT_EQ(plan.groups_moved, 2);   // groups 2, 3
-  EXPECT_EQ(plan.groups_reused, 4);  // 0, 1, 4, 5
-  EXPECT_EQ(plan.total_bytes, 2 * group_cache_bytes(m, 50));
-  for (const auto& mv : plan.moves) {
-    EXPECT_EQ(mv.src, 0);
-    EXPECT_EQ(mv.dst, 1);
-  }
-}
-
-TEST(Migration, IdenticalPlacementIsFree) {
-  const auto& m = model::llama_13b();
-  Placement p{{0, {0, 1}}, {2, {2}}};
-  MigrationPlan plan = plan_migration(m, 1, 10, p, p);
-  EXPECT_TRUE(plan.empty());
-  EXPECT_EQ(plan.groups_reused, 3);
-}
-
-TEST(Migration, ConjuredGroupThrows) {
-  const auto& m = model::llama_13b();
-  Placement from{{0, {0}}};
-  Placement to{{0, {0, 1}}};  // group 1 doesn't exist in `from`
-  EXPECT_THROW(plan_migration(m, 1, 10, from, to), std::invalid_argument);
-}
-
-TEST(Migration, DuplicateGroupThrows) {
-  const auto& m = model::llama_13b();
-  Placement bad{{0, {0, 1}}, {1, {1}}};
-  Placement to{{0, {0, 1}}};
-  EXPECT_THROW(plan_migration(m, 1, 10, bad, to), std::invalid_argument);
-}
-
-TEST(Migration, OverlapPreservingAssignmentMinimizesMoves) {
-  Placement from{{0, {0, 1, 2, 3}}, {1, {4, 5}}};
-  std::map<int, int> new_counts{{0, 2}, {1, 2}, {2, 2}};
-  Placement out = assign_groups_preserving_overlap(from, new_counts);
-  // Device 0 keeps 2 of its old groups; device 1 keeps both.
-  EXPECT_EQ(out[0].size(), 2u);
-  EXPECT_EQ(out[1], (std::vector<int>{4, 5}));
-  EXPECT_EQ(out[2].size(), 2u);
-  // All six groups placed exactly once.
-  std::set<int> all;
-  for (auto& [dev, gs] : out) all.insert(gs.begin(), gs.end());
-  EXPECT_EQ(all.size(), 6u);
-}
-
-TEST(Migration, CountMismatchThrows) {
-  Placement from{{0, {0, 1}}};
-  std::map<int, int> bad{{0, 3}};
-  EXPECT_THROW(assign_groups_preserving_overlap(from, bad), std::invalid_argument);
 }
 
 }  // namespace

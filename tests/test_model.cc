@@ -144,10 +144,10 @@ TEST(Work, PrefillAttentionQuadratic) {
 
 TEST(Work, BatchSumsMatchLoop) {
   const ModelSpec& m = opt_13b();
-  std::vector<std::int64_t> ctxs{100, 250, 640};
-  Work batch = decode_attention_batch(m, ctxs, 4);
+  std::vector<std::int64_t> lens{100, 250, 640};
+  Work batch = prefill_attention_batch(m, lens, 4);
   double flops = 0;
-  for (auto c : ctxs) flops += decode_attention_work(m, c, 4).flops;
+  for (auto len : lens) flops += prefill_attention_work(m, len, 4).flops;
   EXPECT_DOUBLE_EQ(batch.flops, flops);
   EXPECT_EQ(batch.kernels, 1);  // batched kernel launches once
 }

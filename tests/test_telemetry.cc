@@ -86,7 +86,9 @@ TEST(Registry, HistogramBucketMath) {
   EXPECT_DOUBLE_EQ(s.sum, 55.65);
 }
 
-TEST(Registry, HistogramCsvRoundTrip) {
+TEST(Registry, HistogramCsvLayout) {
+  // One cumulative row per finite bound (%.17g, inclusive `le`), then a
+  // +inf row carrying the total; histograms appear in creation order.
   telemetry::MetricsRegistry reg;
   const int a = reg.histogram("ttft_seconds", {0.05, 0.25, 1.0});
   for (double v : {0.01, 0.05, 0.2, 0.9, 3.0, 7.5}) reg.observe(a, v);
@@ -96,17 +98,16 @@ TEST(Registry, HistogramCsvRoundTrip) {
 
   std::ostringstream os;
   reg.write_histograms_csv(os);
-  std::istringstream is(os.str());
-  const auto parsed = telemetry::parse_histograms_csv(is);
-  const auto original = reg.histograms();
-  ASSERT_EQ(parsed.size(), original.size());
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    EXPECT_EQ(parsed[i].name, original[i].name);
-    EXPECT_EQ(parsed[i].upper_bounds, original[i].upper_bounds);
-    EXPECT_EQ(parsed[i].cumulative, original[i].cumulative);
-    EXPECT_EQ(parsed[i].count, original[i].count);
-    EXPECT_DOUBLE_EQ(parsed[i].sum, 0.0);  // sum is not serialized
-  }
+  EXPECT_EQ(os.str(),
+            "histogram,le,count\n"
+            "ttft_seconds,0.050000000000000003,2\n"
+            "ttft_seconds,0.25,3\n"
+            "ttft_seconds,1,4\n"
+            "ttft_seconds,+inf,6\n"
+            "empty_hist,1,0\n"
+            "empty_hist,2,0\n"
+            "empty_hist,+inf,0\n"
+            "only_inf,+inf,1\n");
 }
 
 // --- trace recorder ---
@@ -569,7 +570,8 @@ TEST(Harness, TraceArtifactsByteIdenticalAcrossJobsAndRowsUnperturbed) {
     }
   }
 
-  // The metrics CSV's histogram block parses back (header + bucket rows).
+  // Every metrics CSV carries a histogram block with at least the ttft,
+  // e2e and tpot histograms, each closed by its +inf row.
   for (const std::string& name : names1) {
     if (name.find(".metrics.csv") == std::string::npos) continue;
     std::istringstream is(slurp(dir1 / name));
@@ -577,14 +579,11 @@ TEST(Harness, TraceArtifactsByteIdenticalAcrossJobsAndRowsUnperturbed) {
     while (std::getline(is, line) && line != "histogram,le,count") {
     }
     ASSERT_EQ(line, "histogram,le,count") << name << " lacks a histogram block";
-    std::istringstream block("histogram,le,count\n" +
-                             std::string(std::istreambuf_iterator<char>(is), {}));
-    const auto snaps = telemetry::parse_histograms_csv(block);
-    EXPECT_GE(snaps.size(), 3u);  // ttft, e2e, tpot at minimum
-    for (const auto& s : snaps) {
-      ASSERT_EQ(s.cumulative.size(), s.upper_bounds.size() + 1);
-      EXPECT_EQ(s.cumulative.back(), s.count);
+    int closed = 0;
+    while (std::getline(is, line) && !line.empty()) {
+      if (line.find(",+inf,") != std::string::npos) ++closed;
     }
+    EXPECT_GE(closed, 3) << name;
   }
   std::filesystem::remove_all(base);
 }
