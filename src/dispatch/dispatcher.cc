@@ -524,10 +524,13 @@ Rebalance Dispatcher::plan_single(workload::RequestId victim) const {
   for (std::size_t w = 0; w < cfg_.workers.size(); ++w) rb.to.worker_heads[w] = heads[1 + w][0];
 
   // Moved heads: overlap-preserving reassignment means only net deltas move.
+  // The Hauler's source is the device that lost the most heads (the primary
+  // when `local` shrank the most).
   double moved = std::max(0, rb.to.local - rb.from.local);
   int src = cfg_.stages.front().devices.front();
   int dst = src;
   double biggest_gain = -1;
+  int biggest_loss = std::max(0, rb.from.local - rb.to.local);
   for (std::size_t w = 0; w < cfg_.workers.size(); ++w) {
     int delta = rb.to.worker_heads[w] - rb.from.worker_heads[w];
     if (delta > 0) {
@@ -536,7 +539,8 @@ Rebalance Dispatcher::plan_single(workload::RequestId victim) const {
         biggest_gain = delta;
         dst = cfg_.workers[w].device;
       }
-    } else if (delta < 0 && -delta > biggest_gain) {
+    } else if (-delta > biggest_loss) {
+      biggest_loss = -delta;
       src = cfg_.workers[w].device;
     }
   }

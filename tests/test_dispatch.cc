@@ -199,6 +199,35 @@ TEST(Dispatcher, RescuePlanMovesVictimOffDevice) {
   }
 }
 
+TEST(Dispatcher, HaulerSourceIsTheDeviceThatLosesTheMostHeads) {
+  // One stage with room for exactly half of a request's heads, a cheap
+  // worker w0 and a worker w1 whose per-head cost is 100x higher.  Forcing
+  // the request's other half onto w1 and re-planning moves those heads to
+  // w0, so the Hauler must carry them from w1, not from the primary.
+  DispatcherConfig cfg = basic_config();
+  cfg.stages.resize(1);
+  cfg.stages[0].layers = cfg.total_layers;
+  const std::int64_t ctx = 1000;
+  cfg.stages[0].capacity =
+      static_cast<Bytes>(16 * ctx * cfg.bytes_per_head_token_layer * cfg.total_layers);
+  cfg.workers[1].attn = costmodel::AttnParams{1.1e-5, 1.0 / 0.34e10, 8e-6};
+  Dispatcher d(cfg);
+  ASSERT_TRUE(d.dispatch({{1, ctx}}, 0.0).has_value());
+  Rebalance forced;
+  forced.victim = 1;
+  forced.to.local = 16;
+  forced.to.worker_heads = {0, 16};
+  forced.valid = true;
+  d.apply(forced);
+
+  Rebalance rb = d.plan_rescue(1);
+  ASSERT_TRUE(rb.valid);
+  EXPECT_EQ(rb.to.local, 16);
+  EXPECT_EQ(rb.to.worker_heads, (std::vector<int>{16, 0}));
+  EXPECT_EQ(rb.src_device, cfg.workers[1].device);
+  EXPECT_EQ(rb.dst_device, cfg.workers[0].device);
+}
+
 TEST(Dispatcher, EvictCandidateIsLifo) {
   Dispatcher d(basic_config());
   ASSERT_TRUE(d.dispatch({{1, 500}}, 10.0).has_value());
