@@ -1,7 +1,7 @@
 // Design-choice ablations (DESIGN.md §3): each row disables one Hetis
 // mechanism and reports normalized latency on a shared workload, isolating
 // the contribution of:
-//   * the exact dispatch LP        (vs greedy waterfilling)
+//   * the exact one-request dispatch solve of Eq. 7 (vs greedy waterfilling)
 //   * primary-worker pruning       (vs all devices in dense parallelism)
 //   * online re-dispatching        (vs plain LIFO preemption)
 //   * data-parallel grouping       (vs one big instance)

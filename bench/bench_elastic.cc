@@ -61,6 +61,10 @@
 
 namespace {
 
+constexpr char kUsage[] =
+    "usage: bench_elastic [--csv] [--csv-header] [--jobs N] [--progress] [--out PATH]\n"
+    "                     [--rate R] [--horizon S] [--trace DIR] [--check]\n";
+
 using namespace hetis;
 
 harness::ExperimentSpec base_spec(const char* name, double rate, Seconds horizon) {
@@ -112,8 +116,8 @@ int main(int argc, char** argv) {
     std::printf("%s\n", harness::sweep_csv_header().c_str());
     return 0;
   }
-  const double rate = std::atof(bench::arg_value(argc, argv, "--rate", "18").c_str());
-  const Seconds horizon = std::atof(bench::arg_value(argc, argv, "--horizon", "24").c_str());
+  const double rate = bench::positive_arg(argc, argv, "--rate", 18.0, kUsage);
+  const Seconds horizon = bench::positive_arg(argc, argv, "--horizon", 24.0, kUsage);
   const std::string out_path = bench::arg_value(argc, argv, "--out", "BENCH_elastic.json");
   const bool csv = bench::csv_requested(argc, argv);
   const bool progress = bench::flag_requested(argc, argv, "--progress");

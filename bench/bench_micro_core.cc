@@ -1,7 +1,8 @@
-// Micro-benchmarks of the hot-path substrates: the dispatch LP (solved
-// online, per arrival batch), the simplex core, the event queue, the paged
-// allocator, and kernel-model evaluation.  These justify running an exact
-// LP on the serving path (§6 "Optimization problem solving").
+// Micro-benchmarks of the hot-path substrates: the exact one-request
+// dispatch solve (run per admission, re-dispatch and rescue), the greedy
+// waterfill, the event queue, the paged allocator, and kernel-model
+// evaluation.  These justify solving Eq. 7 exactly on the serving path
+// (§6 "Optimization problem solving").
 #include <benchmark/benchmark.h>
 
 #include "harness.h"
@@ -32,16 +33,32 @@ lp::MinMaxProblem dispatch_problem(std::size_t requests) {
   return p;
 }
 
-void BM_DispatchLp(benchmark::State& state) {
-  lp::MinMaxProblem p = dispatch_problem(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    lp::MinMaxSolution s = lp::solve_relaxed(p);
-    auto rounded = lp::round_to_groups(p, s);
-    benchmark::DoNotOptimize(rounded.size());
+/// One request over one merged primary and `devices - 1` workers.
+lp::MinMaxProblem admission_problem(std::size_t devices) {
+  lp::MinMaxProblem p = dispatch_problem(1);
+  p.base_time.resize(1);
+  p.head_cost.resize(1);
+  p.cache_cost.resize(1);
+  p.mem_free.resize(1);
+  for (std::size_t w = 1; w < devices; ++w) {
+    p.base_time.push_back(2e-4 + 1e-6 * static_cast<double>(w));
+    p.head_cost.push_back(w % 2 == 0 ? 1.4e-7 : 1.5e-7);
+    p.cache_cost.push_back(3e-12);
+    p.mem_free.push_back(2.5e8);
   }
-  state.SetLabel("Eq. 7 LP + integral rounding");
+  return p;
 }
-BENCHMARK(BM_DispatchLp)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Unit(benchmark::kMicrosecond);
+
+void BM_DispatchLp(benchmark::State& state) {
+  lp::MinMaxProblem p = admission_problem(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    lp::MinMaxSolution s = lp::solve_one(p);
+    auto rounded = lp::round_to_groups(p, s);
+    benchmark::DoNotOptimize(rounded.data());
+  }
+  state.SetLabel("exact one-request Eq. 7 + integral rounding");
+}
+BENCHMARK(BM_DispatchLp)->Arg(2)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
 
 void BM_DispatchGreedy(benchmark::State& state) {
   lp::MinMaxProblem p = dispatch_problem(static_cast<std::size_t>(state.range(0)));

@@ -42,6 +42,10 @@
 
 namespace {
 
+constexpr char kUsage[] =
+    "usage: bench_objectives [--csv] [--csv-header] [--jobs N] [--progress] [--out PATH]\n"
+    "                        [--horizon S]\n";
+
 using namespace hetis;
 
 const std::vector<std::string> kObjectives = {"throughput", "latency", "goodput_per_device"};
@@ -97,7 +101,7 @@ int main(int argc, char** argv) {
     std::printf("%s\n", harness::sweep_csv_header().c_str());
     return 0;
   }
-  const Seconds horizon = std::atof(bench::arg_value(argc, argv, "--horizon", "16").c_str());
+  const Seconds horizon = bench::positive_arg(argc, argv, "--horizon", 16.0, kUsage);
   const std::string out_path = bench::arg_value(argc, argv, "--out", "BENCH_objectives.json");
   const bool csv = bench::csv_requested(argc, argv);
   const bool progress = bench::flag_requested(argc, argv, "--progress");

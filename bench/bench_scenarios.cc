@@ -27,14 +27,22 @@
 #include "harness.h"
 #include "workload/scenarios.h"
 
+namespace {
+
+constexpr char kUsage[] =
+    "usage: bench_scenarios [--csv] [--csv-header] [--jobs N] [--progress] [--out PATH]\n"
+    "                       [--rate R] [--horizon S]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace hetis;
   if (bench::flag_requested(argc, argv, "--csv-header")) {
     std::printf("%s\n", harness::sweep_csv_header().c_str());
     return 0;
   }
-  const double rate = std::atof(bench::arg_value(argc, argv, "--rate", "2").c_str());
-  const Seconds horizon = std::atof(bench::arg_value(argc, argv, "--horizon", "12").c_str());
+  const double rate = bench::positive_arg(argc, argv, "--rate", 2.0, kUsage);
+  const Seconds horizon = bench::positive_arg(argc, argv, "--horizon", 12.0, kUsage);
   const std::string out_path = bench::arg_value(argc, argv, "--out", "BENCH_scenarios.json");
   const bool csv = bench::csv_requested(argc, argv);
   const int jobs = bench::jobs_requested(argc, argv, /*fallback=*/0);

@@ -48,6 +48,10 @@
 
 namespace {
 
+constexpr char kUsage[] =
+    "usage: bench_simspeed [--csv] [--csv-header] [--requests N] [--rate R] [--out PATH]\n"
+    "                     [--check PATH]\n";
+
 using namespace hetis;
 
 struct SpeedRow {
@@ -207,7 +211,7 @@ int main(int argc, char** argv) {
   }
   const std::size_t requests = static_cast<std::size_t>(
       std::atoll(bench::arg_value(argc, argv, "--requests", "1000000").c_str()));
-  const double rate = std::atof(bench::arg_value(argc, argv, "--rate", "2").c_str());
+  const double rate = bench::positive_arg(argc, argv, "--rate", 2.0, kUsage);
   const std::string out_path = bench::arg_value(argc, argv, "--out", "BENCH_simspeed.json");
   const std::string check_path = bench::arg_value(argc, argv, "--check", "");
   const bool csv = bench::csv_requested(argc, argv);

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -86,6 +87,26 @@ inline std::string arg_value(int argc, char** argv, const std::string& key,
                              const std::string& fallback) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (argv[i] == key) return argv[i + 1];
+  }
+  return fallback;
+}
+
+/// Value of a `--key V` flag that must be a finite number > 0 with no
+/// trailing characters; `fallback` when the flag is absent.  Anything else
+/// (a missing value included) prints the message and `usage` to stderr and
+/// exits 2, the contract of the examples' CLIs.
+inline double positive_arg(int argc, char** argv, const std::string& key, double fallback,
+                           const char* usage) {
+  for (int i = 1; i < argc; ++i) {
+    if (argv[i] != key) continue;
+    const char* text = i + 1 < argc ? argv[i + 1] : "";
+    char* end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0) {
+      std::fprintf(stderr, "%s expects a positive number, got '%s'\n%s", key.c_str(), text, usage);
+      std::exit(2);
+    }
+    return v;
   }
   return fallback;
 }

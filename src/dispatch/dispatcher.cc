@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "common/log.h"
 
@@ -266,9 +266,8 @@ void Dispatcher::fill_device_rows(const Aggregates& agg, lp::MinMaxProblem& p) c
   }
 }
 
-const lp::MinMaxProblem& Dispatcher::build_problem(
-    const std::vector<std::pair<workload::RequestId, std::int64_t>>& new_requests,
-    workload::RequestId exclude) const {
+const lp::MinMaxProblem& Dispatcher::build_problem(std::int64_t ctx,
+                                                  workload::RequestId exclude) const {
   const Aggregates* aggp = &agg_;
   if (exclude >= 0) {
     if (const ReqState* st = find(exclude)) {
@@ -282,56 +281,41 @@ const lp::MinMaxProblem& Dispatcher::build_problem(
 
   lp::MinMaxProblem& p = prob_;
   fill_device_rows(*aggp, p);
-
-  p.demand.clear();
-  p.cache_per_head.clear();
-  p.demand.reserve(new_requests.size());
-  p.cache_per_head.reserve(new_requests.size());
-  for (const auto& [id, ctx] : new_requests) {
-    p.demand.push_back(static_cast<double>(cfg_.heads));
-    p.cache_per_head.push_back(static_cast<double>(ctx) * bph_);
-  }
+  p.demand.assign(1, static_cast<double>(cfg_.heads));
+  p.cache_per_head.assign(1, static_cast<double>(ctx) * bph_);
   return p;
 }
 
-std::optional<std::vector<PlacementCounts>> Dispatcher::dispatch(
-    const std::vector<std::pair<workload::RequestId, std::int64_t>>& new_requests,
-    Seconds now) {
-  if (new_requests.empty()) return std::vector<PlacementCounts>{};
-  const lp::MinMaxProblem& p = build_problem(new_requests, /*exclude=*/-1);
-  std::vector<std::vector<int>> rounded;
-  const std::vector<std::vector<int>>& heads = place(p, rounded);
-
-  // Verify every request received its full head count (greedy may fall
-  // short when the cluster is memory-exhausted).
-  for (std::size_t j = 0; j < new_requests.size(); ++j) {
-    int total = 0;
-    for (std::size_t i = 0; i < heads.size(); ++i) total += heads[i][j];
-    if (total != cfg_.heads) return std::nullopt;
+void Dispatcher::check_counts(const PlacementCounts& pc, const char* who) const {
+  const auto possible = [this](int h) {
+    return h >= 0 && h <= cfg_.heads && h % cfg_.group_size == 0;
+  };
+  if (pc.worker_heads.size() != cfg_.workers.size() || !possible(pc.local) ||
+      !std::all_of(pc.worker_heads.begin(), pc.worker_heads.end(), possible) ||
+      pc.total() != cfg_.heads) {
+    throw std::logic_error(std::string(who) + ": impossible head placement");
   }
+}
 
-  std::vector<PlacementCounts> out(new_requests.size());
-  for (std::size_t j = 0; j < new_requests.size(); ++j) {
-    PlacementCounts pc;
-    pc.local = heads[0][j];
-    pc.worker_heads.assign(cfg_.workers.size(), 0);
-    for (std::size_t w = 0; w < cfg_.workers.size(); ++w) pc.worker_heads[w] = heads[1 + w][j];
-    const workload::RequestId id = new_requests[j].first;
-    auto it = lower_bound(id);
-    if (it != requests_.end() && it->id == id) {
-      accumulate(agg_, *it, -1);  // re-dispatch replaces the old entry
-    } else {
-      it = requests_.insert(it, ReqState{});
-      it->id = id;
-    }
-    ReqState& st = *it;
-    st.ctx = new_requests[j].second;
-    st.arrival = now;
-    st.counts = pc;
-    accumulate(agg_, st, +1);
-    out[j] = std::move(pc);
+std::optional<PlacementCounts> Dispatcher::dispatch(workload::RequestId id, std::int64_t ctx,
+                                                    Seconds now) {
+  PlacementCounts pc;
+  // Greedy may fall short when the cluster is memory-exhausted, and the
+  // rounded LP when the head groups do not fit.
+  if (!place(build_problem(ctx, /*exclude=*/-1), pc)) return std::nullopt;
+  check_counts(pc, "Dispatcher::dispatch");
+  auto it = lower_bound(id);
+  if (it != requests_.end() && it->id == id) {
+    accumulate(agg_, *it, -1);  // re-dispatch replaces the old entry
+  } else {
+    it = requests_.insert(it, ReqState{});
+    it->id = id;
   }
-  return out;
+  it->ctx = ctx;
+  it->arrival = now;
+  it->counts = pc;
+  accumulate(agg_, *it, +1);
+  return pc;
 }
 
 void Dispatcher::grow(ReqState& st) {
@@ -511,17 +495,7 @@ Rebalance Dispatcher::plan_single(workload::RequestId victim) const {
   if (st == nullptr) return rb;
   rb.from = st->counts;
 
-  std::vector<std::pair<workload::RequestId, std::int64_t>> one{{victim, st->ctx}};
-  const lp::MinMaxProblem& p = build_problem(one, /*exclude=*/victim);
-  std::vector<std::vector<int>> rounded;
-  const std::vector<std::vector<int>>& heads = place(p, rounded);
-  int total = 0;
-  for (std::size_t i = 0; i < heads.size(); ++i) total += heads[i][0];
-  if (total != cfg_.heads) return rb;  // infeasible
-
-  rb.to.local = heads[0][0];
-  rb.to.worker_heads.assign(cfg_.workers.size(), 0);
-  for (std::size_t w = 0; w < cfg_.workers.size(); ++w) rb.to.worker_heads[w] = heads[1 + w][0];
+  if (!place(build_problem(st->ctx, /*exclude=*/victim), rb.to)) return rb;  // infeasible
 
   // Moved heads: overlap-preserving reassignment means only net deltas move.
   // The Hauler's source is the device that lost the most heads (the primary
@@ -588,24 +562,29 @@ void Dispatcher::apply(const Rebalance& rb) {
   if (it == requests_.end() || it->id != rb.victim) {
     throw std::out_of_range("Dispatcher::apply: unknown victim");
   }
+  check_counts(rb.to, "Dispatcher::apply");
   accumulate(agg_, *it, -1);
   it->counts = rb.to;
   accumulate(agg_, *it, +1);
 }
 
-const std::vector<std::vector<int>>& Dispatcher::place(
-    const lp::MinMaxProblem& p, std::vector<std::vector<int>>& rounded) const {
-  // round_to_groups always returns a d-row matrix (d >= 1 here), so the LP
-  // path is taken exactly when the relaxed solve succeeds.
+bool Dispatcher::place(const lp::MinMaxProblem& p, PlacementCounts& out) const {
+  const auto take = [this, &out](const auto& heads_on) {
+    out.local = heads_on(0);
+    out.worker_heads.resize(cfg_.workers.size());
+    for (std::size_t w = 0; w < cfg_.workers.size(); ++w) out.worker_heads[w] = heads_on(1 + w);
+    return out.total() == cfg_.heads;
+  };
   if (cfg_.use_lp) {
     ++lp_solves_;
-    const lp::MinMaxSolution relaxed = lp::solve_relaxed(p, lp_buffer_, solver_);
+    const lp::MinMaxSolution relaxed = lp::solve_one(p);
     if (relaxed.ok()) {
-      rounded = lp::round_to_groups(p, relaxed);
-      return rounded;
+      const std::vector<int> heads = lp::round_to_groups(p, relaxed);
+      return take([&heads](std::size_t i) { return heads[i]; });
     }
   }
-  return greedy(p);
+  const std::vector<std::vector<int>>& heads = greedy(p);
+  return take([&heads](std::size_t i) { return heads[i][0]; });
 }
 
 const std::vector<std::vector<int>>& Dispatcher::greedy(const lp::MinMaxProblem& p) const {

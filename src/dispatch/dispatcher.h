@@ -19,6 +19,12 @@
 // with context l holds l * bph bytes per layer, bph = 2*head_dim*dtype/r;
 // a stage hosts its layer slab for local heads, a worker hosts all L
 // layers for its offloaded heads.
+//
+// Placement.  Admission, re-dispatch and rescue each place ONE request:
+// lp::solve_one solves its Eq. 7 exactly and lp::round_to_groups rounds
+// the optimum to whole head groups inside each device's memory.  The
+// greedy waterfill takes over on non-finite input and under
+// use_lp = false, and computes f* over all requests.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +34,6 @@
 #include "common/units.h"
 #include "costmodel/attention_model.h"
 #include "lp/minmax.h"
-#include "lp/simplex.h"
 #include "workload/request.h"
 
 namespace hetis::dispatch {
@@ -84,12 +89,11 @@ class Dispatcher {
 
   // --- Request lifecycle ---
 
-  /// Dispatches new requests (Eq. 7).  On success registers them and
-  /// returns one PlacementCounts per request (same order).  Returns
-  /// nullopt when the instance cannot host them (caller keeps waiting).
-  std::optional<std::vector<PlacementCounts>> dispatch(
-      const std::vector<std::pair<workload::RequestId, std::int64_t>>& new_requests,
-      Seconds now);
+  /// Dispatches one new request with `ctx` tokens of context (Eq. 7).  On
+  /// success registers it and returns its placement; returns nullopt when
+  /// the instance cannot host it (caller keeps waiting).  Throws
+  /// std::logic_error if a solve ever yields an impossible placement.
+  std::optional<PlacementCounts> dispatch(workload::RequestId id, std::int64_t ctx, Seconds now);
 
   /// Grows each listed request's context by one token (Eq. 8 state update)
   /// for one decode iteration's survivors.  `ids` must be strictly
@@ -132,7 +136,10 @@ class Dispatcher {
   /// Plans re-dispatching `victim` to relieve memory pressure (§5.3.2).
   Rebalance plan_rescue(workload::RequestId victim) const;
   /// Commits a planned rebalance (memory accounting moves immediately; the
-  /// engine suspends the victim until the Hauler transfer lands).
+  /// engine suspends the victim until the Hauler transfer lands).  Throws
+  /// std::logic_error unless `rb` is valid and `rb.to` is a possible
+  /// placement: per-device counts in [0, H], multiples of r, one per
+  /// worker, summing to H.
   void apply(const Rebalance& rb);
 
   // --- Memory state ---
@@ -158,9 +165,9 @@ class Dispatcher {
 
   const DispatcherConfig& config() const { return cfg_; }
 
-  /// Dispatch solves run so far: one per relaxed-LP solve and one per
-  /// greedy waterfill actually run (admission, re-dispatch and f* probes
-  /// alike; a trigger check settled by the bound runs none).
+  /// Dispatch solves run so far: one per exact one-request LP solve and
+  /// one per greedy waterfill actually run (admission, re-dispatch and f*
+  /// probes alike; a trigger check settled by the bound runs none).
   std::uint64_t lp_solves() const { return lp_solves_; }
 
  private:
@@ -194,13 +201,15 @@ class Dispatcher {
   /// Grows one request's context by a token, keeping agg_ in step.
   void grow(ReqState& st);
 
-  /// Builds the min-max problem for `new_requests` given current state.
-  /// Excludes `exclude` (for single-request re-dispatch).  Fills the
-  /// reusable prob_ buffer in place (every field assigned); the reference
-  /// is valid until the next build_problem call.
-  const lp::MinMaxProblem& build_problem(
-      const std::vector<std::pair<workload::RequestId, std::int64_t>>& new_requests,
-      workload::RequestId exclude) const;
+  /// Builds the min-max problem for one request with `ctx` tokens of
+  /// context given current state, excluding `exclude` (for single-request
+  /// re-dispatch).  Fills the reusable prob_ buffer in place (every field
+  /// assigned); the reference is valid until the next build_problem call.
+  const lp::MinMaxProblem& build_problem(std::int64_t ctx, workload::RequestId exclude) const;
+
+  /// Throws std::logic_error (naming `who`) unless `pc` is a possible
+  /// placement of one request.
+  void check_counts(const PlacementCounts& pc, const char* who) const;
 
   /// Writes the device-side rows (base_time / head_cost / cache_cost /
   /// mem_free, plus group_size) for the given aggregates into `p`.  Shared
@@ -231,11 +240,10 @@ class Dispatcher {
   /// alone would be unsound).  Conservative: false whenever in doubt.
   bool waterfill_cannot_fire(Seconds worst) const;
 
-  /// Integral placement for `p`: the rounded LP optimum (into `rounded`)
-  /// when use_lp and the LP solves, else the greedy waterfill (into
-  /// greedy_heads_).  Returns whichever was filled.
-  const std::vector<std::vector<int>>& place(const lp::MinMaxProblem& p,
-                                             std::vector<std::vector<int>>& rounded) const;
+  /// Integral placement of the one request in `p` into `out`: the exact
+  /// LP optimum rounded to head groups when use_lp and the LP solves, else
+  /// the greedy waterfill.  False when not every head could be placed.
+  bool place(const lp::MinMaxProblem& p, PlacementCounts& out) const;
   /// Greedy waterfill of `p` into greedy_heads_.
   const std::vector<std::vector<int>>& greedy(const lp::MinMaxProblem& p) const;
 
@@ -257,8 +265,6 @@ class Dispatcher {
   mutable lp::MinMaxProblem ideal_prob_; // ideal_per_layer's reusable buffer
   mutable bool ideal_base_ready_ = false;
   mutable std::vector<double> bound_coef_;  // waterfill_cannot_fire's duals
-  mutable lp::Problem lp_buffer_;
-  mutable lp::Simplex solver_;
   mutable std::vector<std::vector<int>> greedy_heads_;
   mutable std::vector<double> greedy_load_;
   mutable std::vector<double> greedy_mem_;

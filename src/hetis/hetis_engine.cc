@@ -417,9 +417,7 @@ void HetisInstance::enqueue(sim::Simulation& sim, engine::LiveRequest lr) {
 
 bool HetisInstance::adopt(sim::Simulation& sim, const engine::LiveRequest& lr,
                           Seconds resume_at) {
-  scratch_one_.clear();
-  scratch_one_.emplace_back(lr.req.id, lr.context());
-  if (!dispatcher_.dispatch(scratch_one_, sim.now())) return false;
+  if (!dispatcher_.dispatch(lr.req.id, lr.context(), sim.now())) return false;
   insert_running(lr);
   if (resume_at > sim.now()) suspended_until_[lr.req.id] = resume_at;
   kick(sim);
@@ -482,10 +480,9 @@ void HetisInstance::pump(sim::Simulation& sim) {
       engine::LiveRequest& head = waiting_.front();
       if (head.req.prompt_len > budget && !prefill_batch.empty()) break;
       // Dispatch this request's heads (reserves memory at its destinations).
-      scratch_one_.clear();
-      scratch_one_.emplace_back(head.req.id, head.req.prompt_len + 1);
-      auto placed = dispatcher_.dispatch(scratch_one_, sim.now());
-      if (!placed) break;  // instance cannot host it right now
+      if (!dispatcher_.dispatch(head.req.id, head.req.prompt_len + 1, sim.now())) {
+        break;  // instance cannot host it right now
+      }
       budget -= head.req.prompt_len;
       prefill_batch.push_back(head);
       waiting_.pop_front();

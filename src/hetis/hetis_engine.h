@@ -242,7 +242,6 @@ class HetisInstance {
   parallel::InstanceConfig primary_only_;  // prefill runs on primary stages
   engine::IterationTime scratch_it_;
   std::vector<std::int64_t> scratch_lens_;
-  std::vector<std::pair<workload::RequestId, std::int64_t>> scratch_one_;
   std::vector<std::vector<engine::LiveRequest>> batch_pool_;
   std::vector<std::vector<workload::RequestId>> decoded_pool_;
 };

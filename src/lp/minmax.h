@@ -1,20 +1,28 @@
-// Min-max head-dispatch LP (paper Eq. 7) and integral rounding.
+// Min-max head-dispatch LP (paper Eq. 7), solved exactly for one request,
+// and the greedy waterfill behind the re-dispatch trigger.
 //
-// Variables: x[i][j] = query heads of request j placed on device i, plus
-// the epigraph variable t:
+// Hetis places one request at a time (admission, re-dispatch, rescue).
+// With x_i = its query heads on device i, a_i = head_cost[i] +
+// cache_cost[i] * c its per-head cost and c its cache bytes per head, the
+// LP is
 //
-//   min t
-//   s.t.  base[i] + sum_j (head_cost[i] + cache_cost[i]*cache_per_head[j]) x[i][j] <= t
-//         sum_i x[i][j] = demand[j]                    (head integrity, Eq. 5/7c)
-//         sum_j cache_per_head[j] * x[i][j] <= mem_free[i]   (Eq. 7b)
+//   min t + kTieBreak * sum_i a_i x_i
+//   s.t.  base[i] + a_i x_i <= t            (Eq. 7a, epigraph)
+//         sum_i x_i = demand                (head integrity, Eq. 5/7c)
+//         c * x_i <= mem_free[i]            (Eq. 7b)
 //         x >= 0
 //
-// The continuous optimum is then rounded to the head-group lattice
-// (x/r integral, §5.2.1) by largest-remainder with a memory-feasibility
-// repair pass.  The ideal attention time f* behind the re-dispatching
-// trigger (§5.3.1) does not use the LP: the Dispatcher computes it with
-// `greedy_dispatch_into` and `eval_makespan` under per-device memory, where
-// the paper's LP has one cluster-wide memory row.
+// `solve_one` solves it in closed form: for a fixed t, device i takes at
+// most min(mem_free[i] / c, (t - base[i]) / a_i) heads and the tie-break is
+// a fractional knapsack (cheapest a_i first), so the objective is convex
+// and piecewise linear in t and its minimum sits at one of O(D)
+// breakpoints.  `round_to_groups` then rounds the optimum to the head-group
+// lattice (x/r integral, §5.2.1) inside each device's memory.
+//
+// The ideal attention time f* behind the re-dispatching trigger (§5.3.1)
+// does not use the LP: the Dispatcher computes it with
+// `greedy_dispatch_into` and `eval_makespan` over all of its requests under
+// per-device memory, where the paper's LP has one cluster-wide memory row.
 #pragma once
 
 #include <vector>
@@ -22,6 +30,11 @@
 #include "lp/simplex.h"
 
 namespace hetis::lp {
+
+/// Weight of the secondary objective: among placements with the same
+/// bottleneck t, prefer the one with the least total work, so heads stay on
+/// cheap devices unless offloading lowers the bottleneck.
+inline constexpr double kTieBreak = 1e-3;
 
 struct MinMaxProblem {
   // Device side (size D).
@@ -40,30 +53,26 @@ struct MinMaxProblem {
   void validate() const;  // throws std::invalid_argument on shape errors
 };
 
+/// Continuous optimum of the one-request LP.
 struct MinMaxSolution {
   Status status = Status::kIterLimit;
-  double objective = 0.0;               // relaxed (continuous) optimum of t
-  // heads[i][j], continuous.
-  std::vector<std::vector<double>> heads;
+  double bottleneck = 0.0;    // t: max_i f_i at the optimum
+  std::vector<double> heads;  // x_i per device
 
   bool ok() const { return status == Status::kOptimal; }
 };
 
-/// Solves the continuous relaxation exactly via simplex.
-MinMaxSolution solve_relaxed(const MinMaxProblem& problem);
+/// Solves the LP above exactly for a problem with one request (throws
+/// std::invalid_argument otherwise, or on shape errors).  Non-finite inputs
+/// come back as kMalformed and a demand above the devices' total memory as
+/// kInfeasible.
+MinMaxSolution solve_one(const MinMaxProblem& problem);
 
-/// Cold-path variant with recycled buffers: builds the epigraph LP into
-/// `lp_buffer` (reusing its row capacity) and solves through `solver`'s
-/// persistent tableau.  Bit-identical results to the plain overload -- the
-/// buffers only recycle allocations, never values.
-MinMaxSolution solve_relaxed(const MinMaxProblem& problem, Problem& lp_buffer,
-                             Simplex& solver);
-
-/// Rounds a continuous solution to integral multiples of group_size per
-/// (device, request) while preserving column sums (= demand) and repairing
-/// per-device memory violations.  Returns integer head counts.
-std::vector<std::vector<int>> round_to_groups(const MinMaxProblem& problem,
-                                              const MinMaxSolution& relaxed);
+/// Rounds a one-request optimum to whole groups of group_size heads per
+/// device by largest remainder, never past a device's memory.  Returns
+/// integer head counts per device; they sum to less than the demand only
+/// when the groups do not fit (or `relaxed` is not ok).
+std::vector<int> round_to_groups(const MinMaxProblem& problem, const MinMaxSolution& relaxed);
 
 /// Greedy waterfilling dispatcher: assigns each request's head groups one
 /// group at a time to the device with the smallest resulting f_i that has

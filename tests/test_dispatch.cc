@@ -1,6 +1,11 @@
 // Unit + property tests: the head-wise Dispatcher (§5).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "dispatch/dispatcher.h"
 
@@ -40,6 +45,20 @@ DispatcherConfig basic_config(int heads = 32, int group = 1) {
   return cfg;
 }
 
+/// Dispatches `reqs` one at a time, as HetisInstance admits them; nullopt
+/// at the first request the instance cannot host.
+std::optional<std::vector<PlacementCounts>> dispatch_each(
+    Dispatcher& d, const std::vector<std::pair<workload::RequestId, std::int64_t>>& reqs,
+    Seconds now) {
+  std::vector<PlacementCounts> out;
+  for (const auto& [id, ctx] : reqs) {
+    std::optional<PlacementCounts> pc = d.dispatch(id, ctx, now);
+    if (!pc) return std::nullopt;
+    out.push_back(std::move(*pc));
+  }
+  return out;
+}
+
 TEST(Dispatcher, ConstructionValidation) {
   DispatcherConfig cfg = basic_config();
   cfg.stages.clear();
@@ -55,7 +74,7 @@ TEST(Dispatcher, ConstructionValidation) {
 
 TEST(Dispatcher, DispatchMeetsHeadIntegrity) {
   Dispatcher d(basic_config());
-  auto placed = d.dispatch({{1, 500}, {2, 1200}}, 0.0);
+  auto placed = dispatch_each(d, {{1, 500}, {2, 1200}}, 0.0);
   ASSERT_TRUE(placed.has_value());
   for (const auto& pc : *placed) {
     EXPECT_EQ(pc.total(), 32);
@@ -72,9 +91,9 @@ TEST(Dispatcher, LightLoadStaysLocal) {
   // exceed any conceivable balance gain (the Fig. 14 "3090s start later"
   // behaviour).
   Dispatcher d(basic_config());
-  auto placed = d.dispatch({{1, 300}}, 0.0);
+  auto placed = d.dispatch(1, 300, 0.0);
   ASSERT_TRUE(placed.has_value());
-  EXPECT_EQ((*placed)[0].local, 32);
+  EXPECT_EQ(placed->local, 32);
 }
 
 TEST(Dispatcher, HeavyLoadSpillsToWorkers) {
@@ -83,7 +102,7 @@ TEST(Dispatcher, HeavyLoadSpillsToWorkers) {
   // memory alone forces offloading onto the workers.
   std::vector<std::pair<workload::RequestId, std::int64_t>> reqs;
   for (int i = 0; i < 100; ++i) reqs.emplace_back(i, 1200);
-  auto placed = d.dispatch(reqs, 0.0);
+  auto placed = dispatch_each(d, reqs, 0.0);
   ASSERT_TRUE(placed.has_value());
   int offloaded = 0;
   for (const auto& pc : *placed) {
@@ -97,7 +116,7 @@ TEST(Dispatcher, GqaGroupGranularity) {
   Dispatcher d(cfg);
   std::vector<std::pair<workload::RequestId, std::int64_t>> reqs;
   for (int i = 0; i < 100; ++i) reqs.emplace_back(i, 4000);
-  auto placed = d.dispatch(reqs, 0.0);
+  auto placed = dispatch_each(d, reqs, 0.0);
   ASSERT_TRUE(placed.has_value());
   for (const auto& pc : *placed) {
     EXPECT_EQ(pc.local % 8, 0);
@@ -111,14 +130,14 @@ TEST(Dispatcher, InfeasibleWhenOutOfMemory) {
   for (auto& s : cfg.stages) s.capacity = 1 * MiB;
   for (auto& w : cfg.workers) w.capacity = 1 * MiB;
   Dispatcher d(cfg);
-  auto placed = d.dispatch({{1, 100000}}, 0.0);
+  auto placed = d.dispatch(1, 100000, 0.0);
   EXPECT_FALSE(placed.has_value());
   EXPECT_EQ(d.size(), 0u);  // nothing registered on failure
 }
 
 TEST(Dispatcher, AppendAndRemoveLifecycle) {
   Dispatcher d(basic_config());
-  ASSERT_TRUE(d.dispatch({{1, 100}}, 0.0).has_value());
+  ASSERT_TRUE(d.dispatch(1, 100, 0.0).has_value());
   d.append_tokens({1});
   EXPECT_EQ(d.context(1), 101);
   d.remove(1);
@@ -129,9 +148,9 @@ TEST(Dispatcher, AppendAndRemoveLifecycle) {
 
 TEST(Dispatcher, AttentionTimeGrowsWithLoad) {
   Dispatcher d(basic_config());
-  ASSERT_TRUE(d.dispatch({{1, 500}}, 0.0).has_value());
+  ASSERT_TRUE(d.dispatch(1, 500, 0.0).has_value());
   Seconds t1 = d.attention_iteration_time();
-  ASSERT_TRUE(d.dispatch({{2, 500}, {3, 500}, {4, 500}}, 0.0).has_value());
+  ASSERT_TRUE(dispatch_each(d, {{2, 500}, {3, 500}, {4, 500}}, 0.0).has_value());
   Seconds t4 = d.attention_iteration_time();
   EXPECT_GT(t4, t1);
 }
@@ -150,7 +169,7 @@ TEST(Dispatcher, IdealNeverExceedsWorst) {
   Dispatcher d(basic_config());
   std::vector<std::pair<workload::RequestId, std::int64_t>> reqs;
   for (int i = 0; i < 50; ++i) reqs.emplace_back(i, 200 + 57 * i);
-  ASSERT_TRUE(d.dispatch(reqs, 0.0).has_value());
+  ASSERT_TRUE(dispatch_each(d, reqs, 0.0).has_value());
   // Ideal (everything re-dispatchable, global memory) is computed by
   // waterfilling; must not exceed the current bottleneck meaningfully.
   EXPECT_LE(d.ideal_per_layer(), d.worst_per_layer() * 1.05 + 1e-9);
@@ -160,7 +179,7 @@ TEST(Dispatcher, RebalanceTriggerAfterSkew) {
   Dispatcher d(basic_config());
   // Dispatch a batch, then grow one request's context enormously to skew
   // the load (the §5.3.1 long-context scenario).
-  ASSERT_TRUE(d.dispatch({{1, 100}, {2, 100}}, 0.0).has_value());
+  ASSERT_TRUE(dispatch_each(d, {{1, 100}, {2, 100}}, 0.0).has_value());
   for (int i = 0; i < 30000; ++i) d.append_tokens({1});
   if (d.should_rebalance()) {
     Rebalance rb = d.plan_rebalance();
@@ -182,7 +201,7 @@ TEST(Dispatcher, RescuePlanMovesVictimOffDevice) {
   cfg.stages[0].capacity = 600ll * MiB;
   cfg.stages[1].capacity = 250ll * MiB;
   Dispatcher d(cfg);
-  ASSERT_TRUE(d.dispatch({{1, 2000}, {2, 2000}}, 0.0).has_value());
+  ASSERT_TRUE(dispatch_each(d, {{1, 2000}, {2, 2000}}, 0.0).has_value());
   // Grow until something overflows.
   int guard = 0;
   while (!d.first_overflowed() && guard++ < 200000) {
@@ -212,7 +231,7 @@ TEST(Dispatcher, HaulerSourceIsTheDeviceThatLosesTheMostHeads) {
       static_cast<Bytes>(16 * ctx * cfg.bytes_per_head_token_layer * cfg.total_layers);
   cfg.workers[1].attn = costmodel::AttnParams{1.1e-5, 1.0 / 0.34e10, 8e-6};
   Dispatcher d(cfg);
-  ASSERT_TRUE(d.dispatch({{1, ctx}}, 0.0).has_value());
+  ASSERT_TRUE(d.dispatch(1, ctx, 0.0).has_value());
   Rebalance forced;
   forced.victim = 1;
   forced.to.local = 16;
@@ -228,11 +247,46 @@ TEST(Dispatcher, HaulerSourceIsTheDeviceThatLosesTheMostHeads) {
   EXPECT_EQ(rb.dst_device, cfg.workers[0].device);
 }
 
+TEST(Dispatcher, ApplyRejectsImpossiblePlacements) {
+  // A Llama-70B-like instance (64 heads in groups of 8) with four workers,
+  // and rebalances shaped like the dense simplex's -704 / +768 answer and
+  // its relatives.  None may reach the accounting.
+  DispatcherConfig cfg = basic_config(64, 8);
+  cfg.workers.resize(4, cfg.workers.front());
+  Dispatcher d(cfg);
+  ASSERT_TRUE(d.dispatch(1, 600, 0.0).has_value());
+  const PlacementCounts before = d.placement(1);
+  const Seconds worst = d.worst_per_layer();
+  const auto rebalance = [](int local, std::vector<int> workers) {
+    Rebalance rb;
+    rb.victim = 1;
+    rb.to.local = local;
+    rb.to.worker_heads = std::move(workers);
+    rb.valid = true;
+    return rb;
+  };
+  for (const Rebalance& rb : {
+           rebalance(768, {-704, 0, 0, 0}),  // negative count, total 64
+           rebalance(-8, {72, 0, 0, 0}),     // negative local
+           rebalance(128, {0, 0, 0, 0}),     // above H
+           rebalance(60, {4, 0, 0, 0}),      // not a multiple of r
+           rebalance(64, {0, 0, 0}),         // one worker missing
+           rebalance(32, {16, 0, 0, 0}),     // total below H
+       }) {
+    EXPECT_THROW(d.apply(rb), std::logic_error);
+  }
+  EXPECT_EQ(d.placement(1).local, before.local);
+  EXPECT_EQ(d.placement(1).worker_heads, before.worker_heads);
+  EXPECT_EQ(d.worst_per_layer(), worst);
+  d.apply(rebalance(48, {16, 0, 0, 0}));  // a possible placement still lands
+  EXPECT_EQ(d.placement(1).local, 48);
+}
+
 TEST(Dispatcher, EvictCandidateIsLifo) {
   Dispatcher d(basic_config());
-  ASSERT_TRUE(d.dispatch({{1, 500}}, 10.0).has_value());
-  ASSERT_TRUE(d.dispatch({{2, 500}}, 20.0).has_value());
-  ASSERT_TRUE(d.dispatch({{3, 500}}, 15.0).has_value());
+  ASSERT_TRUE(d.dispatch(1, 500, 10.0).has_value());
+  ASSERT_TRUE(d.dispatch(2, 500, 20.0).has_value());
+  ASSERT_TRUE(d.dispatch(3, 500, 15.0).has_value());
   // All requests have local heads; the primary's LIFO victim is the
   // latest arrival (id 2, t=20).
   EXPECT_EQ(d.evict_candidate_on(0), 2);
@@ -242,14 +296,14 @@ TEST(Dispatcher, EvictCandidateRestrictedToDevice) {
   // §5.3.2: only requests actually holding cache on the exhausted device
   // are candidates.
   Dispatcher d(basic_config());
-  ASSERT_TRUE(d.dispatch({{1, 500}}, 10.0).has_value());
+  ASSERT_TRUE(d.dispatch(1, 500, 10.0).has_value());
   // Worker 0 has no heads -> no candidate there.
   EXPECT_EQ(d.evict_candidate_on(1), -1);
 }
 
 TEST(Dispatcher, PhysicalIntrospection) {
   Dispatcher d(basic_config());
-  ASSERT_TRUE(d.dispatch({{1, 1000}}, 0.0).has_value());
+  ASSERT_TRUE(d.dispatch(1, 1000, 0.0).has_value());
   // Stage 0 devices share the local heads evenly.
   EXPECT_DOUBLE_EQ(d.physical_heads(0), d.physical_heads(1));
   EXPECT_GT(d.physical_heads(0), 0);
@@ -266,8 +320,8 @@ TEST(Dispatcher, GreedyFallbackMatchesLpFeasibility) {
   Dispatcher lp(lp_cfg), greedy(greedy_cfg);
   std::vector<std::pair<workload::RequestId, std::int64_t>> reqs;
   for (int i = 0; i < 40; ++i) reqs.emplace_back(i, 800);
-  auto a = lp.dispatch(reqs, 0.0);
-  auto b = greedy.dispatch(reqs, 0.0);
+  auto a = dispatch_each(lp, reqs, 0.0);
+  auto b = dispatch_each(greedy, reqs, 0.0);
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
   // The LP makespan should be no worse than greedy's (same model).
@@ -288,7 +342,7 @@ TEST_P(DispatchProperty, MemoryNeverOverflowsAtDispatchTime) {
     for (int i = 0; i < n; ++i) {
       reqs.emplace_back(next++, rng.uniform_int(50, 4000));
     }
-    auto placed = d.dispatch(reqs, static_cast<double>(round));
+    auto placed = dispatch_each(d, reqs, static_cast<double>(round));
     if (!placed) break;
     // Dispatch must never leave a device overflowed.
     EXPECT_FALSE(d.first_overflowed().has_value()) << "round " << round;

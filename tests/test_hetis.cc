@@ -54,12 +54,13 @@ TEST(HetisEngine, ServesTraceToCompletion) {
 // mid-prefill.  If that request then finished at prefill (output_len <= 1),
 // its suspended_until_ entry was orphaned; once the decode set drained the
 // pump rescheduled itself at the orphan's (past, clamped-to-now) wake time
-// every event, and the simulation never terminated.  This trace drives the
-// engine through 16 rescues and wedged it before the fix -- ctest's timeout
-// is the failure detector should the leak ever come back.
+// every event, and the simulation never terminated.  ctest's timeout is the
+// failure detector should the leak ever come back.  The original trace
+// (8500 requests at 2 req/s, 16 rescues) provokes none once admission
+// solves Eq. 7 exactly; this denser one drives the engine through ~200.
 TEST(HetisEngine, RescueOfPrefillOnlyRequestTerminates) {
-  const double rate = 2.0;
-  const std::size_t n = 8500;
+  const double rate = 40.0;
+  const std::size_t n = 1000;
   const Seconds horizon =
       (static_cast<double>(n) + 6.0 * std::sqrt(static_cast<double>(n))) / rate;
   workload::ScenarioSpec spec =
