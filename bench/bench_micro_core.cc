@@ -33,18 +33,19 @@ lp::MinMaxProblem dispatch_problem(std::size_t requests) {
   return p;
 }
 
-/// One request over one merged primary and `devices - 1` workers.
+/// One request over dispatch_problem's merged primary and `devices - 1`
+/// workers.
 lp::MinMaxProblem admission_problem(std::size_t devices) {
-  lp::MinMaxProblem p = dispatch_problem(1);
-  p.base_time.resize(1);
-  p.head_cost.resize(1);
-  p.cache_cost.resize(1);
-  p.mem_free.resize(1);
-  for (std::size_t w = 1; w < devices; ++w) {
-    p.base_time.push_back(2e-4 + 1e-6 * static_cast<double>(w));
-    p.head_cost.push_back(w % 2 == 0 ? 1.4e-7 : 1.5e-7);
-    p.cache_cost.push_back(3e-12);
-    p.mem_free.push_back(2.5e8);
+  lp::MinMaxProblem p;
+  p.group_size = 8;
+  p.demand = {64};
+  p.cache_per_head = {64.0 * 512};
+  for (std::size_t i = 0; i < devices; ++i) {
+    const bool primary = i == 0;
+    p.base_time.push_back(primary ? 1e-3 : 2e-4 + 1e-6 * static_cast<double>(i));
+    p.head_cost.push_back(primary ? 5e-9 : (i % 2 == 0 ? 1.4e-7 : 1.5e-7));
+    p.cache_cost.push_back(primary ? 9e-13 : 3e-12);
+    p.mem_free.push_back(primary ? 4e9 : 2.5e8);
   }
   return p;
 }

@@ -26,8 +26,8 @@ class Telemetry;
 namespace hetis::engine {
 
 /// Hot-path accounting counters, cumulative over an engine's lifetime.
-/// `lp_solves` counts Hetis dispatch solves (relaxed LPs plus greedy
-/// waterfills, see dispatch::Dispatcher::lp_solves), `costmodel_hits` the
+/// `lp_solves` counts Hetis dispatch solves (exact one-request LP solves
+/// plus greedy waterfills, see dispatch::Dispatcher::lp_solves), `costmodel_hits` the
 /// dense-stage cost-model memo hits (ExecModel::cost_cache_hits).  Purely
 /// observational: the memo returns results bit-identical to recomputation,
 /// so neither counter ever changes a decision.
