@@ -498,12 +498,13 @@ Rebalance Dispatcher::plan_single(workload::RequestId victim) const {
   if (!place(build_problem(st->ctx, /*exclude=*/victim), rb.to)) return rb;  // infeasible
 
   // Moved heads: overlap-preserving reassignment means only net deltas move.
-  // The Hauler's source is the device that lost the most heads (the primary
-  // when `local` shrank the most).
+  // The Hauler's source is the device that lost the most heads and its
+  // destination the one that gained the most (the primary when `local`
+  // shrank or grew the most).
   double moved = std::max(0, rb.to.local - rb.from.local);
   int src = cfg_.stages.front().devices.front();
   int dst = src;
-  double biggest_gain = -1;
+  int biggest_gain = std::max(0, rb.to.local - rb.from.local);
   int biggest_loss = std::max(0, rb.from.local - rb.to.local);
   for (std::size_t w = 0; w < cfg_.workers.size(); ++w) {
     int delta = rb.to.worker_heads[w] - rb.from.worker_heads[w];

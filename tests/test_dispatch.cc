@@ -247,6 +247,35 @@ TEST(Dispatcher, HaulerSourceIsTheDeviceThatLosesTheMostHeads) {
   EXPECT_EQ(rb.dst_device, cfg.workers[0].device);
 }
 
+TEST(Dispatcher, HaulerDestinationIsTheDeviceThatGainsTheMostHeads) {
+  // The same one-stage setup: the optimum is 16 heads local, 16 on the
+  // cheap worker w0 and none on w1.  Forcing 8 local, 12 on w0 and 12 on w1
+  // and re-planning grows `local` by 8 and w0 by only 4, so the Hauler must
+  // carry the heads to the primary, not to w0.
+  DispatcherConfig cfg = basic_config();
+  cfg.stages.resize(1);
+  cfg.stages[0].layers = cfg.total_layers;
+  const std::int64_t ctx = 1000;
+  cfg.stages[0].capacity =
+      static_cast<Bytes>(16 * ctx * cfg.bytes_per_head_token_layer * cfg.total_layers);
+  cfg.workers[1].attn = costmodel::AttnParams{1.1e-5, 1.0 / 0.34e10, 8e-6};
+  Dispatcher d(cfg);
+  ASSERT_TRUE(d.dispatch(1, ctx, 0.0).has_value());
+  Rebalance forced;
+  forced.victim = 1;
+  forced.to.local = 8;
+  forced.to.worker_heads = {12, 12};
+  forced.valid = true;
+  d.apply(forced);
+
+  Rebalance rb = d.plan_rescue(1);
+  ASSERT_TRUE(rb.valid);
+  EXPECT_EQ(rb.to.local, 16);
+  EXPECT_EQ(rb.to.worker_heads, (std::vector<int>{16, 0}));
+  EXPECT_EQ(rb.src_device, cfg.workers[1].device);
+  EXPECT_EQ(rb.dst_device, cfg.stages[0].devices.front());
+}
+
 TEST(Dispatcher, ApplyRejectsImpossiblePlacements) {
   // A Llama-70B-like instance (64 heads in groups of 8) with four workers,
   // and rebalances shaped like the dense simplex's -704 / +768 answer and
