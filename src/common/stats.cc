@@ -35,13 +35,17 @@ double Summary::percentile(double p) const {
   if (values_.empty()) return 0.0;
   if (p <= 0.0) return min();
   if (p >= 100.0) return max();
-  std::vector<double> sorted = values_;
-  std::sort(sorted.begin(), sorted.end());
-  double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  double rank = p / 100.0 * static_cast<double>(values_.size() - 1);
   auto lo_idx = static_cast<std::size_t>(rank);
   double frac = rank - static_cast<double>(lo_idx);
-  if (lo_idx + 1 >= sorted.size()) return sorted.back();
-  return sorted[lo_idx] * (1.0 - frac) + sorted[lo_idx + 1] * frac;
+  if (lo_idx + 1 >= values_.size()) return max();
+  // Selection, not a full sort: nth_element puts the sorted order's lo-th
+  // value at `lo` and only larger-or-equal values above it, so the minimum
+  // of the upper part is the (lo+1)-th.
+  std::vector<double> v = values_;
+  const auto lo = v.begin() + static_cast<std::ptrdiff_t>(lo_idx);
+  std::nth_element(v.begin(), lo, v.end());
+  return *lo * (1.0 - frac) + *std::min_element(lo + 1, v.end()) * frac;
 }
 
 void Summary::merge(const Summary& other) {

@@ -9,6 +9,11 @@
 #include "telemetry/audit.h"
 
 namespace hetis::control {
+namespace {
+
+bool dense_id(workload::RequestId id) { return id >= 0 && id < workload::kDenseIdLimit; }
+
+}  // namespace
 
 Controller::Controller(ControlSpec spec, const hw::Cluster& cluster)
     : Controller(std::move(spec), cluster, nullptr) {}
@@ -365,16 +370,40 @@ void Controller::end_reprefill(Live& rec) {
   }
 }
 
+Controller::Live& Controller::live(workload::RequestId id) {
+  if (!dense_id(id)) return sparse_live_[id];
+  const auto slot = static_cast<std::size_t>(id);
+  if (slot >= live_.size()) {
+    live_.resize(std::min(std::max(slot + 1, 2 * live_.size()),
+                          static_cast<std::size_t>(workload::kDenseIdLimit)));
+  }
+  Live& rec = live_[slot];
+  if (!rec.present) {  // first event of the request, or of a reused id
+    rec = Live{};
+    rec.present = true;
+  }
+  return rec;
+}
+
+Controller::Live* Controller::find_live(workload::RequestId id) {
+  if (!dense_id(id)) {
+    const auto it = sparse_live_.find(id);
+    return it != sparse_live_.end() ? &it->second : nullptr;
+  }
+  const auto slot = static_cast<std::size_t>(id);
+  return slot < live_.size() && live_[slot].present ? &live_[slot] : nullptr;
+}
+
 void Controller::on_arrival(const workload::Request& r) {
   ++arrived_;
-  Live& rec = live_[r.id];
+  Live& rec = live(r.id);
   rec.arrival = r.arrival;
   rec.has_arrival = true;
 }
 
 void Controller::on_prefill_done(workload::RequestId id, Seconds t) {
   ++prefilled_;
-  Live& rec = live_[id];
+  Live& rec = live(id);
   end_reprefill(rec);
   rec.first_token = rec.last_token = t;
   rec.has_first_token = rec.has_last_token = true;
@@ -390,7 +419,7 @@ void Controller::on_prefill_done(workload::RequestId id, Seconds t) {
 }
 
 void Controller::on_token(workload::RequestId id, Seconds t, std::int64_t generated) {
-  Live& rec = live_[id];
+  Live& rec = live(id);
   if (rec.has_last_token && t > rec.last_token) {
     const double gap = t - rec.last_token;
     if (!tpot_seeded_) {
@@ -408,8 +437,8 @@ void Controller::on_token(workload::RequestId id, Seconds t, std::int64_t genera
 
 void Controller::on_finish(workload::RequestId id, Seconds t) {
   ++finished_;
-  const auto it = live_.find(id);
-  const Live rec = it != live_.end() ? it->second : Live{};
+  Live* found = find_live(id);
+  const Live rec = found != nullptr ? *found : Live{};
   // Grade the finish against the spec's SLO with run_trace's conventions:
   // targets <= 0 are vacuous, single-token outputs meet TPOT trivially.
   bool ok = true;
@@ -428,14 +457,18 @@ void Controller::on_finish(workload::RequestId id, Seconds t) {
   } else {
     ewma(signals_.slo_attainment, sample);
   }
-  if (it != live_.end()) {
-    end_reprefill(it->second);
-    live_.erase(it);
+  if (found != nullptr) {
+    end_reprefill(*found);
+    if (dense_id(id)) {
+      found->present = false;
+    } else {
+      sparse_live_.erase(id);
+    }
   }
 }
 
 void Controller::on_preempt(workload::RequestId id, Seconds) {
-  Live& rec = live_[id];
+  Live& rec = live(id);
   if (!rec.reprefilling) {  // back in the admission queue until it decodes
     rec.reprefilling = true;
     ++reprefilling_;

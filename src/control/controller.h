@@ -209,7 +209,7 @@ class Controller final : public engine::RunObserver {
   bool rate_seeded_ = false, ttft_seeded_ = false, tpot_seeded_ = false, slo_seeded_ = false;
 
   /// What the signal handlers know about one request, from its first event
-  /// until on_finish erases it.  A record may first appear through any
+  /// until on_finish drops it.  A record may first appear through any
   /// handler (on_token and on_preempt included), so each time carries its
   /// own presence flag; `generated` needs none, since only counts above 1
   /// are graded.
@@ -218,10 +218,20 @@ class Controller final : public engine::RunObserver {
     std::int64_t generated = 0;
     bool has_arrival = false, has_first_token = false, has_last_token = false;
     bool reprefilling = false;  // preempted, not yet decoding again
+    bool present = false;       // a live_ slot holds a record (dense ids only)
   };
+  static_assert(sizeof(Live) <= 40, "live_ holds one Live per request id");
   /// Clears `rec.reprefilling`, keeping the reprefilling_ count in step.
   void end_reprefill(Live& rec);
-  std::unordered_map<workload::RequestId, Live> live_;
+  /// `id`'s record, created empty when the request has none.
+  Live& live(workload::RequestId id);
+  /// `id`'s record, or null when the request has none.
+  Live* find_live(workload::RequestId id);
+  /// Records of ids in [0, kDenseIdLimit), indexed by id: one array access
+  /// per decode token.  Grown geometrically; a slot is live while `present`.
+  std::vector<Live> live_;
+  /// Records of ids outside the dense range (hand-built streams only).
+  std::unordered_map<workload::RequestId, Live> sparse_live_;
 };
 
 }  // namespace hetis::control

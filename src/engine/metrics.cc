@@ -5,14 +5,6 @@
 #include <stdexcept>
 
 namespace hetis::engine {
-namespace {
-
-// Ids at or above this never enter the dense slot index (a hand-built test
-// using id 10^9 must not allocate a 10^9-entry table); they resolve through
-// binary search over the sorted record vector instead.
-constexpr workload::RequestId kDenseLimit = workload::RequestId{1} << 24;
-
-}  // namespace
 
 void MetricsCollector::reserve(std::size_t n) {
   records_.reserve(n);
@@ -20,7 +12,9 @@ void MetricsCollector::reserve(std::size_t n) {
 }
 
 void MetricsCollector::index_slot(workload::RequestId id, std::size_t slot) {
-  if (id < 0 || id >= kDenseLimit) return;
+  // Ids outside the dense range resolve through binary search over the
+  // sorted record vector instead.
+  if (id < 0 || id >= workload::kDenseIdLimit) return;
   const auto u = static_cast<std::size_t>(id);
   if (u >= slots_.size()) slots_.resize(u + 1, -1);
   slots_[u] = static_cast<std::int32_t>(slot);

@@ -181,8 +181,8 @@ class MetricsCollector {
   Summary norm_latency() const;
   Summary ttft() const;
   Summary tpot() const;
-  Summary mlp_module_time() const { return mlp_module_; }
-  Summary attn_module_time() const { return attn_module_; }
+  const Summary& mlp_module_time() const { return mlp_module_; }
+  const Summary& attn_module_time() const { return attn_module_; }
   int total_preemptions() const { return total_preemptions_; }
 
   const std::vector<UsageSample>& usage_series() const { return usage_; }

@@ -6,14 +6,6 @@
 
 namespace hetis::telemetry {
 
-namespace {
-
-/// Same dense-index ceiling as MetricsCollector: ids beyond it are
-/// hand-built test fictions, not trace requests.
-constexpr workload::RequestId kDenseLimit = 1 << 24;
-
-}  // namespace
-
 Telemetry::Telemetry(TelemetryConfig cfg) : cfg_(cfg) {
   c_arrivals_ = registry_.counter("arrivals_total");
   c_finishes_ = registry_.counter("finishes_total");
@@ -44,7 +36,7 @@ void Telemetry::attach(sim::Simulation& sim, engine::Engine& engine) {
 }
 
 Telemetry::ReqState* Telemetry::state(workload::RequestId id, bool create) {
-  if (id < 0 || id >= kDenseLimit) return nullptr;
+  if (id < 0 || id >= workload::kDenseIdLimit) return nullptr;
   const auto slot = static_cast<std::size_t>(id);
   if (slot >= req_.size()) {
     if (!create) return nullptr;

@@ -10,6 +10,13 @@ namespace hetis::workload {
 
 using RequestId = std::int64_t;
 
+/// Ids in [0, kDenseIdLimit) index the per-request tables of
+/// engine::MetricsCollector, telemetry::Telemetry and control::Controller
+/// directly.  Trace ids are dense from 0; ids outside the range are
+/// hand-built test fictions, kept out so an id like 10^12 does not allocate
+/// a table that size.
+constexpr RequestId kDenseIdLimit = RequestId{1} << 24;
+
 struct Request {
   RequestId id = -1;
   Seconds arrival = 0.0;

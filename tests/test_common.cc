@@ -1,10 +1,15 @@
 // Unit tests: common utilities (units, logging, rng, stats, thread pool).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <random>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "common/log.h"
 #include "common/rng.h"
@@ -179,6 +184,62 @@ TEST(Summary, SingleValuePercentiles) {
   s.add(7.0);
   EXPECT_DOUBLE_EQ(s.p50(), 7.0);
   EXPECT_DOUBLE_EQ(s.p95(), 7.0);
+}
+
+// The percentile's definition: a sorted copy, interpolated between the two
+// ranks around p, with the minimum and maximum at the ends.
+double sorted_percentile(std::vector<double> v, double p) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  if (p <= 0.0) return v.front();
+  if (p >= 100.0) return v.back();
+  const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const double frac = rank - static_cast<double>(lo);
+  if (lo + 1 >= v.size()) return v.back();
+  return v[lo] * (1.0 - frac) + v[lo + 1] * frac;
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+TEST(Summary, PercentileMatchesTheSortedDefinition) {
+  std::mt19937_64 rng(20251116);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const std::vector<double> ps = {0.0, 1e-9, 25.0, 50.0, 75.0, 95.0, 99.0, 100.0 - 1e-9, 100.0};
+  for (const std::size_t n : {1u, 2u, 3u, 5u, 17u, 101u, 1000u, 4096u}) {
+    // Heavy ties: most samples come from eight values, the rest are
+    // continuous, in random order.
+    Summary s;
+    for (std::size_t i = 0; i < n; ++i) {
+      s.add(rng() % 4 != 0 ? 0.125 * static_cast<double>(rng() % 8) : unit(rng));
+    }
+    for (const double p : ps) {
+      SCOPED_TRACE("n " + std::to_string(n) + ", p " + std::to_string(p));
+      EXPECT_EQ(bits(s.percentile(p)), bits(sorted_percentile(s.values(), p)));
+    }
+  }
+
+  // Ranks that land exactly on an index: 4 * 25% and 100 * 95%.
+  Summary five;
+  for (double v : {3.0, 1.0, 2.0, 1.0, 5.0}) five.add(v);
+  EXPECT_EQ(bits(five.percentile(25.0)), bits(1.0));
+  EXPECT_EQ(bits(five.percentile(50.0)), bits(2.0));
+  EXPECT_EQ(bits(five.percentile(75.0)), bits(3.0));
+  Summary hundred_one;
+  for (int i = 100; i >= 0; --i) hundred_one.add(i);
+  EXPECT_EQ(bits(hundred_one.p95()), bits(95.0));
+
+  // Two samples: the ends and a true interpolation between them.
+  Summary two;
+  two.add(4.0);
+  two.add(2.0);
+  EXPECT_EQ(bits(two.percentile(0.0)), bits(2.0));
+  EXPECT_EQ(bits(two.percentile(50.0)), bits(3.0));
+  EXPECT_EQ(bits(two.percentile(100.0)), bits(4.0));
 }
 
 TEST(Summary, MergeCombines) {

@@ -446,17 +446,34 @@ TEST(Controller, SignalsMatchThePerFieldReferenceOnASeededLifecycleStream) {
   // that come first, a token or a prefill that opens a record, and a
   // preempt after a finish that re-opens one.
   const auto at = [&](std::size_t frac) { return stream.begin() + stream.size() * frac / 8; };
-  stream.insert(at(1), Ev{kPreempt, 7'000'000, 3.0, 0});
-  stream.insert(at(2), Ev{kFinish, 7'000'001, 4.0, 0});
-  stream.insert(at(3), Ev{kToken, 7'000'002, 4.5, 3});
-  stream.insert(at(4), Ev{kFinish, 7'000'002, 5.5, 0});
-  stream.insert(at(5), Ev{kFinish, 7'000'003, 6.0, 0});
-  stream.insert(at(6), Ev{kPreempt, 7'000'003, 6.5, 0});
-  stream.insert(at(7), Ev{kPreempt, 7'000'000, 7.0, 0});
+  stream.insert(at(1), Ev{kPreempt, 9'000, 3.0, 0});
+  stream.insert(at(2), Ev{kFinish, 9'001, 4.0, 0});
+  stream.insert(at(3), Ev{kToken, 9'002, 4.5, 3});
+  stream.insert(at(4), Ev{kFinish, 9'002, 5.5, 0});
+  stream.insert(at(5), Ev{kFinish, 9'003, 6.0, 0});
+  stream.insert(at(6), Ev{kPreempt, 9'003, 6.5, 0});
+  stream.insert(at(7), Ev{kPreempt, 9'000, 7.0, 0});
   // Inserted back to front: prefill, token, finish, never an arrival.
-  stream.insert(at(3), Ev{kFinish, 7'000'004, 2.2, 0});
-  stream.insert(at(3), Ev{kToken, 7'000'004, 2.1, 3});
-  stream.insert(at(3), Ev{kPrefill, 7'000'004, 2.0, 0});
+  stream.insert(at(3), Ev{kFinish, 9'004, 2.2, 0});
+  stream.insert(at(3), Ev{kToken, 9'004, 2.1, 3});
+  stream.insert(at(3), Ev{kPrefill, 9'004, 2.0, 0});
+  // A request that finishes and then reappears under the same id, inserted
+  // back to front.  Its second life starts from an empty record: the token
+  // after the finish takes no TPOT sample against the first life's last
+  // token, and the second finish misses the TTFT target for want of an
+  // arrival (the first life's record would have met both targets).
+  stream.insert(at(7), Ev{kFinish, 250, 9.0, 0});
+  stream.insert(at(6), Ev{kToken, 250, 8.0, 100});
+  stream.insert(at(5), Ev{kFinish, 250, 1.6, 0});
+  stream.insert(at(4), Ev{kToken, 250, 1.4, 2});
+  stream.insert(at(3), Ev{kPrefill, 250, 1.0, 0});
+  stream.insert(at(2), Ev{kArrival, 250, 0.5, 0});
+  // An id far above every other, arriving mid-stream while the records
+  // above are live: the Controller's id-indexed table must grow under them.
+  stream.insert(at(6), Ev{kFinish, 70'000, 7.9, 0});
+  stream.insert(at(5), Ev{kToken, 70'000, 7.3, 2});
+  stream.insert(at(5), Ev{kPrefill, 70'000, 7.0, 0});
+  stream.insert(at(4), Ev{kArrival, 70'000, 6.0, 0});
 
   // Both targets, then TPOT alone: without a TTFT target, a finish is
   // graded on TPOT even when the request never arrived.
