@@ -23,9 +23,11 @@
 //                   score_vs_oracle worsens by more than --tolerance, or
 //                   any flow row plans slower than --budget-ms
 //   --tolerance F   allowed score_vs_oracle excess over baseline (default
-//                   0.05 -- the oracle-equivalence acceptance bound)
+//                   0.05 -- the oracle-equivalence acceptance bound; a
+//                   finite number >= 0)
 //   --budget-ms N   flow planning budget per cluster under --check
-//                   (default 1000, the dc256 acceptance criterion)
+//                   (default 1000, the dc256 acceptance criterion; > 0)
+// A bad --tolerance or --budget-ms prints usage and exits 2.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -41,6 +43,10 @@
 #include "planner/planner.h"
 
 namespace {
+
+constexpr char kUsage[] =
+    "usage: bench_search_overhead [--csv] [--csv-header] [--out PATH] [--check PATH]\n"
+    "                             [--tolerance F] [--budget-ms N]\n";
 
 using namespace hetis;
 
@@ -185,9 +191,8 @@ int main(int argc, char** argv) {
   const std::string out_path = bench::arg_value(argc, argv, "--out", "BENCH_search.json");
   const std::string check_path = bench::arg_value(argc, argv, "--check", "");
   const double tolerance =
-      std::atof(bench::arg_value(argc, argv, "--tolerance", "0.05").c_str());
-  const double budget_ms =
-      std::atof(bench::arg_value(argc, argv, "--budget-ms", "1000").c_str());
+      bench::number_arg(argc, argv, "--tolerance", 0.05, kUsage, /*allow_zero=*/true);
+  const double budget_ms = bench::positive_arg(argc, argv, "--budget-ms", 1000.0, kUsage);
   const bool csv = bench::csv_requested(argc, argv);
 
   // The exhaustive oracle runs wherever its cost is tolerable (the paper's

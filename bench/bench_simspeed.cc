@@ -209,16 +209,11 @@ int main(int argc, char** argv) {
     std::printf("%s\n", kCsvHeader);
     return 0;
   }
-  const std::size_t requests = static_cast<std::size_t>(
-      std::atoll(bench::arg_value(argc, argv, "--requests", "1000000").c_str()));
+  const std::size_t requests = bench::count_arg(argc, argv, "--requests", 1000000, kUsage);
   const double rate = bench::positive_arg(argc, argv, "--rate", 2.0, kUsage);
   const std::string out_path = bench::arg_value(argc, argv, "--out", "BENCH_simspeed.json");
   const std::string check_path = bench::arg_value(argc, argv, "--check", "");
   const bool csv = bench::csv_requested(argc, argv);
-  if (requests == 0 || rate <= 0) {
-    std::fprintf(stderr, "--requests and --rate must be positive\n");
-    return 2;
-  }
 
   const hw::Cluster cluster = harness::cluster_by_name("paper");
   const model::ModelSpec model = model::model_by_name("Llama-13B");

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -91,22 +93,50 @@ inline std::string arg_value(int argc, char** argv, const std::string& key,
   return fallback;
 }
 
-/// Value of a `--key V` flag that must be a finite number > 0 with no
-/// trailing characters; `fallback` when the flag is absent.  Anything else
-/// (a missing value included) prints the message and `usage` to stderr and
-/// exits 2, the contract of the examples' CLIs.
-inline double positive_arg(int argc, char** argv, const std::string& key, double fallback,
-                           const char* usage) {
+/// Value of a `--key V` flag that must be a finite number with no trailing
+/// characters, > 0 (or >= 0 with `allow_zero`); `fallback` when the flag is
+/// absent.  Anything else (a missing value included) prints the message and
+/// `usage` to stderr and exits 2, the contract of the examples' CLIs.
+inline double number_arg(int argc, char** argv, const std::string& key, double fallback,
+                         const char* usage, bool allow_zero) {
   for (int i = 1; i < argc; ++i) {
     if (argv[i] != key) continue;
     const char* text = i + 1 < argc ? argv[i + 1] : "";
     char* end = nullptr;
     const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0) {
-      std::fprintf(stderr, "%s expects a positive number, got '%s'\n%s", key.c_str(), text, usage);
+    if (end == text || *end != '\0' || !std::isfinite(v) || v < 0 || (v == 0 && !allow_zero)) {
+      std::fprintf(stderr, "%s expects a %s number, got '%s'\n%s", key.c_str(),
+                   allow_zero ? "non-negative" : "positive", text, usage);
       std::exit(2);
     }
     return v;
+  }
+  return fallback;
+}
+
+inline double positive_arg(int argc, char** argv, const std::string& key, double fallback,
+                           const char* usage) {
+  return number_arg(argc, argv, key, fallback, usage, /*allow_zero=*/false);
+}
+
+/// Value of a `--key N` flag that must be a decimal integer > 0, under the
+/// same contract as number_arg.
+inline std::size_t count_arg(int argc, char** argv, const std::string& key, std::size_t fallback,
+                             const char* usage) {
+  for (int i = 1; i < argc; ++i) {
+    if (argv[i] != key) continue;
+    const char* text = i + 1 < argc ? argv[i + 1] : "";
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    // strtoull accepts a sign and wraps "-5" around, so require a digit first.
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' || errno == ERANGE ||
+        v == 0) {
+      std::fprintf(stderr, "%s expects a positive integer, got '%s'\n%s", key.c_str(), text,
+                   usage);
+      std::exit(2);
+    }
+    return static_cast<std::size_t>(v);
   }
   return fallback;
 }
