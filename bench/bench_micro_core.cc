@@ -1,12 +1,16 @@
 // Micro-benchmarks of the hot-path substrates: the exact one-request
 // dispatch solve (run per admission, re-dispatch and rescue), the greedy
-// waterfill, the event queue, the paged allocator, and kernel-model
-// evaluation.  These justify solving Eq. 7 exactly on the serving path
+// waterfill, the event queue, the paged allocator, kernel-model
+// evaluation, and the report's percentile.  These justify solving Eq. 7 exactly on the serving path
 // (§6 "Optimization problem solving").
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <random>
+
 #include "harness.h"
 
+#include "common/stats.h"
 #include "costmodel/kernel_model.h"
 #include "hw/gpu.h"
 #include "kvcache/allocator.h"
@@ -109,6 +113,22 @@ void BM_KernelModelDecodeIteration(benchmark::State& state) {
   state.SetLabel("one-layer decode cost, batch 256");
 }
 BENCHMARK(BM_KernelModelDecodeIteration)->Unit(benchmark::kMicrosecond);
+
+void BM_SummaryPercentile(benchmark::State& state) {
+  // About one Hetis spot_churn cell's per-iteration module series: 32k
+  // decode-iteration times, many of them repeats of a batch's last value.
+  std::mt19937_64 rng(20251116);
+  std::lognormal_distribution<double> iteration(std::log(0.02), 0.4);
+  Summary s;
+  double t = iteration(rng);
+  for (int i = 0; i < 32768; ++i) {
+    if (rng() % 3 == 0) t = iteration(rng);
+    s.add(t);
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(s.p95());
+  state.SetLabel("p95 of 32k samples (copy + select)");
+}
+BENCHMARK(BM_SummaryPercentile)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 
