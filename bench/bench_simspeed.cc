@@ -17,9 +17,11 @@
 // Flags:
 //   --csv           dump rows to stdout instead of the table
 //   --csv-header    print the CSV header and exit (CI diffs this)
-//   --requests N    trace length per scenario (default 1000000)
+//   --requests N    trace length per scenario (default 1000000; an
+//                   integer > 0)
 //   --rate R        arrival rate in req/s (default 2; the horizon is sized
 //                   as requests/rate so the cluster stays unsaturated)
+// A bad --requests or --rate prints usage and exits 2.
 //   --out PATH      JSON artifact path (default BENCH_simspeed.json;
 //                   "-" disables)
 //   --check PATH    determinism guard: compare this run against a reference
