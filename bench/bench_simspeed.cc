@@ -21,7 +21,6 @@
 //                   integer > 0)
 //   --rate R        arrival rate in req/s (default 2; the horizon is sized
 //                   as requests/rate so the cluster stays unsaturated)
-// A bad --requests or --rate prints usage and exits 2.
 //   --out PATH      JSON artifact path (default BENCH_simspeed.json;
 //                   "-" disables)
 //   --check PATH    determinism guard: compare this run against a reference
@@ -33,6 +32,7 @@
 //                   hot-path shortcut.  Wall-clock speed is not gated here:
 //                   one host's noisy wall time is no evidence either way
 //                   (perfbench measures it over interleaved runs)
+// A bad --requests or --rate prints usage and exits 2.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
