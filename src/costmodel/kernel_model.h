@@ -26,8 +26,8 @@
 // Every per-sequence term is then an exact integer, so while the batch
 // totals stay below 2^53 the sum over sequences equals the same expression
 // evaluated once on sum(ctx_i * h_i) and sum(h_i), bit for bit.  Both
-// decode_attention_time overloads use that form and throw
-// std::invalid_argument for a model that breaks the precondition.
+// decode_attention_time overloads and decode_attention_total use that form
+// and throw std::invalid_argument for a model that breaks the precondition.
 #pragma once
 
 #include "hw/gpu.h"
@@ -65,6 +65,13 @@ class KernelModel {
   Seconds decode_attention_time(const hw::GpuSpec& gpu, const model::ModelSpec& m,
                                 const std::vector<std::int64_t>& ctxs, int heads) const;
 
+  /// Decode attention over `head_tokens` = sum(ctx_i * h_i) and `head_sum`
+  /// = sum(h_i), in the closed form described at the top of this file:
+  /// callers that keep those integers as running totals price a batch in
+  /// O(1).
+  Seconds decode_attention_total(const hw::GpuSpec& gpu, const model::ModelSpec& m,
+                                 std::int64_t head_tokens, std::int64_t head_sum) const;
+
   /// Prefill attention for a batch of sequences (all `heads` query heads).
   Seconds prefill_attention_time(const hw::GpuSpec& gpu, const model::ModelSpec& m,
                                  const std::vector<std::int64_t>& lens, int heads) const;
@@ -72,12 +79,6 @@ class KernelModel {
   /// Occupancy multiplier in (0, 1]: fraction of eff_attn_bw achieved when
   /// the decode-attention kernel processes `active_heads` query heads.
   static double attention_occupancy(double active_heads);
-
- private:
-  /// Decode attention over `head_tokens` = sum(ctx_i * h_i) and `head_sum`
-  /// = sum(h_i), in the closed form described at the top of this file.
-  Seconds decode_attention_total(const hw::GpuSpec& gpu, const model::ModelSpec& m,
-                                 std::int64_t head_tokens, std::int64_t head_sum) const;
 };
 
 }  // namespace hetis::costmodel

@@ -74,13 +74,13 @@ Seconds ExecModel::stage_dense_time_uncached(const parallel::StageConfig& stage,
   return t;
 }
 
-Seconds ExecModel::stage_attention_decode(const parallel::StageConfig& stage,
-                                          const std::vector<std::int64_t>& ctxs,
-                                          int heads) const {
-  if (stage.devices.empty() || stage.layers == 0 || ctxs.empty()) return 0.0;
+Seconds ExecModel::stage_attention_decode(const parallel::StageConfig& stage, std::int64_t n,
+                                          std::int64_t ctx_sum, int heads) const {
+  if (stage.devices.empty() || stage.layers == 0 || n == 0) return 0.0;
   const hw::GpuSpec& gpu = cluster_->device(stage.devices.front()).spec();
-  int heads_per_dev = std::max(1, heads / stage.tp());
-  Seconds per_layer = kernel_.decode_attention_time(gpu, *model_, ctxs, heads_per_dev);
+  const std::int64_t heads_per_dev = std::max(1, heads / stage.tp());
+  Seconds per_layer =
+      kernel_.decode_attention_total(gpu, *model_, ctx_sum * heads_per_dev, n * heads_per_dev);
   Seconds t = per_layer * stage.layers;
   const double speed = stage_speed(stage);
   if (speed != 1.0) t /= speed;
@@ -108,35 +108,61 @@ Seconds ExecModel::interstage_comm(const parallel::StageConfig& from,
   return comm_.p2p(from.devices.front(), to.devices.front(), hidden_bytes);
 }
 
-IterationTime ExecModel::iteration_time(const parallel::InstanceConfig& inst,
-                                        const std::vector<std::int64_t>& lens,
-                                        bool prefill) const {
+void ExecModel::prefill_iteration_time(const parallel::InstanceConfig& inst,
+                                       const std::vector<std::int64_t>& lens,
+                                       IterationTime& out) const {
+  std::int64_t tokens = 0;
+  for (std::int64_t l : lens) tokens += l;
+  out.stages.resize(inst.stages.size());
+  for (std::size_t k = 0; k < inst.stages.size(); ++k) {
+    const auto& stage = inst.stages[k];
+    StageTime& st = out.stages[k];
+    st.dense = stage_dense_time(stage, tokens);
+    st.attention = stage_attention_prefill(stage, lens, model_->heads);
+    // Assigned unconditionally: a reused `out` carries the previous call's
+    // value in the last stage's slot otherwise.
+    st.comm_out =
+        k + 1 < inst.stages.size() ? interstage_comm(stage, inst.stages[k + 1], tokens) : 0.0;
+  }
+}
+
+IterationTime ExecModel::prefill_iteration_time(const parallel::InstanceConfig& inst,
+                                                const std::vector<std::int64_t>& lens) const {
   IterationTime out;
-  iteration_time(inst, lens, prefill, out);
+  prefill_iteration_time(inst, lens, out);
+  return out;
+}
+
+void ExecModel::decode_iteration_time(const parallel::InstanceConfig& inst, std::int64_t n,
+                                      std::int64_t ctx_sum, IterationTime& out) const {
+  out.stages.resize(inst.stages.size());
+  for (std::size_t k = 0; k < inst.stages.size(); ++k) {
+    const auto& stage = inst.stages[k];
+    StageTime& st = out.stages[k];
+    st.dense = stage_dense_time(stage, n);
+    st.attention = stage_attention_decode(stage, n, ctx_sum, model_->heads);
+    st.comm_out =
+        k + 1 < inst.stages.size() ? interstage_comm(stage, inst.stages[k + 1], n) : 0.0;
+  }
+}
+
+IterationTime ExecModel::decode_iteration_time(const parallel::InstanceConfig& inst,
+                                               std::int64_t n, std::int64_t ctx_sum) const {
+  IterationTime out;
+  decode_iteration_time(inst, n, ctx_sum, out);
   return out;
 }
 
 void ExecModel::iteration_time(const parallel::InstanceConfig& inst,
                                const std::vector<std::int64_t>& lens, bool prefill,
                                IterationTime& out) const {
-  std::int64_t tokens = 0;
   if (prefill) {
-    for (std::int64_t l : lens) tokens += l;
-  } else {
-    tokens = static_cast<std::int64_t>(lens.size());
+    prefill_iteration_time(inst, lens, out);
+    return;
   }
-  out.stages.resize(inst.stages.size());
-  for (std::size_t k = 0; k < inst.stages.size(); ++k) {
-    const auto& stage = inst.stages[k];
-    StageTime& st = out.stages[k];
-    st.dense = stage_dense_time(stage, tokens);
-    st.attention = prefill ? stage_attention_prefill(stage, lens, model_->heads)
-                           : stage_attention_decode(stage, lens, model_->heads);
-    // Assigned unconditionally: a reused `out` carries the previous call's
-    // value in the last stage's slot otherwise.
-    st.comm_out =
-        k + 1 < inst.stages.size() ? interstage_comm(stage, inst.stages[k + 1], tokens) : 0.0;
-  }
+  std::int64_t ctx_sum = 0;
+  for (std::int64_t l : lens) ctx_sum += l;
+  decode_iteration_time(inst, static_cast<std::int64_t>(lens.size()), ctx_sum, out);
 }
 
 Bytes kv_budget(const hw::GpuSpec& gpu, Bytes param_bytes_on_device) {

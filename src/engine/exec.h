@@ -55,9 +55,12 @@ class ExecModel {
   double stage_speed(const parallel::StageConfig& stage) const;
 
   /// Stage-local attention: each TP member computes heads/tp query heads
-  /// for every sequence.  `ctxs` are per-sequence KV lengths.
-  Seconds stage_attention_decode(const parallel::StageConfig& stage,
-                                 const std::vector<std::int64_t>& ctxs, int heads) const;
+  /// for every sequence.  Decode attention is linear in context with
+  /// integer coefficients (KernelModel::decode_attention_total), so a
+  /// batch of `n` sequences is priced exactly from its context total
+  /// `ctx_sum`.
+  Seconds stage_attention_decode(const parallel::StageConfig& stage, std::int64_t n,
+                                 std::int64_t ctx_sum, int heads) const;
   Seconds stage_attention_prefill(const parallel::StageConfig& stage,
                                   const std::vector<std::int64_t>& lens, int heads) const;
 
@@ -65,14 +68,25 @@ class ExecModel {
   Seconds interstage_comm(const parallel::StageConfig& from, const parallel::StageConfig& to,
                           std::int64_t tokens) const;
 
-  /// Full iteration through an instance pipeline.  For decode pass the
-  /// per-sequence context lengths; for prefill pass prompt lengths and set
-  /// `prefill` true (tokens = sum of lens).
-  IterationTime iteration_time(const parallel::InstanceConfig& inst,
-                               const std::vector<std::int64_t>& lens, bool prefill) const;
+  /// Full prefill iteration through an instance pipeline over prompts of
+  /// `lens` tokens (tokens = sum of lens).  Fills `out` in place, reusing
+  /// its stages capacity across calls.
+  void prefill_iteration_time(const parallel::InstanceConfig& inst,
+                              const std::vector<std::int64_t>& lens, IterationTime& out) const;
+  IterationTime prefill_iteration_time(const parallel::InstanceConfig& inst,
+                                       const std::vector<std::int64_t>& lens) const;
 
-  /// Allocation-free variant for the per-iteration hot path: fills `out`
-  /// in place, reusing its stages capacity across calls.
+  /// Full decode iteration through an instance pipeline: `n` sequences,
+  /// one token each, whose cached contexts sum to `ctx_sum`.  O(stages):
+  /// callers keep the two totals as running integers.
+  void decode_iteration_time(const parallel::InstanceConfig& inst, std::int64_t n,
+                             std::int64_t ctx_sum, IterationTime& out) const;
+  IterationTime decode_iteration_time(const parallel::InstanceConfig& inst, std::int64_t n,
+                                      std::int64_t ctx_sum) const;
+
+  /// Per-sequence form kept for perfbench's `costmodel.iteration_ns`
+  /// replay: forwards to prefill_iteration_time, or sums `lens` into
+  /// decode_iteration_time.
   void iteration_time(const parallel::InstanceConfig& inst,
                       const std::vector<std::int64_t>& lens, bool prefill,
                       IterationTime& out) const;

@@ -36,6 +36,23 @@ void priority_enqueue(std::deque<LiveRequest>& queue, LiveRequest lr,
   queue.insert(it, std::move(lr));
 }
 
+namespace {
+
+bool index_order(const LifoIndex::Entry& a, const LifoIndex::Entry& b) {
+  return LifoIndex::precedes(a.arrival, a.id, b);
+}
+
+}  // namespace
+
+void LifoIndex::insert(const Entry& e) {
+  entries_.insert(std::upper_bound(entries_.begin(), entries_.end(), e, index_order), e);
+}
+
+void LifoIndex::erase(Seconds arrival, workload::RequestId id) {
+  const Entry key{arrival, id, 0};
+  entries_.erase(std::lower_bound(entries_.begin(), entries_.end(), key, index_order));
+}
+
 Bytes stage_param_bytes_per_device(const model::ModelSpec& m, const parallel::StageConfig& s,
                                    bool first, bool last) {
   Bytes layer_shard = m.layer_param_bytes() * s.layers / std::max(1, s.tp());
@@ -146,9 +163,13 @@ DrainedRequests PipelineInstance::retire() {
     f.generated = 0;
     out.fresh.push_back(std::move(f));
   }
-  for (auto& lr : running_) out.live.push_back(lr);
+  for (std::size_t i = 0; i < running_.size(); ++i) out.live.push_back(current(i));
   waiting_.clear();
   running_.clear();
+  members_.clear();
+  lifo_.clear();
+  due_.clear();
+  ctx_sum_ = 0;
   prefilling_.clear();
   auto by_id = [](const LiveRequest& a, const LiveRequest& b) { return a.req.id < b.req.id; };
   std::sort(out.fresh.begin(), out.fresh.end(), by_id);
@@ -160,7 +181,7 @@ bool PipelineInstance::submit_prefilled(sim::Simulation& sim, const LiveRequest&
   // The caller (Splitwise migration path) must have checked has_room.
   if (!can_reserve(lr.context())) return false;
   reserve_tokens(lr.context());
-  running_.push_back(lr);
+  join_running(lr);
   kick(sim);
   return true;
 }
@@ -173,7 +194,7 @@ bool PipelineInstance::reserve_incoming(std::int64_t tokens) {
 
 void PipelineInstance::submit_reserved(sim::Simulation& sim, const LiveRequest& lr) {
   // Space was taken by reserve_incoming; just activate the request.
-  running_.push_back(lr);
+  join_running(lr);
   kick(sim);
 }
 
@@ -183,6 +204,36 @@ bool PipelineInstance::admit(const LiveRequest& lr) {
   if (!can_reserve(lr.req.prompt_len + 1)) return false;
   reserve_tokens(lr.req.prompt_len + 1);
   return true;
+}
+
+void PipelineInstance::join_running(const LiveRequest& lr) {
+  const std::uint64_t ticket = next_ticket_++;
+  lifo_.insert({lr.req.arrival, lr.req.id, ticket});
+  members_.push_back({ticket, epoch_});
+  // The first iteration after joining always adds a token; the member
+  // finishes on the one that brings it to output_len.
+  const std::int64_t left = std::max<std::int64_t>(1, lr.req.output_len - lr.generated);
+  due_.emplace_back(epoch_ + static_cast<std::uint64_t>(left), ticket);
+  std::push_heap(due_.begin(), due_.end(), std::greater<>());
+  ctx_sum_ += lr.context();
+  running_.push_back(lr);
+}
+
+std::int64_t PipelineInstance::generated(std::size_t slot) const {
+  return running_[slot].generated + static_cast<std::int64_t>(epoch_ - members_[slot].joined);
+}
+
+LiveRequest PipelineInstance::current(std::size_t slot) const {
+  LiveRequest lr = running_[slot];
+  lr.generated = generated(slot);
+  return lr;
+}
+
+std::size_t PipelineInstance::slot_of(std::uint64_t ticket) const {
+  auto it = std::lower_bound(members_.begin(), members_.end(), ticket,
+                             [](const Member& m, std::uint64_t t) { return m.ticket < t; });
+  if (it == members_.end() || it->ticket != ticket) return running_.size();
+  return static_cast<std::size_t>(it - members_.begin());
 }
 
 void PipelineInstance::kick(sim::Simulation& sim) { pump(sim); }
@@ -216,7 +267,7 @@ void PipelineInstance::pump(sim::Simulation& sim) {
         prefilling_.push_back(lr);
         metrics_->on_prefill_start(lr.req.id, sim.now());
       }
-      exec_->iteration_time(cfg_, scratch_lens_, /*prefill=*/true, scratch_it_);
+      exec_->prefill_iteration_time(cfg_, scratch_lens_, scratch_it_);
       const IterationTime& it = scratch_it_;
       Seconds issue = std::max(sim.now(), head_free_);
       head_free_ = issue + it.interval();
@@ -235,10 +286,8 @@ void PipelineInstance::pump(sim::Simulation& sim) {
     // Decode iteration over the whole running batch.  It both depends on
     // and produces per-request state, so it serializes behind the previous
     // decode (decode_done_) in addition to waiting for the pipeline head.
-    scratch_lens_.clear();
-    scratch_lens_.reserve(running_.size());
-    for (const auto& lr : running_) scratch_lens_.push_back(lr.context());
-    exec_->iteration_time(cfg_, scratch_lens_, /*prefill=*/false, scratch_it_);
+    exec_->decode_iteration_time(cfg_, static_cast<std::int64_t>(running_.size()), ctx_sum_,
+                                 scratch_it_);
     const IterationTime& it = scratch_it_;
     metrics_->add_decode_module_sample(it.mlp_module_latency(), it.attn_module_latency());
     Seconds issue = std::max({sim.now(), head_free_, decode_done_});
@@ -278,7 +327,7 @@ void PipelineInstance::finish_prefill_iteration(sim::Simulation& sim,
       release_tokens(lr.context());
       metrics_->on_finish(lr.req.id, sim.now());
     } else {
-      running_.push_back(lr);
+      join_running(lr);
     }
   }
   batch.clear();
@@ -294,55 +343,85 @@ void PipelineInstance::finish_decode_iteration(sim::Simulation& sim) {
     return;
   }
   // Every surviving request appends one cached token on every stage.
-  // First make room (LIFO recompute preemption), then commit the appends.
-  while (!running_.empty() && !can_reserve(static_cast<std::int64_t>(running_.size()))) {
-    preempt_lifo(sim);
+  // First make room by LIFO recompute preemption (vLLM §4.5): the latest
+  // arrival leaves first, ties toward the highest id, so older requests
+  // keep their progress -- preempting the oldest would lose the most work
+  // and can livelock under sustained pressure.  Victims stay in running_
+  // until the compaction below; they are the members `last` (the final
+  // victim) does not follow in the index order.
+  const std::size_t n = running_.size();
+  std::size_t alive = n;
+  LifoIndex::Entry last;
+  scratch_gone_.clear();
+  while (alive > 0 && !can_reserve(static_cast<std::int64_t>(alive))) {
+    last = lifo_.pop_latest();
+    --alive;
+    const std::size_t v = slot_of(last.ticket);
+    scratch_gone_.push_back(v);
+    LiveRequest lr = current(v);
+    release_tokens(lr.context());
+    ctx_sum_ -= lr.context();
+    metrics_->on_preemption(lr.req.id, sim.now());
+    lr.prefilled = false;
+    lr.generated = 0;  // recompute from scratch
+    priority_enqueue(waiting_, std::move(lr), priorities_, /*requeue_front=*/true);
   }
-  for (auto& lr : running_) {
-    lr.generated += 1;
-    reserve_tokens(1);
-    metrics_->on_token(lr.req.id, sim.now(), lr.generated);
-  }
-  // Retire finished requests, compacting the batch in place (order
-  // preserved; no per-iteration reallocation).
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < running_.size(); ++i) {
-    LiveRequest& lr = running_[i];
-    if (lr.done()) {
-      release_tokens(lr.context());
-      metrics_->on_finish(lr.req.id, sim.now());
-    } else {
-      if (keep != i) running_[keep] = lr;
-      ++keep;
+  const bool preempted = alive < n;
+  const auto victim = [&](std::size_t i) {
+    return preempted && !LifoIndex::precedes(running_[i].req.arrival, running_[i].req.id, last);
+  };
+  const std::size_t victims = scratch_gone_.size();
+
+  // Then commit the appends: one epoch adds a token to every survivor.
+  ++epoch_;
+  reserve_tokens(static_cast<std::int64_t>(alive));
+  ctx_sum_ += static_cast<std::int64_t>(alive);
+  if (!metrics_->sinks().empty()) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (victim(i)) continue;
+      metrics_->on_token(running_[i].req.id, sim.now(), generated(i));
     }
   }
-  running_.resize(keep);
+
+  // Finishes, reported after every token and in batch order.
+  while (!due_.empty() && due_.front().first <= epoch_) {
+    const std::uint64_t ticket = due_.front().second;
+    std::pop_heap(due_.begin(), due_.end(), std::greater<>());
+    due_.pop_back();
+    const std::size_t slot = slot_of(ticket);
+    if (slot == n || victim(slot)) continue;  // preempted: a stale entry
+    scratch_gone_.push_back(slot);
+  }
+  std::sort(scratch_gone_.begin() + static_cast<std::ptrdiff_t>(victims), scratch_gone_.end());
+  for (std::size_t k = victims; k < scratch_gone_.size(); ++k) {
+    const LiveRequest lr = current(scratch_gone_[k]);
+    lifo_.erase(lr.req.arrival, lr.req.id);
+    release_tokens(lr.context());
+    ctx_sum_ -= lr.context();
+    metrics_->on_finish(lr.req.id, sim.now());
+  }
+
+  // Drop the victims and the finished requests in one in-place compaction
+  // (survivors keep their order; no per-iteration reallocation).
+  if (!scratch_gone_.empty()) {
+    std::sort(scratch_gone_.begin(), scratch_gone_.end());
+    std::size_t keep = scratch_gone_.front();
+    std::size_t g = 0;
+    for (std::size_t i = keep; i < n; ++i) {
+      if (g < scratch_gone_.size() && scratch_gone_[g] == i) {
+        ++g;
+        continue;
+      }
+      running_[keep] = std::move(running_[i]);
+      members_[keep] = members_[i];
+      ++keep;
+    }
+    running_.resize(keep);
+    members_.resize(keep);
+  }
   --inflight_;
   decode_inflight_ = false;
   pump(sim);
-}
-
-void PipelineInstance::preempt_lifo(sim::Simulation& sim) {
-  if (running_.empty()) return;
-  // Latest arrival leaves first (vLLM recompute preemption).  Ties break
-  // toward the highest id (newest submission) so older requests keep their
-  // progress -- preempting the oldest would lose the most work and can
-  // livelock under sustained pressure.
-  std::size_t victim = 0;
-  for (std::size_t i = 1; i < running_.size(); ++i) {
-    const auto& cand = running_[i].req;
-    const auto& cur = running_[victim].req;
-    if (cand.arrival > cur.arrival || (cand.arrival == cur.arrival && cand.id > cur.id)) {
-      victim = i;
-    }
-  }
-  LiveRequest lr = running_[victim];
-  running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(victim));
-  release_tokens(lr.context());
-  metrics_->on_preemption(lr.req.id, sim.now());
-  lr.prefilled = false;
-  lr.generated = 0;  // recompute from scratch
-  priority_enqueue(waiting_, std::move(lr), priorities_, /*requeue_front=*/true);
 }
 
 }  // namespace hetis::engine

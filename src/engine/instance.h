@@ -9,14 +9,29 @@
 //    blocks, like vLLM).  Admission requires every stage to fit the prompt.
 //  * iterations are serialized; iteration latency is the sum of stage
 //    latencies (single batch in flight -- the standard PP decode model,
-//    also what HexGen's cost model assumes).
+//    also what HexGen's cost model assumes).  A decode iteration is priced
+//    from two running integers, the batch size and its context total
+//    Σctx, so pricing is O(stages) whatever the batch.
+//  * decode progress is lazy: each member of the running batch records the
+//    decode-iteration count (epoch) at which it joined, and its generated
+//    count is derived from the current epoch.  A min-heap of the epoch at
+//    which each member emits its last token finds finishes.  A decode
+//    iteration where nobody leaves costs O(stages); each victim or finish
+//    adds O(log batch) and the iteration one order-keeping compaction; a
+//    listening sink adds one on_token per member.
 //  * on out-of-memory during decode: LIFO recompute preemption (vLLM
-//    §4.5): the latest-arrived running request is dropped back to the
-//    waiting queue and later re-prefills from scratch.
+//    §4.5): the latest-arrived running requests are dropped back to the
+//    waiting queue and later re-prefill from scratch.  A LifoIndex keeps
+//    the running batch sorted by (arrival, id), so each victim is its back
+//    entry; one compaction then drops an iteration's victims and finished
+//    requests together, keeping the survivors' order (the on_token order
+//    sinks see).
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "engine/exec.h"
@@ -56,6 +71,42 @@ void priority_enqueue(std::deque<LiveRequest>& queue, LiveRequest lr,
 
 /// The priority of `lr` under `priorities` (0 for unknown tenants).
 int tenant_priority(const std::vector<int>& priorities, const LiveRequest& lr);
+
+/// The running batch in recompute-preemption order: entries sorted by
+/// (arrival, id), so the LIFO victim -- the latest arrival, the highest id
+/// on a tie -- is the back.  Each entry carries its request's join ticket,
+/// which finds it in a batch kept in join (so ticket) order.
+class LifoIndex {
+ public:
+  struct Entry {
+    Seconds arrival = 0;
+    workload::RequestId id = 0;
+    std::uint64_t ticket = 0;
+  };
+
+  /// The index order: earlier arrival first, lower id on a tie.  Every
+  /// entry not preceded by the last victim popped was popped before it.
+  static bool precedes(Seconds arrival, workload::RequestId id, const Entry& e) {
+    return arrival < e.arrival || (arrival == e.arrival && id < e.id);
+  }
+
+  /// O(log n + later arrivals): joins are mostly the latest arrivals.
+  void insert(const Entry& e);
+  /// Removes the entry of (arrival, id).  Precondition: present.
+  void erase(Seconds arrival, workload::RequestId id);
+  /// Removes and returns the victim.  Precondition: !empty().
+  Entry pop_latest() {
+    Entry e = entries_.back();
+    entries_.pop_back();
+    return e;
+  }
+  void clear() { entries_.clear(); }
+  bool empty() const { return entries_.empty(); }
+  std::size_t size() const { return entries_.size(); }
+
+ private:
+  std::vector<Entry> entries_;  // ascending (arrival, id)
+};
 
 /// Live state drained out of a retiring instance when the control plane
 /// re-deploys an engine.  `fresh` requests never completed prefill here
@@ -144,7 +195,12 @@ class PipelineInstance {
   void reserve_tokens(std::int64_t tokens);       // all stages
   void release_tokens(std::int64_t tokens);
   bool can_reserve(std::int64_t tokens) const;
-  void preempt_lifo(sim::Simulation& sim);
+  void join_running(const LiveRequest& lr);       // running_ + indexes + Σctx
+  /// running_[slot]'s true decode progress, and the request carrying it.
+  std::int64_t generated(std::size_t slot) const;
+  LiveRequest current(std::size_t slot) const;
+  /// The slot of the member holding `ticket`, or running_.size().
+  std::size_t slot_of(std::uint64_t ticket) const;
 
   const ExecModel* exec_;
   parallel::InstanceConfig cfg_;
@@ -153,7 +209,24 @@ class PipelineInstance {
   int id_;
 
   std::deque<LiveRequest> waiting_;
+  // The decode batch in join order (the on_token order sinks see).  Decode
+  // progress is lazy: a member's true `generated` is its stored one plus
+  // the decode iterations (epochs) completed since it joined, so an
+  // iteration touches only the members that leave -- and, when a sink
+  // listens, reads each member once for on_token.
+  struct Member {
+    std::uint64_t ticket = 0;  // unique, ascending in join order
+    std::uint64_t joined = 0;  // epoch_ at join
+  };
   std::vector<LiveRequest> running_;
+  std::vector<Member> members_;  // parallel to running_
+  std::uint64_t next_ticket_ = 0;
+  std::uint64_t epoch_ = 0;      // decode iterations completed
+  LifoIndex lifo_;               // preemption order
+  // Min-heap of (epoch of the finishing token, ticket).  A preempted
+  // member's entry goes stale and is dropped when it surfaces.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> due_;
+  std::int64_t ctx_sum_ = 0;     // Σ context() over running_
   // Requests inside an in-flight prefill iteration: without this registry a
   // retire() could not hand them to the new deployment (the batch itself
   // lives in the scheduled completion lambda).  Unordered (retire() sorts
@@ -175,6 +248,7 @@ class PipelineInstance {
   // Hot-path scratch: the vectors below recycle their capacity across
   // iterations so the steady state allocates nothing.
   std::vector<std::int64_t> scratch_lens_;
+  std::vector<std::size_t> scratch_gone_;  // an iteration's leaving slots
   IterationTime scratch_it_;
   std::vector<std::vector<LiveRequest>> batch_pool_;
 

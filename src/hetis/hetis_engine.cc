@@ -495,7 +495,7 @@ void HetisInstance::pump(sim::Simulation& sim) {
         prefilling_.push_back(lr);
         metrics_->on_prefill_start(lr.req.id, sim.now());
       }
-      exec_->iteration_time(primary_only_, scratch_lens_, /*prefill=*/true, scratch_it_);
+      exec_->prefill_iteration_time(primary_only_, scratch_lens_, scratch_it_);
       const engine::IterationTime& it = scratch_it_;
       Seconds issue = std::max(sim.now(), head_free_);
       head_free_ = issue + it.interval();

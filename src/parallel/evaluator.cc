@@ -55,10 +55,9 @@ PlanEstimate PlanEvaluator::evaluate(const InstanceConfig& cfg,
       std::max<std::int64_t>(1, profile.prefill_tokens /
                                     std::max<std::int64_t>(1, profile.mean_context)),
       profile.mean_context);
-  engine::IterationTime prefill = exec_->iteration_time(cfg, prompt_lens, /*prefill=*/true);
-  std::vector<std::int64_t> ctxs(static_cast<std::size_t>(profile.decode_batch),
-                                 profile.mean_context);
-  engine::IterationTime decode = exec_->iteration_time(cfg, ctxs, /*prefill=*/false);
+  engine::IterationTime prefill = exec_->prefill_iteration_time(cfg, prompt_lens);
+  engine::IterationTime decode = exec_->decode_iteration_time(
+      cfg, profile.decode_batch, profile.decode_batch * profile.mean_context);
   e.ttft = prefill.latency();
   e.tpot = decode.latency();
   e.decode_weight = profile.decode_weight;

@@ -148,8 +148,7 @@ TEST_F(ExecFixture, StageDenseScalesWithLayers) {
 }
 
 TEST_F(ExecFixture, IterationLatencyIsSumOfStages) {
-  std::vector<std::int64_t> ctxs(16, 500);
-  IterationTime it = exec_.iteration_time(inst_, ctxs, false);
+  IterationTime it = exec_.decode_iteration_time(inst_, 16, 16 * 500);
   ASSERT_EQ(it.stages.size(), 2u);
   EXPECT_NEAR(it.latency(), it.stages[0].total() + it.stages[1].total(), 1e-12);
   EXPECT_DOUBLE_EQ(it.interval(), std::max(it.stages[0].total(), it.stages[1].total()));
@@ -157,16 +156,15 @@ TEST_F(ExecFixture, IterationLatencyIsSumOfStages) {
 
 TEST_F(ExecFixture, ModuleLatencyMetricMatchesPaperDefinition) {
   // §7.3: max per-stage module time x number of stages.
-  std::vector<std::int64_t> ctxs(16, 500);
-  IterationTime it = exec_.iteration_time(inst_, ctxs, false);
+  IterationTime it = exec_.decode_iteration_time(inst_, 16, 16 * 500);
   double worst_dense = std::max(it.stages[0].dense, it.stages[1].dense);
   EXPECT_DOUBLE_EQ(it.mlp_module_latency(), worst_dense * 2);
 }
 
 TEST_F(ExecFixture, PrefillCostsMoreThanDecode) {
   std::vector<std::int64_t> lens(4, 512);
-  Seconds prefill = exec_.iteration_time(inst_, lens, true).latency();
-  Seconds decode = exec_.iteration_time(inst_, lens, false).latency();
+  Seconds prefill = exec_.prefill_iteration_time(inst_, lens).latency();
+  Seconds decode = exec_.decode_iteration_time(inst_, 4, 4 * 512).latency();
   EXPECT_GT(prefill, 5 * decode);
 }
 
@@ -177,7 +175,7 @@ TEST_F(ExecFixture, InterstageCommPositiveAcrossHosts) {
 
 TEST_F(ExecFixture, AttentionStageTimes) {
   std::vector<std::int64_t> ctxs(8, 1000);
-  Seconds decode = exec_.stage_attention_decode(inst_.stages[0], ctxs, 40);
+  Seconds decode = exec_.stage_attention_decode(inst_.stages[0], 8, 8 * 1000, 40);
   EXPECT_GT(decode, 0);
   Seconds prefill = exec_.stage_attention_prefill(inst_.stages[0], ctxs, 40);
   EXPECT_GT(prefill, decode);  // quadratic beats linear at length 1000

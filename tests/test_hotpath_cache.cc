@@ -226,9 +226,14 @@ class ExecCacheDifferential : public ::testing::Test {
       std::vector<std::int64_t> lens;
       const int n = 1 + static_cast<int>(rng.uniform_int(0, 12));
       for (int i = 0; i < n; ++i) lens.push_back(rng.uniform_int(1, 2000));
-      const bool prefill = trial % 3 == 0;
-      engine::IterationTime a = cached_.iteration_time(inst_, lens, prefill);
-      engine::IterationTime b = cold_.iteration_time(inst_, lens, prefill);
+      std::int64_t ctx_sum = 0;
+      for (std::int64_t l : lens) ctx_sum += l;
+      const auto time = [&](const engine::ExecModel& exec) {
+        return trial % 3 == 0 ? exec.prefill_iteration_time(inst_, lens)
+                              : exec.decode_iteration_time(inst_, n, ctx_sum);
+      };
+      engine::IterationTime a = time(cached_);
+      engine::IterationTime b = time(cold_);
       ASSERT_EQ(a.stages.size(), b.stages.size());
       for (std::size_t s = 0; s < a.stages.size(); ++s) {
         expect_bits_eq(a.stages[s].dense, b.stages[s].dense);
@@ -276,8 +281,8 @@ TEST_F(ExecCacheDifferential, WideStagesBypassTheCacheCorrectly) {
   parallel::InstanceConfig inst;
   inst.stages = {wide};
   std::vector<std::int64_t> lens{100, 200, 300};
-  engine::IterationTime a = cached_.iteration_time(inst, lens, true);
-  engine::IterationTime b = cold_.iteration_time(inst, lens, true);
+  engine::IterationTime a = cached_.prefill_iteration_time(inst, lens);
+  engine::IterationTime b = cold_.prefill_iteration_time(inst, lens);
   for (std::size_t s = 0; s < a.stages.size(); ++s) {
     expect_bits_eq(a.stages[s].dense, b.stages[s].dense);
   }

@@ -65,7 +65,7 @@ TEST_F(PipelinedExec, ConsecutivePrefillsOverlapAcrossStages) {
   Seconds t0 = metrics.record(0).finish;
   Seconds t1 = metrics.record(1).finish;
   std::vector<std::int64_t> lens{6000};
-  engine::IterationTime it = exec_.iteration_time(two_stage_, lens, true);
+  engine::IterationTime it = exec_.prefill_iteration_time(two_stage_, lens);
   // Second prompt completes one *interval* (slowest stage), not one full
   // latency, after the first.
   EXPECT_LT(t1 - t0, it.latency() * 0.95);
@@ -84,8 +84,7 @@ TEST_F(PipelinedExec, DecodeIterationsSerialize) {
   sim.run_until(120.0);
   ASSERT_EQ(metrics.finished(), 1u);
   const auto& rec = metrics.record(0);
-  std::vector<std::int64_t> ctx{101};
-  Seconds decode_latency = exec_.iteration_time(two_stage_, ctx, false).latency();
+  Seconds decode_latency = exec_.decode_iteration_time(two_stage_, 1, 101).latency();
   EXPECT_GE(rec.finish - rec.first_token, 19 * decode_latency * 0.9);
 }
 
@@ -126,10 +125,10 @@ TEST(ExecDegradation, StageTimesScaleByTheSlowestMember) {
   parallel::StageConfig stage;
   stage.devices = {0, 1};  // A100 TP2
   stage.layers = 40;
-  const std::vector<std::int64_t> ctxs{400, 700};
+  const std::int64_t n = 2, ctx_sum = 400 + 700;
 
   const Seconds dense = exec.stage_dense_time(stage, 256);
-  const Seconds attn = exec.stage_attention_decode(stage, ctxs, 40);
+  const Seconds attn = exec.stage_attention_decode(stage, n, ctx_sum, 40);
   EXPECT_DOUBLE_EQ(exec.stage_speed(stage), 1.0);
 
   // A TP group advances in lock-step: the slowest member gates the stage,
@@ -137,7 +136,7 @@ TEST(ExecDegradation, StageTimesScaleByTheSlowestMember) {
   cluster.set_device_speed(1, 0.5);
   EXPECT_DOUBLE_EQ(exec.stage_speed(stage), 0.5);
   EXPECT_DOUBLE_EQ(exec.stage_dense_time(stage, 256), dense / 0.5);
-  EXPECT_DOUBLE_EQ(exec.stage_attention_decode(stage, ctxs, 40), attn / 0.5);
+  EXPECT_DOUBLE_EQ(exec.stage_attention_decode(stage, n, ctx_sum, 40), attn / 0.5);
   // Degrading the OTHER member further is what now gates it.
   cluster.set_device_speed(0, 0.25);
   EXPECT_DOUBLE_EQ(exec.stage_dense_time(stage, 256), dense / 0.25);
@@ -145,7 +144,7 @@ TEST(ExecDegradation, StageTimesScaleByTheSlowestMember) {
   cluster.set_device_speed(0, 1.0);
   cluster.set_device_speed(1, 1.0);
   EXPECT_DOUBLE_EQ(exec.stage_dense_time(stage, 256), dense);
-  EXPECT_DOUBLE_EQ(exec.stage_attention_decode(stage, ctxs, 40), attn);
+  EXPECT_DOUBLE_EQ(exec.stage_attention_decode(stage, n, ctx_sum, 40), attn);
 }
 
 TEST(ExecDegradation, LinkScaleSlowsTransfers) {

@@ -347,6 +347,114 @@ TEST(RunObserver, EventOrderingHetis) { check_event_ordering("hetis"); }
 TEST(RunObserver, EventOrderingHexgen) { check_event_ordering("hexgen"); }
 TEST(RunObserver, EventOrderingSplitwise) { check_event_ordering("splitwise"); }
 
+// Folds every callback -- its kind, ids and the bit patterns of its times
+// and counters -- into one FNV-1a hash, so a test can pin a whole event
+// stream, ordering included, as a single constant.
+class HashingObserver : public engine::RunObserver {
+ public:
+  void on_arrival(const workload::Request& r) override { mix('a', r.id, r.arrival); }
+  void on_prefill_start(workload::RequestId id, Seconds t) override { mix('s', id, t); }
+  void on_prefill_done(workload::RequestId id, Seconds t) override { mix('p', id, t); }
+  void on_reprefill_done(workload::RequestId id, Seconds t) override { mix('r', id, t); }
+  void on_token(workload::RequestId id, Seconds t, std::int64_t generated) override {
+    mix('t', id, t);
+    word(static_cast<std::uint64_t>(generated));
+  }
+  void on_finish(workload::RequestId id, Seconds t) override { mix('f', id, t); }
+  void on_preempt(workload::RequestId id, Seconds t) override {
+    mix('x', id, t);
+    ++preemptions_;
+  }
+  void on_migrate(workload::RequestId id, Seconds start, Seconds ready, int src,
+                  int dst) override {
+    mix('m', id, start);
+    word(bits(ready));
+    word(static_cast<std::uint64_t>(src));
+    word(static_cast<std::uint64_t>(dst));
+  }
+  void on_usage(const engine::UsageSample& u) override {
+    mix('u', u.device, u.time);
+    word(bits(u.cache_used_fraction));
+    word(bits(u.heads));
+  }
+
+  std::uint64_t hash() const { return hash_; }
+  std::uint64_t events() const { return events_; }
+  int preemptions() const { return preemptions_; }
+
+ private:
+  static std::uint64_t bits(double x) {
+    std::uint64_t u;
+    std::memcpy(&u, &x, sizeof u);
+    return u;
+  }
+  void word(std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ = (hash_ ^ ((w >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+    }
+  }
+  void mix(char kind, std::int64_t id, Seconds t) {
+    ++events_;
+    word(static_cast<std::uint64_t>(kind));
+    word(static_cast<std::uint64_t>(id));
+    word(bits(t));
+  }
+
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+  std::uint64_t events_ = 0;
+  int preemptions_ = 0;
+};
+
+// A baseline overloaded past its KV capacity: Llama-70B on the paper
+// cluster at 6 req/s preempts (LIFO, recompute) over a thousand times.
+// The hash pins every callback of the run -- preemption victims and their
+// order, each token's time and count, the survivors' on_token order -- so
+// any drift in how PipelineInstance picks victims or prices iterations
+// shows.  The constants were recorded from the per-victim linear scan and
+// per-sequence pricing that LifoIndex and the running Σctx replaced.
+void check_event_stream_under_pressure(const std::string& engine_name,
+                                       const engine::EngineOptions& options,
+                                       std::uint64_t want_hash, std::uint64_t want_events) {
+  hw::Cluster cluster = harness::cluster_by_name("paper");
+  const model::ModelSpec& m = model::model_by_name("Llama-70B");
+  workload::TraceOptions topts;
+  topts.rate = 6.0;
+  topts.horizon = 210.0;
+  topts.seed = 20251116;
+  const auto trace = workload::build_trace(topts);
+  auto eng = engine::make(engine_name, cluster, m, options);
+  HashingObserver obs;
+  engine::RunOptions opts(900.0);
+  opts.observer = &obs;
+  const engine::RunReport rep = engine::run_trace(*eng, trace, opts);
+  ASSERT_EQ(rep.finished, trace.size());
+  EXPECT_GE(obs.preemptions(), 1000);
+  EXPECT_EQ(obs.preemptions(), rep.preemptions);
+  EXPECT_EQ(obs.events(), want_events);
+  EXPECT_EQ(obs.hash(), want_hash) << std::hex << "0x" << obs.hash();
+}
+
+TEST(RunObserver, HexgenEventStreamUnderPreemptionPressure) {
+  // HexGen's own plan never runs out of KV on this cluster, so pin it to
+  // the A100 pipeline with 40 GiB of every device spoken for.
+  parallel::StageConfig s0;
+  s0.devices = {0, 1};
+  s0.layers = 40;
+  s0.extra_reserved = 40 * GiB;
+  parallel::StageConfig s1 = s0;
+  s1.devices = {2, 3};
+  parallel::InstanceConfig inst;
+  inst.stages = {s0, s1};
+  engine::HexgenConfig cfg;
+  cfg.plan = parallel::ParallelPlan{{inst}};
+  check_event_stream_under_pressure("hexgen", cfg, 0xe6b52f92ad8c67e6ull, 300811u);
+}
+
+TEST(RunObserver, SplitwiseEventStreamUnderPreemptionPressure) {
+  check_event_stream_under_pressure("splitwise", engine::EngineOptions{}, 0x9de24194ec65ad71ull,
+                                    295833u);
+}
+
 TEST(RunObserver, ObserverIsDetachedAfterTheRun) {
   FakeEngine eng;
   RecordingObserver obs;
