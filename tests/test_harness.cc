@@ -142,7 +142,8 @@ TEST(Sweep, PerEngineOptionsAreRouted) {
   EXPECT_EQ(harness::run_sweep(spec).size(), 1u);
 
   // Mis-tagged options must fail loudly, not silently fall back to defaults.
-  spec.engine_options["hexgen"] = engine::EngineOptions(engine::HetisConfig{});
+  const engine::HetisConfig hetis_cfg;
+  spec.engine_options["hexgen"] = engine::EngineOptions(hetis_cfg);
   EXPECT_THROW(harness::run_sweep(spec), std::invalid_argument);
 
   // Option routing matches engine names case-insensitively, like the

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -16,11 +17,20 @@ namespace {
 
 // --- Simplex ---
 
+/// A problem over as many variables as `objective` has coefficients.  The
+/// vector is moved in rather than brace-assigned to the empty member:
+/// GCC 12 misreads that assignment once it is made at this many call sites
+/// (a bogus -Wnonnull on the memmove inside vector::assign).
+Problem with_objective(std::vector<double> objective) {
+  Problem p;
+  p.num_vars = objective.size();
+  p.objective = std::move(objective);
+  return p;
+}
+
 TEST(Simplex, SimpleMaximizationAsMinimization) {
   // max 3x + 2y s.t. x + y <= 4, x <= 2  ->  min -3x - 2y.
-  Problem p;
-  p.num_vars = 2;
-  p.objective = {-3, -2};
+  Problem p = with_objective({-3, -2});
   p.add_le({1, 1}, 4);
   p.add_le({1, 0}, 2);
   Solution s = solve(p);
@@ -32,9 +42,7 @@ TEST(Simplex, SimpleMaximizationAsMinimization) {
 
 TEST(Simplex, EqualityConstraints) {
   // min x + y s.t. x + y = 5, x >= 0, y >= 0 -> objective 5.
-  Problem p;
-  p.num_vars = 2;
-  p.objective = {1, 1};
+  Problem p = with_objective({1, 1});
   p.add_eq({1, 1}, 5);
   Solution s = solve(p);
   ASSERT_TRUE(s.ok());
@@ -44,9 +52,7 @@ TEST(Simplex, EqualityConstraints) {
 
 TEST(Simplex, GreaterEqualConstraints) {
   // min 2x + 3y s.t. x + y >= 4, x - y >= -2.
-  Problem p;
-  p.num_vars = 2;
-  p.objective = {2, 3};
+  Problem p = with_objective({2, 3});
   p.add_ge({1, 1}, 4);
   p.add_ge({1, -1}, -2);
   Solution s = solve(p);
@@ -55,9 +61,7 @@ TEST(Simplex, GreaterEqualConstraints) {
 }
 
 TEST(Simplex, InfeasibleDetected) {
-  Problem p;
-  p.num_vars = 1;
-  p.objective = {1};
+  Problem p = with_objective({1});
   p.add_le({1}, 1);
   p.add_ge({1}, 2);
   Solution s = solve(p);
@@ -65,9 +69,7 @@ TEST(Simplex, InfeasibleDetected) {
 }
 
 TEST(Simplex, UnboundedDetected) {
-  Problem p;
-  p.num_vars = 1;
-  p.objective = {-1};  // max x with no upper bound
+  Problem p = with_objective({-1});  // max x with no upper bound
   p.add_ge({1}, 0);
   Solution s = solve(p);
   EXPECT_EQ(s.status, Status::kUnbounded);
@@ -75,9 +77,7 @@ TEST(Simplex, UnboundedDetected) {
 
 TEST(Simplex, NegativeRhsNormalized) {
   // x <= -1 is infeasible for x >= 0; -x <= -1 means x >= 1.
-  Problem p;
-  p.num_vars = 1;
-  p.objective = {1};
+  Problem p = with_objective({1});
   p.add_le({-1}, -1);  // -x <= -1  <=>  x >= 1
   Solution s = solve(p);
   ASSERT_TRUE(s.ok());
@@ -86,9 +86,7 @@ TEST(Simplex, NegativeRhsNormalized) {
 
 TEST(Simplex, DegenerateProblemTerminates) {
   // Redundant constraints; Bland's rule must avoid cycling.
-  Problem p;
-  p.num_vars = 2;
-  p.objective = {-1, -1};
+  Problem p = with_objective({-1, -1});
   p.add_le({1, 1}, 1);
   p.add_le({1, 1}, 1);
   p.add_le({2, 2}, 2);
@@ -99,11 +97,10 @@ TEST(Simplex, DegenerateProblemTerminates) {
 }
 
 TEST(Simplex, ShapeValidation) {
-  Problem p;
-  p.num_vars = 2;
-  p.objective = {1};  // wrong size
+  Problem p = with_objective({1});
+  p.num_vars = 2;  // objective of the wrong size
   EXPECT_THROW(solve(p), std::invalid_argument);
-  p.objective = {1, 1};
+  p.objective.push_back(1);
   p.constraints.push_back(Constraint{{1.0}, Relation::kLe, 1.0});  // wrong size
   EXPECT_THROW(solve(p), std::invalid_argument);
 }
@@ -124,9 +121,7 @@ TEST(Simplex, MalformedInputsReported) {
   const double inf = std::numeric_limits<double>::infinity();
   for (int where = 0; where < 3; ++where) {
     for (double bad : {nan, inf, -inf}) {
-      Problem p;
-      p.num_vars = 2;
-      p.objective = {1, 1};
+      Problem p = with_objective({1, 1});
       p.add_le({1, 1}, 4);
       if (where == 0) p.objective[1] = bad;
       if (where == 1) p.constraints[0].coeffs[0] = bad;
@@ -140,18 +135,14 @@ TEST(Simplex, MalformedInputsReported) {
 }
 
 TEST(Simplex, IterationsCountPivots) {
-  Problem p;
-  p.num_vars = 2;
-  p.objective = {-3, -2};
+  Problem p = with_objective({-3, -2});
   p.add_le({1, 1}, 4);
   p.add_le({1, 0}, 2);
   Solution s = solve(p);
   ASSERT_TRUE(s.ok());
   EXPECT_GT(s.iterations, 0u);  // reaching this optimum needs real pivots
   // Statuses short of optimal still report the work done getting there.
-  Problem q;
-  q.num_vars = 1;
-  q.objective = {1};
+  Problem q = with_objective({1});
   q.add_le({1}, 1);
   q.add_ge({1}, 2);
   EXPECT_EQ(solve(q).status, Status::kInfeasible);

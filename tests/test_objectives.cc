@@ -118,7 +118,8 @@ TEST(Objective, GoodputPerDevicePrefersLeanerPlans) {
 TEST(PlanEvaluator, EstimatesArePhysical) {
   hw::Cluster cluster = hw::Cluster::paper_cluster();
   const model::ModelSpec& model = model::llama_13b();
-  parallel::Parallelizer par(cluster, model);
+  const parallel::ParallelizerOptions par_opts;
+  parallel::Parallelizer par(cluster, model, par_opts);
   parallel::ParallelPlan plan = par.plan(default_profile());
 
   parallel::PlanEvaluator evaluator(cluster, model);
@@ -142,7 +143,8 @@ TEST(PlanEvaluator, BorrowingAndOwningAgree) {
   engine::ExecModel exec(cluster, model);
   parallel::PlanEvaluator borrowing(exec);
   parallel::PlanEvaluator owning(cluster, model);
-  parallel::Parallelizer par(cluster, model);
+  const parallel::ParallelizerOptions par_opts;
+  parallel::Parallelizer par(cluster, model, par_opts);
   parallel::ParallelPlan plan = par.plan(default_profile());
   const auto& inst = plan.instances.front();
   parallel::PlanEstimate a = borrowing.evaluate(inst, default_profile());
@@ -172,7 +174,8 @@ TEST(PlanEvaluator, ReplicateScalesAggregates) {
 
 TEST(ObjectiveSearch, DefaultEqualsExplicitThroughput) {
   hw::Cluster cluster = hw::Cluster::paper_cluster();
-  parallel::Parallelizer par_default(cluster, model::llama_13b());
+  const parallel::ParallelizerOptions par_default_opts;
+  parallel::Parallelizer par_default(cluster, model::llama_13b(), par_default_opts);
   parallel::ParallelizerOptions opts;
   opts.objective.name = "throughput";
   parallel::Parallelizer par_explicit(cluster, model::llama_13b(), opts);
@@ -191,7 +194,8 @@ TEST(ObjectiveSearch, LatencyPrefersA100PrimariesOnFig8Cluster) {
   const model::ModelSpec& model = model::llama_13b();
   parallel::WorkloadProfile profile = default_profile();
 
-  parallel::Parallelizer throughput_par(cluster, model);
+  const parallel::ParallelizerOptions throughput_par_opts;
+  parallel::Parallelizer throughput_par(cluster, model, throughput_par_opts);
   parallel::ParallelPlan throughput_plan = throughput_par.plan(profile);
 
   parallel::ParallelizerOptions lat_opts;
@@ -248,7 +252,8 @@ TEST(ObjectiveSearch, GoodputPerDeviceShedsDevices) {
   const model::ModelSpec& model = model::llama_13b();
   parallel::WorkloadProfile profile = default_profile();
 
-  parallel::Parallelizer thr(cluster, model);
+  const parallel::ParallelizerOptions thr_opts;
+  parallel::Parallelizer thr(cluster, model, thr_opts);
   parallel::ParallelizerOptions opts;
   opts.objective.name = "goodput_per_device";
   parallel::Parallelizer gpd(cluster, model, opts);
@@ -273,7 +278,8 @@ TEST(ObjectiveSearch, CustomObjectivePluggable) {
     }
   };
   hw::Cluster cluster = hw::Cluster::paper_cluster();
-  parallel::Parallelizer par(cluster, model::llama_13b());
+  const parallel::ParallelizerOptions par_opts;
+  parallel::Parallelizer par(cluster, model::llama_13b(), par_opts);
   MaxKv objective;
   parallel::ParallelPlan plan = par.plan(default_profile(), objective);
   int devices = 0;
@@ -321,7 +327,8 @@ TEST(ObjectiveWiring, EngineDeploysOnObjectiveChosenPlan) {
 
 TEST(ObjectiveWiring, SetPlanObjectiveValidatesEagerly) {
   hw::Cluster cluster = hw::Cluster::ablation_cluster();
-  core::HetisEngine eng(cluster, model::llama_13b());
+  const core::HetisOptions eng_opts;
+  core::HetisEngine eng(cluster, model::llama_13b(), eng_opts);
   EXPECT_THROW(eng.set_plan_objective({"oracle", {}}), std::out_of_range);
   eng.set_plan_objective({"latency", {}});
   EXPECT_EQ(eng.plan_objective().name, "latency");
@@ -330,7 +337,8 @@ TEST(ObjectiveWiring, SetPlanObjectiveValidatesEagerly) {
 TEST(ObjectiveWiring, ReconfigureReplansUnderNewObjective) {
   hw::Cluster cluster = hw::Cluster::paper_cluster();
   const model::ModelSpec& model = model::llama_13b();
-  core::HetisEngine eng(cluster, model, core::HetisOptions{});
+  const core::HetisOptions eng_opts;
+  core::HetisEngine eng(cluster, model, eng_opts);
   sim::Simulation sim;
   eng.start(sim);
   eng.set_plan_objective({"latency", {}});
@@ -348,7 +356,8 @@ TEST(ObjectiveWiring, ReconfigureReplansUnderNewObjective) {
 TEST(ObjectiveWiring, SloPolicyControllerReplansForLatency) {
   hw::Cluster cluster = hw::Cluster::paper_cluster();
   const model::ModelSpec& model = model::llama_13b();
-  core::HetisEngine eng(cluster, model);
+  const core::HetisOptions eng_opts;
+  core::HetisEngine eng(cluster, model, eng_opts);
 
   control::ControlSpec cs;
   cs.policy = "slo";
@@ -362,7 +371,8 @@ TEST(ObjectiveWiring, SloPolicyControllerReplansForLatency) {
   // A pinned replan objective wins over the policy default.
   control::ControlSpec pinned = cs;
   pinned.replan_objective = "goodput_per_device";
-  core::HetisEngine eng2(cluster, model);
+  const core::HetisOptions eng2_opts;
+  core::HetisEngine eng2(cluster, model, eng2_opts);
   control::Controller ctl2(pinned, cluster);
   sim::Simulation sim2;
   ctl2.attach(sim2, eng2);
@@ -382,7 +392,8 @@ TEST(ObjectiveWiring, ControllerTracksDeviceSeconds) {
   cs.min_devices = 2;
   cs.tick = 0;  // no periodic ticks; only the attach-time shrink
   control::Controller ctl(cs, cluster);
-  core::HetisEngine eng(cluster, model::llama_13b());
+  const core::HetisOptions eng_opts;
+  core::HetisEngine eng(cluster, model::llama_13b(), eng_opts);
   sim::Simulation sim;
   ctl.attach(sim, eng);
   // Shrunk to 4 devices at t=0: 4 dev * 10 s.

@@ -79,7 +79,8 @@ TEST(Registry, DuplicateRegistrationThrows) {
 TEST(Registry, MismatchedOptionsTagThrows) {
   hw::Cluster cluster = harness::cluster_by_name("paper");
   const model::ModelSpec& m = model::model_by_name("Llama-13B");
-  engine::EngineOptions hetis_opts{engine::HetisConfig{}};
+  const engine::HetisConfig hetis_cfg;
+  engine::EngineOptions hetis_opts{hetis_cfg};
   EXPECT_THROW(engine::make("splitwise", cluster, m, hetis_opts), std::invalid_argument);
   EXPECT_THROW(engine::make("hexgen", cluster, m, hetis_opts), std::invalid_argument);
   // Default-tagged options work everywhere.
