@@ -8,6 +8,7 @@
 // a dispatch decision cascades into a different event trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -184,6 +185,92 @@ TEST(KernelModel, ClosedFormDecodeAttentionBitIdentical) {
       }
       expect_bits_eq(reference_decode_time(k, gpu, *m, ctxs, mixed),
                      k.decode_attention_time(gpu, *m, ctxs, mixed));
+    }
+  }
+}
+
+TEST(KernelModel, DecodeAttentionTotalMatchesPerSequenceForm) {
+  // The integer entry point PipelineInstance prices from: sum(ctx) * h and
+  // n * h give the per-sequence overload's result bit for bit.
+  const hw::GpuSpec& gpu = hw::gpu_spec(hw::GpuType::kA100_80G);
+  costmodel::KernelModel k;
+  Rng rng(11);
+  for (const model::ModelSpec* m : {&model::llama_13b(), &model::llama_70b()}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<std::int64_t> ctxs;
+      const int n = trial == 0 ? 0 : static_cast<int>(rng.uniform_int(1, 256));
+      std::int64_t ctx_sum = 0;
+      for (int i = 0; i < n; ++i) {
+        ctxs.push_back(rng.uniform_int(1, 32768));
+        ctx_sum += ctxs.back();
+      }
+      for (int h : {1, 8, m->heads}) {
+        expect_bits_eq(k.decode_attention_time(gpu, *m, ctxs, h),
+                       k.decode_attention_total(gpu, *m, ctx_sum * h, std::int64_t{n} * h));
+      }
+    }
+  }
+}
+
+/// Per-stage decode attention the per-sequence way: the kernel over every
+/// context at the stage's per-device head count, times its layers, slowed
+/// by the stage's degradation overlay.
+Seconds reference_stage_decode(const engine::ExecModel& exec, const parallel::StageConfig& stage,
+                               const std::vector<std::int64_t>& ctxs) {
+  const model::ModelSpec& m = exec.model_spec();
+  if (ctxs.empty()) return 0.0;
+  const hw::GpuSpec& gpu = exec.cluster().device(stage.devices.front()).spec();
+  Seconds t = exec.kernel().decode_attention_time(gpu, m, ctxs, std::max(1, m.heads / stage.tp())) *
+              stage.layers;
+  const double speed = exec.stage_speed(stage);
+  if (speed != 1.0) t /= speed;
+  return t;
+}
+
+TEST(ExecModelDecode, PricingFromTotalsMatchesPerSequenceKernel) {
+  // decode_iteration_time(n, sum(ctx)) against the per-sequence kernel,
+  // stage by stage: TP 1/2/4 stages on three device types, seeded context
+  // sets, on a healthy and on a degraded cluster.
+  hw::Cluster cluster = hw::Cluster::paper_cluster();
+  engine::ExecModel exec(cluster, model::llama_70b());
+  parallel::StageConfig tp4;
+  tp4.devices = {0, 1, 2, 3};  // A100
+  tp4.layers = 40;
+  parallel::StageConfig tp2;
+  tp2.devices = {4, 5};  // 3090
+  tp2.layers = 24;
+  parallel::StageConfig tp1;
+  tp1.devices = {8};  // P100
+  tp1.layers = 16;
+  parallel::InstanceConfig inst;
+  inst.stages = {tp4, tp2, tp1};
+  Rng rng(23);
+  for (int pass = 0; pass < 2; ++pass) {
+    if (pass == 1) {
+      cluster.set_device_speed(1, 0.6);  // gates the whole TP4 stage
+      cluster.set_device_speed(8, 0.35);
+    }
+    for (int trial = 0; trial < 30; ++trial) {
+      std::vector<std::int64_t> ctxs;
+      const int n = trial == 0 ? 0 : static_cast<int>(rng.uniform_int(1, 300));
+      std::int64_t ctx_sum = 0;
+      for (int i = 0; i < n; ++i) {
+        ctxs.push_back(rng.uniform_int(1, 16384));
+        ctx_sum += ctxs.back();
+      }
+      const engine::IterationTime it = exec.decode_iteration_time(inst, n, ctx_sum);
+      ASSERT_EQ(it.stages.size(), inst.stages.size());
+      for (std::size_t k = 0; k < inst.stages.size(); ++k) {
+        const parallel::StageConfig& stage = inst.stages[k];
+        expect_bits_eq(reference_stage_decode(exec, stage, ctxs), it.stages[k].attention);
+        expect_bits_eq(exec.stage_attention_decode(stage, n, ctx_sum, exec.model_spec().heads),
+                       it.stages[k].attention);
+        expect_bits_eq(exec.stage_dense_time(stage, n), it.stages[k].dense);
+        expect_bits_eq(k + 1 < inst.stages.size()
+                           ? exec.interstage_comm(stage, inst.stages[k + 1], n)
+                           : 0.0,
+                       it.stages[k].comm_out);
+      }
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/splitwise.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "engine/engine.h"
 #include "engine/instance.h"
@@ -115,6 +116,95 @@ TEST_F(PipelinedExec, MemoryConsistentUnderPipelinedChurn) {
   sim.run_until(600.0);
   EXPECT_EQ(metrics.finished(), 40u);
   EXPECT_EQ(inst.kv_used(), 0);  // every byte released exactly once
+}
+
+TEST_F(PipelinedExec, LifoPreemptionUnderTightMemoryDrainsClean) {
+  // One A100 stage left room for ~800 cached tokens, one or two requests'
+  // worth: 100 requests of up to 600 tokens preempt (LIFO, recompute) about
+  // 200 times, and every one of them still finishes with every KV byte
+  // returned.
+  const model::ModelSpec& m = exec_.model_spec();
+  parallel::StageConfig stage;
+  stage.devices = {0};
+  stage.layers = m.layers;
+  parallel::InstanceConfig cfg;
+  cfg.stages = {stage};
+  engine::MetricsCollector unused;
+  const Bytes full =
+      engine::PipelineInstance(exec_, cfg, unused, engine::InstanceOptions{}, 0).kv_capacity();
+  cfg.stages[0].extra_reserved = full - 800 * m.kv_bytes_per_token();
+
+  engine::MetricsCollector metrics;
+  engine::PipelineInstance inst(exec_, cfg, metrics, engine::InstanceOptions{}, 0);
+  sim::Simulation sim;
+  for (int i = 0; i < 100; ++i) {
+    workload::Request r = make_req(i, 0.02 * i, 100 + (i % 7) * 50, 20 + (i % 13) * 15);
+    metrics.on_arrival(r);
+    sim.schedule_at(r.arrival, [&inst, &sim, r] { inst.submit(sim, r); });
+  }
+  sim.run_until(3600.0);
+  EXPECT_EQ(metrics.finished(), 100u);
+  EXPECT_GE(metrics.total_preemptions(), 150);
+  EXPECT_EQ(inst.kv_used(), 0);
+  EXPECT_TRUE(inst.idle());
+}
+
+// --- LifoIndex: the preemption order against the linear scan ---
+
+TEST(LifoIndex, MatchesALinearScanUnderChurn) {
+  // Arrivals on a coarse grid, so ties are common and ids disagree with
+  // arrival order; inserts, finishes (erase) and victim pops interleave.
+  // The reference is the scan the index replaced: latest arrival first,
+  // the highest id on a tie.
+  using Entry = engine::LifoIndex::Entry;
+  Rng rng(41);
+  engine::LifoIndex index;
+  std::vector<Entry> live;
+  workload::RequestId next_id = 0;
+  std::uint64_t next_ticket = 0;
+  const auto scan_latest = [&live] {
+    std::size_t v = 0;
+    for (std::size_t i = 1; i < live.size(); ++i) {
+      if (live[i].arrival > live[v].arrival ||
+          (live[i].arrival == live[v].arrival && live[i].id > live[v].id)) {
+        v = i;
+      }
+    }
+    return v;
+  };
+  const auto pop_and_check = [&] {
+    const std::size_t v = scan_latest();
+    const Entry got = index.pop_latest();
+    EXPECT_EQ(got.id, live[v].id);
+    EXPECT_EQ(got.ticket, live[v].ticket);
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(v));
+    return got;
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const std::int64_t op = rng.uniform_int(0, 9);
+    if (op < 5 || live.empty()) {
+      const Entry e{0.25 * static_cast<double>(rng.uniform_int(0, 40)), next_id++, next_ticket++};
+      index.insert(e);
+      live.push_back(e);
+    } else if (op < 8) {
+      const auto i = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      index.erase(live[i].arrival, live[i].id);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      // One iteration's victims: everything left precedes the last one.
+      Entry last;
+      for (std::int64_t k = rng.uniform_int(1, 3); k > 0 && !live.empty(); --k) {
+        last = pop_and_check();
+      }
+      for (const Entry& e : live) {
+        EXPECT_TRUE(engine::LifoIndex::precedes(e.arrival, e.id, last));
+      }
+    }
+    ASSERT_EQ(index.size(), live.size());
+  }
+  while (!live.empty()) pop_and_check();
+  EXPECT_TRUE(index.empty());
 }
 
 // --- Degradation overlay in the cost model ---
