@@ -17,8 +17,9 @@
 //    count is derived from the current epoch.  A min-heap of the epoch at
 //    which each member emits its last token finds finishes.  A decode
 //    iteration where nobody leaves costs O(stages); each victim or finish
-//    adds O(log batch) and the iteration one order-keeping compaction; a
-//    listening sink adds one on_token per member.
+//    adds a few binary searches (a finish also erases its index entry),
+//    and the iteration one order-keeping compaction; a listening sink adds
+//    one on_token per member.
 //  * on out-of-memory during decode: LIFO recompute preemption (vLLM
 //    §4.5): the latest-arrived running requests are dropped back to the
 //    waiting queue and later re-prefill from scratch.  A LifoIndex keeps

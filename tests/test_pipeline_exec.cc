@@ -129,9 +129,9 @@ TEST_F(PipelinedExec, LifoPreemptionUnderTightMemoryDrainsClean) {
   stage.layers = m.layers;
   parallel::InstanceConfig cfg;
   cfg.stages = {stage};
-  engine::MetricsCollector unused;
-  const Bytes full =
-      engine::PipelineInstance(exec_, cfg, unused, engine::InstanceOptions{}, 0).kv_capacity();
+  engine::MetricsCollector probe_metrics;
+  const engine::PipelineInstance probe(exec_, cfg, probe_metrics, engine::InstanceOptions{}, 0);
+  const Bytes full = probe.kv_capacity();
   cfg.stages[0].extra_reserved = full - 800 * m.kv_bytes_per_token();
 
   engine::MetricsCollector metrics;
