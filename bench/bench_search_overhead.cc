@@ -19,15 +19,21 @@
 //   --out PATH      JSON artifact path (default BENCH_search.json;
 //                   "-" disables)
 //   --check PATH    threshold guard: compare this run against a committed
-//                   BENCH_search.json and exit 2 if any row's
-//                   score_vs_oracle worsens by more than --tolerance, or
-//                   any flow row plans slower than --budget-ms
-//   --tolerance F   allowed score_vs_oracle excess over baseline (default
-//                   0.05 -- the oracle-equivalence acceptance bound; a
-//                   finite number >= 0)
+//                   BENCH_search.json and exit 2 unless every row of each
+//                   has a row in the other, or if any row's score is worse
+//                   than the reference's by more than --tolerance
+//                   (relative), its score_vs_oracle worsens by more than
+//                   --tolerance, or a flow row plans slower than
+//                   --budget-ms
+//   --tolerance F   allowed relative score and score_vs_oracle excess over
+//                   baseline (default 0.05 -- the oracle-equivalence
+//                   acceptance bound; a finite number >= 0)
 //   --budget-ms N   flow planning budget per cluster under --check
 //                   (default 1000, the dc256 acceptance criterion; > 0)
-// A bad --tolerance or --budget-ms prints usage and exits 2.
+//   --help          print usage and exit
+// An unknown flag, a bad --tolerance or --budget-ms prints usage and
+// exits 2.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -46,7 +52,7 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: bench_search_overhead [--csv] [--csv-header] [--out PATH] [--check PATH]\n"
-    "                             [--tolerance F] [--budget-ms N]\n";
+    "                             [--tolerance F] [--budget-ms N] [--help]\n";
 
 using namespace hetis;
 
@@ -57,7 +63,6 @@ struct SearchRow {
   int devices = 0;
   double plan_ms = 0;
   std::size_t lp_solves = 0;
-  std::size_t pivots = 0;
   int evaluated = 0;
   double score = 0;
   // Relative score excess of this plan over the exhaustive oracle's on the
@@ -67,16 +72,15 @@ struct SearchRow {
 };
 
 constexpr const char* kCsvHeader =
-    "cluster,planner,objective,devices,plan_ms,lp_solves,pivots,evaluated,"
+    "cluster,planner,objective,devices,plan_ms,lp_solves,evaluated,"
     "score,score_vs_oracle";
 
 std::string row_csv(const SearchRow& r) {
   std::ostringstream oss;
   oss << engine::csv_field(r.cluster) << ',' << engine::csv_field(r.planner) << ','
       << engine::csv_field(r.objective) << ',' << r.devices << ','
-      << engine::csv_double(r.plan_ms) << ',' << r.lp_solves << ',' << r.pivots << ','
-      << r.evaluated << ',' << engine::csv_double(r.score) << ','
-      << engine::csv_double(r.score_vs_oracle);
+      << engine::csv_double(r.plan_ms) << ',' << r.lp_solves << ',' << r.evaluated << ','
+      << engine::csv_double(r.score) << ',' << engine::csv_double(r.score_vs_oracle);
   return oss.str();
 }
 
@@ -86,7 +90,7 @@ std::string row_json(const SearchRow& r) {
       << engine::json_escape(r.planner) << "\",\"objective\":\""
       << engine::json_escape(r.objective) << "\",\"devices\":" << r.devices
       << ",\"plan_ms\":" << engine::csv_double(r.plan_ms) << ",\"lp_solves\":" << r.lp_solves
-      << ",\"pivots\":" << r.pivots << ",\"evaluated\":" << r.evaluated
+      << ",\"evaluated\":" << r.evaluated
       << ",\"score\":" << engine::csv_double(r.score)
       << ",\"score_vs_oracle\":" << engine::csv_double(r.score_vs_oracle) << "}";
   return oss.str();
@@ -129,19 +133,18 @@ SearchRow timed_plan(const std::string& cluster_name, const std::string& planner
   row.devices = cluster.num_devices();
   row.plan_ms = wall * 1e3;
   row.lp_solves = diag.lp_solves;
-  row.pivots = diag.solver_iterations;
   row.evaluated = diag.configurations_evaluated;
   row.score = plan_score(cluster, model, plan, objective);
   return row;
 }
 
 /// Minimal scanner for a BENCH_search.json written by this bench: extracts
-/// (cluster, planner, objective, plan_ms, score_vs_oracle) per row.
+/// (cluster, planner, objective, score, score_vs_oracle) per row.
 struct RefRow {
   std::string cluster;
   std::string planner;
   std::string objective;
-  double plan_ms = 0;
+  double score = 0;
   double vs_oracle = 0;
 };
 
@@ -172,7 +175,7 @@ std::vector<RefRow> load_reference(const std::string& path) {
     r.cluster = grab(pos, "cluster");
     r.planner = grab(pos, "planner");
     r.objective = grab(pos, "objective");
-    r.plan_ms = std::atof(grab(pos, "plan_ms").c_str());
+    r.score = std::atof(grab(pos, "score").c_str());
     r.vs_oracle = std::atof(grab(pos, "score_vs_oracle").c_str());
     if (!r.cluster.empty() && !r.planner.empty()) rows.push_back(r);
     ++pos;
@@ -184,6 +187,8 @@ std::vector<RefRow> load_reference(const std::string& path) {
 
 int main(int argc, char** argv) {
   using namespace hetis;
+  bench::check_flags(argc, argv, {"--csv", "--csv-header"},
+                     {"--out", "--check", "--tolerance", "--budget-ms"}, kUsage);
   if (bench::flag_requested(argc, argv, "--csv-header")) {
     std::printf("%s\n", kCsvHeader);
     return 0;
@@ -248,46 +253,68 @@ int main(int argc, char** argv) {
     for (const auto& r : rows) std::printf("%s\n", row_csv(r).c_str());
   } else {
     std::printf("=== Search scalability: Llama-70B, %s objective ===\n", objective.c_str());
-    std::printf("%-8s %-11s %8s %10s %10s %8s %10s %14s\n", "cluster", "planner", "devices",
-                "plan(ms)", "lp_solves", "pivots", "score", "vs_oracle");
+    std::printf("%-8s %-11s %8s %10s %10s %10s %10s %14s\n", "cluster", "planner", "devices",
+                "plan(ms)", "lp_solves", "evaluated", "score", "vs_oracle");
     for (const auto& r : rows) {
-      std::printf("%-8s %-11s %8d %10.1f %10zu %8zu %10.4g %14.3f\n", r.cluster.c_str(),
-                  r.planner.c_str(), r.devices, r.plan_ms, r.lp_solves, r.pivots, r.score,
+      std::printf("%-8s %-11s %8d %10.1f %10zu %10d %10.4g %14.3f\n", r.cluster.c_str(),
+                  r.planner.c_str(), r.devices, r.plan_ms, r.lp_solves, r.evaluated, r.score,
                   r.score_vs_oracle);
     }
     if (out_path != "-") std::printf("wrote %s\n", out_path.c_str());
   }
 
-  // Threshold guard: plan quality is deterministic, so score_vs_oracle may
-  // not worsen past the committed baseline by more than the tolerance; flow
-  // planning time must stay inside the absolute budget (wall-clock, so the
-  // bound is generous rather than a ratio against a noisy baseline).
+  // Threshold guard: plan quality is deterministic, so neither a row's
+  // score nor its score_vs_oracle may worsen past the committed baseline by
+  // more than the tolerance, and every row must have its counterpart (a
+  // stale reference gates nothing); flow planning time must stay inside the
+  // absolute budget (wall-clock, so the bound is generous rather than a
+  // ratio against a noisy baseline).
   if (!check_path.empty()) {
     const std::vector<RefRow> ref = load_reference(check_path);
     if (ref.empty()) {
       std::fprintf(stderr, "ERROR: --check found no rows in %s\n", check_path.c_str());
       return 2;
     }
+    auto same_cell = [](const RefRow& r, const SearchRow& cur) {
+      return cur.cluster == r.cluster && cur.planner == r.planner && cur.objective == r.objective;
+    };
     int failures = 0;
+    for (const SearchRow& cur : rows) {
+      if (std::none_of(ref.begin(), ref.end(),
+                       [&](const RefRow& r) { return same_cell(r, cur); })) {
+        std::fprintf(stderr, "FAIL: %s/%s/%s has no reference row in %s\n", cur.cluster.c_str(),
+                     cur.planner.c_str(), cur.objective.c_str(), check_path.c_str());
+        ++failures;
+      }
+    }
     for (const RefRow& r : ref) {
-      for (const SearchRow& cur : rows) {
-        if (cur.cluster != r.cluster || cur.planner != r.planner ||
-            cur.objective != r.objective) {
-          continue;
-        }
-        if (cur.score_vs_oracle > r.vs_oracle + tolerance) {
-          std::fprintf(stderr,
-                       "FAIL: %s/%s plan quality regressed: score_vs_oracle %+.3f > "
-                       "baseline %+.3f + %.0f%%\n",
-                       r.cluster.c_str(), r.planner.c_str(), cur.score_vs_oracle,
-                       r.vs_oracle, tolerance * 100.0);
-          ++failures;
-        }
-        if (cur.planner == "flow" && cur.plan_ms > budget_ms) {
-          std::fprintf(stderr, "FAIL: %s/flow planned in %.1f ms > %.0f ms budget\n",
-                       r.cluster.c_str(), cur.plan_ms, budget_ms);
-          ++failures;
-        }
+      const auto it = std::find_if(rows.begin(), rows.end(),
+                                   [&](const SearchRow& cur) { return same_cell(r, cur); });
+      if (it == rows.end()) {
+        std::fprintf(stderr, "FAIL: reference row %s/%s/%s has no row in this run\n",
+                     r.cluster.c_str(), r.planner.c_str(), r.objective.c_str());
+        ++failures;
+        continue;
+      }
+      const SearchRow& cur = *it;
+      if (cur.score > r.score + tolerance * std::abs(r.score)) {
+        std::fprintf(stderr,
+                     "FAIL: %s/%s plan quality regressed: score %.6g > baseline %.6g + %.0f%%\n",
+                     r.cluster.c_str(), r.planner.c_str(), cur.score, r.score, tolerance * 100.0);
+        ++failures;
+      }
+      if (cur.score_vs_oracle > r.vs_oracle + tolerance) {
+        std::fprintf(stderr,
+                     "FAIL: %s/%s plan quality regressed: score_vs_oracle %+.3f > "
+                     "baseline %+.3f + %.0f%%\n",
+                     r.cluster.c_str(), r.planner.c_str(), cur.score_vs_oracle,
+                     r.vs_oracle, tolerance * 100.0);
+        ++failures;
+      }
+      if (cur.planner == "flow" && cur.plan_ms > budget_ms) {
+        std::fprintf(stderr, "FAIL: %s/flow planned in %.1f ms > %.0f ms budget\n",
+                     r.cluster.c_str(), cur.plan_ms, budget_ms);
+        ++failures;
       }
     }
     if (failures > 0) return 2;

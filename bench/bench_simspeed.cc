@@ -32,7 +32,8 @@
 //                   hot-path shortcut.  Wall-clock speed is not gated here:
 //                   one host's noisy wall time is no evidence either way
 //                   (perfbench measures it over interleaved runs)
-// A bad --requests or --rate prints usage and exits 2.
+//   --help          print usage and exit
+// An unknown flag, a bad --requests or --rate prints usage and exits 2.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -52,7 +53,7 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: bench_simspeed [--csv] [--csv-header] [--requests N] [--rate R] [--out PATH]\n"
-    "                     [--check PATH]\n";
+    "                     [--check PATH] [--help]\n";
 
 using namespace hetis;
 
@@ -207,6 +208,8 @@ std::vector<RefRow> load_reference(const std::string& path) {
 
 int main(int argc, char** argv) {
   using namespace hetis;
+  bench::check_flags(argc, argv, {"--csv", "--csv-header"},
+                     {"--requests", "--rate", "--out", "--check"}, kUsage);
   if (bench::flag_requested(argc, argv, "--csv-header")) {
     std::printf("%s\n", kCsvHeader);
     return 0;

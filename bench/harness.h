@@ -14,10 +14,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -71,6 +73,33 @@ inline harness::ExperimentSpec paper_spec(const std::string& name, const std::st
   spec.run = engine::RunOptions(kDrain);
   spec.engine_options["hetis"] = engine::EngineOptions(hetis_options());
   return spec;
+}
+
+/// Rejects a command line the bench does not know before anything runs (a
+/// bench that ran anyway would overwrite its JSON snapshot): `--help`
+/// prints `usage` and exits 0; an argument that is neither one of
+/// `switches` nor one of `valued` followed by its value prints `usage` to
+/// stderr and exits 2.
+inline void check_flags(int argc, char** argv, std::initializer_list<std::string_view> switches,
+                        std::initializer_list<std::string_view> valued, const char* usage) {
+  auto known = [](std::initializer_list<std::string_view> flags, std::string_view arg) {
+    return std::find(flags.begin(), flags.end(), arg) != flags.end();
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--help") {
+      std::printf("%s", usage);
+      std::exit(0);
+    }
+    if (known(switches, arg)) continue;
+    if (known(valued, arg) && i + 1 < argc) {
+      ++i;
+      continue;
+    }
+    std::fprintf(stderr, "%s '%s'\n%s",
+                 known(valued, arg) ? "missing value for" : "unknown argument", argv[i], usage);
+    std::exit(2);
+  }
 }
 
 /// True when the bench was invoked with `flag` (e.g. "--csv", "--progress").

@@ -25,11 +25,14 @@
 // per-device memory, where the paper's LP has one cluster-wide memory row.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
-#include "lp/simplex.h"
-
 namespace hetis::lp {
+
+/// Outcome of `solve_one`: kMalformed reports non-finite inputs, so callers
+/// branch on a typed status instead of chasing poisoned arithmetic.
+enum class Status : std::uint8_t { kOptimal, kInfeasible, kMalformed };
 
 /// Weight of the secondary objective: among placements with the same
 /// bottleneck t, prefer the one with the least total work, so heads stay on
@@ -55,7 +58,7 @@ struct MinMaxProblem {
 
 /// Continuous optimum of the one-request LP.
 struct MinMaxSolution {
-  Status status = Status::kIterLimit;
+  Status status = Status::kInfeasible;
   double bottleneck = 0.0;    // t: max_i f_i at the optimum
   std::vector<double> heads;  // x_i per device
 

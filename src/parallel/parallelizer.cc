@@ -45,8 +45,7 @@ std::string ParallelPlan::to_string(const hw::Cluster& cluster,
         << ", groupings=" << diag->instances_considered << ", pruned=" << diag->pruned_devices
         << ", best_score=" << diag->best_cost << ", wall=" << diag->wall_time << "s";
     if (diag->lp_solves > 0) {
-      oss << ", lp_solves=" << diag->lp_solves << ", pivots=" << diag->solver_iterations
-          << ", relaxation_gap=" << diag->relaxation_gap;
+      oss << ", lp_solves=" << diag->lp_solves << ", relaxation_gap=" << diag->relaxation_gap;
     }
     if (!diag->fallback_reason.empty()) oss << ", fallback=" << diag->fallback_reason;
     oss << "}";

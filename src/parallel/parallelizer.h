@@ -76,10 +76,9 @@ struct SearchDiagnostics {
                          // objectives like goodput_per_device)
   Seconds wall_time = 0;
   // Flow-planner extras (zero / empty on the exhaustive path).
-  std::size_t lp_solves = 0;          // feasibility LPs solved
-  std::size_t solver_iterations = 0;  // simplex pivots across all LPs
-  double relaxation_gap = 0;          // (exact score - LP bound) / LP bound
-  std::string fallback_reason;        // why flow deferred to the oracle ("" = it didn't)
+  std::size_t lp_solves = 0;    // relaxed primaries solves, one per ladder rung
+  double relaxation_gap = 0;    // (exact iteration cost - C*) / C*
+  std::string fallback_reason;  // why flow deferred to the oracle ("" = it didn't)
 };
 
 class Parallelizer {

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/log.h"
-#include "lp/simplex.h"
 
 namespace hetis::planner {
 
@@ -34,12 +33,10 @@ constexpr double kLadder[] = {0.0, 0.05, 0.15, 0.3, 0.6, 1.0};
 /// combinations; the descent visits a few dozen).
 constexpr std::size_t kMaxCrossProduct = 1024;
 
-// One GPU type's per-instance aggregate: the only granularity the LP sees.
-struct TypeAgg {
+// One GPU type's per-instance device share.
+struct TypeShare {
   hw::GpuType type;
   std::vector<int> share_ids;  // instance-0 device ids, cluster order
-  double tau1 = 0;             // per-layer cost of ONE device (perfect scaling)
-  double mem = 0;              // parameter bytes one device may hold
 };
 
 // Largest-remainder layer split proportional to stage speed.  Identical
@@ -81,55 +78,91 @@ std::vector<int> balance_layers(int total, const std::vector<double>& per_layer_
   return layers;
 }
 
-// Feasibility LP for bottleneck cost C.  Variables [f_0..f_{T-1},
-// l_0..l_{T-1}]: primaries and layers per type.
-struct LpOutcome {
-  bool feasible = false;
-  std::vector<double> f;  // continuous primaries per type
-};
-
-LpOutcome solve_placement_lp(const std::vector<TypeAgg>& types, double C, int layers,
-                             double layer_bytes, parallel::SearchDiagnostics& diag) {
-  const std::size_t T = types.size();
-  lp::Problem p;
-  p.num_vars = 2 * T;
-  p.objective.assign(2 * T, 0.0);
-  for (std::size_t t = 0; t < T; ++t) p.objective[t] = types[t].tau1;
-
-  std::vector<double> row(2 * T, 0.0);
-  for (std::size_t t = 0; t < T; ++t) row[T + t] = 1.0;
-  p.add_eq(row, static_cast<double>(layers));  // sum l_t = L
-  for (std::size_t t = 0; t < T; ++t) {
-    row.assign(2 * T, 0.0);
-    row[T + t] = types[t].tau1;  // tau_t * l_t <= C * f_t
-    row[t] = -C;
-    p.add_le(row, 0.0);
-  }
-  for (std::size_t t = 0; t < T; ++t) {
-    row.assign(2 * T, 0.0);
-    row[t] = 1.0;  // f_t <= n_t
-    p.add_le(row, static_cast<double>(types[t].share_ids.size()));
-  }
-  for (std::size_t t = 0; t < T; ++t) {
-    row.assign(2 * T, 0.0);
-    row[T + t] = layer_bytes;  // parameters of l_t layers fit on f_t devices
-    row[t] = -types[t].mem;
-    p.add_le(row, 0.0);
-  }
-  row.assign(2 * T, 0.0);
-  for (std::size_t t = 0; t < T; ++t) row[t] = 1.0;
-  p.add_ge(row, 1.0);  // at least one primary
-
-  lp::Solution sol = lp::solve(p);
-  ++diag.lp_solves;
-  diag.solver_iterations += sol.iterations;
-  LpOutcome out;
-  out.feasible = sol.ok();
-  if (sol.ok()) out.f.assign(sol.x.begin(), sol.x.begin() + static_cast<std::ptrdiff_t>(T));
-  return out;
+/// Layers one device of type `a` carries at bottleneck cost C: 1 / k_t with
+/// k_t = max(tau_t / C, 1 / m_t); 0 for a type that can host nothing.
+double layers_per_device(const TypeAggregate& a, double cost) {
+  if (a.count <= 0 || !std::isfinite(a.tau)) return 0.0;
+  return std::min(cost / a.tau, a.room);
 }
 
 }  // namespace
+
+double min_bottleneck_cost(const std::vector<TypeAggregate>& types, int layers) {
+  // g(C) = sum_t n_t * min(C / tau_t, m_t) is concave and piecewise linear
+  // with a kink at each tau_t * m_t, where type t turns memory-bound.
+  // Between kinks g(C) = held + C * speed: `held` counts the layers of the
+  // memory-bound types, `speed` sums n_t / tau_t over the others.
+  std::vector<std::size_t> order;
+  for (std::size_t t = 0; t < types.size(); ++t) {
+    if (layers_per_device(types[t], kInf) > 0.0) order.push_back(t);
+  }
+  auto kink = [&types](std::size_t t) { return types[t].tau * types[t].room; };
+  std::stable_sort(order.begin(), order.end(),
+                   [&kink](std::size_t a, std::size_t b) { return kink(a) < kink(b); });
+  std::vector<double> speed(order.size() + 1, 0.0);  // suffix sums
+  for (std::size_t j = order.size(); j-- > 0;) {
+    speed[j] = speed[j + 1] + types[order[j]].count / types[order[j]].tau;
+  }
+  double held = 0.0;
+  for (std::size_t j = 0; j < order.size(); ++j) {
+    const double cost = (layers - held) / speed[j];
+    if (cost <= kink(order[j])) return cost;
+    held += types[order[j]].count * types[order[j]].room;
+  }
+  return kInf;  // every type is memory-bound and still short of L layers
+}
+
+std::vector<double> cheapest_primaries(const std::vector<TypeAggregate>& types, int layers,
+                                       double cost) {
+  std::vector<double> carry(types.size());
+  std::vector<std::size_t> order;
+  for (std::size_t t = 0; t < types.size(); ++t) {
+    carry[t] = layers_per_device(types[t], cost);
+    if (carry[t] > 0.0) order.push_back(t);
+  }
+  // Fractional knapsack: cover L layers cheapest per-layer cost
+  // tau_t * k_t = tau_t / carry_t first.
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return types[a].tau / carry[a] < types[b].tau / carry[b];
+  });
+  std::vector<double> f(types.size(), 0.0);
+  double left = layers;
+  double used = 0.0;
+  for (std::size_t t : order) {
+    if (left <= 0.0) break;
+    f[t] = std::min(static_cast<double>(types[t].count), left / carry[t]);
+    left -= f[t] * carry[t];
+    used += f[t];
+  }
+  if (left > 1e-12 * layers) return {};
+  if (used >= 1.0) return f;
+
+  // A fraction of a device covers L, so the sum f >= 1 row binds.  The
+  // optimum with sum f = 1 is a vertex: one type whose single device
+  // carries L, or two types s and t with carry_s > L > carry_t mixed so the
+  // layer row is tight.  Ties keep the knapsack's order.
+  double best = kInf;
+  for (std::size_t s : order) {
+    if (carry[s] < layers) continue;
+    if (types[s].tau < best) {
+      best = types[s].tau;
+      std::fill(f.begin(), f.end(), 0.0);
+      f[s] = 1.0;
+    }
+    for (std::size_t t : order) {
+      if (carry[t] >= layers) continue;
+      const double w = (layers - carry[t]) / (carry[s] - carry[t]);
+      const double mix = w * types[s].tau + (1.0 - w) * types[t].tau;
+      if (mix < best) {
+        best = mix;
+        std::fill(f.begin(), f.end(), 0.0);
+        f[s] = w;
+        f[t] = 1.0 - w;
+      }
+    }
+  }
+  return f;
+}
 
 FlowPlanner::FlowPlanner(const hw::Cluster& cluster, const model::ModelSpec& model,
                          parallel::ParallelizerOptions opts)
@@ -189,7 +222,7 @@ parallel::ParallelPlan FlowPlanner::plan(const parallel::WorkloadProfile& profil
     PlanEstimate est;
     int d = 1;
     int pruned = 0;
-    double c_star = 0;  // LP bound on the bottleneck stage cost
+    double c_star = 0;  // relaxed bound C* on the bottleneck stage cost
   };
   std::vector<Winner> per_d(candidates_d.size());
 
@@ -200,19 +233,17 @@ parallel::ParallelPlan FlowPlanner::plan(const parallel::WorkloadProfile& profil
     share.decode_batch = std::max<std::int64_t>(1, profile.decode_batch / d);
 
     // --- 1. Type aggregation over instance 0's device share ---
-    std::vector<TypeAgg> aggs;
+    std::vector<TypeShare> aggs;
+    std::vector<TypeAggregate> relaxed;
     for (hw::GpuType t : types) {
       const auto& devs = by_type.at(t);
       int per = static_cast<int>(devs.size()) / d;
       if (per == 0) continue;
-      TypeAgg a;
-      a.type = t;
-      a.share_ids.assign(devs.begin(), devs.begin() + per);
-      a.tau1 = oracle_.perfect_scaling_cost({{t, 1}}, share) / L;
+      aggs.push_back({t, std::vector<int>(devs.begin(), devs.begin() + per)});
       // Leave 10% of device memory as activation/runtime headroom; the
       // evaluator's hosts_model() check is the exact arbiter downstream.
-      a.mem = 0.9 * static_cast<double>(hw::gpu_spec(t).memory);
-      aggs.push_back(std::move(a));
+      relaxed.push_back({per, oracle_.perfect_scaling_cost({{t, 1}}, share) / L,
+                         0.9 * static_cast<double>(hw::gpu_spec(t).memory) / layer_bytes});
     }
     if (aggs.empty()) continue;
     const std::size_t T = aggs.size();
@@ -247,7 +278,7 @@ parallel::ParallelPlan FlowPlanner::plan(const parallel::WorkloadProfile& profil
       std::vector<int> layers = balance_layers(L, per_layer);
       for (std::size_t k = 0; k < used.size(); ++k) {
         if (layers[k] == 0) continue;  // degenerate split; devices stay idle
-        const TypeAgg& a = aggs[used[k]];
+        const TypeShare& a = aggs[used[k]];
         StageConfig stage;
         stage.devices.assign(a.share_ids.end() - f[used[k]], a.share_ids.end());
         stage.layers = layers[k];
@@ -257,7 +288,7 @@ parallel::ParallelPlan FlowPlanner::plan(const parallel::WorkloadProfile& profil
       if (keep_workers) {
         // Low-end types first, front-of-share ids first: the walk order.
         for (std::size_t t = T; t-- > 0;) {
-          const TypeAgg& a = aggs[t];
+          const TypeShare& a = aggs[t];
           int demoted = static_cast<int>(a.share_ids.size()) - f[t];
           cfg.attention_workers.insert(cfg.attention_workers.end(), a.share_ids.begin(),
                                        a.share_ids.begin() + demoted);
@@ -350,41 +381,22 @@ parallel::ParallelPlan FlowPlanner::plan(const parallel::WorkloadProfile& profil
         }
       }
 
-      // --- 2-3. Bisection on the bottleneck cost + the rounding ladder ---
-      double c_lo = 0.0;
-      for (const TypeAgg& a : aggs) {
-        c_lo += static_cast<double>(a.share_ids.size()) / a.tau1;
-      }
-      c_lo = L / c_lo;  // all devices, perfect balance: unbeatable bound
-      double c_hi = c_lo;
-      bool lp_feasible = false;
-      for (int i = 0; i < 60; ++i) {
-        if (solve_placement_lp(aggs, c_hi, L, layer_bytes, diag_).feasible) {
-          lp_feasible = true;
-          break;
-        }
-        c_lo = c_hi;
-        c_hi *= 2.0;
-      }
-      if (lp_feasible) {
-        while (c_hi - c_lo > 1e-3 * c_hi) {
-          double mid = 0.5 * (c_lo + c_hi);
-          if (solve_placement_lp(aggs, mid, L, layer_bytes, diag_).feasible) {
-            c_hi = mid;
-          } else {
-            c_lo = mid;
-          }
-        }
-        best.c_star = c_hi;
+      // --- 2-3. The relaxed bottleneck bound C* + the rounding ladder ---
+      // A grouping whose memory cannot hold the model has no C* and no
+      // ladder.
+      const double c_star = min_bottleneck_cost(relaxed, L);
+      if (std::isfinite(c_star)) {
+        best.c_star = c_star;
         for (double delta : kLadder) {
-          LpOutcome lp = solve_placement_lp(aggs, c_hi * (1.0 + delta), L, layer_bytes, diag_);
-          if (!lp.feasible) continue;
+          const std::vector<double> f = cheapest_primaries(relaxed, L, c_star * (1.0 + delta));
+          ++diag_.lp_solves;
+          if (f.empty()) continue;
           std::vector<int> rounded(T, 0);
           int total = 0;
           for (std::size_t t = 0; t < T; ++t) {
-            if (lp.f[t] > 1e-6) {
+            if (f[t] > 1e-6) {
               rounded[t] = std::min(static_cast<int>(aggs[t].share_ids.size()),
-                                    static_cast<int>(std::ceil(lp.f[t] - 1e-6)));
+                                    static_cast<int>(std::ceil(f[t] - 1e-6)));
             }
             total += rounded[t];
           }
@@ -505,7 +517,6 @@ parallel::ParallelPlan FlowPlanner::plan(const parallel::WorkloadProfile& profil
     diag_ = oracle_.diagnostics();
     diag_.planner = "flow";
     diag_.lp_solves = saved.lp_solves;
-    diag_.solver_iterations = saved.solver_iterations;
     diag_.fallback_reason = saved.fallback_reason;
     diag_.configurations_evaluated += saved.configurations_evaluated;
     diag_.wall_time =

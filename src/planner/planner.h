@@ -8,11 +8,11 @@
 //                   testbed-sized clusters and hopeless for datacenters.
 //   "flow"       -- LP relaxation over the same cost model
 //                   (planner/flow_planner.h): aggregates devices by type,
-//                   bisects on the bottleneck stage cost with small
-//                   feasibility LPs, rounds a ladder of primal solutions
-//                   into concrete candidates and re-scores them EXACTLY
-//                   through the PlanEvaluator, so the LP only decides what
-//                   to look at, never what wins.  Planning cost grows with
+//                   solves for the least bottleneck stage cost and the
+//                   cheapest primaries in closed form, rounds a ladder of
+//                   relaxed solutions into concrete candidates and
+//                   re-scores them EXACTLY through the PlanEvaluator, so
+//                   the LP only decides what to look at, never what wins.  Planning cost grows with
 //                   the number of GPU *types*, not GPUs.
 //   "auto"       -- exhaustive up to kAutoExhaustiveMaxDevices devices
 //                   (keeping small-cluster plans byte-identical to the

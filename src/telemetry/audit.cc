@@ -47,7 +47,6 @@ void write_diagnostics(std::ostream& os, const parallel::SearchDiagnostics& d) {
      << ",\"instances_considered\":" << d.instances_considered
      << ",\"pruned_devices\":" << d.pruned_devices << ",\"best_cost\":" << csv_double(d.best_cost)
      << ",\"wall_time\":" << csv_double(d.wall_time) << ",\"lp_solves\":" << d.lp_solves
-     << ",\"solver_iterations\":" << d.solver_iterations
      << ",\"relaxation_gap\":" << csv_double(d.relaxation_gap) << ",\"fallback_reason\":\""
      << json_escape(d.fallback_reason) << "\"}";
 }

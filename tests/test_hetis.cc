@@ -390,7 +390,6 @@ void expect_serves(const HetisEngine& eng, const Search& want) {
   EXPECT_EQ(got.pruned_devices, want.diag.pruned_devices);
   EXPECT_EQ(got.best_cost, want.diag.best_cost);
   EXPECT_EQ(got.lp_solves, want.diag.lp_solves);
-  EXPECT_EQ(got.solver_iterations, want.diag.solver_iterations);
   EXPECT_EQ(got.relaxation_gap, want.diag.relaxation_gap);
   EXPECT_EQ(got.fallback_reason, want.diag.fallback_reason);
 }

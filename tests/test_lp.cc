@@ -1,223 +1,17 @@
-// Unit + property tests: simplex solver and the min-max dispatch LP.
+// Unit + property tests: the min-max dispatch LP.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "lp/minmax.h"
-#include "lp/simplex.h"
 
 namespace hetis::lp {
 namespace {
-
-// --- Simplex ---
-
-/// A problem over as many variables as `objective` has coefficients.  The
-/// vector is moved in rather than brace-assigned to the empty member:
-/// GCC 12 misreads that assignment once it is made at this many call sites
-/// (a bogus -Wnonnull on the memmove inside vector::assign).
-Problem with_objective(std::vector<double> objective) {
-  Problem p;
-  p.num_vars = objective.size();
-  p.objective = std::move(objective);
-  return p;
-}
-
-TEST(Simplex, SimpleMaximizationAsMinimization) {
-  // max 3x + 2y s.t. x + y <= 4, x <= 2  ->  min -3x - 2y.
-  Problem p = with_objective({-3, -2});
-  p.add_le({1, 1}, 4);
-  p.add_le({1, 0}, 2);
-  Solution s = solve(p);
-  ASSERT_TRUE(s.ok());
-  EXPECT_NEAR(s.x[0], 2.0, 1e-9);
-  EXPECT_NEAR(s.x[1], 2.0, 1e-9);
-  EXPECT_NEAR(s.objective, -10.0, 1e-9);
-}
-
-TEST(Simplex, EqualityConstraints) {
-  // min x + y s.t. x + y = 5, x >= 0, y >= 0 -> objective 5.
-  Problem p = with_objective({1, 1});
-  p.add_eq({1, 1}, 5);
-  Solution s = solve(p);
-  ASSERT_TRUE(s.ok());
-  EXPECT_NEAR(s.objective, 5.0, 1e-9);
-  EXPECT_NEAR(s.x[0] + s.x[1], 5.0, 1e-9);
-}
-
-TEST(Simplex, GreaterEqualConstraints) {
-  // min 2x + 3y s.t. x + y >= 4, x - y >= -2.
-  Problem p = with_objective({2, 3});
-  p.add_ge({1, 1}, 4);
-  p.add_ge({1, -1}, -2);
-  Solution s = solve(p);
-  ASSERT_TRUE(s.ok());
-  EXPECT_NEAR(s.objective, 8.0, 1e-9);  // x=4, y=0
-}
-
-TEST(Simplex, InfeasibleDetected) {
-  Problem p = with_objective({1});
-  p.add_le({1}, 1);
-  p.add_ge({1}, 2);
-  Solution s = solve(p);
-  EXPECT_EQ(s.status, Status::kInfeasible);
-}
-
-TEST(Simplex, UnboundedDetected) {
-  Problem p = with_objective({-1});  // max x with no upper bound
-  p.add_ge({1}, 0);
-  Solution s = solve(p);
-  EXPECT_EQ(s.status, Status::kUnbounded);
-}
-
-TEST(Simplex, NegativeRhsNormalized) {
-  // x <= -1 is infeasible for x >= 0; -x <= -1 means x >= 1.
-  Problem p = with_objective({1});
-  p.add_le({-1}, -1);  // -x <= -1  <=>  x >= 1
-  Solution s = solve(p);
-  ASSERT_TRUE(s.ok());
-  EXPECT_NEAR(s.x[0], 1.0, 1e-9);
-}
-
-TEST(Simplex, DegenerateProblemTerminates) {
-  // Redundant constraints; Bland's rule must avoid cycling.
-  Problem p = with_objective({-1, -1});
-  p.add_le({1, 1}, 1);
-  p.add_le({1, 1}, 1);
-  p.add_le({2, 2}, 2);
-  p.add_le({1, 0}, 1);
-  Solution s = solve(p);
-  ASSERT_TRUE(s.ok());
-  EXPECT_NEAR(s.objective, -1.0, 1e-9);
-}
-
-TEST(Simplex, ShapeValidation) {
-  Problem p = with_objective({1});
-  p.num_vars = 2;  // objective of the wrong size
-  EXPECT_THROW(solve(p), std::invalid_argument);
-  p.objective.push_back(1);
-  p.constraints.push_back(Constraint{{1.0}, Relation::kLe, 1.0});  // wrong size
-  EXPECT_THROW(solve(p), std::invalid_argument);
-}
-
-TEST(Simplex, StatusStrings) {
-  EXPECT_STREQ(to_string(Status::kOptimal), "optimal");
-  EXPECT_STREQ(to_string(Status::kInfeasible), "infeasible");
-  EXPECT_STREQ(to_string(Status::kUnbounded), "unbounded");
-  EXPECT_STREQ(to_string(Status::kMalformed), "malformed");
-}
-
-// Non-finite inputs come back as a typed kMalformed status (never an
-// assert or NaN-poisoned tableau): the flow planner legitimately produces
-// infinite cost coefficients for impossible configurations and branches on
-// the status.
-TEST(Simplex, MalformedInputsReported) {
-  const double nan = std::nan("");
-  const double inf = std::numeric_limits<double>::infinity();
-  for (int where = 0; where < 3; ++where) {
-    for (double bad : {nan, inf, -inf}) {
-      Problem p = with_objective({1, 1});
-      p.add_le({1, 1}, 4);
-      if (where == 0) p.objective[1] = bad;
-      if (where == 1) p.constraints[0].coeffs[0] = bad;
-      if (where == 2) p.constraints[0].rhs = bad;
-      Solution s = solve(p);
-      EXPECT_EQ(s.status, Status::kMalformed) << "where=" << where << " bad=" << bad;
-      EXPECT_FALSE(s.ok());
-      EXPECT_TRUE(s.x.empty());
-    }
-  }
-}
-
-TEST(Simplex, IterationsCountPivots) {
-  Problem p = with_objective({-3, -2});
-  p.add_le({1, 1}, 4);
-  p.add_le({1, 0}, 2);
-  Solution s = solve(p);
-  ASSERT_TRUE(s.ok());
-  EXPECT_GT(s.iterations, 0u);  // reaching this optimum needs real pivots
-  // Statuses short of optimal still report the work done getting there.
-  Problem q = with_objective({1});
-  q.add_le({1}, 1);
-  q.add_ge({1}, 2);
-  EXPECT_EQ(solve(q).status, Status::kInfeasible);
-}
-
-TEST(Simplex, ZeroVariableShell) {
-  // A degenerate n == 0 problem is vacuously optimal when every constraint
-  // holds at x = {} and infeasible otherwise -- it must not index into an
-  // empty tableau.
-  Problem p;
-  p.num_vars = 0;
-  Solution s = solve(p);
-  EXPECT_EQ(s.status, Status::kOptimal);
-  EXPECT_EQ(s.objective, 0.0);
-  p.constraints.push_back(Constraint{{}, Relation::kGe, 1.0});  // 0 >= 1
-  EXPECT_EQ(solve(p).status, Status::kInfeasible);
-}
-
-// Property: on random feasible bounded LPs the simplex solution must be
-// feasible and no worse than a large sample of random feasible points.
-class SimplexRandom : public ::testing::TestWithParam<int> {};
-
-TEST_P(SimplexRandom, OptimalBeatsRandomFeasiblePoints) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()));
-  const std::size_t n = 3, m = 4;
-  Problem p;
-  p.num_vars = n;
-  for (std::size_t j = 0; j < n; ++j) p.objective.push_back(rng.uniform(0.1, 2.0));
-  // Constraints a.x <= b with positive a, b: box-like, always feasible
-  // (x=0) and bounded in the minimization sense; add a >= to make the
-  // optimum nontrivial.
-  std::vector<std::vector<double>> rows;
-  for (std::size_t i = 0; i < m; ++i) {
-    std::vector<double> row;
-    for (std::size_t j = 0; j < n; ++j) row.push_back(rng.uniform(0.1, 1.0));
-    double rhs = rng.uniform(1.0, 5.0);
-    p.add_le(row, rhs);
-    rows.push_back(row);
-  }
-  std::vector<double> ge_row;
-  for (std::size_t j = 0; j < n; ++j) ge_row.push_back(rng.uniform(0.5, 1.0));
-  p.add_ge(ge_row, 0.5);
-
-  Solution s = solve(p);
-  ASSERT_TRUE(s.ok());
-  // Feasibility.
-  for (std::size_t i = 0; i < m; ++i) {
-    double lhs = 0;
-    for (std::size_t j = 0; j < n; ++j) lhs += rows[i][j] * s.x[j];
-    EXPECT_LE(lhs, p.constraints[i].rhs + 1e-6);
-  }
-  double ge_lhs = 0;
-  for (std::size_t j = 0; j < n; ++j) ge_lhs += ge_row[j] * s.x[j];
-  EXPECT_GE(ge_lhs, 0.5 - 1e-6);
-  // Optimality against random feasible points.
-  for (int trial = 0; trial < 300; ++trial) {
-    std::vector<double> x(n);
-    for (auto& v : x) v = rng.uniform(0.0, 3.0);
-    bool feasible = true;
-    for (std::size_t i = 0; i < m && feasible; ++i) {
-      double lhs = 0;
-      for (std::size_t j = 0; j < n; ++j) lhs += rows[i][j] * x[j];
-      feasible = lhs <= p.constraints[i].rhs;
-    }
-    double g = 0;
-    for (std::size_t j = 0; j < n; ++j) g += ge_row[j] * x[j];
-    feasible = feasible && g >= 0.5;
-    if (!feasible) continue;
-    double obj = 0;
-    for (std::size_t j = 0; j < n; ++j) obj += p.objective[j] * x[j];
-    EXPECT_GE(obj, s.objective - 1e-6);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SimplexRandom, ::testing::Range(1, 13));
 
 // --- MinMax dispatch ---
 
@@ -398,7 +192,7 @@ TEST(MinMax, ExactSolveOfTheNegativeSimplexInstanceIsNonNegative) {
   EXPECT_EQ(rounded[0], 64);
 }
 
-// --- Differential: the exact one-request solve vs brute force and simplex --
+// --- Differential: the exact one-request solve vs brute force ---
 
 double per_head_cost(const MinMaxProblem& p, std::size_t i) {
   return p.head_cost[i] + p.cache_cost[i] * p.cache_per_head[0];
@@ -462,33 +256,6 @@ double brute_force_optimum(const MinMaxProblem& p) {
   double best = std::numeric_limits<double>::infinity();
   for (double t : ts) best = std::min(best, objective_at(p, by_cost, t));
   return best;
-}
-
-/// The epigraph LP of a one-request problem, variables (t, x_0..x_D-1),
-/// exactly as the admission path used to hand it to the dense simplex:
-/// time rows in seconds, memory rows in bytes.
-Problem raw_epigraph(const MinMaxProblem& p) {
-  const std::size_t d = p.num_devices();
-  Problem lp;
-  lp.num_vars = 1 + d;
-  lp.objective.assign(1 + d, 0.0);
-  lp.objective[0] = 1.0;
-  for (std::size_t i = 0; i < d; ++i) lp.objective[1 + i] = kTieBreak * per_head_cost(p, i);
-  for (std::size_t i = 0; i < d; ++i) {
-    std::vector<double> row(1 + d, 0.0);
-    row[0] = -1.0;
-    row[1 + i] = per_head_cost(p, i);
-    lp.add_le(row, -p.base_time[i]);
-  }
-  std::vector<double> integrity(1 + d, 1.0);
-  integrity[0] = 0.0;
-  lp.add_eq(integrity, p.demand[0]);
-  for (std::size_t i = 0; i < d; ++i) {
-    std::vector<double> row(1 + d, 0.0);
-    row[1 + i] = p.cache_per_head[0];
-    lp.add_le(row, std::max(0.0, p.mem_free[i]));
-  }
-  return lp;
 }
 
 /// LP objective of bottleneck t and placement x.
@@ -573,9 +340,9 @@ MinMaxProblem random_one_request(Rng& rng, std::size_t d, int r, int kind) {
   return p;
 }
 
-TEST(MinMaxExact, MatchesBruteForceAndNeverLosesToTheSimplex) {
+TEST(MinMaxExact, MatchesBruteForceOverTheBreakpoints) {
   Rng rng(20251116);
-  int solved = 0, infeasible = 0, simplex_feasible = 0, simplex_worse = 0;
+  int solved = 0, infeasible = 0;
   for (int trial = 0; trial < 12000; ++trial) {
     const std::size_t d = 1 + static_cast<std::size_t>(trial % 8);
     const int r = (trial / 8) % 2 == 0 ? 1 : 8;
@@ -595,22 +362,10 @@ TEST(MinMaxExact, MatchesBruteForceAndNeverLosesToTheSimplex) {
     ASSERT_TRUE(feasible(p, exact.bottleneck, exact.heads, 1e-12));
     const double best = lp_objective(p, exact.bottleneck, exact.heads);
     EXPECT_NEAR(best, reference, 1e-12 * reference);
-
-    const Solution simplex = solve(raw_epigraph(p));
-    if (!simplex.ok()) continue;
-    const std::vector<double> x(simplex.x.begin() + 1, simplex.x.end());
-    if (feasible(p, simplex.x[0], x, 1e-12)) {
-      ++simplex_feasible;
-      const double value = lp_objective(p, simplex.x[0], x);
-      EXPECT_LE(best, value * (1.0 + 1e-12));
-      simplex_worse += value > best * (1.0 + 1e-12);
-    }
   }
   // Every kind of instance was exercised, infeasible ones included.
   EXPECT_GT(infeasible, 1000);
   EXPECT_GT(solved, 9000);
-  RecordProperty("simplex_feasible", simplex_feasible);
-  RecordProperty("simplex_worse", simplex_worse);
 }
 
 // Property sweep: rounding never violates memory and always meets demand

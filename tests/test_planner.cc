@@ -1,17 +1,21 @@
 // Planner-tier tests: registry semantics, flow-vs-exhaustive oracle
-// equivalence on every small preset x objective, remap round-trips and the
-// datacenter presets the flow tier exists for.
+// equivalence on every small preset x objective, the flow tier's
+// closed-form relaxation against a vertex enumeration, remap round-trips
+// and the datacenter presets the flow tier exists for.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "harness/presets.h"
+#include "hw/gpu.h"
 #include "model/llm.h"
 #include "parallel/evaluator.h"
 #include "parallel/objective.h"
@@ -106,21 +110,273 @@ TEST(FlowPlannerOracle, DiagnosticsDescribeTheSearch) {
   const parallel::SearchDiagnostics& diag = flow.diagnostics();
   EXPECT_EQ(diag.planner, "flow");
   EXPECT_EQ(diag.objective, "throughput");
+  // One primaries solve per ladder rung in every grouping that can hold the
+  // model; the plan's iteration cost sits above the relaxed bound C*.
   EXPECT_GT(diag.lp_solves, 0u);
-  EXPECT_GT(diag.solver_iterations, 0u);
+  EXPECT_EQ(diag.lp_solves % 6, 0u);
   EXPECT_GT(diag.configurations_evaluated, 0);
-  EXPECT_GE(diag.relaxation_gap, 0.0);
+  EXPECT_GT(diag.relaxation_gap, 0.0);
+  EXPECT_TRUE(std::isfinite(diag.relaxation_gap));
   EXPECT_TRUE(diag.fallback_reason.empty()) << diag.fallback_reason;
 
   const std::string s = plan.to_string(cluster, &diag);
   EXPECT_NE(s.find("planner=flow"), std::string::npos) << s;
   EXPECT_NE(s.find("lp_solves="), std::string::npos) << s;
   EXPECT_NE(s.find("relaxation_gap="), std::string::npos) << s;
+  EXPECT_EQ(s.find("pivots"), std::string::npos) << s;
   // No fallback fired, so the reason must stay out of the summary.
   EXPECT_EQ(s.find("fallback="), std::string::npos) << s;
 
   planner::ExhaustivePlanner exhaustive(cluster, model, opts);
   EXPECT_EQ(exhaustive.diagnostics().planner, "exhaustive");
+}
+
+// --- closed-form relaxation --------------------------------------------
+
+using planner::TypeAggregate;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Layers one device of `a` carries at cost C; nothing for an unusable type.
+double carry(const TypeAggregate& a, double cost) {
+  return std::isfinite(a.tau) ? std::min(cost / a.tau, a.room) : 0.0;
+}
+
+/// g(C): layers all devices of every type cover at cost C.
+double coverage(const std::vector<TypeAggregate>& types, double cost) {
+  double g = 0.0;
+  for (const TypeAggregate& a : types) g += a.count * carry(a, cost);
+  return g;
+}
+
+/// sum_t tau_t * f_t over the types that host something.
+double primaries_cost(const std::vector<TypeAggregate>& types, const std::vector<double>& f) {
+  double c = 0.0;
+  for (std::size_t t = 0; t < types.size(); ++t) {
+    if (f[t] > 0.0) c += types[t].tau * f[t];
+  }
+  return c;
+}
+
+/// Every row of the primaries LP holds at f within `rel`: bounds, the
+/// layer row sum f_t * carry_t >= L and the device row sum f_t >= 1.
+bool primaries_feasible(const std::vector<TypeAggregate>& types, int layers, double cost,
+                        const std::vector<double>& f, double rel) {
+  if (f.size() != types.size()) return false;
+  double covered = 0.0, devices = 0.0;
+  for (std::size_t t = 0; t < types.size(); ++t) {
+    if (f[t] < 0.0 || f[t] > types[t].count * (1.0 + rel)) return false;
+    if (!std::isfinite(types[t].tau) && f[t] != 0.0) return false;
+    covered += f[t] * carry(types[t], cost);
+    devices += f[t];
+  }
+  return covered >= layers * (1.0 - rel) && devices >= 1.0 - rel;
+}
+
+/// Optimum of the primaries LP by vertex enumeration: every type sits at 0
+/// or n_t except at most two fractional ones, solved from the tight rows
+/// (one fractional type: either row; two: both).  +inf when infeasible.
+double brute_force_primaries(const std::vector<TypeAggregate>& types, int layers, double cost) {
+  const std::size_t n = types.size();
+  std::size_t states = 1;
+  for (std::size_t t = 0; t < n; ++t) states *= 3;
+  double best = kInf;
+  auto offer = [&](const std::vector<double>& f) {
+    if (primaries_feasible(types, layers, cost, f, 1e-12)) {
+      best = std::min(best, primaries_cost(types, f));
+    }
+  };
+  for (std::size_t code = 0; code < states; ++code) {
+    std::vector<double> f(n, 0.0);
+    std::vector<std::size_t> frac;
+    double held = 0.0, used = 0.0;
+    std::size_t c = code;
+    for (std::size_t t = 0; t < n; ++t, c /= 3) {
+      if (c % 3 == 1) {
+        f[t] = types[t].count;
+        held += f[t] * carry(types[t], cost);
+        used += f[t];
+      } else if (c % 3 == 2) {
+        frac.push_back(t);
+      }
+    }
+    if (frac.empty()) {
+      offer(f);
+    } else if (frac.size() == 1) {
+      const std::size_t s = frac[0];
+      if (carry(types[s], cost) > 0.0) {
+        f[s] = (layers - held) / carry(types[s], cost);
+        offer(f);
+      }
+      f[s] = 1.0 - used;
+      offer(f);
+    } else if (frac.size() == 2) {
+      const std::size_t s = frac[0], t = frac[1];
+      const double cs = carry(types[s], cost), ct = carry(types[t], cost);
+      if (cs == ct) continue;
+      f[s] = ((layers - held) - ct * (1.0 - used)) / (cs - ct);
+      f[t] = (1.0 - used) - f[s];
+      offer(f);
+    }
+  }
+  return best;
+}
+
+/// A seeded per-instance share of T types (counts 1..8, per-layer costs
+/// 1e-4..1e-2 s, L = 80 layers) of one of six kinds: time-bound (memory
+/// never binds), memory-bound, memory-infeasible (the devices hold 30-95%
+/// of L), one unusable type (tau = +inf, with ample memory it must not
+/// lend), tied per-layer costs, or few devices with room for L on a single
+/// device, where the sum f >= 1 row binds once C passes L * tau.
+std::vector<TypeAggregate> random_share(Rng& rng, std::size_t n, int kind, int layers) {
+  std::vector<TypeAggregate> types(n);
+  double devices = 0.0;
+  for (TypeAggregate& a : types) {
+    a.count = static_cast<int>(rng.uniform_int(1, 8));
+    a.tau = std::pow(10.0, rng.uniform(-4.0, -2.0));
+    a.room = rng.uniform(2.0, 4.0) * layers;
+    devices += a.count;
+  }
+  switch (kind) {
+    case 1:  // memory-bound: together the types hold 1.05x..2x the model
+      for (TypeAggregate& a : types) a.room = rng.uniform(0.2, 1.0) * layers / devices;
+      types.back().room += 1.05 * layers / types.back().count;
+      break;
+    case 2:  // memory-infeasible
+      for (TypeAggregate& a : types) a.room = rng.uniform(0.3, 0.95) * layers / devices;
+      break;
+    case 3:  // an unusable type among usable, partly memory-bound ones
+      for (TypeAggregate& a : types) {
+        if (rng.bernoulli(0.5)) a.room = rng.uniform(0.1, 1.0) * layers / a.count;
+      }
+      types[static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(n) - 1))].tau = kInf;
+      break;
+    case 4:  // ties: every type a copy of type 0's cost and room
+      for (TypeAggregate& a : types) {
+        a.tau = types[0].tau;
+        a.room = types[0].room;
+      }
+      break;
+    case 5:  // one or two devices per type, some able to hold L alone
+      for (TypeAggregate& a : types) {
+        a.count = static_cast<int>(rng.uniform_int(1, 2));
+        a.room = rng.uniform(0.2, 3.0) * layers;
+      }
+      break;
+    default:  // time-bound
+      break;
+  }
+  return types;
+}
+
+TEST(FlowRelaxation, ClosedFormsMatchVertexEnumeration) {
+  constexpr int kLayers = 80;
+  // The planner's ladder plus far rungs, where one device hosts the model.
+  const double deltas[] = {0.0, 0.05, 0.15, 0.3, 0.6, 1.0, 3.0, 30.0, 300.0};
+  Rng rng(20251116);
+  int bounded = 0, unbounded = 0, solved = 0, one_device = 0, two_type_mix = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::size_t n = 1 + static_cast<std::size_t>(trial % 4);
+    const int kind = (trial / 4) % 6;
+    const std::vector<TypeAggregate> types = random_share(rng, n, kind, kLayers);
+    SCOPED_TRACE("trial " + std::to_string(trial) + " kind " + std::to_string(kind));
+
+    const double c_star = planner::min_bottleneck_cost(types, kLayers);
+    if (!std::isfinite(c_star)) {
+      // Only a memory shortfall leaves C* unbounded, and no cost is enough.
+      EXPECT_LT(coverage(types, kInf), kLayers);
+      EXPECT_TRUE(planner::cheapest_primaries(types, kLayers, 1e30).empty());
+      ++unbounded;
+      continue;
+    }
+    ++bounded;
+    ASSERT_GT(c_star, 0.0);
+    EXPECT_GE(coverage(types, c_star), kLayers * (1.0 - 1e-12));
+    EXPECT_LT(coverage(types, c_star * (1.0 - 1e-9)), kLayers);
+    EXPECT_TRUE(planner::cheapest_primaries(types, kLayers, 0.5 * c_star).empty());
+    // A one-ulp shortfall at delta = 0 must not drop the candidate.
+    EXPECT_FALSE(
+        planner::cheapest_primaries(types, kLayers, std::nextafter(c_star, 0.0)).empty());
+
+    for (double delta : deltas) {
+      const double cost = c_star * (1.0 + delta);
+      const std::vector<double> f = planner::cheapest_primaries(types, kLayers, cost);
+      const bool feasible = primaries_feasible(types, kLayers, cost, f, 1e-12);
+      EXPECT_TRUE(feasible) << "delta " << delta << (f.empty() ? ": no answer" : "");
+      if (!feasible) continue;
+      const double reference = brute_force_primaries(types, kLayers, cost);
+      EXPECT_NEAR(primaries_cost(types, f), reference, 1e-9 * reference) << "delta " << delta;
+      ++solved;
+      double used = 0.0;
+      int hosts = 0;
+      for (double x : f) {
+        used += x;
+        hosts += x > 0.0;
+      }
+      if (std::abs(used - 1.0) < 1e-12) {
+        ++one_device;
+        two_type_mix += hosts == 2;
+      }
+    }
+  }
+  // Every branch was exercised: unbounded groupings, the knapsack, and the
+  // binding sum f >= 1 row with one type and with a two-type mix.
+  EXPECT_GT(unbounded, 300);
+  EXPECT_GT(bounded, 2000);
+  EXPECT_GT(one_device, 1000);
+  EXPECT_GT(two_type_mix, 100);
+  RecordProperty("solved", solved);
+  RecordProperty("two_type_mix", two_type_mix);
+}
+
+TEST(FlowRelaxation, OneA100HostsLlama13BOnOneDevice) {
+  // Llama-13B fits on one A100, so past C = L * tau a fraction of the
+  // device would carry every layer; the sum f >= 1 row keeps a whole one.
+  const model::ModelSpec& m = model::llama_13b();
+  const double room = 0.9 * static_cast<double>(hw::gpu_spec(hw::GpuType::kA100_80G).memory) /
+                      static_cast<double>(m.layer_param_bytes());
+  ASSERT_GT(room, m.layers);
+  const std::vector<TypeAggregate> types = {{1, 1e-3, room}};
+  const double c_star = planner::min_bottleneck_cost(types, m.layers);
+  EXPECT_DOUBLE_EQ(c_star, m.layers * 1e-3);
+  for (double scale : {1.0, 1.5, 2.0, 10.0}) {
+    const std::vector<double> f = planner::cheapest_primaries(types, m.layers, scale * c_star);
+    ASSERT_EQ(f.size(), 1u);
+    EXPECT_DOUBLE_EQ(f[0], 1.0) << scale;
+  }
+}
+
+TEST(FlowRelaxation, UnusableTypeHostsNothing) {
+  // A type that cannot run a layer (tau = +inf) lends neither its memory to
+  // C* nor a device to the primaries, however cheap its count looks.
+  const std::vector<TypeAggregate> types = {{4, kInf, 1000.0}, {2, 1e-3, 30.0}};
+  EXPECT_DOUBLE_EQ(planner::min_bottleneck_cost(types, 40), 20e-3);
+  const std::vector<double> f = planner::cheapest_primaries(types, 40, 30e-3);
+  ASSERT_EQ(f.size(), 2u);
+  EXPECT_EQ(f[0], 0.0);
+  EXPECT_DOUBLE_EQ(f[1], 40.0 / 30.0);
+  EXPECT_EQ(planner::min_bottleneck_cost(types, 61), kInf);
+}
+
+TEST(FlowPlannerOracle, GroupingThatCannotHoldTheModelGetsNoLadder) {
+  // paper's d = 4 grouping is one A100, one 3090 and one P100: 90% of their
+  // memory holds ~65.5 of Llama-70B's 80 layers, so it has no C* and only
+  // d = 1 and d = 2 run the six-rung ladder.
+  const model::ModelSpec& m = model::llama_70b();
+  const double layer_bytes = static_cast<double>(m.layer_param_bytes());
+  std::vector<TypeAggregate> share;
+  for (hw::GpuType t : {hw::GpuType::kA100_80G, hw::GpuType::kRTX3090, hw::GpuType::kP100}) {
+    share.push_back({1, 1e-3, 0.9 * static_cast<double>(hw::gpu_spec(t).memory) / layer_bytes});
+  }
+  EXPECT_NEAR(coverage(share, kInf), 65.5, 0.5);
+  EXPECT_EQ(planner::min_bottleneck_cost(share, m.layers), kInf);
+
+  hw::Cluster cluster = harness::cluster_by_name("paper");
+  parallel::ParallelizerOptions opts;
+  planner::FlowPlanner flow(cluster, m, opts);
+  flow.plan(default_profile());
+  EXPECT_EQ(flow.diagnostics().instances_considered, 3);
+  EXPECT_EQ(flow.diagnostics().lp_solves, 12u);
 }
 
 // --- device-id remapping ------------------------------------------------
