@@ -50,6 +50,9 @@
 //                 Part C scripts, Hetis finishes every request (nothing
 //                 dropped), reconfigures at least once, and beats both
 //                 baselines on SLO attainment
+//   --help        print usage and exit
+// An unknown flag, or a valued flag without its value, prints usage and
+// exits 2 before anything runs (nothing overwrites the JSON snapshot).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -63,7 +66,7 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: bench_elastic [--csv] [--csv-header] [--jobs N] [--progress] [--out PATH]\n"
-    "                     [--rate R] [--horizon S] [--trace DIR] [--check]\n";
+    "                     [--rate R] [--horizon S] [--trace DIR] [--check] [--help]\n";
 
 using namespace hetis;
 
@@ -112,6 +115,8 @@ void print_rows(const std::vector<harness::SweepRow>& rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {"--csv", "--csv-header", "--progress", "--check"},
+                     {"--jobs", "--out", "--rate", "--horizon", "--trace"}, kUsage);
   if (bench::flag_requested(argc, argv, "--csv-header")) {
     std::printf("%s\n", harness::sweep_csv_header().c_str());
     return 0;

@@ -1,7 +1,8 @@
 // Micro-benchmarks of the hot-path substrates: the exact one-request
 // dispatch solve (run per admission, re-dispatch and rescue), the greedy
 // waterfill, the event queue, the paged allocator, kernel-model
-// evaluation, and the report's percentile.  These justify solving Eq. 7 exactly on the serving path
+// evaluation, the report's percentile, and one plan search per placement
+// tier (what every Hetis replan runs).  These justify solving Eq. 7 exactly on the serving path
 // (§6 "Optimization problem solving").
 #include <benchmark/benchmark.h>
 
@@ -12,10 +13,12 @@
 
 #include "common/stats.h"
 #include "costmodel/kernel_model.h"
+#include "harness/presets.h"
 #include "hw/gpu.h"
 #include "kvcache/allocator.h"
 #include "lp/minmax.h"
 #include "model/llm.h"
+#include "planner/planner.h"
 #include "sim/event_queue.h"
 
 namespace {
@@ -129,6 +132,25 @@ void BM_SummaryPercentile(benchmark::State& state) {
   state.SetLabel("p95 of 32k samples (copy + select)");
 }
 BENCHMARK(BM_SummaryPercentile)->Unit(benchmark::kMicrosecond);
+
+void BM_PlanSearch(benchmark::State& state) {
+  // One replan as HetisEngine runs it: build the planner (and its cost
+  // model) and search once, for Llama-70B under the default objective.
+  struct Case {
+    const char* tier;
+    const char* cluster;
+  };
+  constexpr Case kCases[] = {{"exhaustive", "paper"}, {"flow", "dc64"}, {"flow", "dc256"}};
+  const Case& c = kCases[state.range(0)];
+  const hw::Cluster cluster = harness::cluster_by_name(c.cluster);
+  const parallel::ParallelizerOptions opts;
+  for (auto _ : state) {
+    auto planner = planner::make(c.tier, cluster, model::llama_70b(), opts);
+    benchmark::DoNotOptimize(planner->plan(parallel::WorkloadProfile{}));
+  }
+  state.SetLabel(std::string(c.tier) + " on " + c.cluster);
+}
+BENCHMARK(BM_PlanSearch)->DenseRange(0, 2)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

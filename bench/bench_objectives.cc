@@ -29,6 +29,9 @@
 //   --progress    per-cell completion lines on stderr
 //   --out PATH    JSON artifact path (default BENCH_objectives.json; "-" off)
 //   --horizon S   arrival window in seconds (default 16)
+//   --help        print usage and exit
+// An unknown flag, or a valued flag without its value, prints usage and
+// exits 2 before anything runs (nothing overwrites the JSON snapshot).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -44,7 +47,7 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: bench_objectives [--csv] [--csv-header] [--jobs N] [--progress] [--out PATH]\n"
-    "                        [--horizon S]\n";
+    "                        [--horizon S] [--help]\n";
 
 using namespace hetis;
 
@@ -97,6 +100,8 @@ const PlannerCell& planner_cell(const std::vector<PlannerCell>& cells, const std
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {"--csv", "--csv-header", "--progress"},
+                     {"--jobs", "--out", "--horizon"}, kUsage);
   if (bench::flag_requested(argc, argv, "--csv-header")) {
     std::printf("%s\n", harness::sweep_csv_header().c_str());
     return 0;

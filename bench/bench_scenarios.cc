@@ -19,6 +19,9 @@
 //                 BENCH_scenarios.json; "-" disables)
 //   --rate R      base aggregate rate in req/s (default 2)
 //   --horizon S   arrival window in seconds (default 12)
+//   --help        print usage and exit
+// An unknown flag, or a valued flag without its value, prints usage and
+// exits 2 before anything runs (nothing overwrites the JSON snapshot).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -31,12 +34,14 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: bench_scenarios [--csv] [--csv-header] [--jobs N] [--progress] [--out PATH]\n"
-    "                       [--rate R] [--horizon S]\n";
+    "                       [--rate R] [--horizon S] [--help]\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace hetis;
+  bench::check_flags(argc, argv, {"--csv", "--csv-header", "--progress"},
+                     {"--jobs", "--out", "--rate", "--horizon"}, kUsage);
   if (bench::flag_requested(argc, argv, "--csv-header")) {
     std::printf("%s\n", harness::sweep_csv_header().c_str());
     return 0;

@@ -2,9 +2,10 @@
 //
 // The paper (§6) accelerates head-wise KV-block indexing with multi-core CPU
 // parallelization; this pool is the substrate for that (see
-// kvcache/index_builder.*) and for the Parallelizer's parallel intra-stage
-// search (§4.1).  Static partitioning is used: index-building work items are
-// uniform, so work stealing would buy nothing and cost cache traffic.
+// kvcache/index_builder.*) and for the experiment harness's parallel sweeps
+// (run_tasks).  The plan search is serial: its few groupings cost less than
+// spawning the pool.  Static partitioning is used: index-building work items
+// are uniform, so work stealing would buy nothing and cost cache traffic.
 #pragma once
 
 #include <condition_variable>

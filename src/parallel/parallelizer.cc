@@ -1,18 +1,14 @@
 #include "parallel/parallelizer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <numeric>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/log.h"
-#include "common/thread_pool.h"
 #include "engine/instance.h"
 
 namespace hetis::parallel {
@@ -102,134 +98,49 @@ double Parallelizer::perfect_scaling_cost(
   return static_cast<double>(model_->layers) / inv_sum;
 }
 
-std::vector<int> Parallelizer::balance_layers(const std::vector<double>& per_layer_cost) const {
-  const int total = model_->layers;
-  const std::size_t n = per_layer_cost.size();
-  if (n == 0) return {};
-  if (n == 1) return {total};
-  // Continuous optimum: layers_k proportional to 1/cost_k.
-  double inv_sum = 0.0;
-  for (double c : per_layer_cost) inv_sum += 1.0 / c;
-  std::vector<double> frac(n);
-  std::vector<int> layers(n);
-  int assigned = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    double ideal = total * (1.0 / per_layer_cost[k]) / inv_sum;
-    layers[k] = static_cast<int>(std::floor(ideal));
-    frac[k] = ideal - layers[k];
-    assigned += layers[k];
-  }
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&frac](std::size_t a, std::size_t b) { return frac[a] > frac[b]; });
-  for (std::size_t k = 0; assigned < total; ++k) {
-    layers[order[k % n]] += 1;
-    ++assigned;
-  }
-  // A stage with zero layers would be degenerate; give it one from the
-  // largest stage (keeps every primary stage meaningful).
-  for (std::size_t k = 0; k < n; ++k) {
-    if (layers[k] == 0) {
-      std::size_t donor = static_cast<std::size_t>(
-          std::max_element(layers.begin(), layers.end()) - layers.begin());
-      if (layers[donor] > 1) {
-        --layers[donor];
-        ++layers[k];
-      }
-    }
-  }
-  return layers;
-}
-
-InstanceConfig Parallelizer::best_instance_config(const PlanEvaluator& evaluator,
-                                                  const std::vector<TypeShare>& shares,
-                                                  const std::vector<int>& pruned,
+InstanceConfig Parallelizer::best_instance_config(const std::vector<TypeShare>& share,
+                                                  const std::vector<int>& primaries,
                                                   bool drop_pruned, bool require_hosts_model,
                                                   const WorkloadProfile& profile, int d,
                                                   const PlanObjective& objective,
                                                   double* score_out,
                                                   PlanEstimate* estimate_out) const {
-  // Remaining (non-pruned) devices per type keep pipeline-stage roles.
-  std::vector<std::pair<hw::GpuType, std::vector<int>>> stage_groups;
-  for (const auto& share : shares) {
-    std::vector<int> devs;
-    for (int id : share.device_ids) {
-      if (std::find(pruned.begin(), pruned.end(), id) == pruned.end()) devs.push_back(id);
-    }
-    if (!devs.empty()) stage_groups.emplace_back(share.type, std::move(devs));
-  }
-  if (stage_groups.empty()) {
-    *score_out = std::numeric_limits<double>::infinity();
-    *estimate_out = PlanEstimate{};
-    return {};
-  }
-
-  // Balanced layer split across the unified per-type stages.
+  *score_out = std::numeric_limits<double>::infinity();
+  *estimate_out = PlanEstimate{};
+  // One unified stage per type that keeps primaries, balanced layer split.
+  std::vector<StageConfig> unified;
   std::vector<double> per_layer;
-  for (const auto& [type, devs] : stage_groups) {
-    per_layer.push_back(per_layer_cost_perfect(type, static_cast<int>(devs.size()), profile));
+  for (std::size_t t = 0; t < share.size(); ++t) {
+    const std::vector<int>& ids = share[t].device_ids;
+    if (primaries[t] <= 0) continue;
+    unified.emplace_back();
+    unified.back().devices.assign(ids.end() - primaries[t], ids.end());
+    per_layer.push_back(per_layer_cost_perfect(share[t].type, primaries[t], profile));
   }
-  std::vector<int> layer_split = balance_layers(per_layer);
+  if (unified.empty()) return {};
+  const std::vector<int> layer_split = balance_layers(model_->layers, per_layer);
+  for (std::size_t k = 0; k < unified.size(); ++k) unified[k].layers = layer_split[k];
+  const std::vector<int> workers =
+      drop_pruned ? std::vector<int>{} : demoted_devices(share, primaries);
 
-  // Intra-stage TP x PP enumeration: each unified stage of n devices with L
-  // layers may run as pp sub-stages of tp-way TP (tp * pp == n).
-  double best_score = std::numeric_limits<double>::infinity();
+  // Intra-stage TP x PP enumeration over the cross product of per-stage
+  // layouts; stage counts are small (<= 8 devices), so it is tiny.
+  const auto layouts = stage_layouts(unified);
   InstanceConfig best;
-  PlanEstimate best_estimate;
-
-  // Enumerate the cross product of per-stage (tp, pp) choices.  Stage
-  // counts are small (<= 8 devices), so the product is tiny; evaluate
-  // sequentially per instance (instances themselves are searched in
-  // parallel by plan()).
-  std::vector<std::vector<std::pair<int, int>>> options(stage_groups.size());
-  for (std::size_t k = 0; k < stage_groups.size(); ++k) {
-    int n = static_cast<int>(stage_groups[k].second.size());
-    for (int tp = 1; tp <= n; ++tp) {
-      if (n % tp != 0) continue;
-      int pp = n / tp;
-      if (pp > layer_split[k]) continue;  // cannot have empty sub-stages
-      options[k].emplace_back(tp, pp);
-    }
-    if (options[k].empty()) options[k].emplace_back(n, 1);
-  }
-
-  std::vector<std::size_t> choice(stage_groups.size(), 0);
-  for (;;) {
-    InstanceConfig cfg;
-    for (std::size_t k = 0; k < stage_groups.size(); ++k) {
-      auto [tp, pp] = options[k][choice[k]];
-      const auto& devs = stage_groups[k].second;
-      int layers_left = layer_split[k];
-      for (int sub = 0; sub < pp; ++sub) {
-        StageConfig stage;
-        stage.devices.assign(devs.begin() + sub * tp, devs.begin() + (sub + 1) * tp);
-        stage.layers = layers_left / (pp - sub);
-        layers_left -= stage.layers;
-        cfg.stages.push_back(std::move(stage));
-      }
-    }
-    if (!drop_pruned) cfg.attention_workers = pruned;
-    if (!require_hosts_model || evaluator.hosts_model(cfg)) {
-      PlanEstimate estimate = replicate_estimate(evaluator.evaluate(cfg, profile), d);
+  std::vector<std::size_t> choice(unified.size(), 0);
+  do {
+    InstanceConfig cfg = expand_layouts(unified, layouts, choice);
+    cfg.attention_workers = workers;
+    if (!require_hosts_model || evaluator_.hosts_model(cfg)) {
+      PlanEstimate estimate = replicate_estimate(evaluator_.evaluate(cfg, profile), d);
       double score = objective.score(estimate);
-      if (score < best_score) {
-        best_score = score;
-        best = cfg;
-        best_estimate = estimate;
+      if (score < *score_out) {
+        *score_out = score;
+        *estimate_out = estimate;
+        best = std::move(cfg);
       }
     }
-    // Advance the mixed-radix counter.
-    std::size_t k = 0;
-    while (k < choice.size()) {
-      if (++choice[k] < options[k].size()) break;
-      choice[k] = 0;
-      ++k;
-    }
-    if (k == choice.size()) break;
-  }
-  *score_out = best_score;
-  *estimate_out = best_estimate;
+  } while (next_layout(choice, layouts));
   return best;
 }
 
@@ -243,219 +154,303 @@ ParallelPlan Parallelizer::plan(const WorkloadProfile& profile, const PlanObject
   diag_ = SearchDiagnostics{};
   diag_.objective = objective.name();
 
-  // Group devices by type, ordered high-end -> low-end.  Within a type,
-  // degraded devices (condition overlay, hw/topology.h) sort FIRST so the
-  // Delta-walk prunes a straggler before its healthy siblings -- i.e. a
-  // slowed A100 is the first A100 demoted to an Attention worker.  Stable
-  // sort keeps id order on a healthy cluster, so plans are byte-identical
-  // when no degradation is present.
-  std::vector<hw::GpuType> types = cluster_->types_by_power_desc();
-  std::map<hw::GpuType, std::vector<int>> by_type;
-  for (hw::GpuType t : types) {
-    std::vector<int> devs = cluster_->devices_of_type(t);
-    if (cluster_->degraded()) {
-      std::stable_sort(devs.begin(), devs.end(), [&](int a, int b) {
-        return cluster_->device_speed(a) < cluster_->device_speed(b);
-      });
+  const std::vector<TypeShare> by_type = devices_by_type(*cluster_);
+  const std::vector<int> groupings = dp_groupings(by_type, opts_.allow_dp);
+
+  // Per grouping: instance 0's winning config, its score and pruned count.
+  std::vector<InstanceConfig> winners(groupings.size());
+  std::vector<double> scores(groupings.size(), std::numeric_limits<double>::infinity());
+  std::vector<int> pruned(groupings.size(), 0);
+  for (std::size_t di = 0; di < groupings.size(); ++di) {
+    const int d = groupings[di];
+    const WorkloadProfile share_profile = instance_profile(profile, d);
+    const std::vector<TypeShare> share = instance_share(by_type, d);
+    if (share.empty()) continue;
+    std::vector<int> all;
+    for (const TypeShare& s : share) all.push_back(static_cast<int>(s.device_ids.size()));
+    const int devices = std::accumulate(all.begin(), all.end(), 0);
+
+    // --- Pruning ---
+    // The Delta walk defines the paper's pruning frontier; it is the ONLY
+    // candidate under the throughput objective (legacy behavior, byte
+    // identical) and one of the candidates under depth-exploring ones.
+    // Every C_p probe counts as an evaluated configuration.
+    const std::vector<int> delta_primaries =
+        opts_.enable_pruning
+            ? delta_walk(*this, share, share_profile, opts_.delta, &diag_.configurations_evaluated)
+            : all;
+
+    // --- Intra-stage TP/PP search over the candidate prunings ---
+    auto consider = [&](const std::vector<int>& primaries, bool drop_pruned,
+                        bool require_hosts_model) {
+      double score = std::numeric_limits<double>::infinity();
+      PlanEstimate estimate;
+      InstanceConfig inst = best_instance_config(share, primaries, drop_pruned,
+                                                 require_hosts_model, share_profile, d,
+                                                 objective, &score, &estimate);
+      ++diag_.configurations_evaluated;
+      if (!std::isfinite(score)) return;
+      // KV feasibility filter: the d instances together must host the
+      // workload's decode set.
+      if (estimate.kv_capacity < profile.min_kv_bytes) return;
+      if (score >= scores[di]) return;
+      scores[di] = score;
+      winners[di] = std::move(inst);
+      pruned[di] = devices - std::accumulate(primaries.begin(), primaries.end(), 0);
+    };
+
+    // The Delta candidate keeps the legacy semantics (no parameter-fit
+    // filter) so the default objective's plans stay byte-identical.
+    consider(delta_primaries, /*drop_pruned=*/false, /*require_hosts_model=*/false);
+    if (objective.explores_depth() && opts_.enable_pruning) {
+      // Enumerate every pruning depth along the same low-end -> high-end
+      // removal order, each in two placements: removed GPUs serve as
+      // Attention workers (the paper's role) or leave the deployment
+      // entirely (smaller device footprint -- what a cost-efficiency
+      // objective wants credit for).
+      for (int depth = 0; depth < devices; ++depth) {  // >= 1 primary stays
+        const std::vector<int> primaries = prune_depth(all, depth);
+        if (primaries != delta_primaries) {
+          consider(primaries, /*drop_pruned=*/false, /*require_hosts_model=*/true);
+        }
+        if (depth > 0) consider(primaries, /*drop_pruned=*/true, /*require_hosts_model=*/true);
+      }
     }
-    by_type[t] = std::move(devs);
   }
 
-  // DP instance counts d must divide every type's count evenly.
-  std::vector<int> candidates_d{1};
-  if (opts_.allow_dp) {
-    int max_d = std::numeric_limits<int>::max();
-    for (const auto& [t, devs] : by_type) {
-      max_d = std::min(max_d, static_cast<int>(devs.size()));
-    }
-    for (int d = 2; d <= max_d; ++d) {
-      bool divides = true;
-      for (const auto& [t, devs] : by_type) {
-        if (static_cast<int>(devs.size()) % d != 0) divides = false;
-      }
-      if (divides) candidates_d.push_back(d);
-    }
-  }
-
-  struct Candidate {
-    ParallelPlan plan;
-    double score = std::numeric_limits<double>::infinity();
-    PlanEstimate estimate;
-    int pruned = 0;
-  };
-  std::vector<Candidate> results(candidates_d.size());
-
-  ThreadPool pool(opts_.search_threads == 0 ? 0 : opts_.search_threads);
-  std::atomic<int> evaluated{0};
-
-  // ExecModel's dense-stage memo is unsynchronised, so chunks share no
-  // evaluator: the first reuses the Parallelizer's own, every other chunk
-  // prices through a private one.  A one-thread search builds nothing extra.
-  pool.parallel_for_chunked(0, candidates_d.size(), [&](std::size_t lo, std::size_t hi) {
-    std::optional<PlanEvaluator> private_evaluator;
-    const PlanEvaluator& evaluator =
-        lo == 0 ? evaluator_ : private_evaluator.emplace(*cluster_, *model_);
-    for (std::size_t di = lo; di < hi; ++di) {
-      const int d = candidates_d[di];
-      // Per-instance workload share.
-      WorkloadProfile share = profile;
-      share.prefill_tokens = std::max<std::int64_t>(1, profile.prefill_tokens / d);
-      share.decode_batch = std::max<std::int64_t>(1, profile.decode_batch / d);
-
-      // Instance 0's device share; other instances are symmetric.
-      std::vector<TypeShare> shares;
-      for (hw::GpuType t : types) {
-        const auto& devs = by_type.at(t);
-        int per = static_cast<int>(devs.size()) / d;
-        if (per == 0) continue;
-        TypeShare ts;
-        ts.type = t;
-        ts.device_ids.assign(devs.begin(), devs.begin() + per);
-        shares.push_back(std::move(ts));
-      }
-      if (shares.empty()) continue;
-
-      // --- Pruning (lowest-end first, Delta criterion) ---
-      // The Delta walk defines the paper's pruning frontier; it is the ONLY
-      // candidate under the throughput objective (legacy behavior, byte
-      // identical) and one of the candidates under depth-exploring ones.
-      std::vector<int> delta_pruned;
-      auto counts_of = [&](const std::vector<int>& pr) {
-        std::vector<std::pair<hw::GpuType, int>> counts;
-        for (const auto& s : shares) {
-          int n = 0;
-          for (int id : s.device_ids) {
-            if (std::find(pr.begin(), pr.end(), id) == pr.end()) ++n;
-          }
-          counts.emplace_back(s.type, n);
-        }
-        return counts;
-      };
-      if (opts_.enable_pruning) {
-        double current = perfect_scaling_cost(counts_of(delta_pruned), share);
-        // low-end -> high-end: iterate shares in reverse power order.
-        for (auto it = shares.rbegin(); it != shares.rend(); ++it) {
-          for (int id : it->device_ids) {
-            std::vector<int> attempt = delta_pruned;
-            attempt.push_back(id);
-            auto counts = counts_of(attempt);
-            int remaining = 0;
-            for (const auto& [t, n] : counts) remaining += n;
-            if (remaining == 0) break;  // keep at least one primary device
-            double without = perfect_scaling_cost(counts, share);
-            ++evaluated;
-            if (without / current <= 1.0 + opts_.delta) {
-              delta_pruned = std::move(attempt);
-              current = without;
-            } else {
-              break;  // removing more of this (or higher) type only hurts
-            }
-          }
-        }
-      }
-
-      // --- Intra-stage TP/PP search over the candidate prunings ---
-      Candidate best;
-      auto consider = [&](const std::vector<int>& pruned, bool drop_pruned,
-                          bool require_hosts_model) {
-        double score = std::numeric_limits<double>::infinity();
-        PlanEstimate estimate;
-        InstanceConfig inst =
-            best_instance_config(evaluator, shares, pruned, drop_pruned, require_hosts_model,
-                                 share, d, objective, &score, &estimate);
-        ++evaluated;
-        if (!std::isfinite(score)) return;
-        // KV feasibility filter: the d instances together must host the
-        // workload's decode set.
-        if (estimate.kv_capacity < profile.min_kv_bytes) return;
-        if (score >= best.score) return;
-        best.score = score;
-        best.estimate = estimate;
-        best.pruned = static_cast<int>(pruned.size());
-        best.plan.instances.assign(1, std::move(inst));
-      };
-
-      // The Delta candidate keeps the legacy semantics (no parameter-fit
-      // filter) so the default objective's plans stay byte-identical.
-      consider(delta_pruned, /*drop_pruned=*/false, /*require_hosts_model=*/false);
-      if (objective.explores_depth() && opts_.enable_pruning) {
-        // Enumerate every pruning depth along the same low-end -> high-end
-        // removal order, each in two placements: removed GPUs serve as
-        // Attention workers (the paper's role) or leave the deployment
-        // entirely (smaller device footprint -- what a cost-efficiency
-        // objective wants credit for).
-        std::vector<int> order;
-        for (auto it = shares.rbegin(); it != shares.rend(); ++it) {
-          order.insert(order.end(), it->device_ids.begin(), it->device_ids.end());
-        }
-        for (std::size_t depth = 0; depth < order.size(); ++depth) {  // >= 1 primary stays
-          const std::vector<int> pruned(order.begin(),
-                                        order.begin() + static_cast<std::ptrdiff_t>(depth));
-          if (pruned != delta_pruned) {
-            consider(pruned, /*drop_pruned=*/false, /*require_hosts_model=*/true);
-          }
-          if (!pruned.empty()) consider(pruned, /*drop_pruned=*/true, /*require_hosts_model=*/true);
-        }
-      }
-      if (best.plan.instances.empty()) continue;
-
-      // Replicate across the d instances with each instance's own devices.
-      const InstanceConfig inst = best.plan.instances.front();
-      best.plan.instances.clear();
-      for (int rep = 0; rep < d; ++rep) {
-        InstanceConfig copy = inst;
-        // Map instance-0 device ids onto replica `rep` (per-type offset).
-        for (auto& stage : copy.stages) {
-          for (int& dev : stage.devices) {
-            hw::GpuType t = cluster_->device(dev).type;
-            const auto& all = by_type.at(t);
-            int per = static_cast<int>(all.size()) / d;
-            auto pos = std::find(all.begin(), all.end(), dev) - all.begin();
-            dev = all[static_cast<std::size_t>(pos + rep * per)];
-          }
-        }
-        for (int& dev : copy.attention_workers) {
-          hw::GpuType t = cluster_->device(dev).type;
-          const auto& all = by_type.at(t);
-          int per = static_cast<int>(all.size()) / d;
-          auto pos = std::find(all.begin(), all.end(), dev) - all.begin();
-          dev = all[static_cast<std::size_t>(pos + rep * per)];
-        }
-        best.plan.instances.push_back(std::move(copy));
-      }
-      results[di] = std::move(best);
-    }
-  });
-
-  // Pick the best-scoring candidate (scores compare per-instance estimates
-  // scaled to the full d-wide plan; candidates within 0.1% of the best keep
-  // the earlier -- narrower -- grouping).  The 0.1% band must shrink the
-  // threshold toward better-than-best for either sign: positive scores keep
-  // the legacy `* 0.999` expression bit-for-bit, negative (maximizing)
-  // scores need `* 1.001` or the band would ACCEPT slightly-worse ones.
-  std::size_t best = results.size();
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (results[i].plan.instances.empty()) continue;
-    if (best == results.size()) {
-      best = i;
-      continue;
-    }
-    const double incumbent = results[best].score;
-    const double threshold = incumbent >= 0 ? incumbent * 0.999 : incumbent * 1.001;
-    if (results[i].score < threshold) best = i;
-  }
-  diag_.configurations_evaluated = evaluated.load();
-  diag_.instances_considered = static_cast<int>(candidates_d.size());
+  // Scores compare per-instance estimates scaled to the full d-wide plan.
+  const std::size_t best = pick_grouping(scores);
+  diag_.instances_considered = static_cast<int>(groupings.size());
   auto t1 = std::chrono::steady_clock::now();
   diag_.wall_time = std::chrono::duration<double>(t1 - t0).count();
-  if (best == results.size()) {
+  if (best == scores.size()) {
     throw std::runtime_error(
         "Parallelizer: no feasible configuration (KV capacity below min_kv_bytes?)");
   }
-  diag_.pruned_devices = results[best].pruned;
-  diag_.best_cost = results[best].score;
-  HETIS_INFO("Parallelizer: " << results[best].plan.to_string(*cluster_, &diag_));
-  return results[best].plan;
+  diag_.pruned_devices = pruned[best];
+  diag_.best_cost = scores[best];
+  ParallelPlan plan = replicate_instance(winners[best], *cluster_, by_type, groupings[best]);
+  HETIS_INFO("Parallelizer: " << plan.to_string(*cluster_, &diag_));
+  return plan;
+}
+
+std::vector<TypeShare> devices_by_type(const hw::Cluster& cluster) {
+  std::vector<TypeShare> by_type;
+  for (hw::GpuType t : cluster.types_by_power_desc()) {
+    std::vector<int> devs = cluster.devices_of_type(t);
+    if (cluster.degraded()) {
+      std::stable_sort(devs.begin(), devs.end(), [&](int a, int b) {
+        return cluster.device_speed(a) < cluster.device_speed(b);
+      });
+    }
+    by_type.push_back({t, std::move(devs)});
+  }
+  return by_type;
+}
+
+std::vector<int> dp_groupings(const std::vector<TypeShare>& by_type, bool allow_dp) {
+  std::vector<int> groupings{1};
+  if (!allow_dp) return groupings;
+  int max_d = std::numeric_limits<int>::max();
+  for (const TypeShare& s : by_type) {
+    max_d = std::min(max_d, static_cast<int>(s.device_ids.size()));
+  }
+  for (int d = 2; d <= max_d; ++d) {
+    if (std::all_of(by_type.begin(), by_type.end(), [d](const TypeShare& s) {
+          return static_cast<int>(s.device_ids.size()) % d == 0;
+        })) {
+      groupings.push_back(d);
+    }
+  }
+  return groupings;
+}
+
+std::vector<TypeShare> instance_share(const std::vector<TypeShare>& by_type, int d) {
+  std::vector<TypeShare> share;
+  for (const TypeShare& s : by_type) {
+    const int per = static_cast<int>(s.device_ids.size()) / d;
+    if (per == 0) continue;
+    share.push_back({s.type, std::vector<int>(s.device_ids.begin(), s.device_ids.begin() + per)});
+  }
+  return share;
+}
+
+WorkloadProfile instance_profile(const WorkloadProfile& profile, int d) {
+  WorkloadProfile share = profile;
+  share.prefill_tokens = std::max<std::int64_t>(1, profile.prefill_tokens / d);
+  share.decode_batch = std::max<std::int64_t>(1, profile.decode_batch / d);
+  return share;
+}
+
+std::vector<int> prune_depth(std::vector<int> counts, int depth) {
+  for (std::size_t t = counts.size(); t-- > 0 && depth > 0;) {
+    const int take = std::min(counts[t], depth);
+    counts[t] -= take;
+    depth -= take;
+  }
+  return counts;
+}
+
+std::vector<int> demoted_devices(const std::vector<TypeShare>& share,
+                                 const std::vector<int>& primaries) {
+  std::vector<int> demoted;
+  for (std::size_t t = share.size(); t-- > 0;) {
+    const std::vector<int>& ids = share[t].device_ids;
+    demoted.insert(demoted.end(), ids.begin(), ids.end() - primaries[t]);
+  }
+  return demoted;
+}
+
+std::vector<int> balance_layers(int layers, const std::vector<double>& per_layer_cost) {
+  const std::size_t n = per_layer_cost.size();
+  if (n == 0) return {};
+  if (n == 1) return {layers};
+  // Continuous optimum: split_k proportional to 1/cost_k.
+  double inv_sum = 0.0;
+  for (double c : per_layer_cost) inv_sum += 1.0 / c;
+  std::vector<double> frac(n);
+  std::vector<int> split(n);
+  int assigned = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    double ideal = layers * (1.0 / per_layer_cost[k]) / inv_sum;
+    split[k] = static_cast<int>(std::floor(ideal));
+    frac[k] = ideal - split[k];
+    assigned += split[k];
+  }
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&frac](std::size_t a, std::size_t b) { return frac[a] > frac[b]; });
+  for (std::size_t k = 0; assigned < layers; ++k) {
+    split[order[k % n]] += 1;
+    ++assigned;
+  }
+  // A stage with zero layers would be degenerate; give it one from the
+  // largest stage (keeps every primary stage meaningful).
+  for (std::size_t k = 0; k < n; ++k) {
+    if (split[k] == 0) {
+      std::size_t donor = static_cast<std::size_t>(
+          std::max_element(split.begin(), split.end()) - split.begin());
+      if (split[donor] > 1) {
+        --split[donor];
+        ++split[k];
+      }
+    }
+  }
+  return split;
+}
+
+std::vector<int> delta_walk(const Parallelizer& search, const std::vector<TypeShare>& share,
+                            const WorkloadProfile& profile, double delta, int* probes) {
+  std::vector<int> primaries;
+  for (const TypeShare& s : share) primaries.push_back(static_cast<int>(s.device_ids.size()));
+  auto cost = [&] {
+    std::vector<std::pair<hw::GpuType, int>> counts;
+    for (std::size_t t = 0; t < share.size(); ++t) counts.emplace_back(share[t].type, primaries[t]);
+    return search.perfect_scaling_cost(counts, profile);
+  };
+  double current = cost();
+  int remaining = std::accumulate(primaries.begin(), primaries.end(), 0);
+  for (std::size_t t = share.size(); t-- > 0;) {  // low-end -> high-end
+    while (primaries[t] > 0 && remaining > 1) {
+      --primaries[t];
+      const double without = cost();
+      if (probes != nullptr) ++*probes;
+      if (without / current <= 1.0 + delta) {
+        current = without;
+        --remaining;
+        continue;
+      }
+      ++primaries[t];  // too costly: stop this type, go on with the next one up
+      break;
+    }
+  }
+  return primaries;
+}
+
+std::vector<std::vector<std::pair<int, int>>> stage_layouts(
+    const std::vector<StageConfig>& unified) {
+  std::vector<std::vector<std::pair<int, int>>> layouts(unified.size());
+  for (std::size_t k = 0; k < unified.size(); ++k) {
+    const int n = unified[k].tp();
+    for (int tp = 1; tp <= n; ++tp) {
+      if (n % tp != 0 || n / tp > unified[k].layers) continue;
+      layouts[k].emplace_back(tp, n / tp);
+    }
+    if (layouts[k].empty()) layouts[k].emplace_back(n, 1);
+  }
+  return layouts;
+}
+
+InstanceConfig expand_layouts(const std::vector<StageConfig>& unified,
+                              const std::vector<std::vector<std::pair<int, int>>>& layouts,
+                              const std::vector<std::size_t>& choice) {
+  InstanceConfig cfg;
+  for (std::size_t k = 0; k < unified.size(); ++k) {
+    const auto [tp, pp] = layouts[k][choice[k]];
+    const std::vector<int>& devs = unified[k].devices;
+    int layers_left = unified[k].layers;
+    for (int sub = 0; sub < pp; ++sub) {
+      StageConfig stage;
+      stage.devices.assign(devs.begin() + sub * tp, devs.begin() + (sub + 1) * tp);
+      stage.layers = layers_left / (pp - sub);
+      layers_left -= stage.layers;
+      cfg.stages.push_back(std::move(stage));
+    }
+  }
+  return cfg;
+}
+
+bool next_layout(std::vector<std::size_t>& choice,
+                 const std::vector<std::vector<std::pair<int, int>>>& layouts) {
+  for (std::size_t k = 0; k < choice.size(); ++k) {
+    if (++choice[k] < layouts[k].size()) return true;
+    choice[k] = 0;
+  }
+  return false;
+}
+
+std::size_t pick_grouping(const std::vector<double>& scores) {
+  // The 0.1% band must shrink the threshold toward better-than-best for
+  // either sign: positive scores keep the legacy `* 0.999` expression
+  // bit-for-bit, negative (maximizing) scores need `* 1.001` or the band
+  // would ACCEPT slightly-worse ones.
+  std::size_t best = scores.size();
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    if (!std::isfinite(scores[i])) continue;
+    if (best == scores.size()) {
+      best = i;
+      continue;
+    }
+    const double incumbent = scores[best];
+    const double threshold = incumbent >= 0 ? incumbent * 0.999 : incumbent * 1.001;
+    if (scores[i] < threshold) best = i;
+  }
+  return best;
+}
+
+ParallelPlan replicate_instance(const InstanceConfig& inst, const hw::Cluster& cluster,
+                                const std::vector<TypeShare>& by_type, int d) {
+  ParallelPlan plan;
+  for (int rep = 0; rep < d; ++rep) {
+    InstanceConfig copy = inst;
+    auto shift = [&](int& dev) {
+      const hw::GpuType t = cluster.device(dev).type;
+      const std::vector<int>& all =
+          std::find_if(by_type.begin(), by_type.end(), [t](const TypeShare& s) {
+            return s.type == t;
+          })->device_ids;
+      const int per = static_cast<int>(all.size()) / d;
+      const auto pos = std::find(all.begin(), all.end(), dev) - all.begin();
+      dev = all[static_cast<std::size_t>(pos + rep * per)];
+    };
+    for (StageConfig& stage : copy.stages) {
+      for (int& dev : stage.devices) shift(dev);
+    }
+    for (int& dev : copy.attention_workers) shift(dev);
+    plan.instances.push_back(std::move(copy));
+  }
+  return plan;
 }
 
 }  // namespace hetis::parallel

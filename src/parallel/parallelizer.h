@@ -10,8 +10,8 @@
 //   3. Pruning heuristic: remove GPUs kappa one at a time, lowest- to
 //      highest-end, while C_p(sigma - kappa) / C_p(sigma) <= 1 + Delta
 //      (Delta = 0.05).  Removed GPUs become Attention workers.
-//   4. Intra-stage TP x PP enumeration (evaluated in parallel on the
-//      thread pool) with the full C_comm + C_comp cost model.
+//   4. Intra-stage TP x PP enumeration with the full C_comm + C_comp cost
+//      model.
 //   5. Configurations whose KV capacity cannot host the workload's decode
 //      set are filtered out; the best-scoring surviving configuration wins.
 //
@@ -24,10 +24,16 @@
 // keeping the removed GPUs as Attention workers and dropping them from the
 // deployment entirely -- so a latency-optimal search can land on e.g. the
 // 4xA100-only plan that beats the full 12-device pipeline on TTFT.
+//
+// The search is one serial loop over the groupings, priced by the
+// Parallelizer's own evaluator.  Its steps are the free functions below the
+// class; the flow tier (planner/flow_planner.h) proposes its candidates on
+// the same steps, so each is defined once.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/exec.h"
@@ -53,7 +59,10 @@ struct ParallelizerOptions {
   double delta = 0.05;          // pruning tolerance (paper default)
   bool enable_pruning = true;   // ablation switch
   bool allow_dp = true;         // consider multi-instance groupings
-  std::size_t search_threads = 0;  // 0 = hardware concurrency
+  // Ignored: the search is serial.  Kept only because perfbench still
+  // assigns it; the field goes with perfbench's pin (ROADMAP scoreboard
+  // item (c)).
+  std::size_t search_threads = 0;
   /// What the search optimizes (parallel/objective.h).  The default
   /// "throughput" spec keeps the legacy cheapest-cost plans byte-identical.
   ObjectiveSpec objective;
@@ -81,6 +90,13 @@ struct SearchDiagnostics {
   std::string fallback_reason;  // why flow deferred to the oracle ("" = it didn't)
 };
 
+/// One GPU type's devices: the whole cluster's (devices_by_type) or one
+/// instance's share of them (instance_share).
+struct TypeShare {
+  hw::GpuType type;
+  std::vector<int> device_ids;
+};
+
 class Parallelizer {
  public:
   Parallelizer(const hw::Cluster& cluster, const model::ModelSpec& model,
@@ -101,28 +117,19 @@ class Parallelizer {
                               const WorkloadProfile& profile) const;
 
  private:
-  struct TypeShare {
-    hw::GpuType type;
-    std::vector<int> device_ids;  // share for one instance
-  };
-
-  /// Layer counts proportional to stage speed (balanced partition).
-  std::vector<int> balance_layers(const std::vector<double>& per_layer_cost) const;
-
-  /// Builds the best intra-stage TP/PP layout for one instance under
-  /// `objective` (scored on the d-wide estimate, priced by `evaluator`);
-  /// writes the winning score and plan-level estimate through the out
-  /// parameters.  With
-  /// `require_hosts_model`, layouts whose devices cannot hold their
-  /// parameter shard are discarded (the depth-explored candidate space
-  /// contains such configs; the legacy Delta frontier keeps its historical
-  /// semantics).
-  InstanceConfig best_instance_config(const PlanEvaluator& evaluator,
-                                      const std::vector<TypeShare>& shares,
-                                      const std::vector<int>& pruned, bool drop_pruned,
+  /// Builds the best intra-stage TP/PP layout for one instance whose
+  /// per-type primary counts are `primaries` under `objective` (scored on
+  /// the d-wide estimate); writes the winning score and plan-level estimate
+  /// through the out parameters.  The demoted devices become Attention
+  /// workers unless `drop_pruned`.  With `require_hosts_model`, layouts
+  /// whose devices cannot hold their parameter shard are discarded (the
+  /// depth-explored candidate space contains such configs; the legacy
+  /// Delta frontier keeps its historical semantics).
+  InstanceConfig best_instance_config(const std::vector<TypeShare>& share,
+                                      const std::vector<int>& primaries, bool drop_pruned,
                                       bool require_hosts_model, const WorkloadProfile& profile,
-                                      int d, const PlanObjective& objective, double* score_out,
-                                      PlanEstimate* estimate_out) const;
+                                      int d, const PlanObjective& objective,
+                                      double* score_out, PlanEstimate* estimate_out) const;
 
   /// Per-layer dense+attention cost of one token batch on `count` devices
   /// of `type` under perfect scaling.
@@ -136,5 +143,74 @@ class Parallelizer {
   PlanEvaluator evaluator_;
   SearchDiagnostics diag_;
 };
+
+// --- Search steps shared by the exhaustive and flow tiers ---------------
+// A share's per-type primary counts f keep the LAST f_t ids of each type:
+// pruning demotes from the front of a share, low-end types first.
+
+/// The cluster's devices by type, high-end -> low-end.  Within a type,
+/// degraded devices (condition overlay, hw/topology.h) sort first, so a
+/// straggler is the first of its type to be demoted to an Attention worker;
+/// the sort is stable, so a healthy cluster keeps id order.
+std::vector<TypeShare> devices_by_type(const hw::Cluster& cluster);
+
+/// Data-parallel instance counts: 1, and with `allow_dp` every d that
+/// divides every type's device count.
+std::vector<int> dp_groupings(const std::vector<TypeShare>& by_type, bool allow_dp);
+
+/// Instance 0's share of a d-way grouping: the first count/d devices of
+/// each type (the other instances are symmetric).
+std::vector<TypeShare> instance_share(const std::vector<TypeShare>& by_type, int d);
+
+/// The workload one of d instances serves: a 1/d share of the prefill
+/// tokens and of the decode batch (at least 1 each).
+WorkloadProfile instance_profile(const WorkloadProfile& profile, int d);
+
+/// Per-type counts after removing `depth` devices, low-end types first.
+std::vector<int> prune_depth(std::vector<int> counts, int depth);
+
+/// The devices counts `primaries` demote, in removal order.
+std::vector<int> demoted_devices(const std::vector<TypeShare>& share,
+                                 const std::vector<int>& primaries);
+
+/// Largest-remainder layer split proportional to stage speed (1 / per-layer
+/// cost); a stage left at zero layers takes one from the largest stage.
+std::vector<int> balance_layers(int layers, const std::vector<double>& per_layer_cost);
+
+/// The paper's Delta walk: from the lowest-end type up, remove one device
+/// at a time while the perfect-scaling cost C_p grows by at most `delta`
+/// over the last accepted removal, keeping at least one primary.  The
+/// first removal that costs more ends the walk within that type only; the
+/// walk goes on with the next type up.  Returns the per-type primary
+/// counts; `probes` (may be null) is incremented once per C_p probe.
+std::vector<int> delta_walk(const Parallelizer& search, const std::vector<TypeShare>& share,
+                            const WorkloadProfile& profile, double delta, int* probes);
+
+/// The (tp, pp) layouts of each unified stage: tp * pp == its device count
+/// and no sub-stage without layers (tp = all devices when none qualifies).
+std::vector<std::vector<std::pair<int, int>>> stage_layouts(
+    const std::vector<StageConfig>& unified);
+
+/// Unified stages expanded by `choice` (an index into each stage's
+/// layouts): pp sub-stages of tp consecutive devices, layers split as
+/// evenly as the integer division allows.  No Attention workers.
+InstanceConfig expand_layouts(const std::vector<StageConfig>& unified,
+                              const std::vector<std::vector<std::pair<int, int>>>& layouts,
+                              const std::vector<std::size_t>& choice);
+
+/// Advances `choice` through the layouts' cross product (mixed radix);
+/// false once every combination has been visited.
+bool next_layout(std::vector<std::size_t>& choice,
+                 const std::vector<std::vector<std::pair<int, int>>>& layouts);
+
+/// Index of the winning grouping by score (+inf = no plan): a later
+/// grouping must beat the incumbent by more than 0.1% so near-ties keep the
+/// earlier, narrower one.  scores.size() when nothing is finite.
+std::size_t pick_grouping(const std::vector<double>& scores);
+
+/// Instance 0's config replicated across the d instances of a grouping:
+/// every device id shifts by rep * count/d within its type.
+ParallelPlan replicate_instance(const InstanceConfig& inst, const hw::Cluster& cluster,
+                                const std::vector<TypeShare>& by_type, int d);
 
 }  // namespace hetis::parallel

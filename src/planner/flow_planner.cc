@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -32,51 +31,6 @@ constexpr double kLadder[] = {0.0, 0.05, 0.15, 0.3, 0.6, 1.0};
 /// instead of full enumeration (d = 1 on a 256-GPU pod has thousands of
 /// combinations; the descent visits a few dozen).
 constexpr std::size_t kMaxCrossProduct = 1024;
-
-// One GPU type's per-instance device share.
-struct TypeShare {
-  hw::GpuType type;
-  std::vector<int> share_ids;  // instance-0 device ids, cluster order
-};
-
-// Largest-remainder layer split proportional to stage speed.  Identical
-// arithmetic to the exhaustive search's balance step so the oracle-anchor
-// candidate carries the very same layer counts.
-std::vector<int> balance_layers(int total, const std::vector<double>& per_layer_cost) {
-  const std::size_t n = per_layer_cost.size();
-  if (n == 0) return {};
-  if (n == 1) return {total};
-  double inv_sum = 0.0;
-  for (double c : per_layer_cost) inv_sum += 1.0 / c;
-  std::vector<double> frac(n);
-  std::vector<int> layers(n);
-  int assigned = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    double ideal = total * (1.0 / per_layer_cost[k]) / inv_sum;
-    layers[k] = static_cast<int>(std::floor(ideal));
-    frac[k] = ideal - layers[k];
-    assigned += layers[k];
-  }
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&frac](std::size_t a, std::size_t b) { return frac[a] > frac[b]; });
-  for (std::size_t k = 0; assigned < total; ++k) {
-    layers[order[k % n]] += 1;
-    ++assigned;
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    if (layers[k] == 0) {
-      std::size_t donor = static_cast<std::size_t>(
-          std::max_element(layers.begin(), layers.end()) - layers.begin());
-      if (layers[donor] > 1) {
-        --layers[donor];
-        ++layers[k];
-      }
-    }
-  }
-  return layers;
-}
 
 /// Layers one device of type `a` carries at bottleneck cost C: 1 / k_t with
 /// k_t = max(tau_t / C, 1 / m_t); 0 for a type that can host nothing.
@@ -182,38 +136,11 @@ parallel::ParallelPlan FlowPlanner::plan(const parallel::WorkloadProfile& profil
   const int L = model_->layers;
   const double layer_bytes = static_cast<double>(model_->layer_param_bytes());
 
-  // Within a type, degraded devices (condition overlay) sort first; the
-  // share layout below takes primaries from the END of the share and
-  // demotes from the FRONT, so a straggler is the first of its type to
-  // become an Attention worker -- mirroring the exhaustive tier's walk
-  // order.  Stable, so healthy clusters keep id order byte-for-byte.
-  const std::vector<hw::GpuType> types = cluster_->types_by_power_desc();
-  std::map<hw::GpuType, std::vector<int>> by_type;
-  for (hw::GpuType t : types) {
-    std::vector<int> devs = cluster_->devices_of_type(t);
-    if (cluster_->degraded()) {
-      std::stable_sort(devs.begin(), devs.end(), [&](int a, int b) {
-        return cluster_->device_speed(a) < cluster_->device_speed(b);
-      });
-    }
-    by_type[t] = std::move(devs);
-  }
-
-  // DP instance counts d that divide every type's count (as exhaustive).
-  std::vector<int> candidates_d{1};
-  if (opts_.allow_dp) {
-    int max_d = std::numeric_limits<int>::max();
-    for (const auto& [t, devs] : by_type) {
-      max_d = std::min(max_d, static_cast<int>(devs.size()));
-    }
-    for (int d = 2; d <= max_d; ++d) {
-      bool divides = true;
-      for (const auto& [t, devs] : by_type) {
-        if (static_cast<int>(devs.size()) % d != 0) divides = false;
-      }
-      if (divides) candidates_d.push_back(d);
-    }
-  }
+  // Pruning demotes from the FRONT of a share and primaries come from its
+  // END, so the oracle anchors below reproduce the exhaustive tier's exact
+  // device sets.
+  const std::vector<parallel::TypeShare> by_type = parallel::devices_by_type(*cluster_);
+  const std::vector<int> candidates_d = parallel::dp_groupings(by_type, opts_.allow_dp);
   diag_.instances_considered = static_cast<int>(candidates_d.size());
 
   struct Winner {
@@ -228,24 +155,19 @@ parallel::ParallelPlan FlowPlanner::plan(const parallel::WorkloadProfile& profil
 
   for (std::size_t di = 0; di < candidates_d.size(); ++di) {
     const int d = candidates_d[di];
-    parallel::WorkloadProfile share = profile;
-    share.prefill_tokens = std::max<std::int64_t>(1, profile.prefill_tokens / d);
-    share.decode_batch = std::max<std::int64_t>(1, profile.decode_batch / d);
+    const parallel::WorkloadProfile share = parallel::instance_profile(profile, d);
 
     // --- 1. Type aggregation over instance 0's device share ---
-    std::vector<TypeShare> aggs;
+    const std::vector<parallel::TypeShare> aggs = parallel::instance_share(by_type, d);
+    if (aggs.empty()) continue;
     std::vector<TypeAggregate> relaxed;
-    for (hw::GpuType t : types) {
-      const auto& devs = by_type.at(t);
-      int per = static_cast<int>(devs.size()) / d;
-      if (per == 0) continue;
-      aggs.push_back({t, std::vector<int>(devs.begin(), devs.begin() + per)});
+    for (const parallel::TypeShare& a : aggs) {
       // Leave 10% of device memory as activation/runtime headroom; the
       // evaluator's hosts_model() check is the exact arbiter downstream.
-      relaxed.push_back({per, oracle_.perfect_scaling_cost({{t, 1}}, share) / L,
-                         0.9 * static_cast<double>(hw::gpu_spec(t).memory) / layer_bytes});
+      relaxed.push_back({static_cast<int>(a.device_ids.size()),
+                         oracle_.perfect_scaling_cost({{a.type, 1}}, share) / L,
+                         0.9 * static_cast<double>(hw::gpu_spec(a.type).memory) / layer_bytes});
     }
-    if (aggs.empty()) continue;
     const std::size_t T = aggs.size();
 
     Winner& best = per_d[di];
@@ -261,10 +183,9 @@ parallel::ParallelPlan FlowPlanner::plan(const parallel::WorkloadProfile& profil
       *score_out = est.kv_capacity < profile.min_kv_bytes ? kInf : objective->score(est);
     };
 
-    // Builds the unified-stage candidate for per-type primary counts `f`.
-    // Convention shared with the exhaustive search: pruning removes the
-    // FIRST ids of a type's share, low-end types first, so the oracle
-    // anchor reproduces the Delta walk's exact device sets.
+    // Builds the unified-stage candidate for per-type primary counts `f`,
+    // priced per layer as C_p of the type's primaries over L; stages the
+    // split leaves without layers keep their devices idle.
     auto build_config = [&](const std::vector<int>& f, bool keep_workers) {
       InstanceConfig cfg;
       std::vector<std::size_t> used;
@@ -275,24 +196,16 @@ parallel::ParallelPlan FlowPlanner::plan(const parallel::WorkloadProfile& profil
         per_layer.push_back(oracle_.perfect_scaling_cost({{aggs[t].type, f[t]}}, share) / L);
       }
       if (used.empty()) return cfg;  // no primaries: infeasible marker
-      std::vector<int> layers = balance_layers(L, per_layer);
+      const std::vector<int> layers = parallel::balance_layers(L, per_layer);
       for (std::size_t k = 0; k < used.size(); ++k) {
-        if (layers[k] == 0) continue;  // degenerate split; devices stay idle
-        const TypeShare& a = aggs[used[k]];
-        StageConfig stage;
-        stage.devices.assign(a.share_ids.end() - f[used[k]], a.share_ids.end());
-        stage.layers = layers[k];
-        cfg.stages.push_back(std::move(stage));
+        if (layers[k] == 0) continue;
+        const std::vector<int>& ids = aggs[used[k]].device_ids;
+        cfg.stages.emplace_back();
+        cfg.stages.back().devices.assign(ids.end() - f[used[k]], ids.end());
+        cfg.stages.back().layers = layers[k];
       }
-      if (cfg.stages.empty()) return cfg;
-      if (keep_workers) {
-        // Low-end types first, front-of-share ids first: the walk order.
-        for (std::size_t t = T; t-- > 0;) {
-          const TypeShare& a = aggs[t];
-          int demoted = static_cast<int>(a.share_ids.size()) - f[t];
-          cfg.attention_workers.insert(cfg.attention_workers.end(), a.share_ids.begin(),
-                                       a.share_ids.begin() + demoted);
-        }
+      if (!cfg.stages.empty() && keep_workers) {
+        cfg.attention_workers = parallel::demoted_devices(aggs, f);
       }
       return cfg;
     };
@@ -312,41 +225,20 @@ parallel::ParallelPlan FlowPlanner::plan(const parallel::WorkloadProfile& profil
       best.inst = std::move(cfg);
       best.pruned = 0;
       for (std::size_t t = 0; t < T; ++t) {
-        best.pruned += static_cast<int>(aggs[t].share_ids.size()) - f[t];
+        best.pruned += static_cast<int>(aggs[t].device_ids.size()) - f[t];
       }
     };
 
     // --- Oracle anchors ---
     std::vector<int> all(T);
-    for (std::size_t t = 0; t < T; ++t) all[t] = static_cast<int>(aggs[t].share_ids.size());
+    for (std::size_t t = 0; t < T; ++t) all[t] = static_cast<int>(aggs[t].device_ids.size());
     consider(all, /*keep_workers=*/false, /*require_hosts_model=*/false);
 
     if (opts_.enable_pruning) {
-      // The paper's Delta walk on the aggregated counts: remove devices
-      // low-end first while the perfect-scaling cost degrades by <= Delta.
-      std::vector<int> f = all;
-      auto counts = [&](const std::vector<int>& fv) {
-        std::vector<std::pair<hw::GpuType, int>> c;
-        for (std::size_t t = 0; t < T; ++t) c.emplace_back(aggs[t].type, fv[t]);
-        return c;
-      };
-      double current = oracle_.perfect_scaling_cost(counts(f), share);
-      for (std::size_t t = T; t-- > 0;) {
-        while (f[t] > 0) {
-          std::vector<int> attempt = f;
-          --attempt[t];
-          int remaining = std::accumulate(attempt.begin(), attempt.end(), 0);
-          if (remaining == 0) break;
-          double without = oracle_.perfect_scaling_cost(counts(attempt), share);
-          if (without / current <= 1.0 + opts_.delta) {
-            f = std::move(attempt);
-            current = without;
-          } else {
-            break;
-          }
-        }
-      }
-      consider(f, /*keep_workers=*/true, /*require_hosts_model=*/false);
+      // The paper's Delta walk; unlike the exhaustive tier, its probes are
+      // not counted as evaluated configurations.
+      consider(parallel::delta_walk(oracle_, aggs, share, opts_.delta, nullptr),
+               /*keep_workers=*/true, /*require_hosts_model=*/false);
 
       // Dense anchor sweep along the oracle's low-end-first removal order.
       // Depth-exploring objectives (latency, goodput) often win by demoting
@@ -369,13 +261,7 @@ parallel::ParallelPlan FlowPlanner::plan(const parallel::WorkloadProfile& profil
           }
         }
         for (int depth : depths) {
-          std::vector<int> fd = all;
-          int left = depth;
-          for (std::size_t t = T; t-- > 0 && left > 0;) {
-            int take = std::min(fd[t], left);
-            fd[t] -= take;
-            left -= take;
-          }
+          const std::vector<int> fd = parallel::prune_depth(all, depth);
           consider(fd, /*keep_workers=*/true, /*require_hosts_model=*/true);
           consider(fd, /*keep_workers=*/false, /*require_hosts_model=*/true);
         }
@@ -395,7 +281,7 @@ parallel::ParallelPlan FlowPlanner::plan(const parallel::WorkloadProfile& profil
           int total = 0;
           for (std::size_t t = 0; t < T; ++t) {
             if (f[t] > 1e-6) {
-              rounded[t] = std::min(static_cast<int>(aggs[t].share_ids.size()),
+              rounded[t] = std::min(static_cast<int>(aggs[t].device_ids.size()),
                                     static_cast<int>(std::ceil(f[t] - 1e-6)));
             }
             total += rounded[t];
@@ -414,45 +300,14 @@ parallel::ParallelPlan FlowPlanner::plan(const parallel::WorkloadProfile& profil
     // optimum may split a stage into pp sub-stages of narrower TP.  Stage
     // groups re-derive from the winner (devices keep their order).
     {
-      const InstanceConfig base = best.inst;
-      const std::vector<int> worker_ids = base.attention_workers;
-      std::vector<std::vector<int>> devs;
-      std::vector<int> layer_split;
-      for (const StageConfig& s : base.stages) {
-        devs.push_back(s.devices);
-        layer_split.push_back(s.layers);
-      }
-      std::vector<std::vector<std::pair<int, int>>> options(devs.size());
+      const std::vector<StageConfig> unified = best.inst.stages;
+      const std::vector<int> workers = best.inst.attention_workers;
+      const auto layouts = parallel::stage_layouts(unified);
       std::size_t combos = 1;
-      for (std::size_t k = 0; k < devs.size(); ++k) {
-        int n = static_cast<int>(devs[k].size());
-        for (int tp = 1; tp <= n; ++tp) {
-          if (n % tp != 0) continue;
-          int pp = n / tp;
-          if (pp > layer_split[k]) continue;
-          options[k].emplace_back(tp, pp);
-        }
-        if (options[k].empty()) options[k].emplace_back(n, 1);
-        combos *= options[k].size();
-      }
-      auto build_choice = [&](const std::vector<std::size_t>& choice) {
-        InstanceConfig cfg;
-        for (std::size_t k = 0; k < devs.size(); ++k) {
-          auto [tp, pp] = options[k][choice[k]];
-          int layers_left = layer_split[k];
-          for (int sub = 0; sub < pp; ++sub) {
-            StageConfig stage;
-            stage.devices.assign(devs[k].begin() + sub * tp, devs[k].begin() + (sub + 1) * tp);
-            stage.layers = layers_left / (pp - sub);
-            layers_left -= stage.layers;
-            cfg.stages.push_back(std::move(stage));
-          }
-        }
-        cfg.attention_workers = worker_ids;
-        return cfg;
-      };
+      for (const auto& options : layouts) combos *= options.size();
       auto try_choice = [&](const std::vector<std::size_t>& choice) {
-        InstanceConfig cfg = build_choice(choice);
+        InstanceConfig cfg = parallel::expand_layouts(unified, layouts, choice);
+        cfg.attention_workers = workers;
         double score = kInf;
         PlanEstimate est;
         score_config(cfg, &score, &est);
@@ -462,26 +317,19 @@ parallel::ParallelPlan FlowPlanner::plan(const parallel::WorkloadProfile& profil
           best.inst = std::move(cfg);
         }
       };
-      std::vector<std::size_t> choice(devs.size(), 0);
+      std::vector<std::size_t> choice(unified.size(), 0);
       if (combos <= kMaxCrossProduct) {
-        for (;;) {
+        do {
           try_choice(choice);
-          std::size_t k = 0;
-          while (k < choice.size()) {
-            if (++choice[k] < options[k].size()) break;
-            choice[k] = 0;
-            ++k;
-          }
-          if (k == choice.size()) break;
-        }
+        } while (parallel::next_layout(choice, layouts));
       } else {
         // Coordinate descent: refine one stage at a time, repeat until a
         // full pass stops improving (at most 4 passes).
         for (int pass = 0; pass < 4; ++pass) {
           double before = best.score;
-          for (std::size_t k = 0; k < options.size(); ++k) {
+          for (std::size_t k = 0; k < layouts.size(); ++k) {
             std::size_t best_opt = choice[k];
-            for (std::size_t o = 0; o < options[k].size(); ++o) {
+            for (std::size_t o = 0; o < layouts[k].size(); ++o) {
               choice[k] = o;
               double prev = best.score;
               try_choice(choice);
@@ -495,18 +343,10 @@ parallel::ParallelPlan FlowPlanner::plan(const parallel::WorkloadProfile& profil
     }
   }
 
-  // --- Grouping selection: exhaustive's 0.1% tie band, earlier d wins ---
-  std::size_t best_i = per_d.size();
-  for (std::size_t i = 0; i < per_d.size(); ++i) {
-    if (per_d[i].inst.stages.empty() || !std::isfinite(per_d[i].score)) continue;
-    if (best_i == per_d.size()) {
-      best_i = i;
-      continue;
-    }
-    const double incumbent = per_d[best_i].score;
-    const double threshold = incumbent >= 0 ? incumbent * 0.999 : incumbent * 1.001;
-    if (per_d[i].score < threshold) best_i = i;
-  }
+  // --- Grouping selection: the exhaustive tier's 0.1% tie band ---
+  std::vector<double> scores;
+  for (const Winner& w : per_d) scores.push_back(w.score);
+  const std::size_t best_i = parallel::pick_grouping(scores);
 
   if (best_i == per_d.size()) {
     // Nothing survived rounding + KV filtering: defer to the oracle, which
@@ -532,25 +372,8 @@ parallel::ParallelPlan FlowPlanner::plan(const parallel::WorkloadProfile& profil
         std::max(0.0, win.est.iteration_cost() / win.c_star - 1.0);
   }
 
-  // Replicate instance 0 across the d instances (per-type block offsets, as
-  // the exhaustive search does).
-  parallel::ParallelPlan plan;
-  const int d = win.d;
-  for (int rep = 0; rep < d; ++rep) {
-    InstanceConfig copy = win.inst;
-    auto shift = [&](int& dev) {
-      hw::GpuType t = cluster_->device(dev).type;
-      const auto& all = by_type.at(t);
-      int per = static_cast<int>(all.size()) / d;
-      auto pos = std::find(all.begin(), all.end(), dev) - all.begin();
-      dev = all[static_cast<std::size_t>(pos + rep * per)];
-    };
-    for (auto& stage : copy.stages) {
-      for (int& dev : stage.devices) shift(dev);
-    }
-    for (int& dev : copy.attention_workers) shift(dev);
-    plan.instances.push_back(std::move(copy));
-  }
+  parallel::ParallelPlan plan =
+      parallel::replicate_instance(win.inst, *cluster_, by_type, win.d);
   diag_.wall_time =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   HETIS_INFO("FlowPlanner: " << plan.to_string(*cluster_, &diag_));

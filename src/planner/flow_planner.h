@@ -37,6 +37,9 @@
 //      exhaustive search; refine the per-grouping winner's TP x PP split.
 //      The relaxation only proposes; measured cost disposes.
 //
+// The groupings, the Delta walk, the layer split, the TP x PP layouts, the
+// grouping tie band and the replica mapping are the exhaustive tier's own
+// steps (parallel/parallelizer.h); only the candidate proposer differs.
 // When no candidate survives, the planner falls back to the exhaustive
 // oracle and records why in SearchDiagnostics::fallback_reason.
 #pragma once

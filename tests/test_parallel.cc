@@ -1,14 +1,12 @@
 // Unit tests: the Parallelizer (§4.1 hierarchical search).
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <cstring>
+#include <cmath>
+#include <limits>
 #include <set>
 
-#include "harness/presets.h"
 #include "model/llm.h"
 #include "parallel/parallelizer.h"
-#include "planner/planner.h"
 
 namespace hetis::model {
 
@@ -282,51 +280,25 @@ TEST(RemapDeviceIds, FailedRemapLeavesEarlierStagesRewritten) {
   EXPECT_EQ(cfg.stages[0].devices.front(), 2) << "first stage already rewritten";
 }
 
-TEST(Parallelizer, SearchThreadsDoNotChangeThePlan) {
-  // Search chunks price candidates through separate evaluators, so the
-  // thread count must not leak into the result: plan, diagnostics and
-  // PlanEstimate are byte-identical at 1 and 8 search threads on every
-  // preset that planner=auto searches exhaustively, under every objective,
-  // for the golden benches' model.
-  auto bits = [](double d) {
-    std::uint64_t u;
-    std::memcpy(&u, &d, sizeof(u));
-    return u;
-  };
-  const model::ModelSpec& model = model::llama_13b();
-  int searched = 0;
-  for (const std::string& name : harness::cluster_preset_names()) {
-    hw::Cluster cluster = harness::cluster_by_name(name);
-    if (cluster.num_devices() > planner::kAutoExhaustiveMaxDevices) continue;
-    for (const std::string& objective : objective_names()) {
-      ParallelizerOptions serial;
-      serial.objective.name = objective;
-      serial.search_threads = 1;
-      ParallelizerOptions parallel = serial;
-      parallel.search_threads = 8;
-      Parallelizer a(cluster, model, serial);
-      Parallelizer b(cluster, model, parallel);
-      const ParallelPlan pa = a.plan(default_profile());
-      const ParallelPlan pb = b.plan(default_profile());
-      SCOPED_TRACE(name + "/" + objective);
-      EXPECT_EQ(pa, pb);
-      EXPECT_EQ(pa.to_string(cluster), pb.to_string(cluster));
-      EXPECT_EQ(a.diagnostics().configurations_evaluated, b.diagnostics().configurations_evaluated);
-      EXPECT_EQ(a.diagnostics().pruned_devices, b.diagnostics().pruned_devices);
-      EXPECT_EQ(bits(a.diagnostics().best_cost), bits(b.diagnostics().best_cost));
-      const PlanEstimate ea = a.evaluator().evaluate(pa, default_profile());
-      const PlanEstimate eb = b.evaluator().evaluate(pb, default_profile());
-      EXPECT_EQ(bits(ea.ttft), bits(eb.ttft));
-      EXPECT_EQ(bits(ea.tpot), bits(eb.tpot));
-      EXPECT_EQ(bits(ea.throughput), bits(eb.throughput));
-      EXPECT_EQ(ea.kv_capacity, eb.kv_capacity);
-      EXPECT_EQ(ea.device_count, eb.device_count);
-      EXPECT_EQ(ea.instances, eb.instances);
-      EXPECT_EQ(bits(ea.decode_weight), bits(eb.decode_weight));
-      ++searched;
-    }
-  }
-  EXPECT_GE(searched, 9);  // paper, ablation, budget x 3 objectives
+TEST(SearchSteps, PickGroupingKeepsTheEarlierGroupingWithinTheBand) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(pick_grouping({10.0, 9.995}), 0u);  // 0.05% better: a tie
+  EXPECT_EQ(pick_grouping({10.0, 9.995, 9.0, inf}), 2u);
+  EXPECT_EQ(pick_grouping({-10.0, -10.005}), 0u);  // maximizing scores too
+  EXPECT_EQ(pick_grouping({-10.0, -10.02}), 1u);
+  EXPECT_EQ(pick_grouping({inf, 3.0}), 1u);
+  EXPECT_EQ(pick_grouping({inf, std::nan("")}), 2u);  // nothing finite
+}
+
+TEST(SearchSteps, PruningFollowsTheWalkOrder) {
+  // Low-end types go first, and within a type the front of the share.
+  const std::vector<TypeShare> share = {{hw::GpuType::kA100_80G, {0, 1}},
+                                        {hw::GpuType::kP100, {2, 3, 4}}};
+  EXPECT_EQ(prune_depth({2, 3}, 0), (std::vector<int>{2, 3}));
+  EXPECT_EQ(prune_depth({2, 3}, 2), (std::vector<int>{2, 1}));
+  EXPECT_EQ(prune_depth({2, 3}, 4), (std::vector<int>{1, 0}));
+  EXPECT_EQ(demoted_devices(share, {1, 0}), (std::vector<int>{2, 3, 4, 0}));
+  EXPECT_EQ(demoted_devices(share, {2, 3}), std::vector<int>{});
 }
 
 TEST(Parallelizer, PlanToStringReadable) {

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
@@ -491,6 +493,97 @@ TEST(DatacenterPresets, HeterogeneousFabrics) {
   EXPECT_DOUBLE_EQ(sub.link(2, 3).bandwidth, pcie3_bw);
   EXPECT_THROW(dc.host_intra_link(-1), std::invalid_argument);
   EXPECT_THROW(dc.set_host_intra_link(10'000, hw::Link{}), std::invalid_argument);
+}
+
+// --- plan pins ----------------------------------------------------------
+
+// Folds a planner's whole decision -- the plan and every deterministic
+// diagnostic (wall time excluded) -- into one FNV-1a hash per cell, so a
+// refactor of the search can prove that no plan and no count moved.
+class PlanHash {
+ public:
+  void word(std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) hash_ = (hash_ ^ ((w >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+  }
+  void real(double x) {
+    std::uint64_t u;
+    std::memcpy(&u, &x, sizeof u);
+    word(u);
+  }
+  void text(const std::string& s) {
+    word(s.size());
+    for (char c : s) word(static_cast<unsigned char>(c));
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t pin_cell(const std::string& tier, const hw::Cluster& cluster,
+                       const model::ModelSpec& model, const std::string& objective) {
+  parallel::ParallelizerOptions opts;
+  opts.objective.name = objective;
+  std::unique_ptr<planner::Planner> p = planner::make(tier, cluster, model, opts);
+  PlanHash h;
+  try {
+    const parallel::ParallelPlan plan = p->plan(default_profile());
+    const parallel::SearchDiagnostics& diag = p->diagnostics();
+    h.text(plan.to_string(cluster));
+    h.word(static_cast<std::uint64_t>(diag.configurations_evaluated));
+    h.word(static_cast<std::uint64_t>(diag.instances_considered));
+    h.word(static_cast<std::uint64_t>(diag.pruned_devices));
+    h.real(diag.best_cost);
+    h.real(diag.relaxation_gap);
+    h.word(diag.lp_solves);
+    h.text(diag.fallback_reason);
+  } catch (const std::runtime_error& e) {
+    h.text(std::string("throws: ") + e.what());
+  }
+  return h.value();
+}
+
+// One hash per (tier, preset) over Llama-13B and Llama-70B x every
+// objective x {healthy, the last device of the fastest type at 40% speed}.
+// The exhaustive tier plans the presets bench_search_overhead gives it an
+// oracle row on (<= 128 devices).
+TEST(PlanPin, BothTiersMatchTheRecordedPlans) {
+  // Recorded from the thread-pooled search and the flow planner's own
+  // copies of the shared steps, before both moved onto src/parallel/'s
+  // free functions.
+  const std::map<std::string, std::uint64_t> pins = {
+      {"exhaustive/ablation", 0x1c4fab1ab5d76b63ull}, {"exhaustive/budget", 0xa21ed17b9a521b1bull},
+      {"exhaustive/dc128", 0x634e75b3cea3f160ull},    {"exhaustive/dc64", 0x84486bb0306f774aull},
+      {"exhaustive/paper", 0xb789dd7368077a31ull},    {"flow/ablation", 0xe948b96c1bb50daaull},
+      {"flow/budget", 0x1b10ebd15fb09df3ull},         {"flow/dc128", 0xb7d016af2407e7b9ull},
+      {"flow/dc256", 0x19a52e55d67013ecull},          {"flow/dc64", 0x12e189384c9fc5d0ull},
+      {"flow/paper", 0x0768f97c7ac58243ull},
+  };
+  int pinned = 0;
+  for (const std::string tier : {"exhaustive", "flow"}) {
+    for (const std::string& preset : harness::cluster_preset_names()) {
+      const hw::Cluster healthy = harness::cluster_by_name(preset);
+      if (tier == "exhaustive" && healthy.num_devices() > 128) continue;
+      hw::Cluster degraded = healthy;
+      const auto fastest = degraded.devices_of_type(degraded.types_by_power_desc().front());
+      degraded.set_device_speed(fastest.back(), 0.4);
+      const hw::Cluster* overlays[] = {&healthy, &degraded};
+      PlanHash h;
+      for (const model::ModelSpec* model : {&model::llama_13b(), &model::llama_70b()}) {
+        for (const std::string& objective : kObjectives) {
+          for (const hw::Cluster* cluster : overlays) {
+            h.word(pin_cell(tier, *cluster, *model, objective));
+          }
+        }
+      }
+      const std::string key = tier + "/" + preset;
+      const auto it = pins.find(key);
+      EXPECT_TRUE(it != pins.end() && it->second == h.value())
+          << key << ": 0x" << std::hex << h.value();
+      ++pinned;
+    }
+  }
+  EXPECT_EQ(pinned, 11);  // 5 presets exhaustive, 6 flow
 }
 
 }  // namespace
