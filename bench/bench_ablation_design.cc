@@ -7,6 +7,7 @@
 //   * data-parallel grouping       (vs one big instance)
 #include <cstdio>
 
+#include "common/cli.h"
 #include "harness.h"
 
 namespace {
@@ -22,8 +23,9 @@ engine::RunReport run_variant(const hw::Cluster& cluster, const model::ModelSpec
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hetis;
+  cli::Parser("bench_ablation_design").parse(argc, argv);
   hw::Cluster cluster = harness::cluster_by_name("paper");
   const model::ModelSpec& m = model::model_by_name("Llama-13B");
   auto trace = bench::make_trace(workload::Dataset::kShareGPT, 10.0);

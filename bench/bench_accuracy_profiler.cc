@@ -3,12 +3,14 @@
 // 93.8% computation accuracy and 92.4-96.1% transfer accuracy.
 #include <cstdio>
 
+#include "common/cli.h"
 #include "costmodel/profiler.h"
 #include "hw/topology.h"
 #include "model/llm.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hetis;
+  cli::Parser("bench_accuracy_profiler").parse(argc, argv);
   hw::Cluster cluster = hw::Cluster::paper_cluster();
 
   std::printf("=== Profiler modeling accuracy (paper §7.4) ===\n\n");

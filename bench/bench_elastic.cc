@@ -33,40 +33,20 @@
 // Writes BENCH_elastic.json (all three row sets + wall clock) as the
 // canonical artifact for the perf trajectory; committed at the repo root.
 //
-// Flags:
-//   --csv         dump aligned sweep rows (A, B, then C) instead of tables
-//   --csv-header  print the sweep CSV header and exit (CI diffs this
-//                 against the emitted CSV)
-//   --jobs N      sweep worker threads (0 = hardware concurrency; rows are
-//                 byte-identical for every value).  Default: 0.
-//   --progress    per-cell completion lines on stderr
-//   --out PATH    JSON artifact path (default BENCH_elastic.json; "-" off)
-//   --rate R      base aggregate rate in req/s (default 18)
-//   --horizon S   arrival window in seconds (default 24)
-//   --trace DIR   per-cell telemetry: every cell of every part writes a
-//                 Perfetto-loadable <cell>.trace.json (+ .metrics.csv and
-//                 .audit.json) into DIR; rows stay byte-identical
-//   --check       degradation acceptance guard: exit 2 unless, under BOTH
-//                 Part C scripts, Hetis finishes every request (nothing
-//                 dropped), reconfigures at least once, and beats both
-//                 baselines on SLO attainment
-//   --help        print usage and exit
-// An unknown flag, or a valued flag without its value, prints usage and
-// exits 2 before anything runs (nothing overwrites the JSON snapshot).
+// --check is the degradation acceptance guard: it exits 2 unless, under
+// BOTH Part C scripts, Hetis finishes every request (nothing dropped),
+// reconfigures at least once, and beats both baselines on SLO attainment.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "common/cli.h"
 #include "control/controller.h"
 #include "harness.h"
 #include "workload/scenarios.h"
 
 namespace {
-
-constexpr char kUsage[] =
-    "usage: bench_elastic [--csv] [--csv-header] [--jobs N] [--progress] [--out PATH]\n"
-    "                     [--rate R] [--horizon S] [--trace DIR] [--check] [--help]\n";
 
 using namespace hetis;
 
@@ -115,19 +95,29 @@ void print_rows(const std::vector<harness::SweepRow>& rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::check_flags(argc, argv, {"--csv", "--csv-header", "--progress", "--check"},
-                     {"--jobs", "--out", "--rate", "--horizon", "--trace"}, kUsage);
-  if (bench::flag_requested(argc, argv, "--csv-header")) {
+  const cli::Args args =
+      cli::Parser("bench_elastic")
+          .flag("--csv", "dump the aligned sweep rows (A, B, then C) instead of the tables")
+          .flag("--csv-header", "print the sweep CSV header and exit")
+          .option("--jobs", "N", "sweep worker threads (0 = hardware concurrency; default 0)")
+          .flag("--progress", "per-cell completion lines on stderr")
+          .option("--out", "PATH", "JSON artifact path (default BENCH_elastic.json; - disables)")
+          .option("--rate", "R", "base aggregate rate in req/s (default 18)")
+          .option("--horizon", "S", "arrival window in seconds (default 24)")
+          .option("--trace", "DIR", "write each cell's .trace.json, .metrics.csv, .audit.json here")
+          .flag("--check", "degradation guard: exit 2 unless Hetis wins both part C scripts")
+          .parse(argc, argv);
+  if (args.has("--csv-header")) {
     std::printf("%s\n", harness::sweep_csv_header().c_str());
     return 0;
   }
-  const double rate = bench::positive_arg(argc, argv, "--rate", 18.0, kUsage);
-  const Seconds horizon = bench::positive_arg(argc, argv, "--horizon", 24.0, kUsage);
-  const std::string out_path = bench::arg_value(argc, argv, "--out", "BENCH_elastic.json");
-  const bool csv = bench::csv_requested(argc, argv);
-  const bool progress = bench::flag_requested(argc, argv, "--progress");
-  const int jobs = bench::jobs_requested(argc, argv, /*fallback=*/0);
-  g_trace_dir = bench::arg_value(argc, argv, "--trace", "");
+  const double rate = args.positive("--rate", 18.0);
+  const Seconds horizon = args.positive("--horizon", 24.0);
+  const std::string out_path = args.text("--out", "BENCH_elastic.json");
+  const bool csv = args.has("--csv");
+  const bool progress = args.has("--progress");
+  const int jobs = args.jobs(0);
+  g_trace_dir = args.text("--trace", "");
 
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -208,7 +198,7 @@ int main(int argc, char** argv) {
   // Degradation acceptance guard (see header comment).  Checked before any
   // printing mode returns so `--csv --check` also guards.
   int check_failures = 0;
-  if (bench::flag_requested(argc, argv, "--check")) {
+  if (args.has("--check")) {
     for (const auto& churn : degradation_churns) {
       const std::string script = control::to_string(churn.kind);
       const harness::SweepRow* hetis = nullptr;

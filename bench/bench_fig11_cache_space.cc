@@ -12,10 +12,12 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/cli.h"
 #include "harness.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hetis;
+  cli::Parser("bench_fig11_cache_space").parse(argc, argv);
   hw::Cluster cluster = harness::cluster_by_name("paper");
 
   std::printf("=== Fig. 11: maximum available KV cache space (GB) ===\n\n");

@@ -5,13 +5,19 @@
 // Splitwise's migration-inclusive TTFT degrading on long-prompt datasets.
 //
 // Declarative harness sweep with an SLO attached, so each system also
-// reports goodput under the latency targets; pass --csv for the row dump.
+// reports goodput under the latency targets.
 #include <cstdio>
 
+#include "common/cli.h"
 #include "harness.h"
 
 int main(int argc, char** argv) {
   using namespace hetis;
+  const cli::Args args =
+      cli::Parser("bench_fig12_ttft_tpot")
+          .flag("--csv", "dump the aligned sweep rows instead of the table")
+          .option("--jobs", "N", "sweep worker threads (0 = hardware concurrency; default 1)")
+          .parse(argc, argv);
   harness::ExperimentSpec spec = bench::paper_spec("Fig. 12", "Llama-70B");
   spec.workloads = {{workload::Dataset::kShareGPT, 1.5},
                     {workload::Dataset::kHumanEval, 6.0},
@@ -20,11 +26,11 @@ int main(int argc, char** argv) {
   slo.ttft = 5.0;    // interactive-serving targets; reporting-only
   slo.tpot = 0.15;
   spec.run.slo = slo;
-  spec.jobs = bench::jobs_requested(argc, argv);
+  spec.jobs = args.jobs(1);
 
   const auto rows = harness::run_sweep(spec);
   bench::warn_truncated(rows);
-  if (bench::csv_requested(argc, argv)) {
+  if (args.has("--csv")) {
     harness::write_csv(std::cout, rows);
     return 0;
   }

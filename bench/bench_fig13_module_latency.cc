@@ -2,23 +2,27 @@
 // during decode for Llama-70B (module latency = max per-stage module time
 // x number of stages, §7.3), normalized to Hetis.  Expected shape: Hetis
 // reduces MLP by up to ~1.29x and decode Attention by up to ~1.49x.
-//
-// Declarative harness sweep; pass --csv for the aligned row dump.
 #include <cstdio>
 
+#include "common/cli.h"
 #include "harness.h"
 
 int main(int argc, char** argv) {
   using namespace hetis;
+  const cli::Args args =
+      cli::Parser("bench_fig13_module_latency")
+          .flag("--csv", "dump the aligned sweep rows instead of the table")
+          .option("--jobs", "N", "sweep worker threads (0 = hardware concurrency; default 1)")
+          .parse(argc, argv);
   harness::ExperimentSpec spec = bench::paper_spec("Fig. 13", "Llama-70B");
   spec.workloads = {{workload::Dataset::kShareGPT, 1.5},
                     {workload::Dataset::kHumanEval, 6.0},
                     {workload::Dataset::kLongBench, 0.8}};
-  spec.jobs = bench::jobs_requested(argc, argv);
+  spec.jobs = args.jobs(1);
 
   const auto rows = harness::run_sweep(spec);
   bench::warn_truncated(rows);
-  if (bench::csv_requested(argc, argv)) {
+  if (args.has("--csv")) {
     harness::write_csv(std::cout, rows);
     return 0;
   }

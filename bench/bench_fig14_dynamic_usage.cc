@@ -11,14 +11,16 @@
 
 // Not harness-migrated: this figure reads the engine's usage time series
 // and migration counters, so it constructs the concrete engine directly.
+#include "common/cli.h"
 #include "engine/engine.h"
 #include "hetis/hetis_engine.h"
 #include "hw/topology.h"
 #include "model/llm.h"
 #include "workload/trace.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hetis;
+  cli::Parser("bench_fig14_dynamic_usage").parse(argc, argv);
   hw::Cluster cluster = hw::Cluster::ablation_cluster();
   const model::ModelSpec& m = model::llama_13b();
 
@@ -37,8 +39,9 @@ int main() {
   opts.sample_interval = 1.0;
   opts.sample_horizon = 100.0;
   opts.workload.decode_batch = 32;
+  opts.plan = plan;
 
-  core::HetisEngine engine(cluster, m, opts, plan);
+  core::HetisEngine engine(cluster, m, opts);
 
   workload::TraceOptions topts;
   topts.dataset = workload::Dataset::kShareGPT;

@@ -12,13 +12,15 @@
 // migrations.
 #include <cstdio>
 
+#include "common/cli.h"
 #include "harness.h"
 // Not harness-migrated: this ablation reads HetisEngine-specific re-dispatch
 // counters, so it constructs the concrete engine directly.
 #include "hetis/hetis_engine.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hetis;
+  cli::Parser("bench_fig15a_redispatch").parse(argc, argv);
   hw::Cluster cluster = harness::cluster_by_name("ablation");
   const model::ModelSpec& m = model::model_by_name("Llama-13B");
 
@@ -40,7 +42,8 @@ int main() {
   {
     core::HetisOptions opts = bench::hetis_options();
     opts.enable_redispatch = true;
-    core::HetisEngine eng(cluster, m, opts, plan);
+    opts.plan = plan;
+    core::HetisEngine eng(cluster, m, opts);
     with_rd = engine::run_trace(eng, trace, ropts);
     rescues = eng.rescue_redispatches();
     balances = eng.balance_redispatches();
@@ -48,7 +51,8 @@ int main() {
   {
     core::HetisOptions opts = bench::hetis_options();
     opts.enable_redispatch = false;  // plain LIFO preemption only
-    core::HetisEngine eng(cluster, m, opts, plan);
+    opts.plan = plan;
+    core::HetisEngine eng(cluster, m, opts);
     lifo = engine::run_trace(eng, trace, ropts);
   }
 

@@ -7,10 +7,12 @@
 // EngineOptions -- no concrete engine header.
 #include <cstdio>
 
+#include "common/cli.h"
 #include "harness.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hetis;
+  cli::Parser("bench_fig16a_theta").parse(argc, argv);
   hw::Cluster cluster = harness::cluster_by_name("paper");
   const model::ModelSpec& m = model::model_by_name("Llama-13B");
   const std::vector<std::pair<workload::Dataset, double>> settings{

@@ -5,10 +5,12 @@
 // error (the paper's resilience claim, §7.4).
 #include <cstdio>
 
+#include "common/cli.h"
 #include "harness.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hetis;
+  cli::Parser("bench_fig16b_profiling_error").parse(argc, argv);
   using ET = engine::HetisConfig::ErrorTarget;
   hw::Cluster cluster = harness::cluster_by_name("paper");
   const model::ModelSpec& m = model::model_by_name("Llama-13B");

@@ -8,13 +8,15 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/cli.h"
 #include "costmodel/kernel_model.h"
 #include "hw/gpu.h"
 #include "model/llm.h"
 #include "model/modules.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hetis;
+  cli::Parser("bench_fig2_module_gap").parse(argc, argv);
   costmodel::KernelModel kernel;
   const model::ModelSpec& m = model::llama_70b();
   const std::int64_t kSeqLen = 1000;

@@ -10,12 +10,14 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/cli.h"
 #include "costmodel/comm_model.h"
 #include "hw/topology.h"
 #include "model/llm.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hetis;
+  cli::Parser("bench_fig5_headwise_comm").parse(argc, argv);
   hw::Cluster cluster = hw::Cluster::paper_cluster();
   costmodel::CommModel comm(cluster);
   const model::ModelSpec& m = model::llama_70b();

@@ -7,12 +7,14 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/cli.h"
 #include "costmodel/kernel_model.h"
 #include "hw/gpu.h"
 #include "model/llm.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hetis;
+  cli::Parser("bench_fig7_attention_model").parse(argc, argv);
   costmodel::KernelModel kernel;
   const model::ModelSpec& m = model::opt_30b();
   const hw::GpuSpec& gpu = hw::gpu_spec(hw::GpuType::kA100_80G);

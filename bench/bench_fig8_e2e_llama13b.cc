@@ -2,17 +2,21 @@
 // rate for Llama-13B on ShareGPT / HumanEval / LongBench, all three
 // systems.  Expected shape: Hetis sustains the highest rate before the
 // latency knee (paper: up to 2.25x Splitwise, 1.33x HexGen throughput).
-//
-// Declarative harness sweep; pass --csv for the aligned row dump.
+#include "common/cli.h"
 #include "harness.h"
 
 int main(int argc, char** argv) {
   using namespace hetis;
+  const cli::Args args =
+      cli::Parser("bench_fig8_e2e_llama13b")
+          .flag("--csv", "dump the aligned sweep rows instead of the table")
+          .option("--jobs", "N", "sweep worker threads (0 = hardware concurrency; default 1)")
+          .flag("--progress", "per-cell completion lines on stderr")
+          .parse(argc, argv);
   bench::run_e2e_figure("Fig. 8", "Llama-13B",
                         {{workload::Dataset::kShareGPT, {3, 6, 9, 12, 15}},
                          {workload::Dataset::kHumanEval, {15, 30, 45, 60, 75}},
                          {workload::Dataset::kLongBench, {3, 5, 7, 9}}},
-                        bench::csv_requested(argc, argv), bench::jobs_requested(argc, argv),
-                        bench::flag_requested(argc, argv, "--progress"));
+                        args.has("--csv"), args.jobs(1), args.has("--progress"));
   return 0;
 }

@@ -20,18 +20,6 @@
 //
 // Writes BENCH_objectives.json (planner estimates + sweep rows + the TTFT
 // invariant verdict) as the canonical artifact; committed at the repo root.
-//
-// Flags:
-//   --csv         dump aligned sweep rows instead of the tables
-//   --csv-header  print the sweep CSV header and exit (CI diffs this)
-//   --jobs N      sweep worker threads (0 = hardware concurrency; rows are
-//                 byte-identical for every value).  Default: 0.
-//   --progress    per-cell completion lines on stderr
-//   --out PATH    JSON artifact path (default BENCH_objectives.json; "-" off)
-//   --horizon S   arrival window in seconds (default 16)
-//   --help        print usage and exit
-// An unknown flag, or a valued flag without its value, prints usage and
-// exits 2 before anything runs (nothing overwrites the JSON snapshot).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -39,15 +27,12 @@
 #include <sstream>
 #include <vector>
 
+#include "common/cli.h"
 #include "harness.h"
 #include "parallel/parallelizer.h"
 #include "workload/scenarios.h"
 
 namespace {
-
-constexpr char kUsage[] =
-    "usage: bench_objectives [--csv] [--csv-header] [--jobs N] [--progress] [--out PATH]\n"
-    "                        [--horizon S] [--help]\n";
 
 using namespace hetis;
 
@@ -100,17 +85,24 @@ const PlannerCell& planner_cell(const std::vector<PlannerCell>& cells, const std
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::check_flags(argc, argv, {"--csv", "--csv-header", "--progress"},
-                     {"--jobs", "--out", "--horizon"}, kUsage);
-  if (bench::flag_requested(argc, argv, "--csv-header")) {
+  const cli::Args args =
+      cli::Parser("bench_objectives")
+          .flag("--csv", "dump the aligned sweep rows instead of the tables")
+          .flag("--csv-header", "print the sweep CSV header and exit")
+          .option("--jobs", "N", "sweep worker threads (0 = hardware concurrency; default 0)")
+          .flag("--progress", "per-cell completion lines on stderr")
+          .option("--out", "PATH", "JSON artifact path (default BENCH_objectives.json; - disables)")
+          .option("--horizon", "S", "arrival window in seconds (default 16)")
+          .parse(argc, argv);
+  if (args.has("--csv-header")) {
     std::printf("%s\n", harness::sweep_csv_header().c_str());
     return 0;
   }
-  const Seconds horizon = bench::positive_arg(argc, argv, "--horizon", 16.0, kUsage);
-  const std::string out_path = bench::arg_value(argc, argv, "--out", "BENCH_objectives.json");
-  const bool csv = bench::csv_requested(argc, argv);
-  const bool progress = bench::flag_requested(argc, argv, "--progress");
-  const int jobs = bench::jobs_requested(argc, argv, /*fallback=*/0);
+  const Seconds horizon = args.positive("--horizon", 16.0);
+  const std::string out_path = args.text("--out", "BENCH_objectives.json");
+  const bool csv = args.has("--csv");
+  const bool progress = args.has("--progress");
+  const int jobs = args.jobs(0);
 
   engine::SloSpec slo;
   slo.ttft = 2.0;

@@ -7,50 +7,36 @@
 // conclusions have to survive bursts, load swings and mixed tenants.  The
 // run also writes BENCH_scenarios.json (rows + wall-clock + jobs) as the
 // canonical artifact for the perf trajectory.
-//
-// Flags:
-//   --csv         dump aligned sweep rows to stdout instead of the table
-//   --csv-header  print the sweep CSV header and exit (CI checks this
-//                 against the emitted CSV)
-//   --jobs N      sweep worker threads (0 = hardware concurrency; rows are
-//                 byte-identical for every value).  Default: 0.
-//   --progress    per-cell completion lines on stderr
-//   --out PATH    where to write the JSON artifact (default
-//                 BENCH_scenarios.json; "-" disables)
-//   --rate R      base aggregate rate in req/s (default 2)
-//   --horizon S   arrival window in seconds (default 12)
-//   --help        print usage and exit
-// An unknown flag, or a valued flag without its value, prints usage and
-// exits 2 before anything runs (nothing overwrites the JSON snapshot).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "common/cli.h"
 #include "harness.h"
 #include "workload/scenarios.h"
 
-namespace {
-
-constexpr char kUsage[] =
-    "usage: bench_scenarios [--csv] [--csv-header] [--jobs N] [--progress] [--out PATH]\n"
-    "                       [--rate R] [--horizon S] [--help]\n";
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace hetis;
-  bench::check_flags(argc, argv, {"--csv", "--csv-header", "--progress"},
-                     {"--jobs", "--out", "--rate", "--horizon"}, kUsage);
-  if (bench::flag_requested(argc, argv, "--csv-header")) {
+  const cli::Args args =
+      cli::Parser("bench_scenarios")
+          .flag("--csv", "dump the aligned sweep rows instead of the table")
+          .flag("--csv-header", "print the sweep CSV header and exit")
+          .option("--jobs", "N", "sweep worker threads (0 = hardware concurrency; default 0)")
+          .flag("--progress", "per-cell completion lines on stderr")
+          .option("--out", "PATH", "JSON artifact path (default BENCH_scenarios.json; - disables)")
+          .option("--rate", "R", "base aggregate rate in req/s (default 2)")
+          .option("--horizon", "S", "arrival window in seconds (default 12)")
+          .parse(argc, argv);
+  if (args.has("--csv-header")) {
     std::printf("%s\n", harness::sweep_csv_header().c_str());
     return 0;
   }
-  const double rate = bench::positive_arg(argc, argv, "--rate", 2.0, kUsage);
-  const Seconds horizon = bench::positive_arg(argc, argv, "--horizon", 12.0, kUsage);
-  const std::string out_path = bench::arg_value(argc, argv, "--out", "BENCH_scenarios.json");
-  const bool csv = bench::csv_requested(argc, argv);
-  const int jobs = bench::jobs_requested(argc, argv, /*fallback=*/0);
+  const double rate = args.positive("--rate", 2.0);
+  const Seconds horizon = args.positive("--horizon", 12.0);
+  const std::string out_path = args.text("--out", "BENCH_scenarios.json");
+  const bool csv = args.has("--csv");
+  const int jobs = args.jobs(0);
 
   harness::ExperimentSpec spec = bench::paper_spec("scenarios", "Llama-13B");
   spec.horizon = horizon;
@@ -66,7 +52,7 @@ int main(int argc, char** argv) {
 
   const auto t0 = std::chrono::steady_clock::now();
   const auto rows = harness::run_sweep(
-      spec, bench::flag_requested(argc, argv, "--progress")
+      spec, args.has("--progress")
                 ? bench::progress_printer(bench::cell_count(spec))
                 : harness::RowCallback());
   const double wall =

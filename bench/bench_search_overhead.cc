@@ -13,26 +13,12 @@
 // exhaustive plan, 0 = matched).  Committed as BENCH_search.json so plan
 // quality and planning time are tracked PR-over-PR like bench_simspeed.
 //
-// Flags:
-//   --csv           dump rows to stdout instead of the table
-//   --csv-header    print the CSV header and exit (CI diffs this)
-//   --out PATH      JSON artifact path (default BENCH_search.json;
-//                   "-" disables)
-//   --check PATH    threshold guard: compare this run against a committed
-//                   BENCH_search.json and exit 2 unless every row of each
-//                   has a row in the other, or if any row's score is worse
-//                   than the reference's by more than --tolerance
-//                   (relative), its score_vs_oracle worsens by more than
-//                   --tolerance, or a flow row plans slower than
-//                   --budget-ms
-//   --tolerance F   allowed relative score and score_vs_oracle excess over
-//                   baseline (default 0.05 -- the oracle-equivalence
-//                   acceptance bound; a finite number >= 0)
-//   --budget-ms N   flow planning budget per cluster under --check
-//                   (default 1000, the dc256 acceptance criterion; > 0)
-//   --help          print usage and exit
-// An unknown flag, a bad --tolerance or --budget-ms prints usage and
-// exits 2.
+// --check PATH is the plan-quality guard: against a committed
+// BENCH_search.json it exits 2 unless every row of each has a row in the
+// other, and fails when a row's score is worse than the reference's by more
+// than --tolerance (relative; 0.05 is the oracle-equivalence acceptance
+// bound), its score_vs_oracle worsens by more than --tolerance, or a flow row
+// plans slower than --budget-ms (1000 ms, the dc256 acceptance criterion).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -43,16 +29,13 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "harness.h"
 #include "parallel/evaluator.h"
 #include "parallel/objective.h"
 #include "planner/planner.h"
 
 namespace {
-
-constexpr char kUsage[] =
-    "usage: bench_search_overhead [--csv] [--csv-header] [--out PATH] [--check PATH]\n"
-    "                             [--tolerance F] [--budget-ms N] [--help]\n";
 
 using namespace hetis;
 
@@ -169,14 +152,18 @@ std::vector<RefRow> load_reference(const std::string& path) {
     if (end == std::string::npos) return "";
     return text.substr(k, end - k);
   };
+  auto number = [&grab](std::size_t from, const std::string& key) {
+    const std::string v = grab(from, key);
+    return v.empty() ? 0.0 : std::stod(v);
+  };
   std::size_t pos = 0;
   while ((pos = text.find("{\"cluster\":", pos)) != std::string::npos) {
     RefRow r;
     r.cluster = grab(pos, "cluster");
     r.planner = grab(pos, "planner");
     r.objective = grab(pos, "objective");
-    r.score = std::atof(grab(pos, "score").c_str());
-    r.vs_oracle = std::atof(grab(pos, "score_vs_oracle").c_str());
+    r.score = number(pos, "score");
+    r.vs_oracle = number(pos, "score_vs_oracle");
     if (!r.cluster.empty() && !r.planner.empty()) rows.push_back(r);
     ++pos;
   }
@@ -187,18 +174,24 @@ std::vector<RefRow> load_reference(const std::string& path) {
 
 int main(int argc, char** argv) {
   using namespace hetis;
-  bench::check_flags(argc, argv, {"--csv", "--csv-header"},
-                     {"--out", "--check", "--tolerance", "--budget-ms"}, kUsage);
-  if (bench::flag_requested(argc, argv, "--csv-header")) {
+  const cli::Args args =
+      cli::Parser("bench_search_overhead")
+          .flag("--csv", "dump the rows instead of the table")
+          .flag("--csv-header", "print the CSV header and exit")
+          .option("--out", "PATH", "JSON artifact path (default BENCH_search.json; - disables)")
+          .option("--check", "PATH", "exit 2 when a row regresses against this reference JSON")
+          .option("--tolerance", "F", "allowed relative score excess, >= 0 (default 0.05)")
+          .option("--budget-ms", "N", "flow planning budget under --check, > 0 (default 1000)")
+          .parse(argc, argv);
+  if (args.has("--csv-header")) {
     std::printf("%s\n", kCsvHeader);
     return 0;
   }
-  const std::string out_path = bench::arg_value(argc, argv, "--out", "BENCH_search.json");
-  const std::string check_path = bench::arg_value(argc, argv, "--check", "");
-  const double tolerance =
-      bench::number_arg(argc, argv, "--tolerance", 0.05, kUsage, /*allow_zero=*/true);
-  const double budget_ms = bench::positive_arg(argc, argv, "--budget-ms", 1000.0, kUsage);
-  const bool csv = bench::csv_requested(argc, argv);
+  const std::string out_path = args.text("--out", "BENCH_search.json");
+  const std::string check_path = args.text("--check", "");
+  const double tolerance = args.non_negative("--tolerance", 0.05);
+  const double budget_ms = args.positive("--budget-ms", 1000.0);
+  const bool csv = args.has("--csv");
 
   // The exhaustive oracle runs wherever its cost is tolerable (the paper's
   // own 160-GPU scale test took 15s); beyond that only the flow tier plans

@@ -14,26 +14,13 @@
 // rows guard the hot path itself, the traced rows price the observability
 // tax so a PR cannot quietly make tracing unaffordable.
 //
-// Flags:
-//   --csv           dump rows to stdout instead of the table
-//   --csv-header    print the CSV header and exit (CI diffs this)
-//   --requests N    trace length per scenario (default 1000000; an
-//                   integer > 0)
-//   --rate R        arrival rate in req/s (default 2; the horizon is sized
-//                   as requests/rate so the cluster stays unsaturated)
-//   --out PATH      JSON artifact path (default BENCH_simspeed.json;
-//                   "-" disables)
-//   --check PATH    determinism guard: compare this run against a reference
-//                   written by this bench at the same --requests (e.g. the
-//                   committed BENCH_simspeed_100k.json) and exit 2 unless
-//                   every (engine, scenario) row has a reference row with
-//                   the same request count whose finished, events and
-//                   lp_solves match EXACTLY -- the contract behind every
-//                   hot-path shortcut.  Wall-clock speed is not gated here:
-//                   one host's noisy wall time is no evidence either way
-//                   (perfbench measures it over interleaved runs)
-//   --help          print usage and exit
-// An unknown flag, a bad --requests or --rate prints usage and exits 2.
+// --check PATH is the determinism guard: against a reference written by this
+// bench at the same --requests (e.g. the committed BENCH_simspeed_100k.json)
+// it exits 2 unless every (engine, scenario) row has a reference row with the
+// same request count whose finished, events and lp_solves match EXACTLY --
+// the contract behind every hot-path shortcut.  Wall-clock speed is not
+// gated here: one host's noisy wall time is no evidence either way
+// (perfbench measures it over interleaved runs).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -45,15 +32,12 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "harness.h"
 #include "telemetry/telemetry.h"
 #include "workload/scenarios.h"
 
 namespace {
-
-constexpr char kUsage[] =
-    "usage: bench_simspeed [--csv] [--csv-header] [--requests N] [--rate R] [--out PATH]\n"
-    "                     [--check PATH] [--help]\n";
 
 using namespace hetis;
 
@@ -208,17 +192,24 @@ std::vector<RefRow> load_reference(const std::string& path) {
 
 int main(int argc, char** argv) {
   using namespace hetis;
-  bench::check_flags(argc, argv, {"--csv", "--csv-header"},
-                     {"--requests", "--rate", "--out", "--check"}, kUsage);
-  if (bench::flag_requested(argc, argv, "--csv-header")) {
+  const cli::Args args =
+      cli::Parser("bench_simspeed")
+          .flag("--csv", "dump the rows instead of the table")
+          .flag("--csv-header", "print the CSV header and exit")
+          .option("--requests", "N", "trace length per scenario, an integer > 0 (default 1000000)")
+          .option("--rate", "R", "arrival rate in req/s; the horizon is requests/rate (default 2)")
+          .option("--out", "PATH", "JSON artifact path (default BENCH_simspeed.json; - disables)")
+          .option("--check", "PATH", "exit 2 unless every row's counters match this reference")
+          .parse(argc, argv);
+  if (args.has("--csv-header")) {
     std::printf("%s\n", kCsvHeader);
     return 0;
   }
-  const std::size_t requests = bench::count_arg(argc, argv, "--requests", 1000000, kUsage);
-  const double rate = bench::positive_arg(argc, argv, "--rate", 2.0, kUsage);
-  const std::string out_path = bench::arg_value(argc, argv, "--out", "BENCH_simspeed.json");
-  const std::string check_path = bench::arg_value(argc, argv, "--check", "");
-  const bool csv = bench::csv_requested(argc, argv);
+  const std::size_t requests = args.count("--requests", 1000000);
+  const double rate = args.positive("--rate", 2.0);
+  const std::string out_path = args.text("--out", "BENCH_simspeed.json");
+  const std::string check_path = args.text("--check", "");
+  const bool csv = args.has("--csv");
 
   const hw::Cluster cluster = harness::cluster_by_name("paper");
   const model::ModelSpec model = model::model_by_name("Llama-13B");

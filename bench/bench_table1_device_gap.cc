@@ -8,12 +8,14 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/cli.h"
 #include "costmodel/kernel_model.h"
 #include "hw/gpu.h"
 #include "model/llm.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hetis;
+  cli::Parser("bench_table1_device_gap").parse(argc, argv);
   costmodel::KernelModel kernel;
   const model::ModelSpec& m = model::opt_2_7b();
 

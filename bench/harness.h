@@ -9,17 +9,11 @@
 #pragma once
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -73,118 +67,6 @@ inline harness::ExperimentSpec paper_spec(const std::string& name, const std::st
   spec.run = engine::RunOptions(kDrain);
   spec.engine_options["hetis"] = engine::EngineOptions(hetis_options());
   return spec;
-}
-
-/// Rejects a command line the bench does not know before anything runs (a
-/// bench that ran anyway would overwrite its JSON snapshot): `--help`
-/// prints `usage` and exits 0; an argument that is neither one of
-/// `switches` nor one of `valued` followed by its value prints `usage` to
-/// stderr and exits 2.
-inline void check_flags(int argc, char** argv, std::initializer_list<std::string_view> switches,
-                        std::initializer_list<std::string_view> valued, const char* usage) {
-  auto known = [](std::initializer_list<std::string_view> flags, std::string_view arg) {
-    return std::find(flags.begin(), flags.end(), arg) != flags.end();
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help") {
-      std::printf("%s", usage);
-      std::exit(0);
-    }
-    if (known(switches, arg)) continue;
-    if (known(valued, arg) && i + 1 < argc) {
-      ++i;
-      continue;
-    }
-    std::fprintf(stderr, "%s '%s'\n%s",
-                 known(valued, arg) ? "missing value for" : "unknown argument", argv[i], usage);
-    std::exit(2);
-  }
-}
-
-/// True when the bench was invoked with `flag` (e.g. "--csv", "--progress").
-inline bool flag_requested(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] == flag) return true;
-  }
-  return false;
-}
-
-/// True when the bench was invoked with --csv (dump aligned sweep rows).
-inline bool csv_requested(int argc, char** argv) { return flag_requested(argc, argv, "--csv"); }
-
-/// Value of `--key V` style flags; `fallback` when absent.
-inline std::string arg_value(int argc, char** argv, const std::string& key,
-                             const std::string& fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (argv[i] == key) return argv[i + 1];
-  }
-  return fallback;
-}
-
-/// Value of a `--key V` flag that must be a finite number with no trailing
-/// characters, > 0 (or >= 0 with `allow_zero`); `fallback` when the flag is
-/// absent.  Anything else (a missing value included) prints the message and
-/// `usage` to stderr and exits 2, the contract of the examples' CLIs.
-inline double number_arg(int argc, char** argv, const std::string& key, double fallback,
-                         const char* usage, bool allow_zero) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] != key) continue;
-    const char* text = i + 1 < argc ? argv[i + 1] : "";
-    char* end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !std::isfinite(v) || v < 0 || (v == 0 && !allow_zero)) {
-      std::fprintf(stderr, "%s expects a %s number, got '%s'\n%s", key.c_str(),
-                   allow_zero ? "non-negative" : "positive", text, usage);
-      std::exit(2);
-    }
-    return v;
-  }
-  return fallback;
-}
-
-inline double positive_arg(int argc, char** argv, const std::string& key, double fallback,
-                           const char* usage) {
-  return number_arg(argc, argv, key, fallback, usage, /*allow_zero=*/false);
-}
-
-/// Value of a `--key N` flag that must be a decimal integer > 0, under the
-/// same contract as number_arg.
-inline std::size_t count_arg(int argc, char** argv, const std::string& key, std::size_t fallback,
-                             const char* usage) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] != key) continue;
-    const char* text = i + 1 < argc ? argv[i + 1] : "";
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    // strtoull accepts a sign and wraps "-5" around, so require a digit first.
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' || errno == ERANGE ||
-        v == 0) {
-      std::fprintf(stderr, "%s expects a positive integer, got '%s'\n%s", key.c_str(), text,
-                   usage);
-      std::exit(2);
-    }
-    return static_cast<std::size_t>(v);
-  }
-  return fallback;
-}
-
-/// Parses `--jobs N` (0 = hardware concurrency); returns `fallback` when
-/// absent.  Sweep rows are byte-identical for every value, so figures can
-/// default to serial while CI and interactive runs go wide.  A malformed
-/// or negative value exits with a usage message (benches have no
-/// exception handler around main).
-inline int jobs_requested(int argc, char** argv, int fallback = 1) {
-  const std::string value = arg_value(argc, argv, "--jobs", "");
-  if (value.empty()) return fallback;
-  char* end = nullptr;
-  long jobs = std::strtol(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0' || jobs < 0) {
-    std::fprintf(stderr, "--jobs expects a non-negative integer, got '%s'\n", value.c_str());
-    std::exit(2);
-  }
-  return static_cast<int>(jobs);
 }
 
 /// RowCallback printing one completion line per cell to stderr (stderr so

@@ -9,12 +9,13 @@
 // attainment and goodput under interactive chat targets, or the aligned
 // CSV rows with --csv.
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
+#include "common/cli.h"
 #include "harness/experiment.h"
+#include "model/llm.h"
 
 namespace {
 
@@ -31,18 +32,21 @@ void print_row(const hetis::harness::SweepRow& row) {
 int main(int argc, char** argv) {
   using namespace hetis;
 
-  bool csv = false;
-  std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--csv") {
-      csv = true;
-    } else {
-      positional.emplace_back(argv[i]);
-    }
+  const cli::Args args = cli::Parser("chatbot_serving")
+                             .positional("model", "Llama-13B (default), OPT-30B or Llama-70B")
+                             .positional("rate", "arrival rate in req/s, > 0 (default 6)")
+                             .positional("horizon", "trace length in seconds, > 0 (default 60)")
+                             .flag("--csv", "print the aligned sweep rows instead of the table")
+                             .parse(argc, argv);
+  const std::string model_name = args.text("model", "Llama-13B");
+  const double rate = args.positive("rate", 6.0);
+  const double horizon = args.positive("horizon", 60.0);
+  try {
+    model::model_by_name(model_name);
+  } catch (const std::out_of_range&) {
+    args.fail("unknown model '" + model_name + "'");
   }
-  std::string model_name = positional.size() > 0 ? positional[0] : "Llama-13B";
-  double rate = positional.size() > 1 ? std::atof(positional[1].c_str()) : 6.0;
-  double horizon = positional.size() > 2 ? std::atof(positional[2].c_str()) : 60.0;
+  const bool csv = args.has("--csv");
 
   harness::ExperimentSpec spec;
   spec.name = "chatbot";

@@ -21,12 +21,12 @@
 // small clusters and switches to the LP/flow tier at datacenter scale.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "engine/engine.h"
 #include "engine/exec.h"
 #include "engine/instance.h"
@@ -42,26 +42,6 @@
 
 namespace {
 
-void usage(std::FILE* out) {
-  std::fprintf(out,
-               "usage: cluster_planner [--objective NAME] [--planner NAME] [model] "
-               "[gpu=count ...]\n"
-               "  --objective NAME  throughput | latency | goodput_per_device "
-               "(default throughput)\n"
-               "  --planner NAME    exhaustive | flow | auto (default auto)\n"
-               "  model             e.g. Llama-70B (default), Llama-13B, OPT-30B\n"
-               "  gpu=count         A100, 3090, P100, V100, T4, L4, A6000, H100 "
-               "(default: the paper cluster)\n"
-               "  --help            print this message\n");
-}
-
-/// Reports a command-line error with the usage text; exit code 2.
-int bad_usage(const std::string& msg) {
-  std::fprintf(stderr, "cluster_planner: %s\n", msg.c_str());
-  usage(stderr);
-  return 2;
-}
-
 std::optional<hetis::hw::GpuType> gpu_by_name(const std::string& name) {
   using hetis::hw::GpuType;
   for (GpuType t : {GpuType::kA100_80G, GpuType::kRTX3090, GpuType::kP100, GpuType::kV100_32G,
@@ -76,69 +56,57 @@ std::optional<hetis::hw::GpuType> gpu_by_name(const std::string& name) {
 int main(int argc, char** argv) {
   using namespace hetis;
 
-  // Pull the flags out of argv; the rest stays positional.
-  std::string objective_name = "throughput";
-  std::string planner_name = "auto";
-  std::vector<std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help") {
-      usage(stdout);
-      return 0;
-    }
-    if (arg == "--objective" || arg == "--planner") {
-      if (i + 1 >= argc) return bad_usage(arg + " expects a name");
-      (arg == "--objective" ? objective_name : planner_name) = argv[++i];
-      continue;
-    }
-    if (arg.rfind("-", 0) == 0) return bad_usage("unknown flag '" + arg + "'");
-    args.push_back(arg);
-  }
+  const cli::Args args =
+      cli::Parser("cluster_planner")
+          .option("--objective", "NAME",
+                  "throughput | latency | goodput_per_device (default throughput)")
+          .option("--planner", "NAME", "exhaustive | flow | auto (default auto)")
+          .positional("model", "e.g. Llama-70B (default), Llama-13B, OPT-30B")
+          .rest("gpu=count", "A100, 3090, P100, V100, T4, L4, A6000, H100 (default: paper cluster)")
+          .parse(argc, argv);
+  const std::string objective_name = args.text("--objective", "throughput");
+  const std::string planner_name = args.text("--planner", "auto");
 
   auto known = [](const std::vector<std::string>& names, const std::string& name) {
     return std::find(names.begin(), names.end(), name) != names.end();
   };
   if (!known(parallel::objective_names(), objective_name)) {
-    return bad_usage("unknown objective '" + objective_name + "'");
+    args.fail("unknown objective '" + objective_name + "'");
   }
   if (!known(planner::planner_names(), planner_name)) {
-    return bad_usage("unknown planner '" + planner_name + "'");
+    args.fail("unknown planner '" + planner_name + "'");
   }
 
   // A leading gpu=count means the model name was omitted.
-  if (!args.empty() && args[0].find('=') != std::string::npos) {
-    return bad_usage("expected a model name before '" + args[0] + "'");
+  const std::string model_name = args.text("model", "Llama-70B");
+  if (model_name.find('=') != std::string::npos) {
+    args.fail("expected a model name before '" + model_name + "'");
   }
-  const std::string model_name = !args.empty() ? args[0] : "Llama-70B";
   const model::ModelSpec* model_ptr = nullptr;
   try {
     model_ptr = &model::model_by_name(model_name);
   } catch (const std::out_of_range&) {
-    return bad_usage("unknown model '" + model_name + "'");
+    args.fail("unknown model '" + model_name + "'");
   }
   const model::ModelSpec& model = *model_ptr;
 
   hw::Cluster cluster;
-  if (args.size() > 1) {
-    for (std::size_t i = 1; i < args.size(); ++i) {
-      const std::string& arg = args[i];
-      auto eq = arg.find('=');
-      if (eq == std::string::npos) return bad_usage("expected gpu=count, got '" + arg + "'");
-      const std::optional<hw::GpuType> type = gpu_by_name(arg.substr(0, eq));
-      if (!type) return bad_usage("unknown GPU type '" + arg.substr(0, eq) + "'");
-      int count = std::atoi(arg.c_str() + eq + 1);
-      if (count <= 0) return bad_usage("expected a positive count in '" + arg + "'");
-      // 4 GPUs per host, like typical PCIe boxes.
-      int host_idx = 0;
-      while (count > 0) {
-        int n = std::min(4, count);
-        cluster.add_host(arg.substr(0, eq) + "-" + std::to_string(host_idx++), *type, n);
-        count -= n;
-      }
+  for (const std::string& arg : args.rest()) {
+    const auto eq = arg.find('=');
+    if (eq == std::string::npos) args.fail("expected gpu=count, got '" + arg + "'");
+    const std::optional<hw::GpuType> type = gpu_by_name(arg.substr(0, eq));
+    if (!type) args.fail("unknown GPU type '" + arg.substr(0, eq) + "'");
+    const std::optional<std::size_t> count = cli::to_count(arg.substr(eq + 1));
+    if (!count) args.fail("expected a positive count in '" + arg + "'");
+    // 4 GPUs per host, like typical PCIe boxes.
+    int host_idx = 0;
+    for (std::size_t left = *count; left > 0;) {
+      const int n = static_cast<int>(std::min<std::size_t>(4, left));
+      cluster.add_host(arg.substr(0, eq) + "-" + std::to_string(host_idx++), *type, n);
+      left -= static_cast<std::size_t>(n);
     }
-  } else {
-    cluster = harness::cluster_by_name("paper");
   }
+  if (args.rest().empty()) cluster = harness::cluster_by_name("paper");
 
   std::printf("model:   %s (%.1fB params, %.1f GB FP16)\n", model.name.c_str(),
               model.param_count() / 1e9, to_gb(model.param_bytes()));

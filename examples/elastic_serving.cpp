@@ -16,23 +16,17 @@
 //   elastic_serving --churn spot_notice  # preemption warnings: KV leaves
 //                                        # the doomed device BEFORE it dies
 //
-// --help prints the usage and exits 0.  Unknown flags, a --rate or
-// --horizon that is not a positive number, and unknown engine / churn /
-// policy names exit 2 (the names with the valid ones listed).
-//
 // --trace PATH records the whole run as a Perfetto-loadable Chrome trace
 // (plus <base>.metrics.csv and <base>.audit.json next to it) and prints a
 // five-line telemetry summary after the report.
-//
-// Usage: elastic_serving [engine] [churn] [policy] [--engine E] [--churn C]
-//                        [--policy P] [--rate R] [--horizon S] [--trace PATH]
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "common/cli.h"
 #include "control/controller.h"
 #include "engine/options.h"
 #include "engine/registry.h"
@@ -41,68 +35,30 @@
 #include "telemetry/telemetry.h"
 #include "workload/scenarios.h"
 
-namespace {
-
-void usage(std::FILE* out) {
-  std::fprintf(out,
-               "usage: elastic_serving [engine] [churn] [policy] [--engine E] [--churn C] "
-               "[--policy P] [--rate R] [--horizon S] [--trace PATH]\n"
-               "  --rate R     arrival rate in req/s, > 0 (default 12)\n"
-               "  --horizon S  trace length in seconds, > 0 (default 20)\n"
-               "  --help       print this message\n");
-}
-
-/// Reports a command-line error with the usage text; exit code 2.
-int bad_usage(const std::string& msg) {
-  std::fprintf(stderr, "elastic_serving: %s\n", msg.c_str());
-  usage(stderr);
-  return 2;
-}
-
-/// Parses `text` as a finite number > 0; false on anything else
-/// (trailing characters included).
-bool parse_positive(const char* text, double& out) {
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0) return false;
-  out = v;
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace hetis;
-  std::string engine_name = "hetis";
-  std::string churn_name = "dip";
-  std::string policy = "threshold";
-  std::string trace_path;
-  double rate = 12.0;
-  Seconds horizon = 20.0;
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help") {
-      usage(stdout);
-      return 0;
-    } else if (arg == "--rate" || arg == "--horizon") {
-      if (i + 1 >= argc || !parse_positive(argv[++i], arg == "--rate" ? rate : horizon)) {
-        return bad_usage(arg + " expects a positive number");
-      }
-    } else if (arg == "--engine" && i + 1 < argc) {
-      engine_name = argv[++i];
-    } else if (arg == "--churn" && i + 1 < argc) {
-      churn_name = argv[++i];
-    } else if (arg == "--policy" && i + 1 < argc) {
-      policy = argv[++i];
-    } else if (arg == "--trace" && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (!arg.empty() && arg[0] == '-') {
-      return bad_usage("unknown flag '" + arg + "'");
-    } else {
-      (positional == 0 ? engine_name : positional == 1 ? churn_name : policy) = arg;
-      ++positional;
-    }
+  const cli::Args args =
+      cli::Parser("elastic_serving")
+          .positional("engine", "hetis (default), splitwise or hexgen")
+          .positional("churn", "churn script (default dip)")
+          .positional("policy", "scale policy (default threshold)")
+          .option("--engine", "E", "the engine, as the first positional")
+          .option("--churn", "C", "the churn script, as the second positional")
+          .option("--policy", "P", "the scale policy, as the third positional")
+          .option("--rate", "R", "arrival rate in req/s, > 0 (default 12)")
+          .option("--horizon", "S", "trace length in seconds, > 0 (default 20)")
+          .option("--trace", "PATH", "record the run as a Chrome trace (+ metrics and audit)")
+          .parse(argc, argv);
+  const std::string engine_name = args.text("--engine", args.text("engine", "hetis"));
+  const std::string churn_name = args.text("--churn", args.text("churn", "dip"));
+  const std::string policy = args.text("--policy", args.text("policy", "threshold"));
+  const std::string trace_path = args.text("--trace", "");
+  const double rate = args.positive("--rate", 12.0);
+  const Seconds horizon = args.positive("--horizon", 20.0);
+  const std::vector<std::string> engines = engine::engine_names();
+  if (std::find(engines.begin(), engines.end(), engine::ascii_lower(engine_name)) ==
+      engines.end()) {
+    args.fail("unknown engine '" + engine_name + "'");
   }
 
   hw::Cluster cluster = harness::cluster_by_name("paper");
@@ -127,8 +83,7 @@ int main(int argc, char** argv) {
     // spot_notice) replay onto the same cluster the engine serves on.
     controller = std::make_unique<control::Controller>(cs, cluster);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "elastic_serving: %s\n", e.what());
-    return 2;
+    args.fail(e.what());
   }
 
   std::printf("cluster : %s\n", cluster.to_string().c_str());

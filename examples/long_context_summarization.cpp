@@ -10,19 +10,31 @@
 // prompts decode slowly), and any run that still hits it is flagged
 // instead of silently truncating the percentiles.
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
+#include "common/cli.h"
 #include "harness/experiment.h"
+#include "model/llm.h"
 #include "workload/datasets.h"
 #include "workload/trace.h"
 
 int main(int argc, char** argv) {
   using namespace hetis;
 
-  std::string model_name = argc > 1 ? argv[1] : "Llama-70B";
-  double rate = argc > 2 ? std::atof(argv[2]) : 1.2;
-  double horizon = argc > 3 ? std::atof(argv[3]) : 60.0;
+  const cli::Args args = cli::Parser("long_context_summarization")
+                             .positional("model", "Llama-70B (default), Llama-13B or OPT-30B")
+                             .positional("rate", "arrival rate in req/s, > 0 (default 1.2)")
+                             .positional("horizon", "trace length in seconds, > 0 (default 60)")
+                             .parse(argc, argv);
+  const std::string model_name = args.text("model", "Llama-70B");
+  const double rate = args.positive("rate", 1.2);
+  const double horizon = args.positive("horizon", 60.0);
+  try {
+    model::model_by_name(model_name);
+  } catch (const std::out_of_range&) {
+    args.fail("unknown model '" + model_name + "'");
+  }
 
   harness::ExperimentSpec spec;
   spec.name = "long-context";

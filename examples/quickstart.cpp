@@ -8,8 +8,8 @@
 // Parallelizer run inside), a RunOptions-configured run with SLO targets
 // and a live RunObserver, and the extended report.
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/cli.h"
 #include "engine/engine.h"
 #include "engine/options.h"
 #include "engine/registry.h"
@@ -46,8 +46,12 @@ class ProgressObserver : public hetis::engine::RunObserver {
 int main(int argc, char** argv) {
   using namespace hetis;
 
-  double rate = argc > 1 ? std::atof(argv[1]) : 4.0;
-  double horizon = argc > 2 ? std::atof(argv[2]) : 60.0;
+  const cli::Args args = cli::Parser("quickstart")
+                             .positional("rate", "arrival rate in req/s, > 0 (default 4)")
+                             .positional("horizon", "trace length in seconds, > 0 (default 60)")
+                             .parse(argc, argv);
+  const double rate = args.positive("rate", 4.0);
+  const double horizon = args.positive("horizon", 60.0);
 
   // 1. Describe the hardware: the paper's cluster (4xA100, 4x3090, 4xP100).
   hw::Cluster cluster = harness::cluster_by_name("paper");

@@ -4,63 +4,33 @@
 //   scenario_sweep                                # all scenarios, table
 //   scenario_sweep bursty multi_tenant --jobs 4   # two scenarios, 4 workers
 //   scenario_sweep diurnal --rate 3 --csv         # machine-readable rows
-//
-// Flags: --rate R (base req/s, default 2), --horizon S (default 10),
-// --jobs N (0 = hardware concurrency, default 1), --csv, --json.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "harness/experiment.h"
 #include "workload/scenarios.h"
-
-namespace {
-
-// Strict numeric flag parsing: a typo must fail loudly, not silently
-// become 0 (which would mean "hardware concurrency" for --jobs and an
-// almost-empty trace for --rate).
-double parse_number(const char* flag, const char* value) {
-  char* end = nullptr;
-  double v = std::strtod(value, &end);
-  if (end == value || *end != '\0' || v < 0) {
-    std::fprintf(stderr, "%s expects a non-negative number, got '%s'\n", flag, value);
-    std::exit(2);
-  }
-  return v;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace hetis;
 
-  double rate = 2.0;
-  Seconds horizon = 10.0;
-  int jobs = 1;
-  bool csv = false, json = false;
-  std::vector<std::string> names;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--csv") {
-      csv = true;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (arg == "--rate" && i + 1 < argc) {
-      rate = parse_number("--rate", argv[++i]);
-    } else if (arg == "--horizon" && i + 1 < argc) {
-      horizon = parse_number("--horizon", argv[++i]);
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<int>(parse_number("--jobs", argv[++i]));
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      return 2;
-    } else {
-      names.push_back(arg);
-    }
-  }
+  const cli::Args args =
+      cli::Parser("scenario_sweep")
+          .rest("scenario", "scenario names (default: all of them)")
+          .option("--rate", "R", "base rate in req/s, > 0 (default 2)")
+          .option("--horizon", "S", "arrival window in seconds, > 0 (default 10)")
+          .option("--jobs", "N", "sweep worker threads (0 = hardware concurrency; default 1)")
+          .flag("--csv", "print the aligned sweep rows instead of the table")
+          .flag("--json", "print the sweep rows as JSON instead of the table")
+          .parse(argc, argv);
+  const double rate = args.positive("--rate", 2.0);
+  const Seconds horizon = args.positive("--horizon", 10.0);
+  const int jobs = args.jobs(1);
+  const bool csv = args.has("--csv"), json = args.has("--json");
+  std::vector<std::string> names = args.rest();
   if (names.empty()) names = workload::scenario_names();
 
   harness::ExperimentSpec spec;
@@ -78,6 +48,10 @@ int main(int argc, char** argv) {
       spec.add_scenario(workload::scenario_preset(workload::scenario_by_name(name), rate,
                                                   spec.horizon, spec.seed));
     }
+  } catch (const std::out_of_range& e) {
+    args.fail(e.what());
+  }
+  try {
     const auto rows = harness::run_sweep(spec);
     if (csv) {
       harness::write_csv(std::cout, rows);

@@ -97,10 +97,8 @@ void HexgenEngine::build_instances() {
   engine::InstanceOptions opts;
   opts.max_prefill_tokens = cfg_.max_prefill_tokens;
   opts.max_batch = cfg_.max_batch;
-  int id = static_cast<int>(retired_.size());
   for (const auto& inst : plan_.instances) {
-    instances_.push_back(
-        std::make_unique<engine::PipelineInstance>(exec_, inst, metrics_, opts, id++));
+    instances_.push_back(std::make_unique<engine::PipelineInstance>(exec_, inst, metrics_, opts));
     instances_.back()->set_tenant_priorities(tenant_priorities_);
   }
 }
@@ -186,15 +184,3 @@ double HexgenEngine::kv_fill_fraction() const {
 }
 
 }  // namespace hetis::baselines
-
-#include "engine/registry.h"
-
-HETIS_REGISTER_ENGINE(hexgen, [](const hetis::hw::Cluster& cluster,
-                                 const hetis::model::ModelSpec& model,
-                                 const hetis::engine::EngineOptions& opts)
-                                  -> std::unique_ptr<hetis::engine::Engine> {
-  auto cfg = opts.get_or_default<hetis::engine::HexgenConfig>("hexgen");
-  auto eng = std::make_unique<hetis::baselines::HexgenEngine>(cluster, model, cfg);
-  if (!opts.tenant_priorities.empty()) eng->set_tenant_priorities(opts.tenant_priorities);
-  return eng;
-});

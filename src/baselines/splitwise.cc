@@ -181,9 +181,7 @@ void SplitwiseEngine::build_instances() {
   popts.max_batch = cfg_.max_batch;
   popts.prefill_only = true;
   popts.defer_first_token = true;  // first token reaches the user decode-side
-  const int base = static_cast<int>(retired_.size()) * 8;  // distinct ids per epoch
-  prefill_ =
-      std::make_unique<engine::PipelineInstance>(exec_, plan_.prefill, metrics_, popts, base);
+  prefill_ = std::make_unique<engine::PipelineInstance>(exec_, plan_.prefill, metrics_, popts);
   prefill_->set_prefill_handoff(
       [this](sim::Simulation& sim, const engine::LiveRequest& lr) { on_prefill_done(sim, lr); });
   prefill_->set_tenant_priorities(tenant_priorities_);
@@ -192,10 +190,9 @@ void SplitwiseEngine::build_instances() {
   dopts.max_prefill_tokens = cfg_.max_prefill_tokens;
   dopts.max_batch = cfg_.max_batch;
   dopts.decode_only = true;
-  int id = base + 1;
   for (const auto& decode_cfg : plan_.decode) {
     decode_.push_back(
-        std::make_unique<engine::PipelineInstance>(exec_, decode_cfg, metrics_, dopts, id++));
+        std::make_unique<engine::PipelineInstance>(exec_, decode_cfg, metrics_, dopts));
     decode_.back()->set_tenant_priorities(tenant_priorities_);
   }
 }
@@ -365,15 +362,3 @@ void SplitwiseEngine::reconfigure(sim::Simulation& sim, const std::vector<int>& 
 }
 
 }  // namespace hetis::baselines
-
-#include "engine/registry.h"
-
-HETIS_REGISTER_ENGINE(splitwise, [](const hetis::hw::Cluster& cluster,
-                                    const hetis::model::ModelSpec& model,
-                                    const hetis::engine::EngineOptions& opts)
-                                     -> std::unique_ptr<hetis::engine::Engine> {
-  auto cfg = opts.get_or_default<hetis::engine::SplitwiseConfig>("splitwise");
-  auto eng = std::make_unique<hetis::baselines::SplitwiseEngine>(cluster, model, cfg);
-  if (!opts.tenant_priorities.empty()) eng->set_tenant_priorities(opts.tenant_priorities);
-  return eng;
-});

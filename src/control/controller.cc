@@ -9,11 +9,6 @@
 #include "telemetry/audit.h"
 
 namespace hetis::control {
-namespace {
-
-bool dense_id(workload::RequestId id) { return id >= 0 && id < workload::kDenseIdLimit; }
-
-}  // namespace
 
 Controller::Controller(ControlSpec spec, const hw::Cluster& cluster)
     : Controller(std::move(spec), cluster, nullptr) {}
@@ -371,7 +366,6 @@ void Controller::end_reprefill(Live& rec) {
 }
 
 Controller::Live& Controller::live(workload::RequestId id) {
-  if (!dense_id(id)) return sparse_live_[id];
   const auto slot = static_cast<std::size_t>(id);
   if (slot >= live_.size()) {
     live_.resize(std::min(std::max(slot + 1, 2 * live_.size()),
@@ -386,10 +380,6 @@ Controller::Live& Controller::live(workload::RequestId id) {
 }
 
 Controller::Live* Controller::find_live(workload::RequestId id) {
-  if (!dense_id(id)) {
-    const auto it = sparse_live_.find(id);
-    return it != sparse_live_.end() ? &it->second : nullptr;
-  }
   const auto slot = static_cast<std::size_t>(id);
   return slot < live_.size() && live_[slot].present ? &live_[slot] : nullptr;
 }
@@ -459,11 +449,7 @@ void Controller::on_finish(workload::RequestId id, Seconds t) {
   }
   if (found != nullptr) {
     end_reprefill(*found);
-    if (dense_id(id)) {
-      found->present = false;
-    } else {
-      sparse_live_.erase(id);
-    }
+    found->present = false;
   }
 }
 

@@ -36,7 +36,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "control/events.h"
@@ -218,7 +217,7 @@ class Controller final : public engine::RunObserver {
     std::int64_t generated = 0;
     bool has_arrival = false, has_first_token = false, has_last_token = false;
     bool reprefilling = false;  // preempted, not yet decoding again
-    bool present = false;       // a live_ slot holds a record (dense ids only)
+    bool present = false;       // a live_ slot holds a record
   };
   static_assert(sizeof(Live) <= 40, "live_ holds one Live per request id");
   /// Clears `rec.reprefilling`, keeping the reprefilling_ count in step.
@@ -227,11 +226,10 @@ class Controller final : public engine::RunObserver {
   Live& live(workload::RequestId id);
   /// `id`'s record, or null when the request has none.
   Live* find_live(workload::RequestId id);
-  /// Records of ids in [0, kDenseIdLimit), indexed by id: one array access
-  /// per decode token.  Grown geometrically; a slot is live while `present`.
+  /// Records indexed by request id (in [0, kDenseIdLimit), see
+  /// workload/request.h): one array access per decode token.  Grown
+  /// geometrically; a slot is live while `present`.
   std::vector<Live> live_;
-  /// Records of ids outside the dense range (hand-built streams only).
-  std::unordered_map<workload::RequestId, Live> sparse_live_;
 };
 
 }  // namespace hetis::control

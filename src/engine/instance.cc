@@ -64,8 +64,8 @@ Bytes stage_param_bytes_per_device(const model::ModelSpec& m, const parallel::St
 }
 
 PipelineInstance::PipelineInstance(const ExecModel& exec, parallel::InstanceConfig cfg,
-                                   MetricsCollector& metrics, InstanceOptions opts, int id)
-    : exec_(&exec), cfg_(std::move(cfg)), metrics_(&metrics), opts_(opts), id_(id) {
+                                   MetricsCollector& metrics, InstanceOptions opts)
+    : exec_(&exec), cfg_(std::move(cfg)), metrics_(&metrics), opts_(opts) {
   const model::ModelSpec& m = exec_->model_spec();
   stage_cap_.resize(cfg_.stages.size(), 0);
   stage_used_.resize(cfg_.stages.size(), 0);

@@ -126,7 +126,7 @@ class PipelineInstance {
   using PrefillHandoff = std::function<void(sim::Simulation&, const LiveRequest&)>;
 
   PipelineInstance(const ExecModel& exec, parallel::InstanceConfig cfg,
-                   MetricsCollector& metrics, InstanceOptions opts, int id);
+                   MetricsCollector& metrics, InstanceOptions opts);
 
   /// Enqueues a fresh request (will be prefilled here unless decode_only).
   void submit(sim::Simulation& sim, const workload::Request& r);
@@ -207,7 +207,6 @@ class PipelineInstance {
   parallel::InstanceConfig cfg_;
   MetricsCollector* metrics_;
   InstanceOptions opts_;
-  int id_;
 
   std::deque<LiveRequest> waiting_;
   // The decode batch in join order (the on_token order sinks see).  Decode

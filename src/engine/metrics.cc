@@ -12,9 +12,6 @@ void MetricsCollector::reserve(std::size_t n) {
 }
 
 void MetricsCollector::index_slot(workload::RequestId id, std::size_t slot) {
-  // Ids outside the dense range resolve through binary search over the
-  // sorted record vector instead.
-  if (id < 0 || id >= workload::kDenseIdLimit) return;
   const auto u = static_cast<std::size_t>(id);
   if (u >= slots_.size()) slots_.resize(u + 1, -1);
   slots_[u] = static_cast<std::int32_t>(slot);
@@ -25,10 +22,6 @@ const RequestRecord* MetricsCollector::find(workload::RequestId id) const {
     const std::int32_t s = slots_[static_cast<std::size_t>(id)];
     return s >= 0 ? &records_[static_cast<std::size_t>(s)] : nullptr;
   }
-  auto it = std::lower_bound(
-      records_.begin(), records_.end(), id,
-      [](const RequestRecord& rec, workload::RequestId v) { return rec.id < v; });
-  if (it != records_.end() && it->id == id) return &*it;
   return nullptr;
 }
 
@@ -44,6 +37,10 @@ const RequestRecord& MetricsCollector::record(workload::RequestId id) const {
 }
 
 void MetricsCollector::on_arrival(const workload::Request& r) {
+  if (r.id < 0 || r.id >= workload::kDenseIdLimit) {
+    throw std::invalid_argument("MetricsCollector: request id " + std::to_string(r.id) +
+                                " outside [0, " + std::to_string(workload::kDenseIdLimit) + ")");
+  }
   RequestRecord rec;
   rec.id = r.id;
   rec.arrival = r.arrival;

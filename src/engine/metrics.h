@@ -143,6 +143,8 @@ class MetricsCollector {
   /// length so million-request replays never re-grow it).
   void reserve(std::size_t n);
 
+  /// Throws std::invalid_argument for an id outside [0, kDenseIdLimit)
+  /// and std::logic_error for a repeated one.
   void on_arrival(const workload::Request& r);
   /// A prefill batch picked up `id`.  Feeds the sinks only -- the record
   /// table keys TTFT off prefill completion.
@@ -201,8 +203,7 @@ class MetricsCollector {
 
   std::vector<RequestRecord> records_;  // sorted ascending by id
   /// slots_[id] is the index into records_ for 0 <= id < slots_.size()
-  /// (-1 when absent); ids outside the dense range fall back to a linear
-  /// scan (tests only -- trace ids are dense by construction).
+  /// (-1 when absent); on_arrival admits no id outside [0, kDenseIdLimit).
   std::vector<std::int32_t> slots_;
   std::size_t finished_ = 0;
   int total_preemptions_ = 0;

@@ -5,18 +5,23 @@
 #include <sstream>
 #include <stdexcept>
 
-namespace hetis::engine {
+#include "baselines/hexgen.h"
+#include "baselines/splitwise.h"
+#include "hetis/hetis_engine.h"
 
-namespace detail {
-// Link anchors defined next to each built-in engine's
-// HETIS_REGISTER_ENGINE.  Calling them from global() forces the archive
-// members holding the self-registering factories into any link that uses
-// the registry (a plain data-symbol read would be dead-code-eliminated; an
-// external call cannot be).
-void hetis_engine_link_anchor();
-void splitwise_engine_link_anchor();
-void hexgen_engine_link_anchor();
-}  // namespace detail
+namespace hetis::engine {
+namespace {
+
+/// `Eng` built from the options tagged `tag`, with the tenant priorities.
+template <typename Eng, typename Config>
+std::unique_ptr<Engine> build(const char* tag, const hw::Cluster& cluster,
+                              const model::ModelSpec& model, const EngineOptions& opts) {
+  auto eng = std::make_unique<Eng>(cluster, model, opts.get_or_default<Config>(tag));
+  if (!opts.tenant_priorities.empty()) eng->set_tenant_priorities(opts.tenant_priorities);
+  return eng;
+}
+
+}  // namespace
 
 std::string ascii_lower(const std::string& s) {
   std::string out = s;
@@ -25,61 +30,22 @@ std::string ascii_lower(const std::string& s) {
   return out;
 }
 
-Registry& Registry::global() {
-  detail::hetis_engine_link_anchor();
-  detail::splitwise_engine_link_anchor();
-  detail::hexgen_engine_link_anchor();
-  static Registry registry;
-  return registry;
-}
-
-void Registry::add(const std::string& name, EngineFactory factory) {
-  // Names flow into CSV rows unquoted; keep them identifier-shaped.
-  const bool well_formed =
-      !name.empty() && std::all_of(name.begin(), name.end(), [](unsigned char c) {
-        return std::isalnum(c) || c == '_' || c == '-';
-      });
-  if (!well_formed) {
-    throw std::invalid_argument("engine::Registry: engine name '" + name +
-                                "' must be non-empty and use only [A-Za-z0-9_-]");
-  }
-  auto [it, inserted] = factories_.emplace(ascii_lower(name), std::move(factory));
-  if (!inserted) {
-    throw std::logic_error("engine::Registry: duplicate engine name '" + name + "'");
-  }
-}
-
-std::unique_ptr<Engine> Registry::make(const std::string& name, const hw::Cluster& cluster,
-                                       const model::ModelSpec& model,
-                                       const EngineOptions& opts) const {
-  auto it = factories_.find(ascii_lower(name));
-  if (it == factories_.end()) {
-    std::ostringstream oss;
-    oss << "engine::make: unknown engine '" << name << "'; known engines:";
-    for (const auto& [known, factory] : factories_) oss << " '" << known << "'";
-    throw std::invalid_argument(oss.str());
-  }
-  return it->second(cluster, model, opts);
-}
-
-bool Registry::contains(const std::string& name) const {
-  return factories_.count(ascii_lower(name)) > 0;
-}
-
-std::vector<std::string> Registry::names() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) out.push_back(name);
-  return out;  // std::map iteration is already sorted
-}
+std::vector<std::string> engine_names() { return {"hetis", "hexgen", "splitwise"}; }
 
 std::unique_ptr<Engine> make(const std::string& name, const hw::Cluster& cluster,
                              const model::ModelSpec& model, const EngineOptions& opts) {
-  return Registry::global().make(name, cluster, model, opts);
-}
-
-EngineRegistrar::EngineRegistrar(const char* name, EngineFactory factory) {
-  Registry::global().add(name, std::move(factory));
+  const std::string key = ascii_lower(name);
+  if (key == "hetis") return build<core::HetisEngine, HetisConfig>("hetis", cluster, model, opts);
+  if (key == "hexgen") {
+    return build<baselines::HexgenEngine, HexgenConfig>("hexgen", cluster, model, opts);
+  }
+  if (key == "splitwise") {
+    return build<baselines::SplitwiseEngine, SplitwiseConfig>("splitwise", cluster, model, opts);
+  }
+  std::ostringstream oss;
+  oss << "engine::make: unknown engine '" << name << "'; known engines:";
+  for (const auto& known : engine_names()) oss << " '" << known << "'";
+  throw std::invalid_argument(oss.str());
 }
 
 }  // namespace hetis::engine

@@ -1,15 +1,11 @@
-// Engine registry: construct any serving system by name.
+// Engine construction by name.
 //
 //   auto eng = engine::make("hetis", cluster, model, EngineOptions(cfg));
 //
-// Factories self-register from their own translation units (see the
-// HETIS_REGISTER_ENGINE uses in hetis_engine.cc / splitwise.cc /
-// hexgen.cc), so callers select systems by name and never include a
-// concrete engine header.  Names are matched case-insensitively.
+// Callers select systems by name and never include a concrete engine
+// header.  Names are matched case-insensitively.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,64 +17,18 @@
 
 namespace hetis::engine {
 
-using EngineFactory = std::function<std::unique_ptr<Engine>(
-    const hw::Cluster&, const model::ModelSpec&, const EngineOptions&)>;
-
-/// ASCII lowercase, used for the registry's case-insensitive name matching
-/// (the experiment harness matches per-engine options the same way).
+/// ASCII lowercase, used for case-insensitive engine-name matching (the
+/// experiment harness matches per-engine options the same way).
 std::string ascii_lower(const std::string& s);
 
-class Registry {
- public:
-  /// The process-wide registry holding the built-in engines plus anything
-  /// registered by downstream code.
-  static Registry& global();
+/// The built-in engine names, sorted.
+std::vector<std::string> engine_names();
 
-  /// Registers a factory under `name` (case-insensitive).  Throws
-  /// std::logic_error on duplicates -- two systems must not share a name --
-  /// and std::invalid_argument when `name` is empty or contains characters
-  /// outside [A-Za-z0-9_-] (names flow into CSV rows unquoted).
-  void add(const std::string& name, EngineFactory factory);
-
-  /// Constructs the engine registered under `name`.  Throws
-  /// std::invalid_argument with the known names on an unknown name.
-  std::unique_ptr<Engine> make(const std::string& name, const hw::Cluster& cluster,
-                               const model::ModelSpec& model, const EngineOptions& opts) const;
-
-  bool contains(const std::string& name) const;
-  /// Registered names, sorted.
-  std::vector<std::string> names() const;
-
- private:
-  std::map<std::string, EngineFactory> factories_;  // keyed by lowercase name
-};
-
-/// Convenience forwarder to Registry::global().
+/// Constructs the engine named `name` from its tagged options.  Throws
+/// std::invalid_argument with the known names on an unknown name, and when
+/// `opts` is tagged for a different system.
 std::unique_ptr<Engine> make(const std::string& name, const hw::Cluster& cluster,
                              const model::ModelSpec& model,
                              const EngineOptions& opts = EngineOptions());
 
-/// Registers `factory` at static-initialization time.  Use through
-/// HETIS_REGISTER_ENGINE from the engine's .cc file.
-struct EngineRegistrar {
-  EngineRegistrar(const char* name, EngineFactory factory);
-};
-
 }  // namespace hetis::engine
-
-/// Self-registration hook.  Expands to (a) a no-op link anchor and (b) the
-/// registrar itself.  Invoke at global scope in the engine's translation
-/// unit.
-///
-/// Static-library caveat: a registrar only runs if its object file makes it
-/// into the link.  For the built-in engines, Registry::global() calls their
-/// anchors, which forces exactly that.  A NEW engine registered with this
-/// macro from another static library must itself guarantee the TU is
-/// linked -- either by having the binary reference any symbol of that TU
-/// (e.g. call its `<tag>_engine_link_anchor()`), or by adding the anchor
-/// call to Registry::global() for new built-ins.
-#define HETIS_REGISTER_ENGINE(tag, factory)                                   \
-  namespace hetis::engine::detail {                                           \
-  void tag##_engine_link_anchor() {}                                          \
-  }                                                                           \
-  static const ::hetis::engine::EngineRegistrar hetis_registrar_##tag(#tag, (factory))

@@ -56,17 +56,6 @@ HetisEngine::HetisEngine(const hw::Cluster& cluster, const model::ModelSpec& mod
   build_instances(cluster, model);
 }
 
-HetisEngine::HetisEngine(const hw::Cluster& cluster, const model::ModelSpec& model,
-                         HetisOptions opts, parallel::ParallelPlan plan)
-    : opts_(opts), exec_(cluster, model), plan_(std::move(plan)), hauler_(cluster) {
-  costmodel::ProfilerOptions popts;
-  popts.seed = opts_.profile_seed;
-  costmodel::Profiler profiler(cluster, model, popts);
-  profile_ = inject_error(profiler.profile_all(), opts_.profile_error, opts_.profile_seed,
-                          opts_.profile_error_target);
-  build_instances(cluster, model);
-}
-
 HetisEngine::~HetisEngine() = default;
 
 void HetisEngine::build_instances(const hw::Cluster& cluster, const model::ModelSpec& model) {
@@ -759,17 +748,3 @@ void HetisInstance::preempt(sim::Simulation& sim, workload::RequestId id) {
 }
 
 }  // namespace hetis::core
-
-// Self-registration with the engine registry (engine/registry.h): callers
-// construct Hetis by name and configure it through EngineOptions.
-#include "engine/registry.h"
-
-HETIS_REGISTER_ENGINE(hetis, [](const hetis::hw::Cluster& cluster,
-                                const hetis::model::ModelSpec& model,
-                                const hetis::engine::EngineOptions& opts)
-                                 -> std::unique_ptr<hetis::engine::Engine> {
-  auto cfg = opts.get_or_default<hetis::engine::HetisConfig>("hetis");
-  auto eng = std::make_unique<hetis::core::HetisEngine>(cluster, model, cfg);
-  if (!opts.tenant_priorities.empty()) eng->set_tenant_priorities(opts.tenant_priorities);
-  return eng;
-});

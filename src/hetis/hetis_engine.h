@@ -33,10 +33,8 @@ class HetisInstance;
 
 class HetisEngine : public engine::Engine, public engine::Reconfigurable {
  public:
+  /// Serves on `opts.plan` when set, else on the plan the Parallelizer finds.
   HetisEngine(const hw::Cluster& cluster, const model::ModelSpec& model, HetisOptions opts = {});
-  /// With an externally-fixed plan (ablations / tests).
-  HetisEngine(const hw::Cluster& cluster, const model::ModelSpec& model, HetisOptions opts,
-              parallel::ParallelPlan plan);
   ~HetisEngine() override;
 
   std::string name() const override { return "Hetis"; }

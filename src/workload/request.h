@@ -10,11 +10,10 @@ namespace hetis::workload {
 
 using RequestId = std::int64_t;
 
-/// Ids in [0, kDenseIdLimit) index the per-request tables of
-/// engine::MetricsCollector, telemetry::Telemetry and control::Controller
-/// directly.  Trace ids are dense from 0; ids outside the range are
-/// hand-built test fictions, kept out so an id like 10^12 does not allocate
-/// a table that size.
+/// Request ids lie in [0, kDenseIdLimit): load_trace and
+/// engine::MetricsCollector::on_arrival (which every engine's submit calls)
+/// reject any other, so the per-request tables of MetricsCollector,
+/// telemetry::Telemetry and control::Controller index by id directly.
 constexpr RequestId kDenseIdLimit = RequestId{1} << 24;
 
 struct Request {

@@ -132,10 +132,10 @@ std::vector<Request> load_trace(std::istream& is) {
     // Every engine keys its bookkeeping by id and serves at least one
     // prompt and one output token, so a repeated id or an empty length
     // would fail mid-run or be "served" with nonsense metrics.
-    if (r.id < 0 || !ids.insert(r.id).second) {
+    if (r.id < 0 || r.id >= kDenseIdLimit || !ids.insert(r.id).second) {
       throw std::invalid_argument("load_trace: line " + std::to_string(line_no) +
-                                  " has id '" + fields[0] +
-                                  "', expected a non-negative id not used before");
+                                  " has id '" + fields[0] + "', expected an id in [0, " +
+                                  std::to_string(kDenseIdLimit) + ") not used before");
     }
     if (r.prompt_len < 1 || r.output_len < 1) {
       throw std::invalid_argument("load_trace: line " + std::to_string(line_no) +

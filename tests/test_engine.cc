@@ -220,7 +220,7 @@ class InstanceFixture : public ::testing::Test {
 };
 
 TEST_F(InstanceFixture, SingleRequestLifecycle) {
-  PipelineInstance inst(exec_, cfg_, metrics_, InstanceOptions{}, 0);
+  PipelineInstance inst(exec_, cfg_, metrics_, InstanceOptions{});
   sim::Simulation sim;
   workload::Request r = make_req(0, 0.0, 128, 8);
   metrics_.on_arrival(r);
@@ -236,7 +236,7 @@ TEST_F(InstanceFixture, SingleRequestLifecycle) {
 }
 
 TEST_F(InstanceFixture, ManyRequestsAllFinish) {
-  PipelineInstance inst(exec_, cfg_, metrics_, InstanceOptions{}, 0);
+  PipelineInstance inst(exec_, cfg_, metrics_, InstanceOptions{});
   sim::Simulation sim;
   for (int i = 0; i < 20; ++i) {
     workload::Request r = make_req(i, 0.05 * i, 100 + 10 * i, 5 + i);
@@ -249,7 +249,7 @@ TEST_F(InstanceFixture, ManyRequestsAllFinish) {
 }
 
 TEST_F(InstanceFixture, SingleTokenOutputFinishesAtPrefill) {
-  PipelineInstance inst(exec_, cfg_, metrics_, InstanceOptions{}, 0);
+  PipelineInstance inst(exec_, cfg_, metrics_, InstanceOptions{});
   sim::Simulation sim;
   workload::Request r = make_req(0, 0.0, 64, 1);
   metrics_.on_arrival(r);
@@ -273,7 +273,7 @@ TEST_F(InstanceFixture, PreemptionUnderTinyMemory) {
   // The full 13B copy (~26 GB) + reserve (~6 GB) + this leaves ~3 GB of KV.
   s.extra_reserved = 47 * GiB;
   small.stages = {s};
-  PipelineInstance inst(exec_, small, metrics_, InstanceOptions{}, 0);
+  PipelineInstance inst(exec_, small, metrics_, InstanceOptions{});
   sim::Simulation sim;
   for (int i = 0; i < 6; ++i) {
     workload::Request r = make_req(i, 0.0, 900, 600);
@@ -296,12 +296,12 @@ TEST_F(InstanceFixture, UsableCapacityBoundedByTightestStage) {
   s1.devices = {8};  // P100: 12 GB
   s1.layers = 20;
   two.stages = {s0, s1};
-  PipelineInstance inst(exec_, two, metrics_, InstanceOptions{}, 0);
+  PipelineInstance inst(exec_, two, metrics_, InstanceOptions{});
   EXPECT_LT(inst.usable_kv_capacity(), inst.kv_capacity());
 }
 
 TEST_F(InstanceFixture, HasRoomReflectsCapacity) {
-  PipelineInstance inst(exec_, cfg_, metrics_, InstanceOptions{}, 0);
+  PipelineInstance inst(exec_, cfg_, metrics_, InstanceOptions{});
   EXPECT_TRUE(inst.has_room(1000));
   EXPECT_FALSE(inst.has_room(100'000'000));
 }

@@ -201,7 +201,9 @@ TEST(HetisEngine, FixedPlanConstructor) {
   inst.stages = {s};
   inst.attention_workers = {1, 2};
   plan.instances.push_back(inst);
-  HetisEngine eng(cluster, model::llama_13b(), default_opts(), plan);
+  HetisOptions opts = default_opts();
+  opts.plan = plan;
+  HetisEngine eng(cluster, model::llama_13b(), opts);
   auto trace = small_trace(1.0, 10.0);
   engine::RunReport rep = engine::run_trace(eng, trace);
   EXPECT_EQ(rep.finished, trace.size());

@@ -52,7 +52,7 @@ TEST_F(PipelinedExec, ConsecutivePrefillsOverlapAcrossStages) {
   // Two back-to-back prompts through a 2-stage pipeline should finish in
   // less than 2x one prompt's pipeline latency (stage overlap).
   engine::MetricsCollector metrics;
-  engine::PipelineInstance inst(exec_, two_stage_, metrics, engine::InstanceOptions{}, 0);
+  engine::PipelineInstance inst(exec_, two_stage_, metrics, engine::InstanceOptions{});
   sim::Simulation sim;
   // output_len 1: requests finish at prefill (isolates prefill timing).
   // Prompts exceed the 8192-token budget jointly, forcing two iterations.
@@ -77,7 +77,7 @@ TEST_F(PipelinedExec, DecodeIterationsSerialize) {
   // A single running request's tokens are strictly sequential: finish time
   // >= prefill + output * decode latency.
   engine::MetricsCollector metrics;
-  engine::PipelineInstance inst(exec_, two_stage_, metrics, engine::InstanceOptions{}, 0);
+  engine::PipelineInstance inst(exec_, two_stage_, metrics, engine::InstanceOptions{});
   sim::Simulation sim;
   workload::Request r = make_req(0, 0.0, 100, 20);
   metrics.on_arrival(r);
@@ -91,7 +91,7 @@ TEST_F(PipelinedExec, DecodeIterationsSerialize) {
 
 TEST_F(PipelinedExec, SingleStageStillCorrect) {
   engine::MetricsCollector metrics;
-  engine::PipelineInstance inst(exec_, one_stage_, metrics, engine::InstanceOptions{}, 0);
+  engine::PipelineInstance inst(exec_, one_stage_, metrics, engine::InstanceOptions{});
   sim::Simulation sim;
   for (int i = 0; i < 8; ++i) {
     workload::Request r = make_req(i, 0.1 * i, 200, 10);
@@ -106,7 +106,7 @@ TEST_F(PipelinedExec, SingleStageStillCorrect) {
 
 TEST_F(PipelinedExec, MemoryConsistentUnderPipelinedChurn) {
   engine::MetricsCollector metrics;
-  engine::PipelineInstance inst(exec_, two_stage_, metrics, engine::InstanceOptions{}, 0);
+  engine::PipelineInstance inst(exec_, two_stage_, metrics, engine::InstanceOptions{});
   sim::Simulation sim;
   for (int i = 0; i < 40; ++i) {
     workload::Request r = make_req(i, 0.05 * i, 150 + (i % 11) * 40, 4 + i % 17);
@@ -130,12 +130,12 @@ TEST_F(PipelinedExec, LifoPreemptionUnderTightMemoryDrainsClean) {
   parallel::InstanceConfig cfg;
   cfg.stages = {stage};
   engine::MetricsCollector probe_metrics;
-  const engine::PipelineInstance probe(exec_, cfg, probe_metrics, engine::InstanceOptions{}, 0);
+  const engine::PipelineInstance probe(exec_, cfg, probe_metrics, engine::InstanceOptions{});
   const Bytes full = probe.kv_capacity();
   cfg.stages[0].extra_reserved = full - 800 * m.kv_bytes_per_token();
 
   engine::MetricsCollector metrics;
-  engine::PipelineInstance inst(exec_, cfg, metrics, engine::InstanceOptions{}, 0);
+  engine::PipelineInstance inst(exec_, cfg, metrics, engine::InstanceOptions{});
   sim::Simulation sim;
   for (int i = 0; i < 100; ++i) {
     workload::Request r = make_req(i, 0.02 * i, 100 + (i % 7) * 50, 20 + (i % 13) * 15);
@@ -266,7 +266,7 @@ TEST(SplitwiseProtocol, ReserveIncomingHoldsSpace) {
   engine::MetricsCollector metrics;
   engine::InstanceOptions opts;
   opts.decode_only = true;
-  engine::PipelineInstance inst(exec, cfg, metrics, opts, 0);
+  engine::PipelineInstance inst(exec, cfg, metrics, opts);
 
   Bytes before = inst.kv_used();
   ASSERT_TRUE(inst.reserve_incoming(500));
@@ -295,7 +295,7 @@ TEST(SplitwiseProtocol, ReserveFailsWhenFull) {
   s.layers = 40;
   cfg.stages = {s};
   engine::MetricsCollector metrics;
-  engine::PipelineInstance inst(exec, cfg, metrics, engine::InstanceOptions{}, 0);
+  engine::PipelineInstance inst(exec, cfg, metrics, engine::InstanceOptions{});
   EXPECT_FALSE(inst.reserve_incoming(1'000'000));
 }
 
@@ -374,7 +374,8 @@ TEST(HetisSuspension, OffloadedRequestsResumeAfterTransfer) {
   inst.attention_workers = {8, 9, 10, 11};
   plan.instances.push_back(inst);
   core::HetisOptions opts;
-  core::HetisEngine eng(cluster, model::llama_13b(), opts, plan);
+  opts.plan = plan;
+  core::HetisEngine eng(cluster, model::llama_13b(), opts);
   workload::TraceOptions topts;
   topts.dataset = workload::Dataset::kLongBench;  // big caches -> offload
   topts.rate = 2.0;

@@ -496,6 +496,19 @@ TEST(RunObserver, ObserverIsDetachedWhenTheRunThrows) {
   EXPECT_EQ(obs.events().count(98), 0u);
 }
 
+TEST(RequestIds, EveryEngineRejectsAnIdOutsideTheRange) {
+  // Telemetry and the Controller index per-request tables by id, so an id
+  // of 2^24 or more is refused where it enters instead of dropped there.
+  const hw::Cluster cluster = harness::cluster_by_name("paper");
+  const model::ModelSpec& m = model::model_by_name("Llama-13B");
+  auto trace = synthetic_trace(2, 1.0, 2);
+  trace[1].id = workload::kDenseIdLimit;
+  for (const std::string& name : engine::engine_names()) {
+    auto eng = engine::make(name, cluster, m);
+    EXPECT_THROW(engine::run_trace(*eng, trace), std::invalid_argument) << name;
+  }
+}
+
 // --- Tenant-priority admission ---
 
 TEST(TenantPriority, PriorityEnqueueOrdersByClassThenId) {

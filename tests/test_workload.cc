@@ -222,8 +222,11 @@ TEST(TraceRecordReplay, LoadRejectsMalformedInput) {
   expect_rejected_at_line_3(header + "0,0.5,10,20,0\n1,1.0,10,-3,0\n");
   expect_rejected_at_line_3(header + "0,0.5,10,20,0\n1,1.0,0,20,0\n");
   expect_rejected_at_line_3(header + "0,0.5,10,20,0\n1,1.0,10,0,0\n");
-  // Ids need not be dense or ordered.
-  std::stringstream sparse(header + "9,0.5,1,1,0\n1000000000000,0.5,1,1,0\n3,0.7,1,1,0\n");
+  // Ids lie in [0, 2^24) (kDenseIdLimit), where every per-request table
+  // indexes them, but need not be dense or ordered inside it.
+  expect_rejected_at_line_3(header + "0,0.5,10,20,0\n16777216,1.0,10,20,0\n");
+  expect_rejected_at_line_3(header + "0,0.5,10,20,0\n1000000000000,1.0,10,20,0\n");
+  std::stringstream sparse(header + "9,0.5,1,1,0\n16777215,0.5,1,1,0\n3,0.7,1,1,0\n");
   EXPECT_EQ(load_trace(sparse).size(), 3u);
   EXPECT_THROW(load_trace(std::string("/nonexistent/dir/trace.csv")), std::runtime_error);
   std::stringstream empty_trace("id,arrival,prompt_len,output_len,tenant\n");
