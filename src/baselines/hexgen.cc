@@ -1,12 +1,11 @@
 #include "baselines/hexgen.h"
 
 #include <algorithm>
-#include <limits>
 #include <map>
-#include <numeric>
 #include <sstream>
 
 #include "costmodel/kernel_model.h"
+#include "parallel/parallelizer.h"
 
 namespace hetis::baselines {
 
@@ -42,34 +41,7 @@ parallel::ParallelPlan hexgen_plan(const hw::Cluster& cluster, const model::Mode
                kernel.decode_attention_time(gpu, model, ctxs, std::max(1, model.heads / tp));
     per_layer.push_back(t);
   }
-  double inv_sum = 0;
-  for (double c : per_layer) inv_sum += 1.0 / c;
-  std::vector<int> layers(groups.size(), 0);
-  int assigned = 0;
-  std::vector<double> frac(groups.size());
-  for (std::size_t k = 0; k < groups.size(); ++k) {
-    double ideal = model.layers * (1.0 / per_layer[k]) / inv_sum;
-    layers[k] = static_cast<int>(ideal);
-    frac[k] = ideal - layers[k];
-    assigned += layers[k];
-  }
-  std::vector<std::size_t> order(groups.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&frac](std::size_t a, std::size_t b) { return frac[a] > frac[b]; });
-  for (std::size_t k = 0; assigned < model.layers; ++k) {
-    layers[order[k % groups.size()]] += 1;
-    ++assigned;
-  }
-  // Every stage must own at least one layer.
-  for (std::size_t k = 0; k < groups.size(); ++k) {
-    while (layers[k] == 0) {
-      std::size_t donor = static_cast<std::size_t>(
-          std::max_element(layers.begin(), layers.end()) - layers.begin());
-      --layers[donor];
-      ++layers[k];
-    }
-  }
+  const std::vector<int> layers = parallel::balance_layers(model.layers, per_layer);
 
   parallel::ParallelPlan plan;
   parallel::InstanceConfig inst;
@@ -94,9 +66,7 @@ HexgenEngine::HexgenEngine(const hw::Cluster& cluster, const model::ModelSpec& m
 }
 
 void HexgenEngine::build_instances() {
-  engine::InstanceOptions opts;
-  opts.max_prefill_tokens = cfg_.max_prefill_tokens;
-  opts.max_batch = cfg_.max_batch;
+  const engine::InstanceOptions opts{cfg_.max_prefill_tokens, cfg_.max_batch};
   for (const auto& inst : plan_.instances) {
     instances_.push_back(std::make_unique<engine::PipelineInstance>(exec_, inst, metrics_, opts));
     instances_.back()->set_tenant_priorities(tenant_priorities_);

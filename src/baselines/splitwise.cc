@@ -176,23 +176,15 @@ SplitwiseEngine::SplitwiseEngine(const hw::Cluster& cluster, const model::ModelS
 }
 
 void SplitwiseEngine::build_instances() {
-  engine::InstanceOptions popts;
-  popts.max_prefill_tokens = cfg_.max_prefill_tokens;
-  popts.max_batch = cfg_.max_batch;
-  popts.prefill_only = true;
-  popts.defer_first_token = true;  // first token reaches the user decode-side
-  prefill_ = std::make_unique<engine::PipelineInstance>(exec_, plan_.prefill, metrics_, popts);
+  const engine::InstanceOptions opts{cfg_.max_prefill_tokens, cfg_.max_batch};
+  prefill_ = std::make_unique<engine::PipelineInstance>(exec_, plan_.prefill, metrics_, opts);
   prefill_->set_prefill_handoff(
       [this](sim::Simulation& sim, const engine::LiveRequest& lr) { on_prefill_done(sim, lr); });
   prefill_->set_tenant_priorities(tenant_priorities_);
 
-  engine::InstanceOptions dopts;
-  dopts.max_prefill_tokens = cfg_.max_prefill_tokens;
-  dopts.max_batch = cfg_.max_batch;
-  dopts.decode_only = true;
   for (const auto& decode_cfg : plan_.decode) {
     decode_.push_back(
-        std::make_unique<engine::PipelineInstance>(exec_, decode_cfg, metrics_, dopts));
+        std::make_unique<engine::PipelineInstance>(exec_, decode_cfg, metrics_, opts));
     decode_.back()->set_tenant_priorities(tenant_priorities_);
   }
 }

@@ -384,31 +384,24 @@ Controller::Live* Controller::find_live(workload::RequestId id) {
   return slot < live_.size() && live_[slot].present ? &live_[slot] : nullptr;
 }
 
-void Controller::on_arrival(const workload::Request& r) {
-  ++arrived_;
-  Live& rec = live(r.id);
-  rec.arrival = r.arrival;
-  rec.has_arrival = true;
-}
+void Controller::on_arrival(const workload::Request&) { ++arrived_; }
 
 void Controller::on_prefill_done(workload::RequestId id, Seconds t) {
   ++prefilled_;
   Live& rec = live(id);
   end_reprefill(rec);
-  rec.first_token = rec.last_token = t;
-  rec.has_first_token = rec.has_last_token = true;
-  if (rec.has_arrival) {
-    const double ttft = t - rec.arrival;
-    if (!ttft_seeded_) {
-      signals_.ttft_ewma = ttft;
-      ttft_seeded_ = true;
-    } else {
-      ewma(signals_.ttft_ewma, ttft);
-    }
+  rec.last_token = t;
+  rec.has_last_token = true;
+  const double ttft = t - engine_->metrics().record(id).arrival;
+  if (!ttft_seeded_) {
+    signals_.ttft_ewma = ttft;
+    ttft_seeded_ = true;
+  } else {
+    ewma(signals_.ttft_ewma, ttft);
   }
 }
 
-void Controller::on_token(workload::RequestId id, Seconds t, std::int64_t generated) {
+void Controller::on_token(workload::RequestId id, Seconds t, std::int64_t) {
   Live& rec = live(id);
   if (rec.has_last_token && t > rec.last_token) {
     const double gap = t - rec.last_token;
@@ -421,33 +414,21 @@ void Controller::on_token(workload::RequestId id, Seconds t, std::int64_t genera
   }
   rec.last_token = t;
   rec.has_last_token = true;
-  rec.generated = generated;
   end_reprefill(rec);  // decode resumed: the re-prefill completed
 }
 
-void Controller::on_finish(workload::RequestId id, Seconds t) {
+void Controller::on_finish(workload::RequestId id, Seconds) {
   ++finished_;
-  Live* found = find_live(id);
-  const Live rec = found != nullptr ? *found : Live{};
-  // Grade the finish against the spec's SLO with run_trace's conventions:
-  // targets <= 0 are vacuous, single-token outputs meet TPOT trivially.
-  bool ok = true;
-  if (spec_.slo.ttft > 0) {
-    ok = rec.has_arrival && rec.has_first_token &&
-         (rec.first_token - rec.arrival) <= spec_.slo.ttft;
-  }
-  if (ok && spec_.slo.tpot > 0 && rec.generated > 1 && rec.has_first_token) {
-    const double tpot = (t - rec.first_token) / static_cast<double>(rec.generated - 1);
-    ok = tpot <= spec_.slo.tpot;
-  }
-  const double sample = ok ? 1.0 : 0.0;
+  // The collector stamps the finish before it fans the event out, so the
+  // record grades exactly as run_trace will.
+  const double sample = engine::meets_slo(engine_->metrics().record(id), spec_.slo) ? 1.0 : 0.0;
   if (!slo_seeded_) {
     signals_.slo_attainment = sample;
     slo_seeded_ = true;
   } else {
     ewma(signals_.slo_attainment, sample);
   }
-  if (found != nullptr) {
+  if (Live* found = find_live(id)) {
     end_reprefill(*found);
     found->present = false;
   }

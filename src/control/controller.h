@@ -207,19 +207,18 @@ class Controller final : public engine::RunObserver {
   std::size_t arrived_at_last_tick_ = 0;
   bool rate_seeded_ = false, ttft_seeded_ = false, tpot_seeded_ = false, slo_seeded_ = false;
 
-  /// What the signal handlers know about one request, from its first event
-  /// until on_finish drops it.  A record may first appear through any
-  /// handler (on_token and on_preempt included), so each time carries its
-  /// own presence flag; `generated` needs none, since only counts above 1
-  /// are graded.
+  /// What the signal handlers keep about one request beyond the
+  /// collector's RequestRecord (arrival, first token and finish are read
+  /// there), from its first event until on_finish drops it.  A record may
+  /// first appear through on_token or on_preempt, so the last token time
+  /// carries its own presence flag.
   struct Live {
-    Seconds arrival = 0, first_token = 0, last_token = 0;
-    std::int64_t generated = 0;
-    bool has_arrival = false, has_first_token = false, has_last_token = false;
+    Seconds last_token = 0;
+    bool has_last_token = false;
     bool reprefilling = false;  // preempted, not yet decoding again
     bool present = false;       // a live_ slot holds a record
   };
-  static_assert(sizeof(Live) <= 40, "live_ holds one Live per request id");
+  static_assert(sizeof(Live) <= 16, "live_ holds one Live per request id");
   /// Clears `rec.reprefilling`, keeping the reprefilling_ count in step.
   void end_reprefill(Live& rec);
   /// `id`'s record, created empty when the request has none.

@@ -9,33 +9,6 @@
 
 namespace hetis::engine {
 
-int tenant_priority(const std::vector<int>& priorities, const LiveRequest& lr) {
-  const int tenant = lr.req.tenant;
-  if (tenant < 0 || static_cast<std::size_t>(tenant) >= priorities.size()) return 0;
-  return priorities[static_cast<std::size_t>(tenant)];
-}
-
-void priority_enqueue(std::deque<LiveRequest>& queue, LiveRequest lr,
-                      const std::vector<int>& priorities, bool requeue_front) {
-  if (priorities.empty()) {
-    // Historical FCFS path: preempted requests retry from the front.
-    if (requeue_front) {
-      queue.push_front(std::move(lr));
-    } else {
-      queue.push_back(std::move(lr));
-    }
-    return;
-  }
-  // Keep the queue sorted by (priority desc, id asc); a preempted request
-  // naturally re-enters ahead of its class (its id is the oldest pending).
-  const int p = tenant_priority(priorities, lr);
-  auto it = std::find_if(queue.begin(), queue.end(), [&](const LiveRequest& e) {
-    const int ep = tenant_priority(priorities, e);
-    return ep < p || (ep == p && e.req.id > lr.req.id);
-  });
-  queue.insert(it, std::move(lr));
-}
-
 namespace {
 
 bool index_order(const LifoIndex::Entry& a, const LifoIndex::Entry& b) {
@@ -65,7 +38,7 @@ Bytes stage_param_bytes_per_device(const model::ModelSpec& m, const parallel::St
 
 PipelineInstance::PipelineInstance(const ExecModel& exec, parallel::InstanceConfig cfg,
                                    MetricsCollector& metrics, InstanceOptions opts)
-    : exec_(&exec), cfg_(std::move(cfg)), metrics_(&metrics), opts_(opts) {
+    : BatchingLoop(exec, std::move(cfg), metrics, opts) {
   const model::ModelSpec& m = exec_->model_spec();
   stage_cap_.resize(cfg_.stages.size(), 0);
   stage_used_.resize(cfg_.stages.size(), 0);
@@ -144,46 +117,13 @@ bool PipelineInstance::has_room(std::int64_t tokens) const { return can_reserve(
 
 void PipelineInstance::release_prefilled(const LiveRequest& lr) { release_tokens(lr.context()); }
 
-void PipelineInstance::submit(sim::Simulation& sim, const workload::Request& r) {
-  LiveRequest lr;
-  lr.req = r;
-  priority_enqueue(waiting_, std::move(lr), priorities_, /*requeue_front=*/false);
-  kick(sim);
-}
-
-DrainedRequests PipelineInstance::retire() {
-  retired_ = true;
-  DrainedRequests out;
-  for (auto& lr : waiting_) out.fresh.push_back(lr);
-  for (auto& lr : prefilling_) {
-    // The prefill iteration is aborted with the deployment; the request
-    // re-prefills wherever it lands next.
-    LiveRequest f = lr;
-    f.prefilled = false;
-    f.generated = 0;
-    out.fresh.push_back(std::move(f));
-  }
-  for (std::size_t i = 0; i < running_.size(); ++i) out.live.push_back(current(i));
-  waiting_.clear();
+void PipelineInstance::drain_running(std::vector<LiveRequest>& live) {
+  for (std::size_t i = 0; i < running_.size(); ++i) live.push_back(current(i));
   running_.clear();
   members_.clear();
   lifo_.clear();
   due_.clear();
   ctx_sum_ = 0;
-  prefilling_.clear();
-  auto by_id = [](const LiveRequest& a, const LiveRequest& b) { return a.req.id < b.req.id; };
-  std::sort(out.fresh.begin(), out.fresh.end(), by_id);
-  std::sort(out.live.begin(), out.live.end(), by_id);
-  return out;
-}
-
-bool PipelineInstance::submit_prefilled(sim::Simulation& sim, const LiveRequest& lr) {
-  // The caller (Splitwise migration path) must have checked has_room.
-  if (!can_reserve(lr.context())) return false;
-  reserve_tokens(lr.context());
-  join_running(lr);
-  kick(sim);
-  return true;
 }
 
 bool PipelineInstance::reserve_incoming(std::int64_t tokens) {
@@ -195,10 +135,10 @@ bool PipelineInstance::reserve_incoming(std::int64_t tokens) {
 void PipelineInstance::submit_reserved(sim::Simulation& sim, const LiveRequest& lr) {
   // Space was taken by reserve_incoming; just activate the request.
   join_running(lr);
-  kick(sim);
+  pump(sim);
 }
 
-bool PipelineInstance::admit(const LiveRequest& lr) {
+bool PipelineInstance::admit(sim::Simulation& /*sim*/, const LiveRequest& lr) {
   // Reserve the prompt plus the first output token so the memory invariant
   // (reserved == context()) holds from prefill completion onward.
   if (!can_reserve(lr.req.prompt_len + 1)) return false;
@@ -236,112 +176,36 @@ std::size_t PipelineInstance::slot_of(std::uint64_t ticket) const {
   return static_cast<std::size_t>(it - members_.begin());
 }
 
-void PipelineInstance::kick(sim::Simulation& sim) { pump(sim); }
+bool PipelineInstance::plan_decode(sim::Simulation& /*sim*/, DecodeStep& step) {
+  if (running_.empty()) return false;
+  // One iteration over the whole running batch.
+  exec_->decode_iteration_time(cfg_, static_cast<std::int64_t>(running_.size()), ctx_sum_,
+                               scratch_it_);
+  metrics_->add_decode_module_sample(scratch_it_.mlp_module_latency(),
+                                     scratch_it_.attn_module_latency());
+  step.latency = scratch_it_.latency();
+  step.interval = scratch_it_.interval();
+  return true;
+}
 
-void PipelineInstance::pump(sim::Simulation& sim) {
-  if (retired_) return;
-  const int max_inflight = std::max<int>(1, static_cast<int>(cfg_.stages.size()));
-  while (inflight_ < max_inflight) {
-    // Prefill-priority: admit waiting prompts up to the token budget.
-    std::vector<LiveRequest> prefill_batch;
-    if (!batch_pool_.empty()) {
-      prefill_batch = std::move(batch_pool_.back());
-      batch_pool_.pop_back();
-    }
-    std::int64_t budget = opts_.max_prefill_tokens;
-    while (!waiting_.empty() && running_.size() + prefill_batch.size() < opts_.max_batch) {
-      LiveRequest& head = waiting_.front();
-      if (head.req.prompt_len > budget && !prefill_batch.empty()) break;
-      if (!admit(head)) break;  // stage memory exhausted; decode instead
-      budget -= head.req.prompt_len;
-      prefill_batch.push_back(head);
-      waiting_.pop_front();
-      if (budget <= 0) break;
-    }
-
-    if (!prefill_batch.empty()) {
-      scratch_lens_.clear();
-      scratch_lens_.reserve(prefill_batch.size());
-      for (const auto& lr : prefill_batch) {
-        scratch_lens_.push_back(lr.req.prompt_len);
-        prefilling_.push_back(lr);
-        metrics_->on_prefill_start(lr.req.id, sim.now());
-      }
-      exec_->prefill_iteration_time(cfg_, scratch_lens_, scratch_it_);
-      const IterationTime& it = scratch_it_;
-      Seconds issue = std::max(sim.now(), head_free_);
-      head_free_ = issue + it.interval();
-      ++inflight_;
-      sim.schedule_at(issue + it.latency(),
-                      [this, &sim, batch = std::move(prefill_batch)]() mutable {
-                        finish_prefill_iteration(sim, std::move(batch));
-                      });
-      continue;
-    }
-    // Empty, but it may carry recycled capacity worth keeping.
-    batch_pool_.push_back(std::move(prefill_batch));
-
-    if (running_.empty() || decode_inflight_) return;
-
-    // Decode iteration over the whole running batch.  It both depends on
-    // and produces per-request state, so it serializes behind the previous
-    // decode (decode_done_) in addition to waiting for the pipeline head.
-    exec_->decode_iteration_time(cfg_, static_cast<std::int64_t>(running_.size()), ctx_sum_,
-                                 scratch_it_);
-    const IterationTime& it = scratch_it_;
-    metrics_->add_decode_module_sample(it.mlp_module_latency(), it.attn_module_latency());
-    Seconds issue = std::max({sim.now(), head_free_, decode_done_});
-    head_free_ = issue + it.interval();
-    decode_done_ = issue + it.latency();
-    decode_inflight_ = true;
-    ++inflight_;
-    sim.schedule_at(issue + it.latency(), [this, &sim] { finish_decode_iteration(sim); });
+void PipelineInstance::prefilled(sim::Simulation& sim, LiveRequest& lr) {
+  if (handoff_) {
+    // Splitwise: hand the request (and its KV) to the decode pool; local
+    // prompt memory is released by the engine once migration completes,
+    // and the first token reaches the user decode-side.
+    handoff_(sim, lr);
     return;
+  }
+  metrics_->on_first_token(lr.req.id, sim.now());
+  if (lr.done()) {
+    release_tokens(lr.context());
+    metrics_->on_finish(lr.req.id, sim.now());
+  } else {
+    join_running(lr);
   }
 }
 
-void PipelineInstance::finish_prefill_iteration(sim::Simulation& sim,
-                                                std::vector<LiveRequest> batch) {
-  if (retired_) {
-    // The batch was already handed to the new deployment by retire().
-    --inflight_;
-    return;
-  }
-  for (auto& lr : batch) {
-    for (auto it = prefilling_.begin(); it != prefilling_.end(); ++it) {
-      if (it->req.id == lr.req.id) {
-        *it = std::move(prefilling_.back());
-        prefilling_.pop_back();
-        break;
-      }
-    }
-    lr.prefilled = true;
-    if (!opts_.defer_first_token) metrics_->on_first_token(lr.req.id, sim.now());
-    // The first output token is produced by prefill itself.
-    lr.generated = 1;
-    if (opts_.prefill_only && handoff_) {
-      // Splitwise: hand the request (and its KV) to the decode pool; local
-      // prompt memory is released by the engine once migration completes.
-      handoff_(sim, lr);
-    } else if (lr.done()) {
-      release_tokens(lr.context());
-      metrics_->on_finish(lr.req.id, sim.now());
-    } else {
-      join_running(lr);
-    }
-  }
-  batch.clear();
-  batch_pool_.push_back(std::move(batch));
-  --inflight_;
-  pump(sim);
-}
-
-void PipelineInstance::finish_decode_iteration(sim::Simulation& sim) {
-  if (retired_) {
-    --inflight_;
-    decode_inflight_ = false;
-    return;
-  }
+void PipelineInstance::finish_decode_batch(sim::Simulation& sim) {
   // Every surviving request appends one cached token on every stage.
   // First make room by LIFO recompute preemption (vLLM §4.5): the latest
   // arrival leaves first, ties toward the highest id, so older requests
@@ -364,7 +228,7 @@ void PipelineInstance::finish_decode_iteration(sim::Simulation& sim) {
     metrics_->on_preemption(lr.req.id, sim.now());
     lr.prefilled = false;
     lr.generated = 0;  // recompute from scratch
-    priority_enqueue(waiting_, std::move(lr), priorities_, /*requeue_front=*/true);
+    requeue_preempted(std::move(lr));
   }
   const bool preempted = alive < n;
   const auto victim = [&](std::size_t i) {
@@ -419,9 +283,6 @@ void PipelineInstance::finish_decode_iteration(sim::Simulation& sim) {
     running_.resize(keep);
     members_.resize(keep);
   }
-  --inflight_;
-  decode_inflight_ = false;
-  pump(sim);
 }
 
 }  // namespace hetis::engine

@@ -1,7 +1,6 @@
 #include "engine/metrics.h"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 namespace hetis::engine {
@@ -125,15 +124,6 @@ Summary MetricsCollector::tpot() const {
     if (rec.finished() && rec.output_len > 1) s.add(rec.tpot());
   }
   return s;
-}
-
-std::string MetricsCollector::summary_string() const {
-  std::ostringstream oss;
-  oss << "arrived=" << arrived() << " finished=" << finished()
-      << " norm_latency(mean)=" << norm_latency().mean() << "s/tok"
-      << " ttft(p95)=" << ttft().p95() << "s tpot(p95)=" << tpot().p95() << "s"
-      << " preemptions=" << total_preemptions();
-  return oss.str();
 }
 
 }  // namespace hetis::engine

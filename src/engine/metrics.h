@@ -194,8 +194,6 @@ class MetricsCollector {
   /// The record for `id`; throws std::out_of_range when unknown.
   const RequestRecord& record(workload::RequestId id) const;
 
-  std::string summary_string() const;
-
  private:
   const RequestRecord* find(workload::RequestId id) const;
   RequestRecord* find(workload::RequestId id);

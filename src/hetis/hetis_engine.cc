@@ -7,6 +7,7 @@
 
 #include "common/log.h"
 #include "common/rng.h"
+#include "engine/instance.h"
 #include "planner/planner.h"
 
 namespace hetis::core {
@@ -53,14 +54,12 @@ HetisEngine::HetisEngine(const hw::Cluster& cluster, const model::ModelSpec& mod
   costmodel::Profiler profiler(cluster, model, popts);
   profile_ = inject_error(profiler.profile_all(), opts_.profile_error, opts_.profile_seed,
                           opts_.profile_error_target);
-  build_instances(cluster, model);
+  build_instances();
 }
 
 HetisEngine::~HetisEngine() = default;
 
-void HetisEngine::build_instances(const hw::Cluster& cluster, const model::ModelSpec& model) {
-  (void)cluster;
-  (void)model;
+void HetisEngine::build_instances() {
   for (const auto& inst : plan_.instances) {
     instances_.push_back(
         std::make_unique<HetisInstance>(exec_, inst, profile_, metrics_, hauler_, opts_));
@@ -210,7 +209,7 @@ void HetisEngine::apply_plan(sim::Simulation& sim, parallel::ParallelPlan plan) 
             [](const Carried& a, const Carried& b) { return a.lr.req.id < b.lr.req.id; });
 
   plan_ = std::move(plan);
-  build_instances(exec_.cluster(), exec_.model_spec());
+  build_instances();
   ++stats_.reconfigurations;
 
   const model::ModelSpec& m = exec_.model_spec();
@@ -282,8 +281,7 @@ int HetisEngine::balance_redispatches() const {
 // ---------------------------------------------------------------------------
 
 dispatch::DispatcherConfig HetisInstance::make_dispatcher_config(
-    const parallel::InstanceConfig& cfg, const costmodel::ProfileResult& profile,
-    const HetisOptions& opts) const {
+    const costmodel::ProfileResult& profile, const HetisOptions& opts) const {
   const model::ModelSpec& m = exec_->model_spec();
   dispatch::DispatcherConfig dc;
   dc.heads = m.heads;
@@ -306,8 +304,8 @@ dispatch::DispatcherConfig HetisInstance::make_dispatcher_config(
     return a;
   };
 
-  for (std::size_t k = 0; k < cfg.stages.size(); ++k) {
-    const auto& s = cfg.stages[k];
+  for (std::size_t k = 0; k < cfg_.stages.size(); ++k) {
+    const auto& s = cfg_.stages[k];
     dispatch::StageDesc sd;
     sd.devices = s.devices;
     sd.layers = s.layers;
@@ -315,19 +313,19 @@ dispatch::DispatcherConfig HetisInstance::make_dispatcher_config(
     for (int dev : s.devices) speed = std::min(speed, exec_->cluster().device_speed(dev));
     sd.attn = degraded_attn(s.devices.front(), speed);
     Bytes params =
-        engine::stage_param_bytes_per_device(m, s, k == 0, k + 1 == cfg.stages.size());
+        engine::stage_param_bytes_per_device(m, s, k == 0, k + 1 == cfg_.stages.size());
     Bytes cap = 0;
     for (int dev : s.devices) cap += engine::kv_budget(exec_->cluster().device(dev).spec(), params);
     sd.capacity = cap;
     dc.stages.push_back(std::move(sd));
   }
-  for (int dev : cfg.attention_workers) {
+  for (int dev : cfg_.attention_workers) {
     dispatch::WorkerDesc wd;
     wd.device = dev;
     wd.attn = degraded_attn(dev, exec_->cluster().device_speed(dev));
     // Worst-case link to any stage representative (conservative).
     costmodel::TransferParams worst{};
-    for (const auto& s : cfg.stages) {
+    for (const auto& s : cfg_.stages) {
       if (profile.has_link(s.devices.front(), dev)) {
         const auto& tp = profile.transfer(s.devices.front(), dev);
         worst.gamma = std::max(worst.gamma, tp.gamma);
@@ -345,16 +343,11 @@ HetisInstance::HetisInstance(const engine::ExecModel& exec, const parallel::Inst
                              const costmodel::ProfileResult& profile,
                              engine::MetricsCollector& metrics, hauler::Hauler& hauler,
                              const HetisOptions& opts)
-    : exec_(&exec),
-      cfg_(cfg),
-      metrics_(&metrics),
+    : BatchingLoop(exec, cfg, metrics, engine::InstanceOptions{opts.max_prefill_tokens,
+                                                               opts.max_batch}),
       hauler_(&hauler),
       opts_(opts),
-      dispatcher_(make_dispatcher_config(cfg, profile, opts)) {
-  // Prefill (dense + attention) runs entirely on the primary pipeline
-  // (design idea I1: compute-intensive phases stay on capable devices).
-  primary_only_.stages = cfg_.stages;
-}
+      dispatcher_(make_dispatcher_config(profile, opts)) {}
 
 std::vector<engine::LiveRequest>::iterator HetisInstance::running_lower_bound(
     workload::RequestId id) {
@@ -393,15 +386,10 @@ Bytes HetisInstance::kv_capacity() const {
   return total;
 }
 
-void HetisInstance::submit(sim::Simulation& sim, const workload::Request& r) {
-  engine::LiveRequest lr;
-  lr.req = r;
-  enqueue(sim, std::move(lr));
-}
-
-void HetisInstance::enqueue(sim::Simulation& sim, engine::LiveRequest lr) {
-  engine::priority_enqueue(waiting_, std::move(lr), priorities_, /*requeue_front=*/false);
-  kick(sim);
+bool HetisInstance::admit(sim::Simulation& sim, const engine::LiveRequest& lr) {
+  // Dispatch this request's heads (Eq. 7); reserves memory at their
+  // destinations.
+  return dispatcher_.dispatch(lr.req.id, lr.req.prompt_len + 1, sim.now()).has_value();
 }
 
 bool HetisInstance::adopt(sim::Simulation& sim, const engine::LiveRequest& lr,
@@ -409,31 +397,14 @@ bool HetisInstance::adopt(sim::Simulation& sim, const engine::LiveRequest& lr,
   if (!dispatcher_.dispatch(lr.req.id, lr.context(), sim.now())) return false;
   insert_running(lr);
   if (resume_at > sim.now()) suspended_until_[lr.req.id] = resume_at;
-  kick(sim);
+  pump(sim);
   return true;
 }
 
-engine::DrainedRequests HetisInstance::retire() {
-  retired_ = true;
-  engine::DrainedRequests out;
-  for (auto& lr : waiting_) out.fresh.push_back(lr);
-  for (auto& lr : prefilling_) {
-    engine::LiveRequest f = lr;
-    f.prefilled = false;
-    f.generated = 0;
-    out.fresh.push_back(std::move(f));
-  }
-  for (auto& lr : running_) out.live.push_back(lr);
-  waiting_.clear();
+void HetisInstance::drain_running(std::vector<engine::LiveRequest>& live) {
+  live.insert(live.end(), running_.begin(), running_.end());
   running_.clear();
-  prefilling_.clear();
   suspended_until_.clear();
-  auto by_id = [](const engine::LiveRequest& a, const engine::LiveRequest& b) {
-    return a.req.id < b.req.id;
-  };
-  std::sort(out.fresh.begin(), out.fresh.end(), by_id);
-  std::sort(out.live.begin(), out.live.end(), by_id);
-  return out;
 }
 
 void HetisInstance::sample_usage(sim::Simulation& sim) {
@@ -451,133 +422,70 @@ void HetisInstance::sample_usage(sim::Simulation& sim) {
   }
 }
 
-void HetisInstance::kick(sim::Simulation& sim) { pump(sim); }
-
-void HetisInstance::pump(sim::Simulation& sim) {
-  if (retired_) return;
-  const int max_inflight = std::max<int>(1, static_cast<int>(cfg_.stages.size()));
-  while (inflight_ < max_inflight) {
-    // --- Prefill-priority admission via the dispatch LP (Eq. 7) ---
-    std::vector<engine::LiveRequest> prefill_batch;
-    if (!batch_pool_.empty()) {
-      prefill_batch = std::move(batch_pool_.back());
-      batch_pool_.pop_back();
-    }
-    std::int64_t budget = opts_.max_prefill_tokens;
-    while (!waiting_.empty() && running_.size() + prefill_batch.size() < opts_.max_batch &&
-           budget > 0) {
-      engine::LiveRequest& head = waiting_.front();
-      if (head.req.prompt_len > budget && !prefill_batch.empty()) break;
-      // Dispatch this request's heads (reserves memory at its destinations).
-      if (!dispatcher_.dispatch(head.req.id, head.req.prompt_len + 1, sim.now())) {
-        break;  // instance cannot host it right now
-      }
-      budget -= head.req.prompt_len;
-      prefill_batch.push_back(head);
-      waiting_.pop_front();
-    }
-
-    if (!prefill_batch.empty()) {
-      scratch_lens_.clear();
-      for (const auto& lr : prefill_batch) {
-        scratch_lens_.push_back(lr.req.prompt_len);
-        prefilling_.push_back(lr);
-        metrics_->on_prefill_start(lr.req.id, sim.now());
-      }
-      exec_->prefill_iteration_time(primary_only_, scratch_lens_, scratch_it_);
-      const engine::IterationTime& it = scratch_it_;
-      Seconds issue = std::max(sim.now(), head_free_);
-      head_free_ = issue + it.interval();
-      ++inflight_;
-      sim.schedule_at(issue + it.latency(),
-                      [this, &sim, batch = std::move(prefill_batch)]() mutable {
-                        finish_prefill(sim, std::move(batch));
-                      });
-      continue;
-    }
-    // Empty, but it may carry recycled capacity worth keeping.
-    batch_pool_.push_back(std::move(prefill_batch));
-
-    if (decode_inflight_) return;
-
-    // --- Decode iteration over non-suspended running requests ---
-    std::vector<workload::RequestId> decoded;
-    if (!decoded_pool_.empty()) {
-      decoded = std::move(decoded_pool_.back());
-      decoded_pool_.pop_back();
-    }
-    for (auto& lr : running_) {
-      const workload::RequestId id = lr.req.id;
-      if (!suspended_until_.empty()) {
-        auto sit = suspended_until_.find(id);
-        if (sit != suspended_until_.end()) {
-          if (sim.now() < sit->second) continue;
-          suspended_until_.erase(sit);
-        }
-      }
-      decoded.push_back(id);
-    }
-
-    if (decoded.empty()) {
-      decoded_pool_.push_back(std::move(decoded));
-      // Any entry already expired here is an orphan: an expired entry whose
-      // request is still running was consumed (and erased) by the scan
-      // above.  Waking on an orphan would re-enter pump at the current
-      // instant and spin the simulation forever.
-      for (auto it = suspended_until_.begin(); it != suspended_until_.end();) {
-        if (it->second <= sim.now()) {
-          it = suspended_until_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      if (!suspended_until_.empty() && !wake_scheduled_) {
-        // Wake when the earliest migration lands.
-        Seconds wake = std::numeric_limits<double>::infinity();
-        for (const auto& [id, t] : suspended_until_) wake = std::min(wake, t);
-        wake_scheduled_ = true;
-        sim.schedule_at(wake, [this, &sim] {
-          wake_scheduled_ = false;
-          pump(sim);
-        });
-      }
-      return;
-    }
-
-    // Dense part on the primary pipeline; attention via the dispatcher's
-    // fine-grained placement.
-    Seconds dense = 0;
-    Seconds worst_stage = 0;
-    for (std::size_t k = 0; k < cfg_.stages.size(); ++k) {
-      Seconds stage = exec_->stage_dense_time(cfg_.stages[k],
-                                              static_cast<std::int64_t>(decoded.size()));
-      dense += stage;
-      worst_stage = std::max(worst_stage, stage);
-      if (k + 1 < cfg_.stages.size()) {
-        dense += exec_->interstage_comm(cfg_.stages[k], cfg_.stages[k + 1],
-                                        static_cast<std::int64_t>(decoded.size()));
+bool HetisInstance::plan_decode(sim::Simulation& sim, DecodeStep& step) {
+  // One iteration over the running requests not suspended by a migration.
+  decoding_.clear();
+  for (auto& lr : running_) {
+    const workload::RequestId id = lr.req.id;
+    if (!suspended_until_.empty()) {
+      auto sit = suspended_until_.find(id);
+      if (sit != suspended_until_.end()) {
+        if (sim.now() < sit->second) continue;
+        suspended_until_.erase(sit);
       }
     }
-    Seconds attn = dispatcher_.attention_iteration_time();
-
-    // Module metrics (§7.3): max per-stage dense x #stages; attention total.
-    metrics_->add_decode_module_sample(worst_stage * static_cast<double>(cfg_.stages.size()),
-                                       attn);
-
-    Seconds latency = dense + attn;
-    // The slowest stage (including its attention share) gates the pipeline.
-    Seconds interval =
-        worst_stage + attn / static_cast<double>(std::max<std::size_t>(1, cfg_.stages.size()));
-    Seconds issue = std::max({sim.now(), head_free_, decode_done_});
-    head_free_ = issue + interval;
-    decode_done_ = issue + latency;
-    decode_inflight_ = true;
-    ++inflight_;
-    sim.schedule_at(issue + latency, [this, &sim, decoded = std::move(decoded)]() mutable {
-      finish_decode(sim, std::move(decoded));
-    });
-    return;
+    decoding_.push_back(id);
   }
+
+  if (decoding_.empty()) {
+    // Any entry already expired here is an orphan: an expired entry whose
+    // request is still running was consumed (and erased) by the scan
+    // above.  Waking on an orphan would re-enter pump at the current
+    // instant and spin the simulation forever.
+    for (auto it = suspended_until_.begin(); it != suspended_until_.end();) {
+      if (it->second <= sim.now()) {
+        it = suspended_until_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    if (!suspended_until_.empty() && !wake_scheduled_) {
+      // Wake when the earliest migration lands.
+      Seconds wake = std::numeric_limits<double>::infinity();
+      for (const auto& [id, t] : suspended_until_) wake = std::min(wake, t);
+      wake_scheduled_ = true;
+      sim.schedule_at(wake, [this, &sim] {
+        wake_scheduled_ = false;
+        pump(sim);
+      });
+    }
+    return false;
+  }
+
+  // Dense part on the primary pipeline; attention via the dispatcher's
+  // fine-grained placement.
+  const auto n = static_cast<std::int64_t>(decoding_.size());
+  Seconds dense = 0;
+  Seconds worst_stage = 0;
+  for (std::size_t k = 0; k < cfg_.stages.size(); ++k) {
+    Seconds stage = exec_->stage_dense_time(cfg_.stages[k], n);
+    dense += stage;
+    worst_stage = std::max(worst_stage, stage);
+    if (k + 1 < cfg_.stages.size()) {
+      dense += exec_->interstage_comm(cfg_.stages[k], cfg_.stages[k + 1], n);
+    }
+  }
+  Seconds attn = dispatcher_.attention_iteration_time();
+
+  // Module metrics (§7.3): max per-stage dense x #stages; attention total.
+  metrics_->add_decode_module_sample(worst_stage * static_cast<double>(cfg_.stages.size()),
+                                     attn);
+
+  step.latency = dense + attn;
+  // The slowest stage (including its attention share) gates the pipeline.
+  step.interval =
+      worst_stage + attn / static_cast<double>(std::max<std::size_t>(1, cfg_.stages.size()));
+  return true;
 }
 
 Seconds HetisInstance::ship_offloaded_kv(sim::Simulation& sim, workload::RequestId id) {
@@ -597,66 +505,40 @@ Seconds HetisInstance::ship_offloaded_kv(sim::Simulation& sim, workload::Request
   return done;
 }
 
-void HetisInstance::finish_prefill(sim::Simulation& sim, std::vector<engine::LiveRequest> batch) {
-  if (retired_) {
-    // The batch was already handed to the new deployment by retire().
-    --inflight_;
+void HetisInstance::prefilled(sim::Simulation& sim, engine::LiveRequest& lr) {
+  metrics_->on_first_token(lr.req.id, sim.now());
+  if (lr.done()) {
+    dispatcher_.remove(lr.req.id);
+    // A rebalance may have suspended this request mid-prefill; it never
+    // reaches running_, so drop the entry or it outlives the request.
+    suspended_until_.erase(lr.req.id);
+    metrics_->on_finish(lr.req.id, sim.now());
     return;
   }
-  for (auto& lr : batch) {
-    for (auto it = prefilling_.begin(); it != prefilling_.end(); ++it) {
-      if (it->req.id == lr.req.id) {
-        *it = std::move(prefilling_.back());
-        prefilling_.pop_back();
-        break;
-      }
-    }
-    lr.prefilled = true;
-    lr.generated = 1;
-    metrics_->on_first_token(lr.req.id, sim.now());
-    if (lr.done()) {
-      dispatcher_.remove(lr.req.id);
-      // A rebalance may have suspended this request mid-prefill; it never
-      // reaches running_, so drop the entry or it outlives the request.
-      suspended_until_.erase(lr.req.id);
-      metrics_->on_finish(lr.req.id, sim.now());
-      continue;
-    }
-    // Ship offloaded heads' prompt KV in the background; the request only
-    // resumes decoding once its cache is in place.
-    Seconds ready = ship_offloaded_kv(sim, lr.req.id);
-    if (ready > sim.now()) suspended_until_[lr.req.id] = ready;
-    insert_running(lr);
-  }
-  batch.clear();
-  batch_pool_.push_back(std::move(batch));
-  --inflight_;
-  pump(sim);
+  // Ship offloaded heads' prompt KV in the background; the request only
+  // resumes decoding once its cache is in place.
+  Seconds ready = ship_offloaded_kv(sim, lr.req.id);
+  if (ready > sim.now()) suspended_until_[lr.req.id] = ready;
+  insert_running(std::move(lr));
 }
 
-void HetisInstance::finish_decode(sim::Simulation& sim,
-                                  std::vector<workload::RequestId> decoded) {
-  if (retired_) {
-    --inflight_;
-    decode_inflight_ = false;
-    return;
-  }
+void HetisInstance::finish_decode_batch(sim::Simulation& sim) {
   ++decode_iterations_;
-  // One merge walk of the id-ascending `decoded` against the id-sorted
+  // One merge walk of the id-ascending `decoding_` against the id-sorted
   // running_: finished requests are compacted out of running_ in place,
-  // and survivors are compacted back into `decoded` (only positions at or
+  // and survivors are compacted back into `decoding_` (only positions at or
   // behind the read cursor are overwritten) so their context growth lands
   // in one append_tokens walk.  Nothing in this loop reads dispatcher
   // state, so deferring the appends to the end changes no observable value.
   std::size_t survivors = 0;
   std::size_t kept = 0;
-  std::size_t next = 0;  // read cursor into `decoded`
+  std::size_t next = 0;  // read cursor into `decoding_`
   for (std::size_t i = 0; i < running_.size(); ++i) {
     engine::LiveRequest& lr = running_[i];
     const workload::RequestId id = lr.req.id;
     // Ids decoded but no longer running were preempted mid-flight.
-    while (next < decoded.size() && decoded[next] < id) ++next;
-    if (next < decoded.size() && decoded[next] == id) {
+    while (next < decoding_.size() && decoding_[next] < id) ++next;
+    if (next < decoding_.size() && decoding_[next] == id) {
       ++next;
       lr.generated += 1;
       metrics_->on_token(id, sim.now(), lr.generated);
@@ -666,23 +548,18 @@ void HetisInstance::finish_decode(sim::Simulation& sim,
         metrics_->on_finish(id, sim.now());
         continue;
       }
-      decoded[survivors++] = id;
+      decoding_[survivors++] = id;
     }
     if (kept != i) running_[kept] = std::move(lr);
     ++kept;
   }
   running_.resize(kept);
-  decoded.resize(survivors);
-  dispatcher_.append_tokens(decoded);
-  decoded.clear();
-  decoded_pool_.push_back(std::move(decoded));
+  decoding_.resize(survivors);
+  dispatcher_.append_tokens(decoding_);
   resolve_memory_pressure(sim);
   if (opts_.enable_redispatch && decode_iterations_ % opts_.redispatch_period == 0) {
     maybe_rebalance(sim);
   }
-  --inflight_;
-  decode_inflight_ = false;
-  pump(sim);
 }
 
 void HetisInstance::resolve_memory_pressure(sim::Simulation& sim) {
@@ -744,7 +621,7 @@ void HetisInstance::preempt(sim::Simulation& sim, workload::RequestId id) {
   metrics_->on_preemption(id, sim.now());
   lr.prefilled = false;
   lr.generated = 0;
-  engine::priority_enqueue(waiting_, std::move(lr), priorities_, /*requeue_front=*/true);
+  requeue_preempted(std::move(lr));
 }
 
 }  // namespace hetis::core

@@ -8,16 +8,15 @@
 // with KV movement executed by the Hauler on a low-priority channel (§6).
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
 
 #include "costmodel/profiler.h"
 #include "dispatch/dispatcher.h"
+#include "engine/batching.h"
 #include "engine/engine.h"
 #include "engine/exec.h"
-#include "engine/instance.h"
 #include "engine/options.h"
 #include "engine/reconfigurable.h"
 #include "hauler/hauler.h"
@@ -102,7 +101,7 @@ class HetisEngine : public engine::Engine, public engine::Reconfigurable {
   int balance_redispatches() const;
 
  private:
-  void build_instances(const hw::Cluster& cluster, const model::ModelSpec& model);
+  void build_instances();
   /// Least-filled-instance routing shared by submit and re-admission.
   HetisInstance* least_filled();
   /// Runs the configured planner tier over the subcluster of `devices` and
@@ -139,19 +138,17 @@ class HetisEngine : public engine::Engine, public engine::Reconfigurable {
   sim::PeriodicTask usage_sampling_;  // Fig. 14 sampler (see start())
 };
 
-/// One Hetis serving instance (primary pipeline + attention-worker pool).
-class HetisInstance {
+/// One Hetis serving instance (primary pipeline + attention-worker pool) on
+/// the shared continuous-batching loop: admission dispatches each request's
+/// heads through the Dispatcher's LP, and decode attention is priced at the
+/// placement it chose.
+class HetisInstance final : public engine::BatchingLoop {
  public:
   HetisInstance(const engine::ExecModel& exec, const parallel::InstanceConfig& cfg,
                 const costmodel::ProfileResult& profile, engine::MetricsCollector& metrics,
                 hauler::Hauler& hauler, const HetisOptions& opts);
 
-  void submit(sim::Simulation& sim, const workload::Request& r);
   void sample_usage(sim::Simulation& sim);
-
-  /// Enqueues an unprefilled request carried over from a retired
-  /// deployment (no arrival recording; keeps the original request state).
-  void enqueue(sim::Simulation& sim, engine::LiveRequest lr);
 
   /// Adopts a prefilled request with decode progress intact (elastic live
   /// migration): its heads are dispatched into this instance and decoding
@@ -163,15 +160,6 @@ class HetisInstance {
   /// its heads and re-queues it at the front, unprefilled.  No-op when `id`
   /// is not running.  A decode iteration already in flight skips it.
   void preempt(sim::Simulation& sim, workload::RequestId id);
-
-  /// Per-tenant admission priorities (empty = FCFS).
-  void set_tenant_priorities(std::vector<int> priorities) {
-    priorities_ = std::move(priorities);
-  }
-
-  /// Retires this instance for elastic reconfiguration (see
-  /// PipelineInstance::retire for the contract).
-  engine::DrainedRequests retire();
 
   /// Representative primary device (Hauler endpoint for migrations).
   int primary_device() const { return cfg_.stages.front().devices.front(); }
@@ -185,10 +173,13 @@ class HetisInstance {
   const dispatch::Dispatcher& dispatcher() const { return dispatcher_; }
 
  private:
-  void kick(sim::Simulation& sim);   // alias of pump
-  void pump(sim::Simulation& sim);   // pipelined iteration issue
-  void finish_prefill(sim::Simulation& sim, std::vector<engine::LiveRequest> batch);
-  void finish_decode(sim::Simulation& sim, std::vector<workload::RequestId> decoded);
+  bool admit(sim::Simulation& sim, const engine::LiveRequest& lr) override;
+  std::size_t running() const override { return running_.size(); }
+  bool plan_decode(sim::Simulation& sim, DecodeStep& step) override;
+  void finish_decode_batch(sim::Simulation& sim) override;
+  void prefilled(sim::Simulation& sim, engine::LiveRequest& lr) override;
+  void drain_running(std::vector<engine::LiveRequest>& live) override;
+
   void resolve_memory_pressure(sim::Simulation& sim);
   void maybe_rebalance(sim::Simulation& sim);
   /// Iterator to the first running request with id >= `id`.
@@ -201,47 +192,27 @@ class HetisInstance {
   /// Executes a planned rebalance: apply + migrate + suspend the victim.
   void execute_rebalance(sim::Simulation& sim, const dispatch::Rebalance& rb);
 
-  dispatch::DispatcherConfig make_dispatcher_config(const parallel::InstanceConfig& cfg,
-                                                    const costmodel::ProfileResult& profile,
+  dispatch::DispatcherConfig make_dispatcher_config(const costmodel::ProfileResult& profile,
                                                     const HetisOptions& opts) const;
 
-  const engine::ExecModel* exec_;
-  parallel::InstanceConfig cfg_;
-  engine::MetricsCollector* metrics_;
   hauler::Hauler* hauler_;
   HetisOptions opts_;
 
   dispatch::Dispatcher dispatcher_;
-  std::deque<engine::LiveRequest> waiting_;
   // Sorted by request id: the decode loop walks it in id order (the same
-  // order the historical std::map storage iterated), finish_decode
+  // order the historical std::map storage iterated), finish_decode_batch
   // merge-walks it against the id-ascending batch, and the batch is
   // bounded by max_batch so binary-search + shifting beats node churn for
   // single inserts and preemptions.
   std::vector<engine::LiveRequest> running_;
-  // Requests inside an in-flight prefill iteration (see
-  // PipelineInstance::prefilling_ for why retire() needs this).  Unordered;
-  // retire() sorts its output.
-  std::vector<engine::LiveRequest> prefilling_;
+  // The ids the in-flight decode iteration covers (at most one decode is in
+  // flight), ascending; their running_ entries may be preempted meanwhile.
+  std::vector<workload::RequestId> decoding_;
   std::map<workload::RequestId, Seconds> suspended_until_;
-  std::vector<int> priorities_;  // per-tenant admission priorities
-  bool retired_ = false;         // pending events become no-ops
-  int inflight_ = 0;
-  bool decode_inflight_ = false;
   bool wake_scheduled_ = false;
-  Seconds head_free_ = 0;
-  Seconds decode_done_ = 0;
   std::int64_t decode_iterations_ = 0;
   int rescue_count_ = 0;
   int balance_count_ = 0;
-
-  // Hot-path scratch (see PipelineInstance): the containers below recycle
-  // capacity so steady-state iterations allocate nothing.
-  parallel::InstanceConfig primary_only_;  // prefill runs on primary stages
-  engine::IterationTime scratch_it_;
-  std::vector<std::int64_t> scratch_lens_;
-  std::vector<std::vector<engine::LiveRequest>> batch_pool_;
-  std::vector<std::vector<workload::RequestId>> decoded_pool_;
 };
 
 }  // namespace hetis::core

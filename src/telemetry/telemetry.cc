@@ -25,6 +25,7 @@ Telemetry::Telemetry(TelemetryConfig cfg) : cfg_(cfg) {
 }
 
 void Telemetry::attach(sim::Simulation& sim, engine::Engine& engine) {
+  metrics_ = &engine.metrics();
   engine.metrics().attach(this);
   if (cfg_.sample_interval <= 0) return;
   // First row at t=0 captures the pre-arrival state (and the Controller's
@@ -123,17 +124,9 @@ void Telemetry::on_finish(workload::RequestId id, Seconds t) {
   if (st->tokens > 1 && st->first_token >= 0) {
     registry_.observe(h_tpot_, (t - st->first_token) / static_cast<double>(st->tokens - 1));
   }
-  if (cfg_.slo.has_value()) {
-    // run_trace's grading conventions: targets <= 0 are vacuously met, TTFT
-    // needs a prefill completion, single-token outputs meet TPOT trivially.
-    const engine::SloSpec& slo = *cfg_.slo;
-    const bool ttft_ok =
-        slo.ttft <= 0 || (st->first_token >= 0 && st->first_token - st->arrival <= slo.ttft);
-    const bool tpot_ok =
-        slo.tpot <= 0 || st->tokens <= 1 || st->first_token < 0 ||
-        (t - st->first_token) / static_cast<double>(st->tokens - 1) <= slo.tpot;
-    if (ttft_ok && tpot_ok) ++slo_ok_;
-  }
+  // The collector stamps the finish before it fans the event out, so the
+  // record grades exactly as run_trace will.
+  if (cfg_.slo.has_value() && engine::meets_slo(metrics_->record(id), *cfg_.slo)) ++slo_ok_;
 }
 
 void Telemetry::on_preempt(workload::RequestId id, Seconds t) {

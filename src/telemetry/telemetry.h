@@ -54,8 +54,8 @@ struct TelemetryConfig {
   /// idle (so curves cover churn windows with nothing in flight); the
   /// sampler also runs until every arrival finished.
   Seconds horizon = 0;
-  /// When set, finished requests are graded (run_trace's meets-SLO
-  /// conventions) into the slo_attainment series.
+  /// When set, finished requests are graded (engine::meets_slo on the
+  /// attached engine's records) into the slo_attainment series.
   std::optional<engine::SloSpec> slo;
 };
 
@@ -136,6 +136,7 @@ class Telemetry final : public engine::RunObserver {
   int tenant_counter(std::int32_t tenant);
 
   TelemetryConfig cfg_;
+  const engine::MetricsCollector* metrics_ = nullptr;  // set by attach()
   TraceRecorder recorder_;
   MetricsRegistry registry_;
   AuditTrail audit_;

@@ -304,14 +304,15 @@ TEST(Controller, ValidatesSpecBounds) {
 
 // The Controller's signal state, kept the plain way: one ordered container
 // per field, exactly as the handlers read before they shared one record
-// per request.  Same EWMA arithmetic in the same order.
+// per request.  Same EWMA arithmetic in the same order; finishes graded by
+// engine::meets_slo's definition, spelled out.
 struct ReferenceSignals {
   double alpha;
   engine::SloSpec slo;
   std::size_t arrived = 0, prefilled = 0, finished = 0;
   std::set<workload::RequestId> reprefilling;
   std::map<workload::RequestId, Seconds> arrival, first_token, last_token;
-  std::map<workload::RequestId, std::int64_t> generated;
+  std::map<workload::RequestId, std::int64_t> output_len;
   bool ttft_seeded = false, tpot_seeded = false, slo_seeded = false;
   double ttft_ewma = control::ControlSignals{}.ttft_ewma;
   double tpot_ewma = control::ControlSignals{}.tpot_ewma;
@@ -333,54 +334,46 @@ struct ReferenceSignals {
   std::size_t queue_depth() const { return arrived - prefilled + reprefilling.size(); }
   std::size_t in_flight() const { return arrived - finished; }
 
-  void on_arrival(workload::RequestId id, Seconds t) {
+  void on_arrival(workload::RequestId id, Seconds t, std::int64_t out) {
     ++arrived;
     arrival[id] = t;
+    output_len[id] = out;
   }
   void on_prefill_done(workload::RequestId id, Seconds t) {
     ++prefilled;
     reprefilling.erase(id);
     first_token[id] = t;
     last_token[id] = t;
-    auto it = arrival.find(id);
-    if (it != arrival.end()) seed_or_ewma(ttft_seeded, ttft_ewma, t - it->second);
+    seed_or_ewma(ttft_seeded, ttft_ewma, t - arrival.at(id));
   }
-  void on_token(workload::RequestId id, Seconds t, std::int64_t gen) {
+  void on_token(workload::RequestId id, Seconds t) {
     auto it = last_token.find(id);
     if (it != last_token.end() && t > it->second) {
       seed_or_ewma(tpot_seeded, tpot_ewma, t - it->second);
     }
     last_token[id] = t;
-    generated[id] = gen;
     reprefilling.erase(id);
   }
   void on_finish(workload::RequestId id, Seconds t) {
     ++finished;
-    bool ok = true;
-    const auto arr = arrival.find(id);
-    const auto ft = first_token.find(id);
-    if (slo.ttft > 0) {
-      ok = arr != arrival.end() && ft != first_token.end() &&
-           (ft->second - arr->second) <= slo.ttft;
-    }
-    if (ok && slo.tpot > 0) {
-      const auto gen = generated.find(id);
-      if (gen != generated.end() && gen->second > 1 && ft != first_token.end()) {
-        ok = (t - ft->second) / static_cast<double>(gen->second - 1) <= slo.tpot;
-      }
-    }
-    seed_or_ewma(slo_seeded, slo_attainment, ok ? 1.0 : 0.0);
+    const Seconds ft = first_token.count(id) != 0 ? first_token.at(id) : -1.0;
+    const std::int64_t out = output_len.at(id);
+    const bool ttft_ok = slo.ttft <= 0 || (ft >= 0 && ft - arrival.at(id) <= slo.ttft);
+    const bool tpot_ok =
+        slo.tpot <= 0 || out <= 1 || (t - ft) / static_cast<double>(out - 1) <= slo.tpot;
+    seed_or_ewma(slo_seeded, slo_attainment, ttft_ok && tpot_ok ? 1.0 : 0.0);
     arrival.erase(id);
     first_token.erase(id);
     last_token.erase(id);
-    generated.erase(id);
+    output_len.erase(id);
     reprefilling.erase(id);
   }
   void on_preempt(workload::RequestId id) { reprefilling.insert(id); }
 };
 
 TEST(Controller, SignalsMatchThePerFieldReferenceOnASeededLifecycleStream) {
-  // A request-free engine: the Controller only sees the events fed below.
+  // A request-free engine: the Controller only sees the events fed below
+  // through the engine's collector.
   class IdleEngine : public engine::Engine {
    public:
     std::string name() const override { return "Idle"; }
@@ -390,8 +383,9 @@ TEST(Controller, SignalsMatchThePerFieldReferenceOnASeededLifecycleStream) {
 
   // Seeded lifecycles, interleaved at random: arrival, prefill, tokens
   // (some at equal or earlier timestamps), preemptions followed by resumed
-  // tokens, an occasional repeated prefill, and a finish -- or none, so
-  // some records stay live to the end.
+  // tokens, an occasional re-prefill, and a finish -- or none, so some
+  // records stay live to the end.  A request's output length is its last
+  // token count (carried in the arrival event's `generated`).
   enum Kind { kArrival, kPrefill, kToken, kPreempt, kFinish };
   struct Ev {
     Kind kind;
@@ -427,6 +421,7 @@ TEST(Controller, SignalsMatchThePerFieldReferenceOnASeededLifecycleStream) {
       if (rng() % 15 == 0) life.push_back({kPrefill, id, t + 0.5, 0});
     }
     if (rng() % 8 != 0) life.push_back({kFinish, id, t + 0.1, 0});
+    life.front().generated = tokens;
     lifecycles.push_back(std::move(life));
   }
   std::vector<Ev> stream;
@@ -440,41 +435,18 @@ TEST(Controller, SignalsMatchThePerFieldReferenceOnASeededLifecycleStream) {
     const std::size_t r = open[rng() % open.size()];
     stream.push_back(lifecycles[r][next[r]++]);
   }
-  // Events for ids the Controller never saw arrive: a preempt and a finish
-  // that come first, a token or a prefill that opens a record, and a
-  // preempt after a finish that re-opens one.
+  // A token for an id that never arrived opens a record (the collector
+  // fans tokens out without a lookup).
   const auto at = [&](std::size_t frac) { return stream.begin() + stream.size() * frac / 8; };
-  stream.insert(at(1), Ev{kPreempt, 9'000, 3.0, 0});
-  stream.insert(at(2), Ev{kFinish, 9'001, 4.0, 0});
   stream.insert(at(3), Ev{kToken, 9'002, 4.5, 3});
-  stream.insert(at(4), Ev{kFinish, 9'002, 5.5, 0});
-  stream.insert(at(5), Ev{kFinish, 9'003, 6.0, 0});
-  stream.insert(at(6), Ev{kPreempt, 9'003, 6.5, 0});
-  stream.insert(at(7), Ev{kPreempt, 9'000, 7.0, 0});
-  // Inserted back to front: prefill, token, finish, never an arrival.
-  stream.insert(at(3), Ev{kFinish, 9'004, 2.2, 0});
-  stream.insert(at(3), Ev{kToken, 9'004, 2.1, 3});
-  stream.insert(at(3), Ev{kPrefill, 9'004, 2.0, 0});
-  // A request that finishes and then reappears under the same id, inserted
-  // back to front.  Its second life starts from an empty record: the token
-  // after the finish takes no TPOT sample against the first life's last
-  // token, and the second finish misses the TTFT target for want of an
-  // arrival (the first life's record would have met both targets).
-  stream.insert(at(7), Ev{kFinish, 250, 9.0, 0});
-  stream.insert(at(6), Ev{kToken, 250, 8.0, 100});
-  stream.insert(at(5), Ev{kFinish, 250, 1.6, 0});
-  stream.insert(at(4), Ev{kToken, 250, 1.4, 2});
-  stream.insert(at(3), Ev{kPrefill, 250, 1.0, 0});
-  stream.insert(at(2), Ev{kArrival, 250, 0.5, 0});
   // An id far above every other, arriving mid-stream while the records
   // above are live: the Controller's id-indexed table must grow under them.
   stream.insert(at(6), Ev{kFinish, 70'000, 7.9, 0});
   stream.insert(at(5), Ev{kToken, 70'000, 7.3, 2});
   stream.insert(at(5), Ev{kPrefill, 70'000, 7.0, 0});
-  stream.insert(at(4), Ev{kArrival, 70'000, 6.0, 0});
+  stream.insert(at(4), Ev{kArrival, 70'000, 6.0, 2});
 
-  // Both targets, then TPOT alone: without a TTFT target, a finish is
-  // graded on TPOT even when the request never arrived.
+  // Both targets, then TPOT alone.
   for (const engine::SloSpec slo : {engine::SloSpec{3.0, 0.2}, engine::SloSpec{0.0, 0.2}}) {
     SCOPED_TRACE("slo.ttft " + std::to_string(slo.ttft));
     control::ControlSpec spec;
@@ -489,7 +461,8 @@ TEST(Controller, SignalsMatchThePerFieldReferenceOnASeededLifecycleStream) {
     ctl.attach(sim, eng);
     ReferenceSignals ref(spec.signal_alpha, spec.slo);
 
-    std::size_t finishes = 0, preempts = 0;
+    engine::MetricsCollector& bus = eng.metrics();
+    std::size_t finishes = 0, preempts = 0, reprefills = 0;
     for (std::size_t i = 0; i < stream.size(); ++i) {
       const Ev& ev = stream[i];
       switch (ev.kind) {
@@ -497,25 +470,32 @@ TEST(Controller, SignalsMatchThePerFieldReferenceOnASeededLifecycleStream) {
           workload::Request r;
           r.id = ev.id;
           r.arrival = ev.t;
-          ctl.on_arrival(r);
-          ref.on_arrival(ev.id, ev.t);
+          r.output_len = ev.generated;
+          bus.on_arrival(r);
+          ref.on_arrival(ev.id, ev.t, ev.generated);
           break;
         }
         case kPrefill:
-          ctl.on_prefill_done(ev.id, ev.t);
-          ref.on_prefill_done(ev.id, ev.t);
+          // A re-prefill reaches the Controller as on_reprefill_done, which
+          // it does not handle.
+          if (ref.first_token.count(ev.id) == 0) {
+            ref.on_prefill_done(ev.id, ev.t);
+          } else {
+            ++reprefills;
+          }
+          bus.on_first_token(ev.id, ev.t);
           break;
         case kToken:
-          ctl.on_token(ev.id, ev.t, ev.generated);
-          ref.on_token(ev.id, ev.t, ev.generated);
+          bus.on_token(ev.id, ev.t, ev.generated);
+          ref.on_token(ev.id, ev.t);
           break;
         case kPreempt:
-          ctl.on_preempt(ev.id, ev.t);
+          bus.on_preemption(ev.id, ev.t);
           ref.on_preempt(ev.id);
           ++preempts;
           break;
         case kFinish:
-          ctl.on_finish(ev.id, ev.t);
+          bus.on_finish(ev.id, ev.t);
           ref.on_finish(ev.id, ev.t);
           ++finishes;
           break;
@@ -533,6 +513,7 @@ TEST(Controller, SignalsMatchThePerFieldReferenceOnASeededLifecycleStream) {
     }
     // The stream exercised what it claims to.
     EXPECT_GT(preempts, 5u);
+    EXPECT_GT(reprefills, 0u);
     EXPECT_GT(finishes, ids.size() / 2);
     EXPECT_TRUE(ref.tpot_seeded);
     EXPECT_GT(ref.slo_attainment, 0.0);

@@ -264,9 +264,7 @@ TEST(SplitwiseProtocol, ReserveIncomingHoldsSpace) {
   s.layers = 40;
   cfg.stages = {s};
   engine::MetricsCollector metrics;
-  engine::InstanceOptions opts;
-  opts.decode_only = true;
-  engine::PipelineInstance inst(exec, cfg, metrics, opts);
+  engine::PipelineInstance inst(exec, cfg, metrics, engine::InstanceOptions{});
 
   Bytes before = inst.kv_used();
   ASSERT_TRUE(inst.reserve_incoming(500));

@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "baselines/hexgen.h"
+#include "baselines/splitwise.h"
 #include "common/rng.h"
 #include "harness/presets.h"
 #include "hw/gpu.h"
@@ -584,6 +586,63 @@ TEST(PlanPin, BothTiersMatchTheRecordedPlans) {
     }
   }
   EXPECT_EQ(pinned, 11);  // 5 presets exhaustive, 6 flow
+}
+
+void hash_instance(PlanHash& h, const parallel::InstanceConfig& inst) {
+  h.word(inst.stages.size());
+  for (const parallel::StageConfig& s : inst.stages) {
+    h.word(s.devices.size());
+    for (int d : s.devices) h.word(static_cast<std::uint64_t>(d));
+    h.word(static_cast<std::uint64_t>(s.layers));
+    h.word(static_cast<std::uint64_t>(s.extra_reserved));
+  }
+  h.word(inst.attention_workers.size());
+  for (int d : inst.attention_workers) h.word(static_cast<std::uint64_t>(d));
+}
+
+// The baselines' static layouts, one hash per (baseline, preset) over
+// Llama-13B and Llama-70B; a layout that throws hashes its message.
+TEST(PlanPin, BaselinePlansMatchTheRecordedPlans) {
+  // Recorded before hexgen_plan moved onto parallel::balance_layers.
+  const std::map<std::string, std::uint64_t> pins = {
+      {"hexgen/ablation", 0xcf6612ec1a04dee5ull}, {"splitwise/ablation", 0x17df13e9af15af2full},
+      {"hexgen/budget", 0x287054c1b8e5e23full},   {"splitwise/budget", 0xd366a9d60e917669ull},
+      {"hexgen/dc128", 0x90451af5ffb889a5ull},    {"splitwise/dc128", 0xd76bc211bf8d4c3dull},
+      {"hexgen/dc256", 0xf96bba29290cf425ull},    {"splitwise/dc256", 0xe177555ddba1fafdull},
+      {"hexgen/dc64", 0xe5887275253484a5ull},     {"splitwise/dc64", 0xc39afdeb7603ba7dull},
+      {"hexgen/paper", 0x06936bf24e0e828dull},    {"splitwise/paper", 0x8d21f695a9ff079cull},
+  };
+  int pinned = 0;
+  for (const std::string& preset : harness::cluster_preset_names()) {
+    const hw::Cluster cluster = harness::cluster_by_name(preset);
+    PlanHash hexgen;
+    PlanHash splitwise;
+    for (const model::ModelSpec* model : {&model::llama_13b(), &model::llama_70b()}) {
+      try {
+        for (const auto& inst : baselines::hexgen_plan(cluster, *model).instances) {
+          hash_instance(hexgen, inst);
+        }
+      } catch (const std::exception& e) {
+        hexgen.text(std::string("throws: ") + e.what());
+      }
+      try {
+        const baselines::SplitwisePlan plan = baselines::splitwise_default_plan(cluster, *model);
+        hash_instance(splitwise, plan.prefill);
+        for (const auto& inst : plan.decode) hash_instance(splitwise, inst);
+      } catch (const std::exception& e) {
+        splitwise.text(std::string("throws: ") + e.what());
+      }
+    }
+    for (const auto& [name, h] : {std::pair<std::string, const PlanHash*>{"hexgen", &hexgen},
+                                  std::pair<std::string, const PlanHash*>{"splitwise", &splitwise}}) {
+      const std::string key = name + "/" + preset;
+      const auto it = pins.find(key);
+      EXPECT_TRUE(it != pins.end() && it->second == h->value())
+          << key << ": 0x" << std::hex << h->value();
+      ++pinned;
+    }
+  }
+  EXPECT_EQ(pinned, 12);  // 6 presets x 2 baselines
 }
 
 }  // namespace

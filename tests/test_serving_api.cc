@@ -12,11 +12,13 @@
 #include <string>
 #include <vector>
 
+#include "control/controller.h"
 #include "engine/engine.h"
 #include "engine/instance.h"
 #include "engine/registry.h"
 #include "harness/experiment.h"
 #include "harness/presets.h"
+#include "hetis/hetis_engine.h"
 #include "model/llm.h"
 #include "sim/simulation.h"
 #include "workload/scenarios.h"
@@ -453,6 +455,46 @@ TEST(RunObserver, HexgenEventStreamUnderPreemptionPressure) {
 TEST(RunObserver, SplitwiseEventStreamUnderPreemptionPressure) {
   check_event_stream_under_pressure("splitwise", engine::EngineOptions{}, 0x9de24194ec65ad71ull,
                                     295833u);
+}
+
+// The Hetis twin of the two pins above: LongBench prompts on Llama-70B and
+// the paper cluster under spot preemptions with notice, replanned by a
+// Controller, with a low re-dispatch trigger.  One run preempts, rescues
+// heads into spare memory (§5.3.2), rebalances (§5.3.1) and live-migrates
+// requests across re-deploys, so the hash pins every path of
+// HetisInstance's batching, dispatch and migration.  The constants were
+// recorded before both instance kinds moved onto engine::BatchingLoop.
+TEST(RunObserver, HetisEventStreamUnderChurn) {
+  hw::Cluster cluster = harness::cluster_by_name("paper");
+  const model::ModelSpec& m = model::model_by_name("Llama-70B");
+  workload::TraceOptions topts;
+  topts.dataset = workload::Dataset::kLongBench;
+  topts.rate = 8.0;
+  topts.horizon = 90.0;
+  topts.seed = 20251116;
+  const auto trace = workload::build_trace(topts);
+  engine::HetisConfig hcfg;
+  hcfg.theta = 0.1;
+  auto eng = engine::make("hetis", cluster, m, hcfg);
+  control::ControlSpec cs;
+  cs.churn = control::churn_preset(control::Churn::kSpotNotice, topts.horizon, 11);
+  cs.horizon = topts.horizon;
+  cs.min_devices = 4;
+  control::Controller ctl(cs, cluster);
+  HashingObserver obs;
+  engine::RunOptions opts(900.0);
+  opts.on_start = ctl.starter();
+  opts.observer = &obs;
+  const engine::RunReport rep = engine::run_trace(*eng, trace, opts);
+  const auto& hetis = dynamic_cast<const core::HetisEngine&>(*eng);
+  ASSERT_EQ(rep.finished, trace.size());
+  EXPECT_GE(obs.preemptions(), 1);
+  EXPECT_EQ(obs.preemptions(), rep.preemptions);
+  EXPECT_GE(hetis.rescue_redispatches(), 1);
+  EXPECT_GE(hetis.balance_redispatches(), 1);
+  EXPECT_GE(hetis.reconfig_stats().migrated_requests, 1);
+  EXPECT_EQ(obs.events(), 111456u);
+  EXPECT_EQ(obs.hash(), 0xc3b3dc7326a35855ull) << std::hex << "0x" << obs.hash();
 }
 
 TEST(RunObserver, ObserverIsDetachedAfterTheRun) {
