@@ -3,12 +3,16 @@
 #include <algorithm>
 
 namespace hetis::engine {
+namespace {
 
+/// The priority of `lr` under `priorities` (0 for unknown tenants).
 int tenant_priority(const std::vector<int>& priorities, const LiveRequest& lr) {
   const int tenant = lr.req.tenant;
   if (tenant < 0 || static_cast<std::size_t>(tenant) >= priorities.size()) return 0;
   return priorities[static_cast<std::size_t>(tenant)];
 }
+
+}  // namespace
 
 void priority_enqueue(std::deque<LiveRequest>& queue, LiveRequest lr,
                       const std::vector<int>& priorities, bool requeue_front) {

@@ -58,9 +58,6 @@ struct InstanceOptions {
 void priority_enqueue(std::deque<LiveRequest>& queue, LiveRequest lr,
                       const std::vector<int>& priorities, bool requeue_front);
 
-/// The priority of `lr` under `priorities` (0 for unknown tenants).
-int tenant_priority(const std::vector<int>& priorities, const LiveRequest& lr);
-
 /// Live state drained out of a retiring instance when the control plane
 /// re-deploys an engine.  `fresh` requests never completed prefill here
 /// (still waiting, or mid-prefill -- returned reset to generated = 0);
@@ -95,7 +92,6 @@ class BatchingLoop {
   DrainedRequests retire();
 
   bool idle() const { return inflight_ == 0 && waiting_.empty() && running() == 0; }
-  const parallel::InstanceConfig& config() const { return cfg_; }
 
  protected:
   /// A decode iteration's end-to-end latency and the pipeline issue

@@ -305,7 +305,9 @@ TEST(Controller, ValidatesSpecBounds) {
 // The Controller's signal state, kept the plain way: one ordered container
 // per field, exactly as the handlers read before they shared one record
 // per request.  Same EWMA arithmetic in the same order; finishes graded by
-// engine::meets_slo's definition, spelled out.
+// engine::meets_slo's definition, spelled out.  Like the collector's
+// record, arrival, first token and output length outlive a finish: a
+// finished id that finishes again is graded on its restamped record.
 struct ReferenceSignals {
   double alpha;
   engine::SloSpec slo;
@@ -362,10 +364,7 @@ struct ReferenceSignals {
     const bool tpot_ok =
         slo.tpot <= 0 || out <= 1 || (t - ft) / static_cast<double>(out - 1) <= slo.tpot;
     seed_or_ewma(slo_seeded, slo_attainment, ttft_ok && tpot_ok ? 1.0 : 0.0);
-    arrival.erase(id);
-    first_token.erase(id);
     last_token.erase(id);
-    output_len.erase(id);
     reprefilling.erase(id);
   }
   void on_preempt(workload::RequestId id) { reprefilling.insert(id); }
@@ -439,6 +438,18 @@ TEST(Controller, SignalsMatchThePerFieldReferenceOnASeededLifecycleStream) {
   // fans tokens out without a lookup).
   const auto at = [&](std::size_t frac) { return stream.begin() + stream.size() * frac / 8; };
   stream.insert(at(3), Ev{kToken, 9'002, 4.5, 3});
+  // A request that finishes, then reappears under the same id with a token
+  // and a second finish, inserted back to front.  The token after the
+  // finish takes no TPOT sample against the first life's last token.  The
+  // collector restamps the finish on the kept record, so the second finish
+  // misses the TPOT target ((9.0 - 1.0) / 19 > 0.2) where the first met
+  // both ((1.6 - 1.0) / 19).
+  stream.insert(at(7), Ev{kFinish, 250, 9.0, 0});
+  stream.insert(at(6), Ev{kToken, 250, 8.0, 20});
+  stream.insert(at(5), Ev{kFinish, 250, 1.6, 0});
+  stream.insert(at(4), Ev{kToken, 250, 1.4, 2});
+  stream.insert(at(3), Ev{kPrefill, 250, 1.0, 0});
+  stream.insert(at(2), Ev{kArrival, 250, 0.5, 20});
   // An id far above every other, arriving mid-stream while the records
   // above are live: the Controller's id-indexed table must grow under them.
   stream.insert(at(6), Ev{kFinish, 70'000, 7.9, 0});
