@@ -47,7 +47,6 @@ Controller::Controller(ControlSpec spec, const hw::Cluster& cluster,
   }
   target_count_ = spec_.initial_devices == 0 ? total : spec_.initial_devices;
   target_count_ = clamp_target(target_count_);
-  signals_.min_devices = spec_.min_devices;
   if (!spec_.replan_objective.empty()) {
     parallel::make_objective(spec_.replan_objective);  // typo -> throw at build
                                                        // time, not mid-churn
@@ -97,9 +96,7 @@ void Controller::attach(sim::Simulation& sim, engine::Engine& engine) {
   // An initial_devices cap below the construction deployment applies
   // before the first arrival (the engine pays its own transition cost --
   // with nothing in flight this is cheap for every engine).
-  pending_trigger_ = "initial";
-  pending_device_ = -1;
-  apply_target(sim, /*forced=*/true);
+  apply_target(sim, /*forced=*/true, "initial");
 
   for (const ClusterEvent& ev : events_) {
     sim.schedule_at(ev.time, [this, &sim, ev] { handle_event(sim, ev); });
@@ -135,7 +132,8 @@ std::vector<int> Controller::pick_active() const {
   return ranked;
 }
 
-bool Controller::apply_target(sim::Simulation& sim, bool forced) {
+bool Controller::apply_target(sim::Simulation& sim, bool forced, const char* trigger,
+                              int device) {
   if (!reconfigurable_) return false;
   std::vector<int> want = pick_active();
   if (want == active_) return false;
@@ -143,11 +141,10 @@ bool Controller::apply_target(sim::Simulation& sim, bool forced) {
     if (last_elective_ >= 0 && sim.now() - last_elective_ < spec_.cooldown) return false;
     last_elective_ = sim.now();
   }
-  std::string plan_before = reconfigurable_->plan_digest();
-  const int searches_before = reconfigurable_->reconfig_stats().plan_searches;
-  reconfigurable_->reconfigure(sim, want);
-  audit_decision(sim, "redeploy", forced, active_, want, std::move(plan_before),
-                 searches_before);
+  decide(sim, trigger, device, "redeploy", forced, active_, [&] {
+    reconfigurable_->reconfigure(sim, want);
+    return want;
+  });
   active_ = std::move(want);
   active_history_.emplace_back(sim.now(), static_cast<int>(active_.size()));
   (forced ? stats_.forced_reconfigs : stats_.elective_reconfigs) += 1;
@@ -175,9 +172,7 @@ void Controller::handle_event(sim::Simulation& sim, const ClusterEvent& ev) {
         serving = std::find(used.begin(), used.end(), ev.device) != used.end();
       }
       if (serving) {
-        pending_trigger_ = "gpu_leave";
-        pending_device_ = ev.device;
-        apply_target(sim, /*forced=*/true);
+        apply_target(sim, /*forced=*/true, "gpu_leave", ev.device);
       } else {
         active_ = pick_active();
       }
@@ -190,9 +185,7 @@ void Controller::handle_event(sim::Simulation& sim, const ClusterEvent& ev) {
       // applies).  Simultaneous rejoins therefore coalesce: the first one
       // re-deploys, the rest land on a later tick instead of charging one
       // teardown per device.
-      pending_trigger_ = "gpu_join";
-      pending_device_ = ev.device;
-      apply_target(sim, /*forced=*/false);
+      apply_target(sim, /*forced=*/false, "gpu_join", ev.device);
       break;
     case ClusterEventKind::kLoadShift:
       signals_.load_forecast = ev.factor;
@@ -220,32 +213,24 @@ void Controller::handle_event(sim::Simulation& sim, const ClusterEvent& ev) {
         HETIS_INFO("Controller: device " << ev.device << " " << to_string(ev.kind) << " -> "
                                          << ev.factor << " at t=" << sim.now()
                                          << (now ? " (degraded)" : " (recovered)"));
-        pending_trigger_ = now ? "straggler_crossing" : "recovery_crossing";
-        pending_device_ = ev.device;
-        std::string plan_before = reconfigurable_->plan_digest();
-        std::vector<int> devs_before = reconfigurable_->active_devices();
-        const int searches_before = reconfigurable_->reconfig_stats().plan_searches;
-        reconfigurable_->on_degradation(sim);
         // Same device set, possibly a new layout (e.g. a straggling primary
         // demoted to an Attention worker).
-        audit_decision(sim, "replan_in_place", /*forced=*/true, std::move(devs_before),
-                       reconfigurable_->active_devices(), std::move(plan_before),
-                       searches_before);
+        decide(sim, now ? "straggler_crossing" : "recovery_crossing", ev.device,
+               "replan_in_place", /*forced=*/true, reconfigurable_->active_devices(), [&] {
+                 reconfigurable_->on_degradation(sim);
+                 return reconfigurable_->active_devices();
+               });
       }
       break;
     }
     case ClusterEventKind::kPreemptNotice:
       ++stats_.preempt_notices;
       if (reconfigurable_) {
-        pending_trigger_ = "preempt_notice";
-        pending_device_ = ev.device;
-        std::string plan_before = reconfigurable_->plan_digest();
-        std::vector<int> devs_before = reconfigurable_->active_devices();
-        const int searches_before = reconfigurable_->reconfig_stats().plan_searches;
-        reconfigurable_->on_preempt_notice(sim, ev.device, ev.time + ev.factor);
-        audit_decision(sim, "evacuate", /*forced=*/true, std::move(devs_before),
-                       reconfigurable_->active_devices(), std::move(plan_before),
-                       searches_before);
+        decide(sim, "preempt_notice", ev.device, "evacuate", /*forced=*/true,
+               reconfigurable_->active_devices(), [&] {
+                 reconfigurable_->on_preempt_notice(sim, ev.device, ev.time + ev.factor);
+                 return reconfigurable_->active_devices();
+               });
       }
       break;
   }
@@ -262,28 +247,23 @@ int Controller::count_degraded() const {
   return n;
 }
 
-bool Controller::tick(sim::Simulation& sim) {
-  ++stats_.ticks;
-  signals_.now = sim.now();
+void Controller::refresh(ControlSignals& s, Seconds now, int active) const {
+  s.now = now;
   // Requests re-prefilling after a preemption/restart count as queued:
   // on_prefill_done is deduped per request at the metrics layer, so the
   // arrived-minus-prefilled difference alone would go blind to restart
   // backlogs -- exactly when a reactive policy must see pressure.
-  signals_.queue_depth = arrived_ - prefilled_ + reprefilling_;
-  signals_.in_flight = arrived_ - finished_;
-  signals_.kv_pressure = engine_ ? engine_->kv_fill_fraction() : 0.0;
-  signals_.active_devices = static_cast<int>(active_.size());
-  signals_.available_devices = static_cast<int>(available_.size());
-  signals_.degraded_devices = count_degraded();
-  const double inst_rate =
-      static_cast<double>(arrived_ - arrived_at_last_tick_) / spec_.tick;
-  arrived_at_last_tick_ = arrived_;
-  if (!rate_seeded_) {
-    signals_.arrival_rate = inst_rate;
-    rate_seeded_ = true;
-  } else {
-    ewma(signals_.arrival_rate, inst_rate);
-  }
+  s.queue_depth = arrived_ - prefilled_ + reprefilling_.size();
+  s.in_flight = arrived_ - finished_;
+  s.kv_pressure = engine_ ? engine_->kv_fill_fraction() : 0.0;
+  s.active_devices = active;
+  s.available_devices = static_cast<int>(available_.size());
+  s.degraded_devices = count_degraded();
+}
+
+bool Controller::tick(sim::Simulation& sim) {
+  ++stats_.ticks;
+  refresh(signals_, sim.now(), static_cast<int>(active_.size()));
 
   // The STANDING target is clamped to the cluster, not to current
   // availability: a static 12-device target must survive a dip to 8
@@ -292,9 +272,7 @@ bool Controller::tick(sim::Simulation& sim) {
   target_count_ = std::min(std::max(policy_->target_devices(signals_, target_count_),
                                     spec_.min_devices),
                            cluster_->num_devices());
-  pending_trigger_ = "policy_tick";
-  pending_device_ = -1;
-  apply_target(sim, /*forced=*/false);
+  apply_target(sim, /*forced=*/false, "policy_tick");
   return sim.now() + spec_.tick <= spec_.horizon;
 }
 
@@ -313,109 +291,46 @@ double Controller::device_seconds(Seconds until) const {
   return total;
 }
 
-void Controller::ewma(double& slot, double sample) {
-  slot = spec_.signal_alpha * sample + (1.0 - spec_.signal_alpha) * slot;
-}
-
-void Controller::audit_decision(sim::Simulation& sim, const std::string& action, bool forced,
-                                std::vector<int> devices_before,
-                                std::vector<int> devices_after, std::string plan_before,
-                                int searches_before) {
+void Controller::decide(sim::Simulation& sim, const char* trigger, int device,
+                        const char* action, bool forced, std::vector<int> devices_before,
+                        const std::function<std::vector<int>()>& act) {
+  std::string plan_before = reconfigurable_->plan_digest();
+  const int searches_before = reconfigurable_->reconfig_stats().plan_searches;
+  std::vector<int> devices_after = act();
   telemetry::AuditRecord rec;
   rec.time = sim.now();
-  rec.trigger = pending_trigger_.empty() ? "policy_tick" : pending_trigger_;
+  rec.trigger = trigger;
   rec.action = action;
   rec.forced = forced;
-  rec.device = pending_device_;
-  // EWMAs carry their latest smoothed state; the computed signals are
+  rec.device = device;
+  // The SLO EWMA carries its latest state; the counted signals are
   // re-derived NOW, so a churn-driven decision between ticks audits the
   // queue it actually saw.
   rec.signals = signals_;
-  rec.signals.now = sim.now();
-  rec.signals.queue_depth = arrived_ - prefilled_ + reprefilling_;
-  rec.signals.in_flight = arrived_ - finished_;
-  rec.signals.kv_pressure = engine_ ? engine_->kv_fill_fraction() : 0.0;
-  rec.signals.active_devices = static_cast<int>(devices_before.size());
-  rec.signals.available_devices = static_cast<int>(available_.size());
-  rec.signals.degraded_devices = count_degraded();
+  refresh(rec.signals, sim.now(), static_cast<int>(devices_before.size()));
   rec.devices_before = std::move(devices_before);
   rec.devices_after = std::move(devices_after);
   rec.plan_before = std::move(plan_before);
-  if (reconfigurable_) {
-    rec.plan_after = reconfigurable_->plan_digest();
-    const parallel::SearchDiagnostics* d = reconfigurable_->last_search_diagnostics();
-    // Only a decision that searched (or replayed a search) gets a search
-    // block; otherwise `d` still describes an earlier decision's search.
-    if (d != nullptr && reconfigurable_->reconfig_stats().plan_searches != searches_before) {
-      rec.has_diagnostics = true;
-      rec.diagnostics = *d;
-      // Host wall-clock, the one non-sim field: zeroed so every audit
-      // artifact stays byte-reproducible across runs and --jobs levels
-      // (bench_search_overhead measures search wall time where it belongs).
-      rec.diagnostics.wall_time = 0;
-    }
+  rec.plan_after = reconfigurable_->plan_digest();
+  const parallel::SearchDiagnostics* d = reconfigurable_->last_search_diagnostics();
+  // Only a decision that searched (or replayed a search) gets a search
+  // block; otherwise `d` still describes an earlier decision's search.
+  if (d != nullptr && reconfigurable_->reconfig_stats().plan_searches != searches_before) {
+    rec.has_diagnostics = true;
+    rec.diagnostics = *d;
+    // Host wall-clock, the one non-sim field: zeroed so every audit
+    // artifact stays byte-reproducible across runs and --jobs levels
+    // (bench_search_overhead measures search wall time where it belongs).
+    rec.diagnostics.wall_time = 0;
   }
   engine_->metrics().on_decision(rec);
 }
 
-void Controller::end_reprefill(Live& rec) {
-  if (rec.reprefilling) {
-    rec.reprefilling = false;
-    --reprefilling_;
-  }
-}
-
-Controller::Live& Controller::live(workload::RequestId id) {
-  const auto slot = static_cast<std::size_t>(id);
-  if (slot >= live_.size()) {
-    live_.resize(std::min(std::max(slot + 1, 2 * live_.size()),
-                          static_cast<std::size_t>(workload::kDenseIdLimit)));
-  }
-  Live& rec = live_[slot];
-  if (!rec.present) {  // first event of the request, or of a reused id
-    rec = Live{};
-    rec.present = true;
-  }
-  return rec;
-}
-
-Controller::Live* Controller::find_live(workload::RequestId id) {
-  const auto slot = static_cast<std::size_t>(id);
-  return slot < live_.size() && live_[slot].present ? &live_[slot] : nullptr;
-}
-
 void Controller::on_arrival(const workload::Request&) { ++arrived_; }
 
-void Controller::on_prefill_done(workload::RequestId id, Seconds t) {
-  ++prefilled_;
-  Live& rec = live(id);
-  end_reprefill(rec);
-  rec.last_token = t;
-  rec.has_last_token = true;
-  const double ttft = t - engine_->metrics().record(id).arrival;
-  if (!ttft_seeded_) {
-    signals_.ttft_ewma = ttft;
-    ttft_seeded_ = true;
-  } else {
-    ewma(signals_.ttft_ewma, ttft);
-  }
-}
+void Controller::on_prefill_done(workload::RequestId, Seconds) { ++prefilled_; }
 
-void Controller::on_token(workload::RequestId id, Seconds t, std::int64_t) {
-  Live& rec = live(id);
-  if (rec.has_last_token && t > rec.last_token) {
-    const double gap = t - rec.last_token;
-    if (!tpot_seeded_) {
-      signals_.tpot_ewma = gap;
-      tpot_seeded_ = true;
-    } else {
-      ewma(signals_.tpot_ewma, gap);
-    }
-  }
-  rec.last_token = t;
-  rec.has_last_token = true;
-  end_reprefill(rec);  // decode resumed: the re-prefill completed
-}
+void Controller::on_reprefill_done(workload::RequestId id, Seconds) { reprefilling_.erase(id); }
 
 void Controller::on_finish(workload::RequestId id, Seconds) {
   ++finished_;
@@ -426,20 +341,19 @@ void Controller::on_finish(workload::RequestId id, Seconds) {
     signals_.slo_attainment = sample;
     slo_seeded_ = true;
   } else {
-    ewma(signals_.slo_attainment, sample);
+    signals_.slo_attainment =
+        spec_.signal_alpha * sample + (1.0 - spec_.signal_alpha) * signals_.slo_attainment;
   }
-  if (Live* found = find_live(id)) {
-    end_reprefill(*found);
-    found->present = false;
-  }
+  reprefilling_.erase(id);
 }
 
 void Controller::on_preempt(workload::RequestId id, Seconds) {
-  Live& rec = live(id);
-  if (!rec.reprefilling) {  // back in the admission queue until it decodes
-    rec.reprefilling = true;
-    ++reprefilling_;
-  }
+  // Before its first prefill completes a request is still counted queued
+  // by arrived_ - prefilled_ (Splitwise emits the first token only when
+  // the KV migration lands, so a restart can preempt a prefilled request
+  // that has not reached on_prefill_done yet).
+  if (engine_->metrics().record(id).first_token < 0) return;
+  reprefilling_.insert(id);
 }
 
 }  // namespace hetis::control

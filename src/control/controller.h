@@ -18,9 +18,10 @@
 //   * gpu_leave / gpu_join events update device availability and FORCE a
 //     re-deploy through engine::Reconfigurable when the active set must
 //     change (a vanished device cannot keep serving);
-//   * each tick refreshes ControlSignals (queue depth, TTFT/TPOT EWMAs,
-//     SLO-attainment EWMA, KV pressure) and asks the ScalePolicy for a
-//     target device count; ELECTIVE changes respect the cooldown;
+//   * each tick refreshes ControlSignals (queue depth, in-flight count,
+//     SLO-attainment EWMA, KV pressure, device counts) and asks the
+//     ScalePolicy for a target device count; ELECTIVE changes respect the
+//     cooldown;
 //   * the active set is always the `target` highest-power available
 //     devices, never below min_devices;
 //   * every applied decision is published on the bus as an on_decision
@@ -31,11 +32,11 @@
 // restart -- which is exactly the asymmetry bench_elastic measures.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "control/events.h"
@@ -136,10 +137,11 @@ class Controller final : public engine::RunObserver {
   /// The generated churn script (for logging / tests).
   const std::vector<ClusterEvent>& events() const { return events_; }
 
-  // Run-event bus sink: updates the signal EWMAs.
+  // Run-event bus sink: counts requests into and out of the queue and
+  // grades finishes into the SLO-attainment EWMA.
   void on_arrival(const workload::Request& r) override;
   void on_prefill_done(workload::RequestId id, Seconds t) override;
-  void on_token(workload::RequestId id, Seconds t, std::int64_t generated) override;
+  void on_reprefill_done(workload::RequestId id, Seconds t) override;
   void on_finish(workload::RequestId id, Seconds t) override;
   void on_preempt(workload::RequestId id, Seconds t) override;
 
@@ -151,28 +153,33 @@ class Controller final : public engine::RunObserver {
   /// One policy tick; returns whether another tick fits before the horizon.
   bool tick(sim::Simulation& sim);
   /// Re-deploys onto the target active set when it differs from the
-  /// current one.  Returns true when a reconfiguration was applied.
-  bool apply_target(sim::Simulation& sim, bool forced);
+  /// current one, auditing it as fired by `trigger` on `device` (-1 when
+  /// no device is involved).  Returns true when a reconfiguration was
+  /// applied.
+  bool apply_target(sim::Simulation& sim, bool forced, const char* trigger, int device = -1);
   /// The `target_count_` highest-power available devices (>= min floor).
   std::vector<int> pick_active() const;
   int clamp_target(int target) const;
-  void ewma(double& slot, double sample);
 
   /// Count of devices currently below the straggler threshold (speed or
   /// link), feeding ControlSignals::degraded_devices.
   int count_degraded() const;
 
-  /// Publishes one AuditRecord for an applied action on the engine's
-  /// run-event bus.  The computed signals (queue depth, in-flight,
-  /// kv pressure, device counts) are refreshed at DECISION time -- a forced
-  /// churn re-deploy between ticks must not audit half-a-tick-old values --
-  /// while the EWMAs carry their latest smoothed state as-is.
-  /// `plan_before` and `searches_before` (ReconfigStats::plan_searches) are
-  /// the engine's digest and search count captured before the action; the
-  /// record carries search diagnostics only when the count moved.
-  void audit_decision(sim::Simulation& sim, const std::string& action, bool forced,
-                      std::vector<int> devices_before, std::vector<int> devices_after,
-                      std::string plan_before, int searches_before);
+  /// Writes the counted signals (queue depth, in-flight, KV pressure,
+  /// device counts) into `s` as of now, with `active` assigned devices.
+  void refresh(ControlSignals& s, Seconds now, int active) const;
+
+  /// Applies one decision and publishes its AuditRecord on the engine's
+  /// run-event bus: captures the engine's plan digest and search count
+  /// (ReconfigStats::plan_searches), runs `act`, which returns the device
+  /// set after the action, and audits `action`, fired by `trigger` on
+  /// `device`.  The counted signals are refreshed at DECISION time -- a
+  /// forced churn re-deploy between ticks must not audit half-a-tick-old
+  /// values -- while the SLO EWMA carries its latest state as-is.  The
+  /// record carries search diagnostics only when `act` searched.
+  void decide(sim::Simulation& sim, const char* trigger, int device, const char* action,
+              bool forced, std::vector<int> devices_before,
+              const std::function<std::vector<int>()>& act);
 
   ControlSpec spec_;
   const hw::Cluster* cluster_;
@@ -186,12 +193,6 @@ class Controller final : public engine::RunObserver {
   std::string replan_objective_;
   sim::PeriodicTask ticking_;
 
-  /// What fired the decision currently being applied ("initial", "gpu_leave",
-  /// "gpu_join", "policy_tick", ...); set by each entry point before it can
-  /// reach audit_decision, with the triggering device id where scoped.
-  std::string pending_trigger_;
-  int pending_device_ = -1;
-
   std::set<int> available_;     // device ids currently usable
   std::vector<int> active_;     // sorted; devices assigned to the engine
   // (time, assigned-device count) step function behind device_seconds().
@@ -203,32 +204,11 @@ class Controller final : public engine::RunObserver {
   ControlSignals signals_;
   ControllerStats stats_;
   std::size_t arrived_ = 0, prefilled_ = 0, finished_ = 0;
-  std::size_t reprefilling_ = 0;  // live records with `reprefilling` set
-  std::size_t arrived_at_last_tick_ = 0;
-  bool rate_seeded_ = false, ttft_seeded_ = false, tpot_seeded_ = false, slo_seeded_ = false;
-
-  /// What the signal handlers keep about one request beyond the
-  /// collector's RequestRecord (arrival, first token and finish are read
-  /// there), from its first event until on_finish drops it.  A record may
-  /// first appear through on_token or on_preempt, so the last token time
-  /// carries its own presence flag.
-  struct Live {
-    Seconds last_token = 0;
-    bool has_last_token = false;
-    bool reprefilling = false;  // preempted, not yet decoding again
-    bool present = false;       // a live_ slot holds a record
-  };
-  static_assert(sizeof(Live) <= 16, "live_ holds one Live per request id");
-  /// Clears `rec.reprefilling`, keeping the reprefilling_ count in step.
-  void end_reprefill(Live& rec);
-  /// `id`'s record, created empty when the request has none.
-  Live& live(workload::RequestId id);
-  /// `id`'s record, or null when the request has none.
-  Live* find_live(workload::RequestId id);
-  /// Records indexed by request id (in [0, kDenseIdLimit), see
-  /// workload/request.h): one array access per decode token.  Grown
-  /// geometrically; a slot is live while `present`.
-  std::vector<Live> live_;
+  /// Requests preempted after their first prefill completed and not yet
+  /// re-prefilled: back in the admission queue, so they count toward
+  /// queue_depth beside arrived_ - prefilled_.
+  std::unordered_set<workload::RequestId> reprefilling_;
+  bool slo_seeded_ = false;
 };
 
 }  // namespace hetis::control

@@ -1,7 +1,7 @@
 // Pluggable autoscaling policies consumed by the Controller.
 //
-// A ScalePolicy maps the live signal snapshot (queue depth, latency EWMAs,
-// KV pressure, load forecast) to a desired device count; the Controller
+// A ScalePolicy maps the live signal snapshot (queue depth, SLO-attainment
+// EWMA, KV pressure, load forecast) to a desired device count; the Controller
 // clamps the answer to [min_devices, available] and re-deploys the engine
 // when the resulting device set changes.  Policies are deliberately pure
 // state machines over ControlSignals so the same policy drives every
@@ -25,20 +25,20 @@
 namespace hetis::control {
 
 /// Live snapshot the Controller derives from the run-event bus and the
-/// engine's metric taps; everything a policy may condition on.
+/// engine's metric taps: what the policies read, plus the counts
+/// (in_flight, active_devices, degraded_devices, now) the audit trail
+/// uses to explain a decision.
 struct ControlSignals {
   Seconds now = 0;
-  std::size_t queue_depth = 0;  // arrivals not yet prefilled
+  std::size_t queue_depth = 0;  // arrivals not yet prefilled, plus requests
+                                // preempted after prefill and not yet
+                                // re-prefilled
   std::size_t in_flight = 0;    // arrived - finished
-  double arrival_rate = 0;      // EWMA req/s
-  double ttft_ewma = 0;         // seconds, over prefill completions
-  double tpot_ewma = 0;         // seconds/token, over decode tokens
   double slo_attainment = 1.0;  // EWMA of per-finish SLO pass/fail
   double kv_pressure = 0;       // engine worst-instance KV fill fraction
   double load_forecast = 1.0;   // last kLoadShift factor (1 = nominal)
   int active_devices = 0;
   int available_devices = 0;
-  int min_devices = 1;
   // Devices whose speed ratio or link scale sits below the controller's
   // straggler threshold right now (ControlSpec::straggler_threshold).
   int degraded_devices = 0;

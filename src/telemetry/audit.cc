@@ -29,9 +29,7 @@ std::vector<int> set_minus(const std::vector<int>& a, const std::vector<int>& b)
 
 void write_signals(std::ostream& os, const control::ControlSignals& s) {
   os << "{\"now\":" << csv_double(s.now) << ",\"queue_depth\":" << s.queue_depth
-     << ",\"in_flight\":" << s.in_flight << ",\"arrival_rate\":" << csv_double(s.arrival_rate)
-     << ",\"ttft_ewma\":" << csv_double(s.ttft_ewma)
-     << ",\"tpot_ewma\":" << csv_double(s.tpot_ewma)
+     << ",\"in_flight\":" << s.in_flight
      << ",\"slo_attainment\":" << csv_double(s.slo_attainment)
      << ",\"kv_pressure\":" << csv_double(s.kv_pressure)
      << ",\"load_forecast\":" << csv_double(s.load_forecast)

@@ -65,7 +65,8 @@ SpanPhase Telemetry::span_phase(ReqState::Phase phase) {
 void Telemetry::close_span(ReqState& st, workload::RequestId id, Seconds t) {
   if (st.phase == ReqState::kIdle) return;
   if (st.phase == ReqState::kQueue || st.phase == ReqState::kPreempted) --queued_;
-  recorder_.add_span(id, span_phase(st.phase), st.phase_start, t, st.tenant, st.tokens);
+  recorder_.add_span(id, span_phase(st.phase), st.phase_start, t,
+                     static_cast<std::int32_t>(metrics_->record(id).tenant), st.tokens);
   st.phase = ReqState::kIdle;
 }
 
@@ -74,15 +75,12 @@ void Telemetry::on_arrival(const workload::Request& r) {
   if (st == nullptr) return;
   st->phase = ReqState::kQueue;
   st->phase_start = r.arrival;
-  st->arrival = r.arrival;
-  st->first_token = -1;
-  st->tenant = static_cast<std::int32_t>(r.tenant);
   st->tokens = 0;
   ++queued_;
   ++arrivals_;
   ++in_flight_;
   registry_.add(c_arrivals_);
-  registry_.add(tenant_counter(st->tenant));
+  registry_.add(tenant_counter(static_cast<std::int32_t>(r.tenant)));
 }
 
 void Telemetry::on_prefill_start(workload::RequestId id, Seconds t) {
@@ -94,15 +92,16 @@ void Telemetry::on_prefill_start(workload::RequestId id, Seconds t) {
 }
 
 void Telemetry::on_prefill_done(workload::RequestId id, Seconds t) {
+  on_reprefill_done(id, t);
+  registry_.observe(h_ttft_, metrics_->record(id).ttft());
+}
+
+void Telemetry::on_reprefill_done(workload::RequestId id, Seconds t) {
   ReqState* st = state(id, /*create=*/false);
   if (st == nullptr) return;
   close_span(*st, id, t);
   st->phase = ReqState::kDecode;
   st->phase_start = t;
-  if (st->first_token < 0) {
-    st->first_token = t;
-    registry_.observe(h_ttft_, t - st->arrival);
-  }
 }
 
 void Telemetry::on_token(workload::RequestId id, Seconds t, std::int64_t generated) {
@@ -120,13 +119,14 @@ void Telemetry::on_finish(workload::RequestId id, Seconds t) {
   ++finishes_;
   if (in_flight_ > 0) --in_flight_;
   registry_.add(c_finishes_);
-  registry_.observe(h_e2e_, t - st->arrival);
-  if (st->tokens > 1 && st->first_token >= 0) {
-    registry_.observe(h_tpot_, (t - st->first_token) / static_cast<double>(st->tokens - 1));
-  }
   // The collector stamps the finish before it fans the event out, so the
   // record grades exactly as run_trace will.
-  if (cfg_.slo.has_value() && engine::meets_slo(metrics_->record(id), *cfg_.slo)) ++slo_ok_;
+  const engine::RequestRecord& rec = metrics_->record(id);
+  registry_.observe(h_e2e_, t - rec.arrival);
+  if (st->tokens > 1 && rec.first_token >= 0) {
+    registry_.observe(h_tpot_, (t - rec.first_token) / static_cast<double>(st->tokens - 1));
+  }
+  if (cfg_.slo.has_value() && engine::meets_slo(rec, *cfg_.slo)) ++slo_ok_;
 }
 
 void Telemetry::on_preempt(workload::RequestId id, Seconds t) {

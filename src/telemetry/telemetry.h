@@ -78,11 +78,12 @@ class Telemetry final : public engine::RunObserver {
   /// must outlive the run.
   void attach(sim::Simulation& sim, engine::Engine& engine);
 
-  // Run-event bus sink.  A re-prefill closes a span like the first prefill.
+  // Run-event bus sink.  A re-prefill closes a span like the first prefill;
+  // only the first observes the TTFT histogram.
   void on_arrival(const workload::Request& r) override;
   void on_prefill_start(workload::RequestId id, Seconds t) override;
   void on_prefill_done(workload::RequestId id, Seconds t) override;
-  void on_reprefill_done(workload::RequestId id, Seconds t) override { on_prefill_done(id, t); }
+  void on_reprefill_done(workload::RequestId id, Seconds t) override;
   void on_token(workload::RequestId id, Seconds t, std::int64_t generated) override;
   void on_finish(workload::RequestId id, Seconds t) override;
   void on_preempt(workload::RequestId id, Seconds t) override;
@@ -115,13 +116,12 @@ class Telemetry final : public engine::RunObserver {
   std::size_t preemptions() const { return preemptions_; }
 
  private:
+  /// The span state machine of one request; arrival, first token and
+  /// tenant are read from the collector's RequestRecord.
   struct ReqState {
     enum Phase : std::uint8_t { kIdle, kQueue, kPrefill, kDecode, kPreempted };
     Phase phase = kIdle;
     Seconds phase_start = 0;
-    Seconds arrival = 0;
-    Seconds first_token = -1;
-    std::int32_t tenant = 0;
     std::int32_t tokens = 0;
   };
 
