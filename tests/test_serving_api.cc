@@ -497,6 +497,52 @@ TEST(RunObserver, HetisEventStreamUnderChurn) {
   EXPECT_EQ(obs.hash(), 0xc3b3dc7326a35855ull) << std::hex << "0x" << obs.hash();
 }
 
+// The baselines' twins of the Hetis pin above: ShareGPT on Llama-13B at a
+// rate both static layouts are overloaded by, under spot preemptions with
+// notice.  Every churn event checkpoint-restarts the deployment, so the
+// hash pins the restart path end to end: which drained requests report a
+// preemption and in what order, and the order the reload flush resubmits
+// the backlog in (HexGen routes each resubmission by the load it meets).
+// The constants were recorded before the restart backlog moved from a
+// std::map to one id-sorted vector.
+void check_event_stream_under_churn(const std::string& engine_name, std::uint64_t want_hash,
+                                    std::uint64_t want_events, int want_preemptions) {
+  hw::Cluster cluster = harness::cluster_by_name("paper");
+  const model::ModelSpec& m = model::model_by_name("Llama-13B");
+  workload::TraceOptions topts;
+  topts.rate = 6.0;
+  topts.horizon = 120.0;
+  topts.seed = 20251116;
+  const auto trace = workload::build_trace(topts);
+  auto eng = engine::make(engine_name, cluster, m);
+  control::ControlSpec cs;
+  cs.churn = control::churn_preset(control::Churn::kSpotNotice, topts.horizon, 11);
+  cs.horizon = topts.horizon;
+  cs.min_devices = 4;
+  control::Controller ctl(cs, cluster);
+  HashingObserver obs;
+  engine::RunOptions opts(900.0);
+  opts.on_start = ctl.starter();
+  opts.observer = &obs;
+  const engine::RunReport rep = engine::run_trace(*eng, trace, opts);
+  const auto& rc = dynamic_cast<const engine::Reconfigurable&>(*eng);
+  ASSERT_EQ(rep.finished, trace.size());
+  EXPECT_GE(rc.reconfig_stats().reconfigurations, 2);
+  EXPECT_GE(rc.reconfig_stats().restarted_requests, 1);
+  EXPECT_EQ(obs.preemptions(), rep.preemptions);
+  EXPECT_EQ(obs.preemptions(), want_preemptions);
+  EXPECT_EQ(obs.events(), want_events);
+  EXPECT_EQ(obs.hash(), want_hash) << std::hex << "0x" << obs.hash();
+}
+
+TEST(RunObserver, HexgenEventStreamUnderChurn) {
+  check_event_stream_under_churn("hexgen", 0xc74dc932191b99bbull, 220576u, 936);
+}
+
+TEST(RunObserver, SplitwiseEventStreamUnderChurn) {
+  check_event_stream_under_churn("splitwise", 0xc12adf379886b811ull, 236654u, 1312);
+}
+
 TEST(RunObserver, ObserverIsDetachedAfterTheRun) {
   FakeEngine eng;
   RecordingObserver obs;
