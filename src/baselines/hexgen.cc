@@ -117,16 +117,15 @@ std::vector<int> HexgenEngine::active_devices() const {
 }
 
 void HexgenEngine::reconfigure(sim::Simulation& sim, const std::vector<int>& devices) {
-  restart_.invalidate();
   // Checkpoint: drain every instance; prefilled requests lose their decode
   // progress (surfaced as a preemption), waiting requests just re-queue.
+  std::vector<engine::LiveRequest> drained;
   for (auto& inst : instances_) {
-    engine::DrainedRequests d = inst->retire();
-    for (auto& lr : d.fresh) restart_.park(sim, metrics_, std::move(lr));
-    for (auto& lr : d.live) restart_.park(sim, metrics_, std::move(lr));
+    inst->retire(drained);
     retired_.push_back(std::move(inst));
   }
   instances_.clear();
+  restart_.park(sim, metrics_, std::move(drained));
 
   // Restart: recompute the static layout on the surviving sub-cluster and
   // deploy it back onto the parent cluster's device ids.

@@ -1,6 +1,7 @@
 #include "baselines/restart.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 namespace hetis::baselines {
@@ -14,35 +15,37 @@ Seconds restart_dead_time(const hw::Cluster& cluster, const model::ModelSpec& mo
 }
 
 void CheckpointRestart::park(sim::Simulation& sim, engine::MetricsCollector& metrics,
-                             engine::LiveRequest lr) {
-  if (lr.prefilled || lr.generated > 0) {
-    metrics.on_preemption(lr.req.id, sim.now());
-    ++stats_.restarted_requests;
-    lr.prefilled = false;
-    lr.generated = 0;
+                             std::vector<engine::LiveRequest> drained) {
+  for (auto& lr : drained) {
+    if (engine::restart_from_scratch(lr, metrics, sim.now())) ++stats_.restarted_requests;
   }
-  pending_.emplace(lr.req.id, std::move(lr));
+  pending_.insert(pending_.end(), std::make_move_iterator(drained.begin()),
+                  std::make_move_iterator(drained.end()));
 }
 
 bool CheckpointRestart::park_arrival(const sim::Simulation& sim, const workload::Request& r) {
   if (sim.now() >= ready_at_) return false;
   engine::LiveRequest lr;
   lr.req = r;
-  pending_.emplace(r.id, std::move(lr));
+  pending_.push_back(std::move(lr));
   return true;
 }
 
 void CheckpointRestart::begin_restart(sim::Simulation& sim, Seconds dead, Resubmit resubmit) {
+  const int epoch = ++epoch_;
   const Seconds new_ready = sim.now() + dead;
   stats_.restart_dead_time += new_ready - std::max(ready_at_, sim.now());
   ready_at_ = new_ready;
   ++stats_.reconfigurations;
-  const int epoch = epoch_;
   sim.schedule_at(ready_at_, [this, &sim, epoch, resubmit = std::move(resubmit)] {
     if (stale(epoch)) return;  // superseded by a newer restart
-    auto pending = std::move(pending_);
-    pending_.clear();
-    for (auto& [id, lr] : pending) resubmit(sim, lr.req);
+    std::vector<engine::LiveRequest> backlog;
+    backlog.swap(pending_);
+    std::sort(backlog.begin(), backlog.end(),
+              [](const engine::LiveRequest& a, const engine::LiveRequest& b) {
+                return a.req.id < b.req.id;
+              });
+    for (const auto& lr : backlog) resubmit(sim, lr.req);
   });
 }
 

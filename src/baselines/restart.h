@@ -5,13 +5,14 @@
 // tears its pools down, reloads the model onto the new deployment (a dead
 // window of restart_dead_time), and every in-flight request re-prefills.
 // This helper owns the shared mechanics so the two engines cannot drift:
-// the parked-request registry, the epoch counter that invalidates stale
+// the backlog of parked requests, the epoch counter that invalidates stale
 // scheduled callbacks, the overlapping-dead-window accounting, and the
-// flush that re-submits everything once the reload lands.
+// flush that re-submits the backlog, in id (arrival) order, once the
+// reload lands.
 #pragma once
 
 #include <functional>
-#include <map>
+#include <vector>
 
 #include "engine/instance.h"
 #include "engine/metrics.h"
@@ -30,16 +31,15 @@ class CheckpointRestart {
  public:
   using Resubmit = std::function<void(sim::Simulation&, const workload::Request&)>;
 
-  /// Call at the START of a reconfigure: scheduled callbacks holding the
-  /// previous epoch (migrations, flushes) become no-ops.
-  void invalidate() { ++epoch_; }
   int epoch() const { return epoch_; }
   bool stale(int epoch) const { return epoch != epoch_; }
 
-  /// Parks a drained request for the next flush.  Requests with prefill
-  /// progress lose it (checkpoint-restart semantics), surfaced as a
-  /// preemption on `metrics` and counted in the stats.
-  void park(sim::Simulation& sim, engine::MetricsCollector& metrics, engine::LiveRequest lr);
+  /// Parks a whole drain for the next flush, in one call per re-deploy.
+  /// Requests with progress lose it (engine::restart_from_scratch: a
+  /// preemption on `metrics`, in `drained` order) and are counted in the
+  /// stats.
+  void park(sim::Simulation& sim, engine::MetricsCollector& metrics,
+            std::vector<engine::LiveRequest> drained);
 
   /// Parks a fresh arrival when it lands inside the reload window (the
   /// pending flush will submit it); returns false -- serve normally --
@@ -48,17 +48,19 @@ class CheckpointRestart {
 
   /// Opens a `dead`-second reload window at sim.now() and schedules the
   /// flush that re-submits every parked request through `resubmit`.
-  /// Overlapping windows only extend the pause -- the accounting charges
-  /// the extension, not another full window -- and a newer begin()
-  /// supersedes the older flush via the epoch guard.
+  /// Scheduled callbacks holding the previous epoch (migrations, an older
+  /// flush) become no-ops, so overlapping windows only extend the pause --
+  /// the accounting charges the extension, not another full window -- and
+  /// the newest flush carries the whole backlog.
   void begin_restart(sim::Simulation& sim, Seconds dead, Resubmit resubmit);
 
-  engine::ReconfigStats& stats() { return stats_; }
   const engine::ReconfigStats& stats() const { return stats_; }
 
  private:
-  // Keyed (= flushed) by id: arrival order.
-  std::map<workload::RequestId, engine::LiveRequest> pending_;
+  // Unordered until the flush sorts it by id.  Each drained request is
+  // parked once: an instance drains its requests on retire, and the
+  // restarted deployment holds none of them until the flush.
+  std::vector<engine::LiveRequest> pending_;
   engine::ReconfigStats stats_;
   int epoch_ = 0;
   Seconds ready_at_ = 0;  // serving resumes at this sim time

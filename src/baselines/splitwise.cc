@@ -319,24 +319,21 @@ std::vector<int> SplitwiseEngine::active_devices() const {
 }
 
 void SplitwiseEngine::reconfigure(sim::Simulation& sim, const std::vector<int>& devices) {
-  restart_.invalidate();
   // Checkpoint: drain both phase pools plus every request in limbo between
   // them (parked for decode room, or mid-KV-migration).
-  engine::DrainedRequests pre = prefill_->retire();
-  for (auto& lr : pre.fresh) restart_.park(sim, metrics_, std::move(lr));
-  for (auto& lr : pre.live) restart_.park(sim, metrics_, std::move(lr));
+  std::vector<engine::LiveRequest> drained;
+  prefill_->retire(drained);
   retired_.push_back(std::move(prefill_));
   for (auto& d : decode_) {
-    engine::DrainedRequests dr = d->retire();
-    for (auto& lr : dr.fresh) restart_.park(sim, metrics_, std::move(lr));
-    for (auto& lr : dr.live) restart_.park(sim, metrics_, std::move(lr));
+    d->retire(drained);
     retired_.push_back(std::move(d));
   }
   decode_.clear();
-  for (auto& lr : parked_) restart_.park(sim, metrics_, std::move(lr));
+  drained.insert(drained.end(), parked_.begin(), parked_.end());
   parked_.clear();
-  for (auto& [id, lr] : migrating_) restart_.park(sim, metrics_, lr);
+  for (auto& [id, lr] : migrating_) drained.push_back(lr);
   migrating_.clear();
+  restart_.park(sim, metrics_, std::move(drained));
 
   // Restart: recompute the phase split on the surviving sub-cluster and
   // deploy it back onto the parent cluster's device ids.

@@ -1,6 +1,7 @@
 #include "engine/batching.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace hetis::engine {
 namespace {
@@ -35,6 +36,14 @@ void priority_enqueue(std::deque<LiveRequest>& queue, LiveRequest lr,
   queue.insert(it, std::move(lr));
 }
 
+bool restart_from_scratch(LiveRequest& lr, MetricsCollector& metrics, Seconds now) {
+  if (!lr.prefilled && lr.generated == 0) return false;
+  metrics.on_preemption(lr.req.id, now);
+  lr.prefilled = false;
+  lr.generated = 0;
+  return true;
+}
+
 void BatchingLoop::submit(sim::Simulation& sim, const workload::Request& r) {
   LiveRequest lr;
   lr.req = r;
@@ -46,25 +55,17 @@ void BatchingLoop::enqueue(sim::Simulation& sim, LiveRequest lr) {
   pump(sim);
 }
 
-DrainedRequests BatchingLoop::retire() {
+void BatchingLoop::retire(std::vector<LiveRequest>& out) {
   retired_ = true;
-  DrainedRequests out;
-  for (auto& lr : waiting_) out.fresh.push_back(lr);
-  for (auto& lr : prefilling_) {
-    // The prefill iteration is aborted with the deployment; the request
-    // re-prefills wherever it lands next.
-    LiveRequest f = lr;
-    f.prefilled = false;
-    f.generated = 0;
-    out.fresh.push_back(std::move(f));
-  }
-  drain_running(out.live);
+  // The prefill iterations in flight are aborted with the deployment; their
+  // requests re-prefill wherever they land next.
+  out.insert(out.end(), std::make_move_iterator(waiting_.begin()),
+             std::make_move_iterator(waiting_.end()));
+  out.insert(out.end(), std::make_move_iterator(prefilling_.begin()),
+             std::make_move_iterator(prefilling_.end()));
   waiting_.clear();
   prefilling_.clear();
-  auto by_id = [](const LiveRequest& a, const LiveRequest& b) { return a.req.id < b.req.id; };
-  std::sort(out.fresh.begin(), out.fresh.end(), by_id);
-  std::sort(out.live.begin(), out.live.end(), by_id);
-  return out;
+  drain_running(out);
 }
 
 void BatchingLoop::pump(sim::Simulation& sim) {

@@ -58,15 +58,11 @@ struct InstanceOptions {
 void priority_enqueue(std::deque<LiveRequest>& queue, LiveRequest lr,
                       const std::vector<int>& priorities, bool requeue_front);
 
-/// Live state drained out of a retiring instance when the control plane
-/// re-deploys an engine.  `fresh` requests never completed prefill here
-/// (still waiting, or mid-prefill -- returned reset to generated = 0);
-/// `live` requests are prefilled and carry their decode progress.  Both
-/// are sorted by request id (arrival order).
-struct DrainedRequests {
-  std::vector<LiveRequest> fresh;
-  std::vector<LiveRequest> live;
-};
+/// A recompute restart: `lr` drops its progress and re-prefills from
+/// scratch wherever it is queued next.  A request that had progress
+/// reports the loss as a preemption on `metrics` at `now`; returns whether
+/// it had any.
+bool restart_from_scratch(LiveRequest& lr, MetricsCollector& metrics, Seconds now);
 
 class BatchingLoop {
  public:
@@ -85,11 +81,15 @@ class BatchingLoop {
     priorities_ = std::move(priorities);
   }
 
-  /// Retires this instance for elastic reconfiguration: drains every live
-  /// request out and turns all still-scheduled simulation events into
-  /// no-ops (the engine keeps the retired instance alive until the run
-  /// ends, so pending callbacks stay safe).  A second call returns nothing.
-  DrainedRequests retire();
+  /// Retires this instance for elastic reconfiguration: appends every
+  /// request it holds to `out` and turns all still-scheduled simulation
+  /// events into no-ops (the engine keeps the retired instance alive until
+  /// the run ends, so pending callbacks stay safe).  A drained request is
+  /// live -- decoding, with its progress -- exactly when it is prefilled;
+  /// the waiting and mid-prefill ones never are.  Only each instance's
+  /// running slice is id-ordered (see drain_running).  A second call
+  /// appends nothing.
+  void retire(std::vector<LiveRequest>& out);
 
   bool idle() const { return inflight_ == 0 && waiting_.empty() && running() == 0; }
 
@@ -119,8 +119,8 @@ class BatchingLoop {
   /// A request whose prefill completed: `lr` is prefilled with its first
   /// token generated.
   virtual void prefilled(sim::Simulation& sim, LiveRequest& lr) = 0;
-  /// Appends every decoding request, with its true progress, to `live` and
-  /// clears the decode state.
+  /// Appends every decoding request, with its true progress, to `live` in
+  /// id order and clears the decode state.
   virtual void drain_running(std::vector<LiveRequest>& live) = 0;
 
   /// Issues iterations while the pipeline has room.
@@ -143,8 +143,7 @@ class BatchingLoop {
   std::deque<LiveRequest> waiting_;
   // Requests inside an in-flight prefill iteration: without this registry a
   // retire() could not hand them to the new deployment (the batch itself
-  // lives in the scheduled completion lambda).  Unordered (retire() sorts
-  // its output); bounded by max_batch x pipeline depth, so linear removal
+  // lives in the scheduled completion lambda).  Unordered; bounded by max_batch x pipeline depth, so linear removal
   // beats node-based storage.
   std::vector<LiveRequest> prefilling_;
   std::vector<int> priorities_;    // per-tenant admission priorities

@@ -118,7 +118,11 @@ bool PipelineInstance::has_room(std::int64_t tokens) const { return can_reserve(
 void PipelineInstance::release_prefilled(const LiveRequest& lr) { release_tokens(lr.context()); }
 
 void PipelineInstance::drain_running(std::vector<LiveRequest>& live) {
+  // running_ is in join order; the drained slice leaves in id order.
+  const auto first = static_cast<std::ptrdiff_t>(live.size());
   for (std::size_t i = 0; i < running_.size(); ++i) live.push_back(current(i));
+  std::sort(live.begin() + first, live.end(),
+            [](const LiveRequest& a, const LiveRequest& b) { return a.req.id < b.req.id; });
   running_.clear();
   members_.clear();
   lifo_.clear();
@@ -225,9 +229,7 @@ void PipelineInstance::finish_decode_batch(sim::Simulation& sim) {
     LiveRequest lr = current(v);
     release_tokens(lr.context());
     ctx_sum_ -= lr.context();
-    metrics_->on_preemption(lr.req.id, sim.now());
-    lr.prefilled = false;
-    lr.generated = 0;  // recompute from scratch
+    restart_from_scratch(lr, *metrics_, sim.now());
     requeue_preempted(std::move(lr));
   }
   const bool preempted = alive < n;

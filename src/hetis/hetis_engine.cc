@@ -197,11 +197,18 @@ void HetisEngine::apply_plan(sim::Simulation& sim, parallel::ParallelPlan plan) 
   };
   std::vector<Carried> live;
   std::vector<engine::LiveRequest> fresh;
+  std::vector<engine::LiveRequest> drained;
   for (auto& inst : instances_) {
     const int src = inst->primary_device();
-    engine::DrainedRequests d = inst->retire();
-    for (auto& lr : d.fresh) fresh.push_back(std::move(lr));
-    for (auto& lr : d.live) live.push_back(Carried{std::move(lr), src});
+    drained.clear();
+    inst->retire(drained);
+    for (auto& lr : drained) {
+      if (lr.prefilled) {
+        live.push_back(Carried{std::move(lr), src});
+      } else {
+        fresh.push_back(std::move(lr));
+      }
+    }
     retired_.push_back(std::move(inst));
   }
   instances_.clear();
@@ -219,17 +226,14 @@ void HetisEngine::apply_plan(sim::Simulation& sim, parallel::ParallelPlan plan) 
   for (auto& c : live) {
     HetisInstance* dst = least_filled();
     const Bytes kv = m.kv_bytes_per_token() * c.lr.context();
-    const Seconds done = hauler_.migrate(c.src_device, dst->primary_device(), kv, sim.now());
-    if (dst->adopt(sim, c.lr, done)) {
-      metrics_.on_migrate(c.lr.req.id, sim.now(), done, c.src_device, dst->primary_device());
+    if (const auto done = dst->adopt(sim, c.lr, c.src_device, kv)) {
+      metrics_.on_migrate(c.lr.req.id, sim.now(), *done, c.src_device, dst->primary_device());
       ++stats_.migrated_requests;
       stats_.migrated_kv_bytes += kv;
     } else {
-      metrics_.on_preemption(c.lr.req.id, sim.now());
+      engine::restart_from_scratch(c.lr, metrics_, sim.now());
       ++stats_.restarted_requests;
-      c.lr.prefilled = false;
-      c.lr.generated = 0;
-      fresh.push_back(c.lr);
+      fresh.push_back(std::move(c.lr));
     }
   }
   // Fresh requests (waiting, mid-prefill, or migration fallbacks) re-queue
@@ -392,13 +396,16 @@ bool HetisInstance::admit(sim::Simulation& sim, const engine::LiveRequest& lr) {
   return dispatcher_.dispatch(lr.req.id, lr.req.prompt_len + 1, sim.now()).has_value();
 }
 
-bool HetisInstance::adopt(sim::Simulation& sim, const engine::LiveRequest& lr,
-                          Seconds resume_at) {
-  if (!dispatcher_.dispatch(lr.req.id, lr.context(), sim.now())) return false;
+std::optional<Seconds> HetisInstance::adopt(sim::Simulation& sim, const engine::LiveRequest& lr,
+                                            int src_device, Bytes kv) {
+  if (!dispatcher_.dispatch(lr.req.id, lr.context(), sim.now())) return std::nullopt;
+  // Book the transfer only for a request this instance hosts: a rejected
+  // one restarts from scratch and must not hold the channel.
+  const Seconds done = hauler_->migrate(src_device, primary_device(), kv, sim.now());
   insert_running(lr);
-  if (resume_at > sim.now()) suspended_until_[lr.req.id] = resume_at;
+  if (done > sim.now()) suspended_until_[lr.req.id] = done;
   pump(sim);
-  return true;
+  return done;
 }
 
 void HetisInstance::drain_running(std::vector<engine::LiveRequest>& live) {
@@ -618,9 +625,7 @@ void HetisInstance::preempt(sim::Simulation& sim, workload::RequestId id) {
   running_.erase(it);
   suspended_until_.erase(id);
   dispatcher_.remove(id);
-  metrics_->on_preemption(id, sim.now());
-  lr.prefilled = false;
-  lr.generated = 0;
+  engine::restart_from_scratch(lr, *metrics_, sim.now());
   requeue_preempted(std::move(lr));
 }
 

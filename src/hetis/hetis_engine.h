@@ -151,10 +151,12 @@ class HetisInstance final : public engine::BatchingLoop {
   void sample_usage(sim::Simulation& sim);
 
   /// Adopts a prefilled request with decode progress intact (elastic live
-  /// migration): its heads are dispatched into this instance and decoding
-  /// stays suspended until `resume_at` (the Hauler's KV-landing time).
-  /// Returns false when the dispatcher cannot host the request.
-  bool adopt(sim::Simulation& sim, const engine::LiveRequest& lr, Seconds resume_at);
+  /// migration): its heads are dispatched into this instance, its `kv`
+  /// bytes are booked on the Hauler from `src_device`, and decoding stays
+  /// suspended until they land.  Returns the landing time, or nullopt --
+  /// nothing dispatched or booked -- when the dispatcher cannot host it.
+  std::optional<Seconds> adopt(sim::Simulation& sim, const engine::LiveRequest& lr,
+                               int src_device, Bytes kv);
 
   /// Recompute-preempts running request `id` (§5.3.2's last resort): frees
   /// its heads and re-queues it at the front, unprefilled.  No-op when `id`

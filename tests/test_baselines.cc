@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "baselines/hexgen.h"
+#include "baselines/restart.h"
 #include "baselines/splitwise.h"
 #include "engine/engine.h"
+#include "engine/metrics.h"
 #include "model/llm.h"
 #include "workload/trace.h"
 
@@ -214,6 +217,64 @@ TEST(SplitwiseEngine, LongBenchStressWithBackpressure) {
   auto trace = small_trace(1.0, 10.0, workload::Dataset::kLongBench);
   engine::RunReport rep = engine::run_trace(eng, trace, engine::RunOptions(1200.0));
   EXPECT_EQ(rep.finished, trace.size());
+}
+
+// --- Checkpoint-restart backlog ---
+
+engine::LiveRequest drained_request(engine::MetricsCollector& metrics, workload::RequestId id,
+                                    std::int64_t generated) {
+  engine::LiveRequest lr;
+  lr.req.id = id;
+  lr.req.prompt_len = 16;
+  lr.req.output_len = 8;
+  lr.prefilled = generated > 0;
+  lr.generated = generated;
+  metrics.on_arrival(lr.req);
+  return lr;
+}
+
+// The backlog is parked unordered and sorted once, by id, when the reload
+// lands: drains parked out of id order and an arrival inside the window
+// are each resubmitted exactly once, in arrival order.  A restart inside
+// an open window supersedes the older flush and is charged only the
+// extension of the pause.
+TEST(CheckpointRestart, FlushResubmitsTheBacklogOnceInIdOrder) {
+  engine::MetricsCollector metrics;
+  sim::Simulation sim;
+  CheckpointRestart restart;
+  std::vector<workload::RequestId> first_flush;
+  std::vector<workload::RequestId> second_flush;
+
+  restart.park(sim, metrics, {drained_request(metrics, 5, 3), drained_request(metrics, 2, 0)});
+  restart.begin_restart(sim, 2.0, [&](sim::Simulation&, const workload::Request& r) {
+    first_flush.push_back(r.id);
+  });
+  EXPECT_EQ(restart.stats().restart_dead_time, 2.0);
+  sim.schedule_at(1.0, [&] {
+    restart.park(sim, metrics, {drained_request(metrics, 4, 1), drained_request(metrics, 1, 0)});
+    restart.begin_restart(sim, 2.0, [&](sim::Simulation&, const workload::Request& r) {
+      second_flush.push_back(r.id);
+    });
+  });
+  sim.schedule_at(1.5, [&] {
+    workload::Request arrival;
+    arrival.id = 3;
+    EXPECT_TRUE(restart.park_arrival(sim, arrival));
+  });
+  sim.run_until(10.0);
+
+  EXPECT_TRUE(first_flush.empty());
+  EXPECT_EQ(second_flush, (std::vector<workload::RequestId>{1, 2, 3, 4, 5}));
+  // Only the two requests with progress lost it.
+  EXPECT_EQ(metrics.total_preemptions(), 2);
+  EXPECT_EQ(restart.stats().restarted_requests, 2);
+  EXPECT_EQ(restart.stats().reconfigurations, 2);
+  // Windows [0, 2) and [1, 3) overlap: 3 s of pause, not 4.
+  EXPECT_DOUBLE_EQ(restart.stats().restart_dead_time, 3.0);
+  // Serving has resumed: a new arrival is served, not parked.
+  workload::Request late;
+  late.id = 6;
+  EXPECT_FALSE(restart.park_arrival(sim, late));
 }
 
 }  // namespace

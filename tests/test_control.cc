@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/restart.h"
 #include "control/controller.h"
 #include "control/events.h"
 #include "control/policy.h"
@@ -198,6 +199,41 @@ control::ControlSpec dip_spec(Seconds horizon, int leave_count = 2) {
   return cs;
 }
 
+/// One controlled run's re-deploy and controller counters.
+struct ChurnRun {
+  engine::ReconfigStats reconfig;
+  control::ControllerStats control;
+};
+
+/// Runs `trace` on engine `name` under `cs` and checks the ledger: every
+/// arrival finishes exactly once, through the chained observer (the
+/// controller forwards downstream).
+ChurnRun expect_each_arrival_finishes_once(const std::string& name, const hw::Cluster& cluster,
+                                           const model::ModelSpec& model,
+                                           const std::vector<workload::Request>& trace,
+                                           const control::ControlSpec& cs) {
+  auto eng = engine::make(name, cluster, model);
+  FinishLedger ledger;
+  control::Controller ctl(cs, cluster);
+  engine::RunOptions run(900.0);
+  run.observer = &ledger;
+  run.on_start = ctl.starter();
+  engine::RunReport rep = engine::run_trace(*eng, trace, run);
+
+  EXPECT_EQ(rep.arrived, trace.size());
+  EXPECT_EQ(rep.finished, trace.size());
+  EXPECT_FALSE(rep.drain_timeout_hit);
+  EXPECT_EQ(ledger.arrivals().size(), trace.size());
+  EXPECT_EQ(ledger.finishes().size(), trace.size());
+  for (const auto& [id, n] : ledger.finishes()) EXPECT_EQ(n, 1) << "request " << id;
+  const auto* rc = dynamic_cast<const engine::Reconfigurable*>(eng.get());
+  EXPECT_NE(rc, nullptr);
+  // The churn actually forced re-deploys.
+  ChurnRun out{rc != nullptr ? rc->reconfig_stats() : engine::ReconfigStats{}, ctl.stats()};
+  EXPECT_GE(out.reconfig.reconfigurations, 2);
+  return out;
+}
+
 TEST(Controller, MidRunGpuLeaveLosesNoFinishes) {
   // Acceptance: a gpu_leave with requests in flight must not lose or
   // double-count a single finish, on any engine.
@@ -212,27 +248,32 @@ TEST(Controller, MidRunGpuLeaveLosesNoFinishes) {
 
   for (const std::string name : {"hetis", "splitwise", "hexgen"}) {
     SCOPED_TRACE(name);
-    auto eng = engine::make(name, cluster, model);
-    FinishLedger ledger;
-    control::Controller ctl(dip_spec(8.0), cluster);
-    engine::RunOptions run(900.0);
-    run.observer = &ledger;
-    run.on_start = ctl.starter();
-    engine::RunReport rep = engine::run_trace(*eng, trace, run);
+    // Leave + rejoin.
+    const ChurnRun dip = expect_each_arrival_finishes_once(name, cluster, model, trace,
+                                                           dip_spec(8.0));
+    EXPECT_GE(dip.control.forced_reconfigs, 2);
+  }
 
-    EXPECT_EQ(rep.arrived, trace.size());
-    EXPECT_EQ(rep.finished, trace.size());
-    EXPECT_FALSE(rep.drain_timeout_hit);
-    // The churn actually forced re-deploys (leave + rejoin).
-    const auto* rc = dynamic_cast<const engine::Reconfigurable*>(eng.get());
-    ASSERT_NE(rc, nullptr);
-    EXPECT_GE(rc->reconfig_stats().reconfigurations, 2);
-    EXPECT_GE(ctl.stats().forced_reconfigs, 2);
-    // Ledger: every arrival finished exactly once, through the chained
-    // observer (the controller forwards downstream).
-    EXPECT_EQ(ledger.arrivals().size(), trace.size());
-    EXPECT_EQ(ledger.finishes().size(), trace.size());
-    for (const auto& [id, n] : ledger.finishes()) EXPECT_EQ(n, 1) << "request " << id;
+  // Spot preemptions with notice re-deploy again while a baseline's reload
+  // window is still open: the newer restart supersedes the older flush and
+  // inherits its backlog, which must still reach the new deployment once.
+  topts.horizon = 40.0;
+  trace = workload::build_trace(topts);
+  const Seconds dead = baselines::restart_dead_time(cluster, model);
+  for (const std::string name : {"hetis", "splitwise", "hexgen"}) {
+    Seconds overlap = 0;  // pause time the overlapping windows shared
+    for (const std::uint64_t seed : {3u, 7u, 11u}) {
+      SCOPED_TRACE(name + " spot_notice seed " + std::to_string(seed));
+      control::ControlSpec cs;
+      cs.churn = control::churn_preset(control::Churn::kSpotNotice, topts.horizon, seed);
+      cs.horizon = topts.horizon;
+      cs.min_devices = 4;
+      const engine::ReconfigStats st =
+          expect_each_arrival_finishes_once(name, cluster, model, trace, cs).reconfig;
+      overlap += st.reconfigurations * dead - st.restart_dead_time;
+    }
+    // More than a whole window's worth shared: restarts really overlapped.
+    if (name != "hetis") EXPECT_GT(overlap, dead) << name;
   }
 }
 

@@ -255,6 +255,36 @@ TEST(HetisEngine, RedispatchCountsSurviveReconfigure) {
   EXPECT_GE(eng.balance_redispatches(), rebalances);
 }
 
+// A shrinking re-deploy whose new instance cannot host every carried
+// request: the ones it rejects restart from scratch, so the Hauler must
+// carry (and count) only the transfers of the requests it adopted.  A
+// transfer booked for a rejected request would hold its channel and delay
+// every later migration on it.
+TEST(HetisEngine, ReconfigureBooksTransfersOnlyForAdoptedRequests) {
+  hw::Cluster cluster = hw::Cluster::paper_cluster();
+  HetisEngine eng(cluster, model::llama_13b(), default_opts());
+  sim::Simulation sim;
+  eng.start(sim);
+  const auto trace = small_trace(8.0, 40.0, 3, workload::Dataset::kLongBench);
+  for (const auto& r : trace) {
+    sim.schedule_at(r.arrival, [&eng, &sim, r] { eng.submit(sim, r); });
+  }
+  sim.run_until(30.0);
+  const engine::ReconfigStats before = eng.reconfig_stats();
+  const std::int64_t transfers = eng.migrations();
+  const Bytes bytes = eng.migrated_bytes();
+
+  eng.reconfigure(sim, {0});
+  const engine::ReconfigStats& after = eng.reconfig_stats();
+  // The shrink really rejected some carried requests and adopted others.
+  EXPECT_GT(after.restarted_requests, before.restarted_requests);
+  EXPECT_GT(after.migrated_requests, before.migrated_requests);
+  EXPECT_LE(eng.migrations() - transfers, after.migrated_requests - before.migrated_requests);
+  EXPECT_LE(eng.migrated_bytes() - bytes, after.migrated_kv_bytes - before.migrated_kv_bytes);
+  sim.run_until(1e6);
+  EXPECT_EQ(eng.metrics().finished(), trace.size());
+}
+
 TEST(HetisEngine, DeterministicAcrossRuns) {
   hw::Cluster cluster = hw::Cluster::paper_cluster();
   auto trace = small_trace(3.0, 10.0);
@@ -337,7 +367,7 @@ TEST(HetisInstance, BatchChangesWhileADecodeIsInFlight) {
       lr.prefilled = true;
       lr.generated = 5;
       metrics.on_arrival(adoptee);
-      ASSERT_TRUE(inst.adopt(sim, lr, sim.now()));
+      ASSERT_TRUE(inst.adopt(sim, lr, inst.primary_device(), 0).has_value());
       changed = true;
     });
   };
