@@ -1,7 +1,6 @@
 #include "baselines/restart.h"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 namespace hetis::baselines {
@@ -19,8 +18,7 @@ void CheckpointRestart::park(sim::Simulation& sim, engine::MetricsCollector& met
   for (auto& lr : drained) {
     if (engine::restart_from_scratch(lr, metrics, sim.now())) ++stats_.restarted_requests;
   }
-  pending_.insert(pending_.end(), std::make_move_iterator(drained.begin()),
-                  std::make_move_iterator(drained.end()));
+  pending_.insert(pending_.end(), drained.begin(), drained.end());
 }
 
 bool CheckpointRestart::park_arrival(const sim::Simulation& sim, const workload::Request& r) {
@@ -39,12 +37,8 @@ void CheckpointRestart::begin_restart(sim::Simulation& sim, Seconds dead, Resubm
   ++stats_.reconfigurations;
   sim.schedule_at(ready_at_, [this, &sim, epoch, resubmit = std::move(resubmit)] {
     if (stale(epoch)) return;  // superseded by a newer restart
-    std::vector<engine::LiveRequest> backlog;
-    backlog.swap(pending_);
-    std::sort(backlog.begin(), backlog.end(),
-              [](const engine::LiveRequest& a, const engine::LiveRequest& b) {
-                return a.req.id < b.req.id;
-              });
+    auto backlog = std::move(pending_);  // leaves pending_ empty
+    std::sort(backlog.begin(), backlog.end(), engine::id_order);
     for (const auto& lr : backlog) resubmit(sim, lr.req);
   });
 }

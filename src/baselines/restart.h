@@ -7,8 +7,7 @@
 // This helper owns the shared mechanics so the two engines cannot drift:
 // the backlog of parked requests, the epoch counter that invalidates stale
 // scheduled callbacks, the overlapping-dead-window accounting, and the
-// flush that re-submits the backlog, in id (arrival) order, once the
-// reload lands.
+// flush that re-submits the backlog in id order once the reload lands.
 #pragma once
 
 #include <functional>
@@ -34,10 +33,9 @@ class CheckpointRestart {
   int epoch() const { return epoch_; }
   bool stale(int epoch) const { return epoch != epoch_; }
 
-  /// Parks a whole drain for the next flush, in one call per re-deploy.
-  /// Requests with progress lose it (engine::restart_from_scratch: a
-  /// preemption on `metrics`, in `drained` order) and are counted in the
-  /// stats.
+  /// Parks a re-deploy's whole drain for the next flush.  Requests with
+  /// progress lose it (engine::restart_from_scratch, in `drained` order),
+  /// counted in the stats.
   void park(sim::Simulation& sim, engine::MetricsCollector& metrics,
             std::vector<engine::LiveRequest> drained);
 
@@ -48,18 +46,16 @@ class CheckpointRestart {
 
   /// Opens a `dead`-second reload window at sim.now() and schedules the
   /// flush that re-submits every parked request through `resubmit`.
-  /// Scheduled callbacks holding the previous epoch (migrations, an older
-  /// flush) become no-ops, so overlapping windows only extend the pause --
-  /// the accounting charges the extension, not another full window -- and
-  /// the newest flush carries the whole backlog.
+  /// Callbacks holding the previous epoch (migrations, an older flush)
+  /// become no-ops: overlapping windows only extend the pause (charged as
+  /// the extension) and the newest flush carries the whole backlog.
   void begin_restart(sim::Simulation& sim, Seconds dead, Resubmit resubmit);
 
   const engine::ReconfigStats& stats() const { return stats_; }
 
  private:
-  // Unordered until the flush sorts it by id.  Each drained request is
-  // parked once: an instance drains its requests on retire, and the
-  // restarted deployment holds none of them until the flush.
+  // Unordered until the flush sorts it by id.  A drained request is parked
+  // once: the restarted deployment holds none of them until the flush.
   std::vector<engine::LiveRequest> pending_;
   engine::ReconfigStats stats_;
   int epoch_ = 0;

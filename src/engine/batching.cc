@@ -1,7 +1,6 @@
 #include "engine/batching.h"
 
 #include <algorithm>
-#include <iterator>
 
 namespace hetis::engine {
 namespace {
@@ -59,10 +58,8 @@ void BatchingLoop::retire(std::vector<LiveRequest>& out) {
   retired_ = true;
   // The prefill iterations in flight are aborted with the deployment; their
   // requests re-prefill wherever they land next.
-  out.insert(out.end(), std::make_move_iterator(waiting_.begin()),
-             std::make_move_iterator(waiting_.end()));
-  out.insert(out.end(), std::make_move_iterator(prefilling_.begin()),
-             std::make_move_iterator(prefilling_.end()));
+  out.insert(out.end(), waiting_.begin(), waiting_.end());
+  out.insert(out.end(), prefilling_.begin(), prefilling_.end());
   waiting_.clear();
   prefilling_.clear();
   drain_running(out);

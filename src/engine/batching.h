@@ -46,6 +46,9 @@ struct LiveRequest {
   bool done() const { return generated >= req.output_len; }
 };
 
+/// Request-id (arrival) order.
+inline bool id_order(const LiveRequest& a, const LiveRequest& b) { return a.req.id < b.req.id; }
+
 struct InstanceOptions {
   std::int64_t max_prefill_tokens = 8192;  // prefill-iteration token budget
   std::size_t max_batch = 256;             // decode batch cap
@@ -82,13 +85,11 @@ class BatchingLoop {
   }
 
   /// Retires this instance for elastic reconfiguration: appends every
-  /// request it holds to `out` and turns all still-scheduled simulation
-  /// events into no-ops (the engine keeps the retired instance alive until
-  /// the run ends, so pending callbacks stay safe).  A drained request is
-  /// live -- decoding, with its progress -- exactly when it is prefilled;
-  /// the waiting and mid-prefill ones never are.  Only each instance's
-  /// running slice is id-ordered (see drain_running).  A second call
-  /// appends nothing.
+  /// request it holds to `out`, unsorted but for drain_running's id-ordered
+  /// slice, and turns all still-scheduled simulation events into no-ops
+  /// (the engine keeps the retired instance alive until the run ends).  A
+  /// drained request is live, with its decode progress, exactly when it is
+  /// prefilled.  A second call appends nothing.
   void retire(std::vector<LiveRequest>& out);
 
   bool idle() const { return inflight_ == 0 && waiting_.empty() && running() == 0; }
@@ -143,8 +144,8 @@ class BatchingLoop {
   std::deque<LiveRequest> waiting_;
   // Requests inside an in-flight prefill iteration: without this registry a
   // retire() could not hand them to the new deployment (the batch itself
-  // lives in the scheduled completion lambda).  Unordered; bounded by max_batch x pipeline depth, so linear removal
-  // beats node-based storage.
+  // lives in the scheduled completion lambda).  Unordered; bounded by
+  // max_batch x pipeline depth, so linear removal beats node-based storage.
   std::vector<LiveRequest> prefilling_;
   std::vector<int> priorities_;    // per-tenant admission priorities
   bool retired_ = false;           // pending events become no-ops

@@ -121,8 +121,7 @@ void PipelineInstance::drain_running(std::vector<LiveRequest>& live) {
   // running_ is in join order; the drained slice leaves in id order.
   const auto first = static_cast<std::ptrdiff_t>(live.size());
   for (std::size_t i = 0; i < running_.size(); ++i) live.push_back(current(i));
-  std::sort(live.begin() + first, live.end(),
-            [](const LiveRequest& a, const LiveRequest& b) { return a.req.id < b.req.id; });
+  std::sort(live.begin() + first, live.end(), id_order);
   running_.clear();
   members_.clear();
   lifo_.clear();

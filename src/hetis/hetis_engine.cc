@@ -238,10 +238,7 @@ void HetisEngine::apply_plan(sim::Simulation& sim, parallel::ParallelPlan plan) 
   }
   // Fresh requests (waiting, mid-prefill, or migration fallbacks) re-queue
   // in arrival order.
-  std::sort(fresh.begin(), fresh.end(),
-            [](const engine::LiveRequest& a, const engine::LiveRequest& b) {
-              return a.req.id < b.req.id;
-            });
+  std::sort(fresh.begin(), fresh.end(), engine::id_order);
   for (auto& lr : fresh) least_filled()->enqueue(sim, std::move(lr));
 }
 

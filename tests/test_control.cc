@@ -273,7 +273,9 @@ TEST(Controller, MidRunGpuLeaveLosesNoFinishes) {
       overlap += st.reconfigurations * dead - st.restart_dead_time;
     }
     // More than a whole window's worth shared: restarts really overlapped.
-    if (name != "hetis") EXPECT_GT(overlap, dead) << name;
+    if (name != "hetis") {
+      EXPECT_GT(overlap, dead) << name;
+    }
   }
 }
 
